@@ -65,6 +65,13 @@ def _reject_unknown(cfg, allowed, where):
         raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
+def _positive_int(cfg, key, where, default=None):
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{where}: {key} must be a positive integer, got {value!r}")
+    return value
+
+
 _PROFILE_KEYS = {
     "gaussian": {"rate"},
     "power": {"gamma"},
@@ -215,11 +222,12 @@ def cmd_spectrum(args):
     sign = {"+": +1, "-": -1, "plus": +1, "minus": -1}.get(cfg.get("sign", "+"))
     if sign is None:
         raise ConfigError("spectrum: sign must be '+' or '-'")
+    levels = _positive_int(cfg, "levels", "spectrum")
+    radial = _positive_int(cfg, "radial", "spectrum")
     order = args.order or cfg.get("order")
-    H = operators.assemble_hv(V, int(cfg["levels"]), int(cfg["radial"]),
-                              sign=sign, order=order)
+    H = operators.assemble_hv(V, levels, radial, sign=sign, order=order)
     rep = operators.eig_hermitian(H)
-    trust = H.provenance.get("trust_radius", 0.0)
+    trust = H.provenance["trust_radius"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "eigenvalues.csv", ["index", "eigenvalue"],
@@ -231,7 +239,7 @@ def cmd_spectrum(args):
         "trust_radius": trust,
         "trust_warning": bool(trust > 0.5 * b),
         "provenance": _provenance(args, digest, command="spectrum", sign=sign,
-                                  levels=int(cfg["levels"]), radial=int(cfg["radial"])),
+                                  levels=levels, radial=radial),
     })
     return 0
 
@@ -388,15 +396,18 @@ def cmd_construct_gaps(args):
         "terms": len(V.terms),
         "provenance": _provenance(args, digest, command="construct-gaps"),
     }
+    mult = payload["multiplicities"]
+    Q = _positive_int(cfg, "levels", "construct-gaps", default=len(mult) + 1)
+    Kr = _positive_int(cfg, "radial", "construct-gaps", default=max(mult + [4]) + 8)
     if cfg.get("verify"):
-        Q = int(cfg.get("levels", len(cfg["multiplicities"]) + 1))
-        Kr = int(cfg.get("radial", max([m for m in cfg["multiplicities"]] + [4]) + 8))
-        rep = operators.eig_hermitian(operators.assemble_hv(
-            V, Q, Kr, sign=-1, order=args.order or cfg.get("order")))
-        payload["gap_counts"] = [rep.gap_count(q, "-")
-                                 for q in range(len(cfg["multiplicities"]))]
+        H = operators.assemble_hv(V, Q, Kr, sign=-1, order=args.order or cfg.get("order"))
+        rep = operators.eig_hermitian(H)
+        trust = H.provenance["trust_radius"]
+        payload["gap_counts"] = [rep.gap_count(q, "-") for q in range(len(mult))]
         payload["eigenvalue_errors"] = [
             float(np.abs(rep.eigenvalues - val).min()) for _, _, val in predictions]
+        payload["trust_radius"] = trust
+        payload["trust_warning"] = bool(trust > 0.5 * b)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "construct_gaps.json", payload)

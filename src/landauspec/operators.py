@@ -6,7 +6,9 @@ products of Wigner pair kernels, with unit-modulus phases i^(k-l-q+r).
 Radial symbols get dedicated fast paths: their operators are diagonal in
 the Hermite basis and the eigenvalues reduce to half-line Laguerre-type
 integrals, evaluated in log space wherever values dive below the double
-underflow threshold.
+underflow threshold.  A separable 4-D symbol with radial factors is
+therefore diagonal in the level basis and is assembled from those 1-D
+sequences without any pairing matrix.
 """
 
 from __future__ import annotations
@@ -331,16 +333,24 @@ def toeplitz_radial_eigs(zeta, q, b, count, order=None, log_scale=False):
     for k in range(count):
         m = min(k, q)
         d = abs(k - q)
-        rule = quadrature.gauss_laguerre(order or max(160, 64 + d // 4 + 2 * m), float(d))
+        if zeta.compact_support:
+            # the jump at the support bound defeats Gauss-Laguerre; the same
+            # finite panel as the q = 0 moments
+            rule = quadrature.gauss_legendre_panel(
+                order or max(240, (k + 120) // 2), 0.0, zeta.support_bound / scale)
+            log_w = np.log(rule.weights)
+        else:
+            rule = quadrature.gauss_laguerre(order or max(160, 64 + d // 4 + 2 * m), float(d))
+            log_w = np.log(rule.flat_weights)
         t = rule.nodes
         lag = laguerre(m, float(d), t)
         if log_scale:
             with np.errstate(divide="ignore"):
-                terms = np.log(rule.flat_weights) + zeta.log_value(scale * t) \
+                terms = log_w + zeta.log_value(scale * t) \
                     + d * np.log(t) - t + 2.0 * np.log(np.abs(lag))
             out[k] = logsumexp(terms) + gammaln(m + 1.0) - gammaln(m + d + 1.0)
         else:
-            density = np.exp(np.log(rule.flat_weights) + d * np.log(t) - t
+            density = np.exp(log_w + d * np.log(t) - t
                              + gammaln(m + 1.0) - gammaln(m + d + 1.0))
             out[k] = np.dot(density, np.atleast_1d(zeta(scale * t)) * lag * lag)
     return out
@@ -392,18 +402,33 @@ def landau_levels(b, q_count):
 def assemble_hv(V, levels, radial, sign=+1, order=None):
     """Truncated matrix of H = diag(Landau levels) + sign * op(V).
 
-    Separable symbols factor each 4-D pairing into two 2-D pairing matrices;
-    generic symbols are integrated by full 4-D tensor quadrature, capped at
-    levels * radial <= 48 per side.  The i^(k-l-q+r) phases enter as a
-    diagonal unitary conjugation, so they never change the spectrum but are
-    kept so the matrix is literally the one in the level basis.
+    The route follows the symbol's structure and is recorded in the
+    provenance:
+
+      radial-diagonal  separable, every factor radial: both pairing matrices
+                       are diagonal, so H is diagonal with entries
+                       lam_q + sign * sum c mu_q(A) mu_k(B), mu the 1-D Weyl
+                       sequences (default rules; `order` is not used)
+      dense-separable  separable with an angular or generic factor: each 4-D
+                       pairing factors into two 2-D pairing matrices
+      generic          full 4-D tensor quadrature, capped at
+                       levels * radial <= 48 per side
+
+    The i^(k-l-q+r) phases enter as a diagonal unitary conjugation, so they
+    never change the spectrum but are kept so the matrix is literally the
+    one in the level basis.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     b = V.b
     Q, K = int(levels), int(radial)
+    if Q < 1 or K < 1:
+        raise ValueError("levels and radial must be positive")
+    if V.separable and all(A.structure == B.structure == "radial" for _, A, B in V.terms):
+        return _diagonal_hv(b, _radial_couplings(V.terms, Q, K), sign)
     dim = Q * K
     if V.separable:
+        route = "dense-separable"
         M0 = np.zeros((Q, K, Q, K), dtype=complex)
         for c, A, B in V.terms:
             PA = kernel_pair_matrix(A, Q, order=order)
@@ -413,6 +438,7 @@ def assemble_hv(V, levels, radial, sign=+1, order=None):
     else:
         if dim > 48:
             raise ValueError("generic 4-D quadrature is capped at levels*radial <= 48")
+        route = "generic"
         M0 = _assemble_generic(V, Q, K, order=order)
     pow4 = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
     D = pow4[(np.arange(K)[None, :] - np.arange(Q)[:, None]) % 4].reshape(dim)  # i^(k-q)
@@ -422,14 +448,37 @@ def assemble_hv(V, levels, radial, sign=+1, order=None):
     # truncation trust region: couplings on the truncation boundary bound
     # what was discarded; eigenvalues closer to a level than 10x that are
     # not to be trusted for gap counting
-    boundary = 0.0
-    if dim:
-        A = np.abs(M0.reshape(Q, K, Q, K))
-        boundary = max(float(A[:, K - 1, :, :].max()), float(A[:, :, :, K - 1].max()),
-                       float(A[Q - 1].max()), float(A[:, :, Q - 1, :].max()))
+    A = np.abs(M0.reshape(Q, K, Q, K))
+    boundary = max(float(A[:, K - 1, :, :].max()), float(A[:, :, :, K - 1].max()),
+                   float(A[Q - 1].max()), float(A[:, :, Q - 1, :].max()))
+    return TruncatedOperator("landau", H, b=b, levels=Q, radial=K, provenance={
+        "basis": "landau", "levels": Q, "radial": K, "sign": sign, "route": route,
+        "order": order, "max_coupling": float(A.max()), "trust_radius": 10.0 * boundary})
+
+
+def _radial_couplings(terms, levels, radial, b_eigs=weyl_radial_eigs):
+    """Level-basis diagonal sum c mu_q(A) mu_k(B) of radial (x) radial terms.
+
+    Returns the (levels, radial) grid; row q holds level q.  The A-side
+    sequence is the Weyl one; b_eigs(profile, count) gives the B side.
+    """
+    G = np.zeros((levels, radial))
+    for c, A, B in terms:
+        G += c * np.outer(weyl_radial_eigs(A.profile, levels), b_eigs(B.profile, radial))
+    return G
+
+
+def _diagonal_hv(b, G, sign):
+    """Diagonal level-basis operator lam_q + sign * G[q, k], flattened (q, k)."""
+    Q, K = G.shape
+    H = np.diag((landau_levels(b, Q)[:, None] + sign * G).ravel()).astype(complex)
+    # the diagonal entries on the truncation boundary (radial index K-1, level
+    # Q-1) are the couplings the dense route's trust radius is taken from
+    A = np.abs(G)
+    boundary = max(float(A[:, K - 1].max()), float(A[Q - 1].max()))
     return TruncatedOperator("landau", H, b=b, levels=Q, radial=K, provenance={
         "basis": "landau", "levels": Q, "radial": K, "sign": sign,
-        "order": order, "max_coupling": float(np.abs(M0).max()) if dim else 0.0,
+        "route": "radial-diagonal", "order": None, "max_coupling": float(A.max()),
         "trust_radius": 10.0 * boundary})
 
 
@@ -571,30 +620,35 @@ def birman_schwinger_check(zeta_profile, r, q, b, levels, radial,
 
     Builds the standard fixture from a nonnegative radial weight zeta:
     omega = L_r(-Laplacian/2b) zeta, swap-and-scale to vt, Gaussian-smooth to
-    v, and couple the level-q kernel to v.  Assembles H(+/-V), extracts the
-    shifts around level q, and finds the smallest (eps, k0) with
+    v, and couple the level-q kernel to v.  The level-basis H(+/-V) is
+    diagonal; its entries come from the anti-Wick sequence of vt, which
+    equals the Weyl sequence of v, so no numeric smoothing is done.  Extracts
+    the shifts around level q from both signs of one diagonal, and finds the
+    smallest (eps, k0) with
 
         nu_{k+k0} / (1+eps) <= shift_k <= nu_{k-k0} / (1-eps)
 
-    over the k range, nu the level-r compression of zeta.  Returns a report
-    dict; raises TruncationError when the window is not resolved.
+    over the k range, nu the level-r compression of zeta (`order` applies to
+    nu only).  Returns a report dict; raises TruncationError when the window
+    is not resolved.
     """
     eps_grid = eps_grid if eps_grid is not None else [x / 100.0 for x in range(1, 26)]
     k_lo, k_hi = k_range
     omega = symbols.laguerre_laplacian(symbols.radial_symbol(zeta_profile), b, r)
     vt = symbols.radial_symbol(omega.profile.with_arg_scale(1.0 / b))
-    v = symbols.antiwick_to_weyl(vt)
     level_kernel = symbols.radial_symbol(symbols.diag_kernel_profile(q))
-    V = symbols.separable_symbol(b, [(2.0 * np.pi, level_kernel, v)], frame="lab")
 
     nu = toeplitz_radial_eigs(zeta_profile, r, b, k_hi + k0_max + 2, order=order)
     nu = np.sort(nu[nu > 0])[::-1]
     if not len(nu):
         return {"vacuous": True, "epsilon": 0.0, "k0": 0}
 
+    # the Weyl eigenvalues of the smoothed symbol are the anti-Wick ones of vt
+    G = _radial_couplings([(2.0 * np.pi, level_kernel, vt)], levels, radial,
+                          b_eigs=antiwick_radial_eigs)
     shifts = {}
     for sign in (+1, -1):
-        rep = eig_hermitian(assemble_hv(V, levels, radial, sign=sign, order=order))
+        rep = eig_hermitian(_diagonal_hv(b, G, sign))
         delta = _gap_shifts(rep, q, sign)
         if len(delta) <= k_hi:
             raise TruncationError(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from landauspec import operators
 from landauspec.cli import main
 
 
@@ -159,6 +160,42 @@ def test_construct_gaps_command(tmp_path):
     assert max(data["eigenvalue_errors"]) < 1e-8
     vals = sorted(p["eigenvalue"] for p in data["predicted"])
     assert vals == pytest.approx([0.6, 0.8, 4.85])
+
+
+def test_construct_gaps_writes_trust_radius(tmp_path):
+    gaps = {"b": 1.0, "multiplicities": [2, 0, 1],
+            "level_scales": [0.8, 0.5, 0.3], "index_scales": [0.5, 0.25]}
+    cfg = write_config(tmp_path, "c.json", dict(gaps, verify=True, levels=4, radial=8))
+    out = tmp_path / "out"
+    assert main(["construct-gaps", "--config", cfg, "--out", str(out)]) == 0
+    data = json.loads((out / "construct_gaps.json").read_text())
+    V, _ = operators.prescribed_gap_symbol(gaps["b"], gaps["multiplicities"],
+                                           gaps["level_scales"], gaps["index_scales"])
+    trust = operators.assemble_hv(V, 4, 8, sign=-1).provenance["trust_radius"]
+    assert data["trust_radius"] == trust
+    assert data["trust_warning"] is (trust > 0.5 * gaps["b"])
+
+
+_BAD_SIZES = [("levels", 0), ("radial", -3), ("levels", "x"), ("levels", 2.5),
+              ("radial", True)]
+
+
+@pytest.mark.parametrize("key,value", _BAD_SIZES)
+def test_spectrum_rejects_bad_sizes(tmp_path, capsys, key, value):
+    payload = {"b": 1.0, "levels": 3, "radial": 4, "sign": "+",
+               "symbol": {"separable": {"terms": []}}}
+    cfg = write_config(tmp_path, "c.json", dict(payload, **{key: value}))
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", _BAD_SIZES)
+def test_construct_gaps_rejects_bad_sizes(tmp_path, capsys, key, value):
+    payload = {"b": 1.0, "multiplicities": [1], "level_scales": [0.8],
+               "index_scales": [0.5], "verify": True, "levels": 3, "radial": 4}
+    cfg = write_config(tmp_path, "c.json", dict(payload, **{key: value}))
+    assert main(["construct-gaps", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be a positive integer" in capsys.readouterr().err
 
 
 def test_construct_gaps_invalid_scales(tmp_path):

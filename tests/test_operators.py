@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -204,6 +205,32 @@ def test_toeplitz_disk_incomplete_gamma_oracle():
     assert nu0 == pytest.approx(1 - math.exp(-1.0), rel=1e-12)
 
 
+def test_toeplitz_disk_higher_level_mpmath_oracle():
+    # q >= 1 on a compactly supported weight: the integrand jumps at t = rho
+    b, q, cutoff, count = 2.0, 3, 1.0, 120
+    rho = mp.mpf(b) * cutoff / 2
+    ks = [0, 1, 3, 5, 10, 29, 30, 50, 80, 119]
+
+    def lag(m, d, t):
+        prev, cur = mp.mpf(0), mp.mpf(1)
+        for j in range(m):
+            prev, cur = cur, ((2 * j + d + 1 - t) * cur - (j + d) * prev) / (j + 1)
+        return cur
+
+    with mp.workdps(40):
+        oracle = []
+        for k in ks:
+            m, d = min(k, q), abs(k - q)
+            integral = mp.quad(lambda t: t ** d * lag(m, d, t) ** 2 * mp.exp(-t), [0, rho])
+            oracle.append(float(mp.log(integral) + mp.loggamma(m + 1) - mp.loggamma(m + d + 1)))
+    oracle = np.array(oracle)
+    zeta = sy.disk_indicator(cutoff)
+    logs = op.toeplitz_radial_eigs(zeta, q, b, count, log_scale=True)[ks]
+    assert np.abs(logs - oracle).max() < 1e-11
+    lin = op.toeplitz_radial_eigs(zeta, q, b, count)[ks]
+    assert np.abs(lin / np.exp(oracle) - 1).max() < 1e-11
+
+
 def test_toeplitz_higher_level_2d_quadrature_oracle():
     zeta = sy.gaussian(0.3)
     b, q = 1.0, 2
@@ -321,6 +348,61 @@ def test_assemble_generic_matches_separable():
     assert np.abs(Hs - Hg).max() < 1e-7
 
 
+def _dense_hv(V, Q, K, sign, order=None):
+    """Level-basis H from Kronecker products of the 2-D pairing matrices."""
+    M = sum(c * np.kron(op.kernel_pair_matrix(A, Q, order=order),
+                        op.kernel_pair_matrix(B, K, order=order)) for c, A, B in V.terms)
+    H = np.diag(np.repeat(op.landau_levels(V.b, Q), K)).astype(complex) + sign * M
+    return op.TruncatedOperator("landau", H, b=V.b, levels=Q, radial=K)
+
+
+@pytest.mark.parametrize("profile", [
+    sy.gaussian(0.5, amplitude=0.7),
+    sy.power(3.0),
+    sy.exp_beta(0.8, 2.0),
+    sy.laguerre_mix([0.5, 0.3, -0.2]),
+    sy.poly_gauss([1.0, -0.5, 0.2], 0.6),
+    sy.constant(0.7),
+    sy.diag_kernel_profile(2),
+], ids=["gaussian", "power", "exp_beta", "laguerre_mix", "poly_gauss", "constant",
+        "level_kernel"])
+def test_radial_diagonal_matches_dense_pairings(profile):
+    # order 200: the default 80-node pairing is off by 1e-6 for exp_beta(0.8, 2)
+    Q, K = 4, 10
+    V = sy.separable_symbol(1.3, [
+        (1.7, sy.radial_symbol(profile), sy.radial_symbol(profile)),
+        (-0.4, sy.radial_symbol(sy.gaussian(0.3)), sy.radial_symbol(profile))])
+    T = op.assemble_hv(V, Q, K, sign=-1)
+    assert T.provenance["route"] == "radial-diagonal"
+    dense = _dense_hv(V, Q, K, -1, order=200).matrix
+    assert np.abs(T.matrix - dense).max() < 1e-11
+    # the trust radius reads the boundary couplings of the dense matrix
+    M0 = np.abs(dense - np.diag(np.repeat(op.landau_levels(1.3, Q), K))).reshape(Q, K, Q, K)
+    boundary = max(M0[:, K - 1].max(), M0[:, :, :, K - 1].max(),
+                   M0[Q - 1].max(), M0[:, :, Q - 1].max())
+    assert T.provenance["trust_radius"] == pytest.approx(10 * boundary, rel=1e-9, abs=1e-10)
+    assert T.provenance["max_coupling"] == pytest.approx(M0.max(), rel=1e-9)
+
+
+def test_assemble_routes_follow_structure():
+    gauss = sy.gaussian(0.6, amplitude=0.5)
+    A = sy.radial_symbol(sy.diag_kernel_profile(0))
+    radial = sy.separable_symbol(1.0, [(2 * np.pi, A, sy.radial_symbol(gauss))])
+    # the same Gaussian written as a one-mode angular symbol
+    angular = sy.separable_symbol(1.0, [(2 * np.pi, A, sy.angular_symbol(
+        {0: lambda r: gauss(r * r)}))])
+    generic = sy.generic_symbol_4d(1.0, radial.evaluate_lab)
+    Tr = op.assemble_hv(radial, 2, 4, sign=+1)
+    Ta = op.assemble_hv(angular, 2, 4, sign=+1)
+    Tg = op.assemble_hv(generic, 2, 4, sign=+1, order=28)
+    assert [T.provenance["route"] for T in (Tr, Ta, Tg)] == \
+        ["radial-diagonal", "dense-separable", "generic"]
+    assert np.abs(Tr.matrix - Ta.matrix).max() < 1e-10
+    assert np.abs(Tr.matrix - Tg.matrix).max() < 1e-7
+    assert Tr.provenance["trust_radius"] == pytest.approx(
+        Ta.provenance["trust_radius"], rel=1e-9)
+
+
 def test_assemble_generic_cap():
     V = sy.generic_symbol_4d(1.0, lambda x, y, xi, eta: 0.0 * np.asarray(x))
     with pytest.raises(ValueError):
@@ -419,3 +501,17 @@ def test_birman_schwinger_level_shifted_fixture():
     res = op.birman_schwinger_check(sy.gaussian(0.25), r=1, q=0, b=1.0,
                                     levels=2, radial=40, k_range=(4, 14))
     assert res["epsilon"] <= 0.25 and res["k0"] <= 3
+
+
+def test_birman_schwinger_matches_numeric_smoothing():
+    # the anti-Wick sequence of vt against the dense pairing of the smoothed v
+    zeta, r, q, b, levels, radial, order = sy.gaussian(0.25), 1, 0, 1.0, 2, 24, 32
+    res = op.birman_schwinger_check(zeta, r=r, q=q, b=b, levels=levels, radial=radial,
+                                    k_range=(4, 10), order=order)
+    omega = sy.laguerre_laplacian(sy.radial_symbol(zeta), b, r)
+    v = sy.antiwick_to_weyl(sy.radial_symbol(omega.profile.with_arg_scale(1.0 / b)))
+    V = sy.separable_symbol(b, [(2 * np.pi, sy.radial_symbol(sy.diag_kernel_profile(q)), v)])
+    for sign, key in ((+1, "shifts_plus"), (-1, "shifts_minus")):
+        rep = op.eig_hermitian(_dense_hv(V, levels, radial, sign, order=order))
+        ref = op._gap_shifts(rep, q, sign)[:11]
+        assert np.abs(res[key] / ref - 1).max() < 1e-9
