@@ -107,11 +107,22 @@ def _strict_index_bound(x):
     return j
 
 
+def _require_stencils(j_max, beta, name, band):
+    if j_max > max(_STENCILS):
+        raise ValueError(
+            f"beta = {beta:g} needs {j_max} coefficients {name}_j, but the difference "
+            f"stencils stop at order {max(_STENCILS)}: beta must lie in {band}")
+
+
 def coeffs_f(beta, mu, h0=1e-2):
-    """Taylor coefficients f_j, 1 <= j < 1/(1-beta); f_1 equals mu."""
+    """Taylor coefficients f_j, 1 <= j < 1/(1-beta); f_1 equals mu.
+
+    The stencils reach order 4, so beta must lie in (0, 0.8].
+    """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     j_max = _strict_index_bound(1.0 / (1.0 - beta))
+    _require_stencils(j_max, beta, "f", "(0, 0.8]")
     # per-order step sizes: higher derivatives need wider stencils
     return np.array([
         _derivative_at_zero(lambda e: _f_sample(e, beta, mu), j,
@@ -120,10 +131,14 @@ def coeffs_f(beta, mu, h0=1e-2):
 
 
 def coeffs_g(beta, mu, h0=1e-2):
-    """Taylor coefficients g_j, 1 <= j < beta/(beta-1); g_1 = (beta mu)^(-1/beta)."""
+    """Taylor coefficients g_j, 1 <= j < beta/(beta-1); g_1 = (beta mu)^(-1/beta).
+
+    The stencils reach order 4, so beta must be at least 1.25.
+    """
     if beta <= 1.0:
         raise ValueError("beta must exceed 1")
     j_max = _strict_index_bound(beta / (beta - 1.0))
+    _require_stencils(j_max, beta, "g", "[1.25, inf)")
     return np.array([
         _derivative_at_zero(lambda e: _g_sample(e, beta, mu), j,
                             h0=h0 * (2.0 ** (j - 1))) / math.factorial(j)

@@ -251,7 +251,10 @@ def _model_from_config(cfg, zeta, b):
     kind = cfg["kind"]
     if kind == "exp":
         _reject_unknown(cfg, {"kind"}, "model")
-        return asymptotics.exp_model_from_profile(zeta, b)
+        try:
+            return asymptotics.exp_model_from_profile(zeta, b)
+        except ValueError as exc:   # unsupported profile kind or beta band
+            raise ConfigError(f"model: {exc}") from exc
     if kind == "compact":
         _require(cfg, ["capacity"], "model")
         _reject_unknown(cfg, {"kind", "capacity"}, "model")
@@ -268,10 +271,7 @@ def cmd_toeplitz(args):
     q = int(cfg.get("q", 0))
     count = int(cfg["count"])
     order = args.order or cfg.get("order")
-    try:
-        model = _model_from_config(cfg.get("model"), zeta, b)
-    except symbols.UnsupportedProfileError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    model = _model_from_config(cfg.get("model"), zeta, b)
     rows = []
     if count > 0:
         try:
@@ -356,8 +356,11 @@ def cmd_asymptotics(args):
         _require(cfg, ["beta", "gamma", "b"], "asymptotics")
         _reject_unknown(cfg, {"kind", "beta", "gamma", "b", "k_range"}, "asymptotics")
         beta = float(cfg["beta"])
-        mu = asymptotics.mu_from_weight(float(cfg["gamma"]), beta, float(cfg["b"]))
-        model = asymptotics.exp_model(beta, mu)
+        try:
+            mu = asymptotics.mu_from_weight(float(cfg["gamma"]), beta, float(cfg["b"]))
+            model = asymptotics.exp_model(beta, mu)
+        except ValueError as exc:
+            raise ConfigError(f"asymptotics: {exc}") from exc
         meta = {"beta": beta, "mu": mu, "coefficients": list(model.coeffs)}
     elif cfg["kind"] == "compact":
         _require(cfg, ["b", "capacity"], "asymptotics")
@@ -400,6 +403,8 @@ def cmd_construct_gaps(args):
     Q = _positive_int(cfg, "levels", "construct-gaps", default=len(mult) + 1)
     Kr = _positive_int(cfg, "radial", "construct-gaps", default=max(mult + [4]) + 8)
     if cfg.get("verify"):
+        if Q < len(mult):
+            raise ConfigError("construct-gaps: levels must be at least len(multiplicities)")
         H = operators.assemble_hv(V, Q, Kr, sign=-1, order=args.order or cfg.get("order"))
         rep = operators.eig_hermitian(H)
         trust = H.provenance["trust_radius"]

@@ -13,11 +13,11 @@ sequences without any pairing matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import quadrature, symbols
 from .specfun import laguerre, laguerre_fn_iter
@@ -217,100 +217,93 @@ def weyl_radial_eigs_fourier(profile_hat, count, order=None):
     return mu
 
 
-_LAPLACE_MIN_K = 20
-_LAPLACE_GH_ORDER = 160
+_LOG_GRID_STEP = 0.02
+_LOG_GRID_FLOOR = -60.0
+_LOG_GRID_MARGIN = 36.0      # nats the grid ends must lie below each row's peak
+_MOMENT_BLOCK = 16           # rows per (rows x nodes) block
 
 
-def _exp_decay_params(profile, scale):
-    """(amplitude, gamma_eff, beta) when R(scale t) = A exp(-gamma_eff t^beta)."""
-    if profile.kind == "gaussian":
-        return profile.amplitude, profile.rate * profile.arg_scale * scale, 1.0
-    if profile.kind == "exp_beta":
-        return (profile.amplitude,
-                profile.gamma * (profile.arg_scale * scale) ** profile.beta,
-                profile.beta)
-    return None
+@functools.lru_cache(maxsize=32)
+def _log_grid(size):
+    """Trapezoid nodes in u = ln t: (t, ln t, ln weight), read-only and shared.
 
-
-def _gamma_weight_log_moment(profile, k, scale, order=None):
-    """ln of int_0^inf R(scale * t) t^k e^(-t) dt / k! for positive profiles."""
-    if profile.compact_support:
-        bound = profile.support_bound / scale
-        rule = quadrature.gauss_legendre_panel(order or max(240, (k + 120) // 2), 0.0, bound)
-        t = rule.nodes
-        with np.errstate(divide="ignore"):
-            terms = np.log(rule.weights) + profile.log_value(scale * t) \
-                + k * np.log(t) - t
-        return float(logsumexp(terms)) - gammaln(k + 1.0)
-    exp_params = _exp_decay_params(profile, scale)
-    if exp_params is not None and exp_params[2] >= 1.0 and k >= _LAPLACE_MIN_K:
-        return _laplace_log_moment(exp_params, k)
-    rule = quadrature.gauss_laguerre(order or max(256, 64 + k // 4), float(k))
-    t = rule.nodes
-    terms = np.log(rule.flat_weights) + profile.log_value(scale * t) + k * np.log(t) - t
-    return float(logsumexp(terms)) - gammaln(k + 1.0)
-
-
-def _laplace_log_moment(exp_params, k):
-    """Saddle-centered Gauss-Hermite for A exp(-gam t^beta) factors, beta >= 1.
-
-    The integrand exp(k ln t - t - gam t^beta) concentrates near its maximum
-    t*, far below the alpha = k Laguerre nodes once the extra decay is strong;
-    the matched-curvature Hermite rule stays machine-accurate for k >= 20.
+    Serves t^n e^(-t) times slowly varying factors, n < size, on
+    u in [-60, ln(size + 60) + 2.5] with step h = 0.02 and weights h t.  Degree
+    n peaks with width n^(-1/2) in u, and the rule errs by about
+    exp(-2 pi^2 / (n h^2)), so past size ~ 940 h shrinks to hold (size + 60) h^2
+    at 0.4.
     """
-    amp, gam, beta = exp_params
-    t = math.sqrt(k + 1.0) if beta > 1.0 else k / (1.0 + gam)
-    for _ in range(200):
-        p1 = k / t - 1.0 - gam * beta * t ** (beta - 1.0)
-        p2 = -k / t ** 2 - gam * beta * (beta - 1.0) * t ** (beta - 2.0)
-        t_new = t - p1 / p2
-        if t_new <= 0:
-            t_new = 0.5 * t
-        if abs(t_new - t) < 1e-14 * t:
-            t = t_new
-            break
-        t = t_new
-    sigma = 1.0 / math.sqrt(k / t ** 2 + gam * beta * (beta - 1.0) * t ** (beta - 2.0))
-    rule = quadrature.gauss_hermite(_LAPLACE_GH_ORDER)
-    tt = t + sigma * rule.nodes
-    good = tt > 0
-    tt = tt[good]
-    phi = k * np.log(tt) - tt - gam * tt ** beta
-    return float(logsumexp(phi + np.log(rule.flat_weights[good] * sigma))) \
-        + math.log(amp) - gammaln(k + 1.0)
+    h = min(_LOG_GRID_STEP, math.sqrt(0.4 / (size + 60.0)))
+    top = math.log(size + 60.0) + 2.5
+    u = _LOG_GRID_FLOOR + h * np.arange(math.ceil((top - _LOG_GRID_FLOOR) / h) + 1)
+    t = np.exp(u)
+    log_w = math.log(h) + u
+    for a in (t, u, log_w):
+        a.setflags(write=False)
+    return t, u, log_w
 
 
-def _gamma_weight_moment(profile, k, scale, order=None):
-    """int_0^inf R(scale * t) t^k e^(-t) dt / k! in linear space (signed profiles)."""
-    exp_params = _exp_decay_params(profile, scale)
-    if exp_params is not None and exp_params[2] >= 1.0 and k >= _LAPLACE_MIN_K \
-            and exp_params[0] > 0:
-        return math.exp(_laplace_log_moment(exp_params, k))
-    if profile.compact_support:
-        bound = profile.support_bound / scale
-        rule = quadrature.gauss_legendre_panel(order or max(240, (k + 120) // 2), 0.0, bound)
-        t = rule.nodes
-        density = np.exp(k * np.log(t) - t - gammaln(k + 1.0))
-        return float(np.dot(rule.weights, np.atleast_1d(profile(scale * t)) * density))
-    rule = quadrature.gauss_laguerre(order or max(256, 64 + k // 4), float(k))
-    t = rule.nodes
-    # flat weights carry no envelope; t^k e^-t / k! re-attached in log form
-    density = np.exp(np.log(rule.flat_weights) + k * np.log(t) - t - gammaln(k + 1.0))
-    return float(np.dot(density, np.atleast_1d(profile(scale * t))))
+def _radial_moments(profile, q, scale, count, order=None, log_scale=False):
+    """nu_k, k < count, of the level-q compression of R(scale t), every k at once.
+
+    nu_k = (m!/M!) int_0^inf R(scale t) t^d [L_m^d(t)]^2 e^(-t) dt with
+    m = min(k, q), M = max(k, q), d = |k - q|, all on one node set: the log
+    grid, or for compactly supported profiles a Gauss-Legendre panel on
+    [0, support_bound / scale] of order `order` or max(240, (count + 120) // 2).
+    On the grid a row whose integrand is not 36 nats below its peak at both
+    ends raises QuadratureAccuracyError.
+    """
+    on_grid = not profile.compact_support
+    if on_grid:
+        t, ln_t, log_w = _log_grid(count + q)    # row k: t^(k+q) e^(-t) times bounded factors
+    else:
+        rule = quadrature.gauss_legendre_panel(
+            order or max(240, (count + 120) // 2), 0.0, profile.support_bound / scale)
+        t, ln_t, log_w = rule.nodes, np.log(rule.nodes), np.log(rule.weights)
+    lead = log_w - t
+    if log_scale:
+        lead = lead + profile.log_value(scale * t)
+    else:
+        values = np.atleast_1d(profile(scale * t))
+        with np.errstate(divide="ignore"):
+            ln_abs = np.log(np.abs(values))
+    out = np.empty(count)
+    for k0 in range(0, count, _MOMENT_BLOCK):
+        ks = np.arange(k0, min(k0 + _MOMENT_BLOCK, count))
+        m, d = np.minimum(ks, q), np.abs(ks - q)
+        norm = [math.lgamma(a + 1.0) - math.lgamma(a + c + 1.0) for a, c in zip(m, d)]
+        terms = d[:, None] * ln_t + lead + np.array(norm)[:, None]
+        with np.errstate(divide="ignore"):
+            for row, (a, c) in enumerate(zip(m, d)):
+                if a:
+                    terms[row] += 2.0 * np.log(np.abs(laguerre(int(a), float(c), t)))
+        logs = terms if log_scale else terms + ln_abs     # ln |integrand|
+        peak = logs.max(axis=1)
+        ends = np.maximum(logs[:, 0], logs[:, -1])
+        short = np.isfinite(peak) & (ends > peak - _LOG_GRID_MARGIN)
+        if on_grid and short.any():
+            i = int(np.argmax(short))
+            raise quadrature.QuadratureAccuracyError(
+                f"moment k = {ks[i]}: integrand only {peak[i] - ends[i]:.1f} nats below "
+                f"its peak at an end of the log grid (needs {_LOG_GRID_MARGIN:g})")
+        if log_scale:
+            shift = np.where(np.isfinite(peak), peak, 0.0)
+            with np.errstate(divide="ignore"):
+                out[ks] = shift + np.log(np.exp(terms - shift[:, None]).sum(axis=1))
+        else:
+            out[ks] = np.exp(terms) @ values
+    return out
 
 
 def antiwick_radial_eigs(profile, count, order=None, log_scale=False):
     """Eigenvalues of the anti-Wick operator with a radial symbol.
 
-    mu_k = int_0^inf R(2t) t^k e^(-t) / k! dt.  With log_scale=True the
-    natural logs are returned (positive profiles only), exact far below the
-    underflow threshold.
+    mu_k = int_0^inf R(2t) t^k e^(-t) / k! dt, every k from one node set
+    (`_radial_moments`); `order` reaches only the Legendre panel of compactly
+    supported profiles.  With log_scale=True the natural logs are returned
+    (positive profiles only), exact far below the underflow threshold.
     """
-    if log_scale:
-        return np.array([_gamma_weight_log_moment(profile, k, 2.0, order=order)
-                         for k in range(count)])
-    return np.array([_gamma_weight_moment(profile, k, 2.0, order=order)
-                     for k in range(count)])
+    return _radial_moments(profile, 0, 2.0, count, order=order, log_scale=log_scale)
 
 
 def toeplitz_radial_eigs(zeta, q, b, count, order=None, log_scale=False):
@@ -318,42 +311,13 @@ def toeplitz_radial_eigs(zeta, q, b, count, order=None, log_scale=False):
 
     nu_k = (m!/M!) int_0^inf R(2t/b) t^(|k-q|) [L_m^(|k-q|)(t)]^2 e^(-t) dt
     with m = min(k, q), M = max(k, q); for q = 0 this is the plain Gamma-
-    weight moment.  log_scale returns ln nu_k for positive profiles.
+    weight moment.  Every k comes from one node set (`_radial_moments`);
+    `order` reaches only the Legendre panel of compactly supported weights.
+    log_scale returns ln nu_k for positive profiles.
     """
     if b <= 0:
         raise ValueError("field strength must be positive")
-    scale = 2.0 / b
-    if q == 0:
-        if log_scale:
-            return np.array([_gamma_weight_log_moment(zeta, k, scale, order=order)
-                             for k in range(count)])
-        return np.array([_gamma_weight_moment(zeta, k, scale, order=order)
-                         for k in range(count)])
-    out = np.empty(count)
-    for k in range(count):
-        m = min(k, q)
-        d = abs(k - q)
-        if zeta.compact_support:
-            # the jump at the support bound defeats Gauss-Laguerre; the same
-            # finite panel as the q = 0 moments
-            rule = quadrature.gauss_legendre_panel(
-                order or max(240, (k + 120) // 2), 0.0, zeta.support_bound / scale)
-            log_w = np.log(rule.weights)
-        else:
-            rule = quadrature.gauss_laguerre(order or max(160, 64 + d // 4 + 2 * m), float(d))
-            log_w = np.log(rule.flat_weights)
-        t = rule.nodes
-        lag = laguerre(m, float(d), t)
-        if log_scale:
-            with np.errstate(divide="ignore"):
-                terms = log_w + zeta.log_value(scale * t) \
-                    + d * np.log(t) - t + 2.0 * np.log(np.abs(lag))
-            out[k] = logsumexp(terms) + gammaln(m + 1.0) - gammaln(m + d + 1.0)
-        else:
-            density = np.exp(log_w + d * np.log(t) - t
-                             + gammaln(m + 1.0) - gammaln(m + d + 1.0))
-            out[k] = np.dot(density, np.atleast_1d(zeta(scale * t)) * lag * lag)
-    return out
+    return _radial_moments(zeta, q, 2.0 / b, count, order=order, log_scale=log_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +483,19 @@ def eig_hermitian(T, provenance=None):
 
     Checks hermiticity against 1e-10 of the Frobenius norm, clusters
     degenerate eigenvalues at the same scale, and for the level basis
-    populates the spectral-gap window counts.
+    populates the spectral-gap window counts.  A matrix with no nonzero
+    off-diagonal entry (the radial-diagonal route) gives its sorted diagonal
+    without a dense eigensolve.
     """
     M = T.matrix
     norm = float(np.linalg.norm(M)) or 1.0
     defect = T.hermiticity_defect()
     if defect > 1e-10 * norm:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    if np.count_nonzero(M) == np.count_nonzero(M.diagonal()):
+        eigs = np.sort(M.diagonal().real)
+    else:
+        eigs = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
     tol = 1e-10 * norm
     windows = []
     if T.basis == "landau" and T.levels:

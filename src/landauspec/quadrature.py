@@ -6,7 +6,8 @@ with *exponentially weighted* orthonormal recurrences: the raw Gauss-Laguerre
 weights underflow double precision near order 180, but w_i * exp(x_i) (the
 "flat" weights used to integrate functions that carry their own decay) stay
 O(node spacing) at any order.  Rules are cached and safe for concurrent
-readers.
+readers.  scipy.linalg is imported when the first rule is built, so importing
+the package loads no scipy.
 
 Integrands with a jump (compactly supported radial profiles) are never fed
 to Gauss-Laguerre; a finite-interval Gauss-Legendre panel is used instead.
@@ -18,7 +19,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .specfun import hermite_fn_iter, laguerre_fn_iter
 
@@ -70,6 +70,8 @@ def gauss_hermite(order):
     if order == 1:
         nodes = np.zeros(1)
     else:
+        from scipy.linalg import eigh_tridiagonal
+
         off = np.sqrt(np.arange(1, order) / 2.0)
         nodes = eigh_tridiagonal(np.zeros(order), off, eigvals_only=True)
         nodes = 0.5 * (nodes - nodes[::-1])     # enforce exact +/- symmetry
@@ -93,6 +95,8 @@ def gauss_laguerre(order, alpha=0.0):
     if order == 1:
         nodes = diag.copy()
     else:
+        from scipy.linalg import eigh_tridiagonal
+
         j = np.arange(1, order)
         nodes = eigh_tridiagonal(diag, np.sqrt(j * (j + alpha)), eigvals_only=True)
     flat = _christoffel_flat_weights(laguerre_fn_iter(alpha, nodes, order - 1))

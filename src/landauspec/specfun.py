@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class PolynomialOverflowError(ArithmeticError):
@@ -159,7 +158,7 @@ def laguerre_fn_iter(alpha, u, m_max):
     with np.errstate(divide="ignore"):
         log_u = np.where(u > 0, np.log(np.where(u > 0, u, 1.0)), -np.inf)
     alpha_log_u = alpha * log_u if alpha != 0 else np.zeros_like(u)
-    ls = 0.5 * (alpha_log_u - u - gammaln(alpha + 1.0))
+    ls = 0.5 * (alpha_log_u - u - math.lgamma(alpha + 1.0))
     m_prev = np.zeros_like(u)
     m_cur = np.ones_like(u)
     yield float(m_cur[0] * np.exp(ls[0])) if scalar else m_cur * np.exp(ls)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import j0, j1
 
 from . import quadrature
 from .specfun import laguerre_weighted
@@ -801,6 +800,8 @@ def fourier_radial_profile(profile, order=400):
 
         return custom(fhat)
     if k == "disk_indicator":
+        from scipy.special import j1
+
         c = profile.support_bound
 
         def fhat(u):
@@ -815,6 +816,8 @@ def fourier_radial_profile(profile, order=400):
     if k == "mix":
         return RadialProfile("mix", parts=tuple(
             (w, fourier_radial_profile(p, order=order)) for w, p in profile.parts))
+    from scipy.special import j0
+
     rule = quadrature.gauss_laguerre(order)
     s_nodes = rule.nodes
     fw = rule.flat_weights

@@ -14,7 +14,6 @@ import contextlib
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import quadrature
 from .specfun import laguerre_fn_iter, laguerre_weighted
@@ -140,7 +139,7 @@ def husimi_diag(k, x, xi):
         out = np.exp(-0.5 * s) / (2.0 * np.pi)
     else:
         with np.errstate(divide="ignore"):
-            logs = k * np.log(0.5 * s) - 0.5 * s - gammaln(k + 1.0) - math.log(2.0 * np.pi)
+            logs = k * np.log(0.5 * s) - 0.5 * s - math.lgamma(k + 1.0) - math.log(2.0 * np.pi)
         out = np.exp(logs)
     return out if out.ndim else float(out)
 

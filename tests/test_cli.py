@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import landauspec
 from landauspec import operators
 from landauspec.cli import main
 
@@ -196,6 +201,34 @@ def test_construct_gaps_rejects_bad_sizes(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, "c.json", dict(payload, **{key: value}))
     assert main(["construct-gaps", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"{key} must be a positive integer" in capsys.readouterr().err
+
+
+def test_construct_gaps_rejects_levels_below_multiplicities(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "b": 1.0, "multiplicities": [1, 0, 1], "level_scales": [0.8, 0.5, 0.3],
+        "index_scales": [0.5], "verify": True, "levels": 2, "radial": 4})
+    assert main(["construct-gaps", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "levels must be at least len(multiplicities)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta,needed,band", [(0.9, 9, "(0, 0.8]"), (1.1, 10, "[1.25, inf)")])
+def test_asymptotics_rejects_beta_outside_stencil_band(tmp_path, capsys, beta, needed, band):
+    cfg = write_config(tmp_path, "c.json", {
+        "kind": "exp", "beta": beta, "gamma": 1.0, "b": 2.0, "k_range": [2, 20]})
+    assert main(["asymptotics", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"needs {needed} coefficients" in err and band in err
+
+
+def test_import_loads_no_scipy():
+    # scipy is loaded only when a Gauss rule or a Hankel transform is built
+    src = str(Path(landauspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import landauspec, landauspec.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_construct_gaps_invalid_scales(tmp_path):

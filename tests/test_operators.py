@@ -205,30 +205,93 @@ def test_toeplitz_disk_incomplete_gamma_oracle():
     assert nu0 == pytest.approx(1 - math.exp(-1.0), rel=1e-12)
 
 
+def _mp_laguerre(m, d, t):
+    prev, cur = mp.mpf(0), mp.mpf(1)
+    for j in range(m):
+        prev, cur = cur, ((2 * j + d + 1 - t) * cur - (j + d) * prev) / (j + 1)
+    return cur
+
+
+def _mp_log_compression(weight, q, k, points):
+    """ln nu_k = ln[(m!/M!) int weight(t) t^d L_m^d(t)^2 e^-t dt] by mpmath, 40 digits."""
+    m, d = min(k, q), abs(k - q)
+    with mp.workdps(40):
+        integral = mp.quad(
+            lambda t: weight(t) * t ** d * _mp_laguerre(m, d, t) ** 2 * mp.exp(-t), points)
+        return float(mp.log(integral) + mp.loggamma(m + 1) - mp.loggamma(m + d + 1))
+
+
+def _mp_exp_beta_log_moments(gam, beta, scale, q, ks):
+    """ln nu_k for the weight exp(-gam (scale t)^beta), split around each peak."""
+    out = []
+    for k in ks:
+        peak = mp.mpf(max(k + q, 1))
+        out.append(_mp_log_compression(
+            lambda t: mp.exp(-gam * (scale * t) ** beta), q, k,
+            [0, peak / 4, peak / 2, peak, 2 * peak, 4 * peak, mp.inf]))
+    return np.array(out)
+
+
 def test_toeplitz_disk_higher_level_mpmath_oracle():
     # q >= 1 on a compactly supported weight: the integrand jumps at t = rho
     b, q, cutoff, count = 2.0, 3, 1.0, 120
     rho = mp.mpf(b) * cutoff / 2
     ks = [0, 1, 3, 5, 10, 29, 30, 50, 80, 119]
-
-    def lag(m, d, t):
-        prev, cur = mp.mpf(0), mp.mpf(1)
-        for j in range(m):
-            prev, cur = cur, ((2 * j + d + 1 - t) * cur - (j + d) * prev) / (j + 1)
-        return cur
-
-    with mp.workdps(40):
-        oracle = []
-        for k in ks:
-            m, d = min(k, q), abs(k - q)
-            integral = mp.quad(lambda t: t ** d * lag(m, d, t) ** 2 * mp.exp(-t), [0, rho])
-            oracle.append(float(mp.log(integral) + mp.loggamma(m + 1) - mp.loggamma(m + d + 1)))
-    oracle = np.array(oracle)
+    oracle = np.array([_mp_log_compression(lambda t: 1, q, k, [0, rho]) for k in ks])
     zeta = sy.disk_indicator(cutoff)
     logs = op.toeplitz_radial_eigs(zeta, q, b, count, log_scale=True)[ks]
     assert np.abs(logs - oracle).max() < 1e-11
     lin = op.toeplitz_radial_eigs(zeta, q, b, count)[ks]
     assert np.abs(lin / np.exp(oracle) - 1).max() < 1e-11
+
+
+@pytest.mark.parametrize("gam,beta", [(1.0, 0.5), (0.7, 1.5)])
+def test_small_k_moments_of_weights_rough_at_zero(gam, beta):
+    # exp(-gam s^beta) with non-integer beta is not smooth at s = 0; b = 2
+    # makes the Toeplitz and anti-Wick moments the same integrals
+    ks = [0, 1, 2, 5]
+    oracle = _mp_exp_beta_log_moments(gam, beta, 1, 0, ks)
+    zeta = sy.exp_beta(gam, beta)
+    for eigs in (lambda **kw: op.toeplitz_radial_eigs(zeta, 0, 2.0, 8, **kw),
+                 lambda **kw: op.antiwick_radial_eigs(zeta.with_arg_scale(0.5), 8, **kw)):
+        assert np.abs(eigs(log_scale=True)[ks] - oracle).max() < 1e-11
+        assert np.abs(eigs()[ks] / np.exp(oracle) - 1).max() < 1e-11
+
+
+def test_toeplitz_superexponential_higher_level_mpmath_oracle():
+    # exp(-s^2), b = 1, q = 1: the integrand peaks far below t = k
+    ks = [0, 1, 2, 50, 199]
+    oracle = _mp_exp_beta_log_moments(1.0, 2.0, 2, 1, ks)
+    logs = op.toeplitz_radial_eigs(sy.exp_beta(1.0, 2.0), 1, 1.0, 200, log_scale=True)
+    assert np.abs(logs[ks] - oracle).max() < 1e-11
+    assert oracle[-1] == pytest.approx(-634.1413, abs=1e-4)
+
+
+def test_toeplitz_gaussian_closed_forms_under_strong_decay():
+    k = np.arange(300)
+    # q = 1, mu = 2a/b = 4: ln(k s^2 - 2ks + k + 1) - (k+2) ln s, s = 1 + mu
+    s = 5.0
+    logs = op.toeplitz_radial_eigs(sy.gaussian(2.0), 1, 1.0, 300, log_scale=True)
+    expect = np.log(k * s * s - 2 * k * s + k + 1) - (k + 2) * np.log(s)
+    assert np.abs(logs - expect).max() < 1e-11
+    # q = 0, a = 20: -(k+1) ln(1 + 2a/b)
+    logs = op.toeplitz_radial_eigs(sy.gaussian(20.0), 0, 1.0, 300, log_scale=True)
+    assert np.abs(logs + (k + 1) * math.log(41.0)).max() < 1e-11
+
+
+def test_log_grid_truncation_raises():
+    # the k = 0 integrand peaks at t = 1/(1 + 2a/b) ~ e^-63.5, below the
+    # grid's e^-60
+    for log_scale in (True, False):
+        with pytest.raises(qd.QuadratureAccuracyError, match="log grid"):
+            op.toeplitz_radial_eigs(sy.gaussian(1e27), 0, 1.0, 10, log_scale=log_scale)
+    # the k = 0 tail falls like t below its peak: at a = 1e8 (peak e^-19.1)
+    # it has 40 nats to fall before e^-60
+    logs = op.toeplitz_radial_eigs(sy.gaussian(1e8), 0, 1.0, 10, log_scale=True)
+    assert np.abs(logs + (np.arange(10) + 1) * math.log1p(2e8)).max() < 1e-11
+    # a Legendre panel has no grid ends to check
+    assert np.isfinite(op.toeplitz_radial_eigs(
+        sy.disk_indicator(1e-30), 0, 1.0, 10, log_scale=True)).all()
 
 
 def test_toeplitz_higher_level_2d_quadrature_oracle():
@@ -265,7 +328,7 @@ def test_toeplitz_level_shift_identity():
 
 
 def test_toeplitz_superexponential_vs_dense_grid_oracle():
-    # beta = 2 exercises the saddle-centered rule; oracle: brute trapezoid
+    # beta = 2: the extra decay moves the peak far below t = k; oracle: brute trapezoid
     zeta = sy.exp_beta(1.0, 2.0)
     b = 2.0
     logs = op.toeplitz_radial_eigs(zeta, 0, b, 130, log_scale=True)
@@ -417,6 +480,24 @@ def test_eig_hermitian_small_matrices():
     bad = op.TruncatedOperator("hermite", np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError):
         op.eig_hermitian(bad)
+
+
+def test_eig_hermitian_diagonal_matches_dense_eigensolve():
+    terms = [(1.3, sy.radial_symbol(sy.gaussian(0.4)), sy.radial_symbol(sy.gaussian(0.7))),
+             (-0.6, sy.radial_symbol(sy.power(2.0)), sy.radial_symbol(sy.gaussian(0.9)))]
+    H = op.assemble_hv(sy.separable_symbol(1.2, terms), 6, 16, sign=-1)
+    M = H.matrix
+    assert np.count_nonzero(M - np.diag(M.diagonal())) == 0
+    dense = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    assert np.abs(op.eig_hermitian(H).eigenvalues - dense).max() < 1e-12
+    # one off-diagonal pair takes the dense eigensolve
+    M2 = M.copy()
+    M2[0, 5] = M2[5, 0] = 0.3
+    T = op.TruncatedOperator("landau", M2, b=H.b, levels=H.levels, radial=H.radial)
+    dense = np.linalg.eigvalsh(M2)
+    got = op.eig_hermitian(T).eigenvalues
+    assert np.abs(got - dense).max() < 1e-12
+    assert np.abs(got - np.sort(M2.diagonal().real)).max() > 1e-3
 
 
 def test_gap_counts_recountable():
