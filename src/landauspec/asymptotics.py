@@ -10,10 +10,12 @@ Three regimes for ln(nu_k) as k grows, driven by how fast the weight decays:
                      - sum_j g_j k^((1/beta-1)j + 1),  1 <= j < beta/(beta-1)
 
 with mu = gamma (2/b)^beta always derived from the weight parameters.  The
-f_j, g_j are Taylor coefficients of implicit variational functions; they are
-extracted by Newton-solved samples and Richardson-extrapolated central
-differences, and cross-checked against the envelope identities f_1 = mu,
-g_1 = (beta mu)^(-1/beta).
+f_j, g_j are Taylor coefficients of implicit variational functions F, G.  By
+the envelope theorem F' and G' are powers of the implicit root, so both
+follow, with no discretization error, from one power-series recurrence for
+y = (1 + c eps y)^p; f_1 = mu and g_1 = (beta mu)^(-1/beta) are its leading
+terms.  Every beta != 1 is served up to a bound of 1000 coefficients
+(|1 - beta| of about 1e-3), past which a ValueError is raised.
 
 Finite-k verification never asserts asymptotic equality: residuals are
 normalized (by k for o(k) claims, by ln k for O(ln k) claims) and compared
@@ -23,7 +25,7 @@ window over window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,57 +48,9 @@ def predict_compact(k, b, cap):
 # ---------------------------------------------------------------------------
 # implicit-equation coefficients
 
-
-def _newton(fn, dfn, x0, tol=1e-15, max_iter=100):
-    x = x0
-    for _ in range(max_iter):
-        step = fn(x) / dfn(x)
-        x -= step
-        if abs(step) < tol * max(1.0, abs(x)):
-            return x
-    raise RuntimeError("Newton iteration did not converge")
-
-
-def _f_sample(eps, beta, mu):
-    # s solves s = 1 - eps beta mu s^beta; then F(s) = s - ln s + eps mu s^beta
-    s = _newton(lambda s: s - 1.0 + eps * beta * mu * s ** beta,
-                lambda s: 1.0 + eps * beta * beta * mu * s ** (beta - 1.0), 1.0)
-    return s - math.log(s) + eps * mu * s ** beta
-
-
-def _g_sample(eps, beta, mu):
-    # s solves beta mu s^beta = 1 - eps s; then G(s) = mu s^beta - ln s + eps s
-    s0 = (beta * mu) ** (-1.0 / beta)
-    s = _newton(lambda s: beta * mu * s ** beta - 1.0 + eps * s,
-                lambda s: beta * beta * mu * s ** (beta - 1.0) + eps, s0)
-    return mu * s ** beta - math.log(s) + eps * s
-
-
-_STENCILS = {
-    1: ([( 1, 1.0), (-1, -1.0)], 2.0, 1),
-    2: ([( 1, 1.0), (0, -2.0), (-1, 1.0)], 1.0, 2),
-    3: ([( 2, 1.0), (1, -2.0), (-1, 2.0), (-2, -1.0)], 2.0, 3),
-    4: ([( 2, 1.0), (1, -4.0), (0, 6.0), (-1, -4.0), (-2, 1.0)], 1.0, 4),
-}
-
-
-def _derivative_at_zero(fn, order, h0=1e-2):
-    """order-th derivative at 0: central stencil + two Richardson levels."""
-    offsets, denom, power = _STENCILS[order]
-    cache = {}
-
-    def sample(e):
-        if e not in cache:
-            cache[e] = fn(e)
-        return cache[e]
-
-    def stencil(h):
-        return sum(c * sample(o * h) for o, c in offsets) / (denom * h ** power)
-
-    d1, d2, d3 = stencil(h0), stencil(h0 / 2.0), stencil(h0 / 4.0)
-    r1 = (4.0 * d2 - d1) / 3.0
-    r2 = (4.0 * d3 - d2) / 3.0
-    return (16.0 * r2 - r1) / 15.0
+# Largest coefficient count served: the series costs O(J^2) and J grows like
+# 1/|1 - beta|, so beta within about 1e-3 of 1 is refused rather than run.
+_MAX_COEFFS = 1000
 
 
 def _strict_index_bound(x):
@@ -107,42 +61,57 @@ def _strict_index_bound(x):
     return j
 
 
-def _require_stencils(j_max, beta, name, band):
-    if j_max > max(_STENCILS):
+def _power_fixed_point(p, c0, n):
+    """First n Taylor coefficients of y(eps) solving y = (1 + c0 eps y)^p.
+
+    J.C.P. Miller's recurrence for a^p, with a = 1 + c0 eps y kept one
+    coefficient ahead of y.
+    """
+    y, a = [1.0], [1.0, c0]
+    for m in range(1, n):
+        y.append(sum(((p + 1.0) * k - m) * a[k] * y[m - k] for k in range(1, m + 1)) / m)
+        a.append(c0 * y[m])
+    return np.array(y)
+
+
+def _envelope_coeffs(scale, p, c0, j_max, beta, name):
+    # dF/deps = scale * y(eps), so the j-th coefficient is scale y_(j-1) / j
+    if j_max > _MAX_COEFFS:
         raise ValueError(
-            f"beta = {beta:g} needs {j_max} coefficients {name}_j, but the difference "
-            f"stencils stop at order {max(_STENCILS)}: beta must lie in {band}")
+            f"beta = {beta:.12g} needs {j_max} coefficients {name}_j, more than "
+            f"the {_MAX_COEFFS} supported")
+    with np.errstate(over="ignore"):   # y_m grows like (beta mu)^m
+        c = scale * _power_fixed_point(p, c0, j_max) / np.arange(1, j_max + 1)
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"coefficients {name}_j overflow at beta = {beta:.12g}")
+    return c
 
 
-def coeffs_f(beta, mu, h0=1e-2):
+def coeffs_f(beta, mu):
     """Taylor coefficients f_j, 1 <= j < 1/(1-beta); f_1 equals mu.
 
-    The stencils reach order 4, so beta must lie in (0, 0.8].
+    F(eps) = s - ln s + eps mu s^beta at the root of s = 1 - eps beta mu s^beta;
+    by the envelope theorem dF/deps = mu s^beta, and y = s^beta solves
+    y = (1 - beta mu eps y)^beta.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     j_max = _strict_index_bound(1.0 / (1.0 - beta))
-    _require_stencils(j_max, beta, "f", "(0, 0.8]")
-    # per-order step sizes: higher derivatives need wider stencils
-    return np.array([
-        _derivative_at_zero(lambda e: _f_sample(e, beta, mu), j,
-                            h0=h0 * (2.0 ** (j - 1))) / math.factorial(j)
-        for j in range(1, j_max + 1)])
+    return _envelope_coeffs(mu, beta, -beta * mu, j_max, beta, "f")
 
 
-def coeffs_g(beta, mu, h0=1e-2):
+def coeffs_g(beta, mu):
     """Taylor coefficients g_j, 1 <= j < beta/(beta-1); g_1 = (beta mu)^(-1/beta).
 
-    The stencils reach order 4, so beta must be at least 1.25.
+    G(eps) = mu s^beta - ln s + eps s at the root of beta mu s^beta = 1 - eps s;
+    dG/deps = s, and y = s/s0 with s0 = (beta mu)^(-1/beta) solves
+    y = (1 - s0 eps y)^(1/beta).
     """
     if beta <= 1.0:
         raise ValueError("beta must exceed 1")
     j_max = _strict_index_bound(beta / (beta - 1.0))
-    _require_stencils(j_max, beta, "g", "[1.25, inf)")
-    return np.array([
-        _derivative_at_zero(lambda e: _g_sample(e, beta, mu), j,
-                            h0=h0 * (2.0 ** (j - 1))) / math.factorial(j)
-        for j in range(1, j_max + 1)])
+    s0 = (beta * mu) ** (-1.0 / beta)
+    return _envelope_coeffs(s0, 1.0 / beta, -s0, j_max, beta, "g")
 
 
 def predict_exp(k, beta, mu, coeffs=None):
@@ -166,39 +135,26 @@ def predict_exp(k, beta, mu, coeffs=None):
     return out
 
 
-def predict_counting(lam, v, sign=+1):
-    """Phase-space volume prediction for the eigenvalue counting function."""
-    return symbols.phase_space_volume(v, lam, sign=sign)
-
-
 # ---------------------------------------------------------------------------
 # models and residual reports
 
 
 @dataclass(frozen=True)
 class AsymptoticModel:
-    """Closed-form predictor of ln(nu_k) (or of counting volumes)."""
+    """Closed-form predictor of ln(nu_k)."""
 
-    kind: str                    # 'compact' | 'exp' | 'counting'
+    kind: str                    # 'compact' | 'exp'
     b: float = 0.0
     capacity: float = 0.0
     beta: float = 0.0
     mu: float = 0.0
     coeffs: tuple = ()
-    volume: object = field(default=None, repr=False)
 
     def predict_log(self, k):
         if self.kind == "compact":
             return predict_compact(k, self.b, self.capacity)
-        if self.kind == "exp":
-            return predict_exp(k, self.beta, self.mu,
-                               coeffs=np.asarray(self.coeffs) if self.coeffs else None)
-        raise ValueError("counting models do not predict eigenvalue logs")
-
-    def predict_count(self, lam):
-        if self.kind != "counting":
-            raise ValueError("not a counting model")
-        return self.volume(lam)
+        return predict_exp(k, self.beta, self.mu,
+                           coeffs=np.asarray(self.coeffs) if self.coeffs else None)
 
 
 def compact_model(b, cap):
@@ -227,10 +183,6 @@ def exp_model_from_profile(profile, b):
         raise symbols.UnsupportedProfileError(
             f"no exponential model for profile kind {profile.kind!r}")
     return exp_model(beta, mu_from_weight(gamma, beta, b))
-
-
-def counting_model(volume):
-    return AsymptoticModel("counting", volume=volume)
 
 
 @dataclass(frozen=True)

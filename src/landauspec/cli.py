@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, asymptotics, capacity, operators, symbols, verify
+from . import __version__, asymptotics, capacity, operators, quadrature, symbols, verify
 
 
 class ConfigError(ValueError):
@@ -65,10 +65,11 @@ def _reject_unknown(cfg, allowed, where):
         raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
-def _positive_int(cfg, key, where, default=None):
+def _positive_int(cfg, key, where, default=None, allow_zero=False):
     value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{where}: {key} must be a positive integer, got {value!r}")
+    low, what = (0, "non-negative") if allow_zero else (1, "positive")
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{where}: {key} must be a {what} integer, got {value!r}")
     return value
 
 
@@ -195,7 +196,7 @@ def cmd_radial_eigs(args):
     _require(cfg, ["profile", "count"], "radial-eigs")
     _reject_unknown(cfg, {"profile", "count", "order"}, "radial-eigs")
     profile = parse_profile(cfg["profile"])
-    count = int(cfg["count"])
+    count = _positive_int(cfg, "count", "radial-eigs")
     order = args.order or cfg.get("order")
     mu_w = operators.weyl_radial_eigs(profile, count, order=order)
     mu_aw = operators.antiwick_radial_eigs(profile, count, order=order)
@@ -253,7 +254,7 @@ def _model_from_config(cfg, zeta, b):
         _reject_unknown(cfg, {"kind"}, "model")
         try:
             return asymptotics.exp_model_from_profile(zeta, b)
-        except ValueError as exc:   # unsupported profile kind or beta band
+        except ValueError as exc:   # no exp model for the kind, bad b, beta near 1
             raise ConfigError(f"model: {exc}") from exc
     if kind == "compact":
         _require(cfg, ["capacity"], "model")
@@ -268,28 +269,27 @@ def cmd_toeplitz(args):
     _reject_unknown(cfg, {"zeta", "b", "count", "q", "order", "model"}, "toeplitz")
     zeta = parse_profile(cfg["zeta"], "zeta")
     b = float(cfg["b"])
-    q = int(cfg.get("q", 0))
-    count = int(cfg["count"])
+    q = _positive_int(cfg, "q", "toeplitz", default=0, allow_zero=True)
+    count = _positive_int(cfg, "count", "toeplitz", allow_zero=True)
     order = args.order or cfg.get("order")
     model = _model_from_config(cfg.get("model"), zeta, b)
+    try:
+        ln_nu = operators.toeplitz_radial_eigs(zeta, q, b, count, order=order,
+                                               log_scale=True)
+    except symbols.UnsupportedProfileError:
+        nu_lin = operators.toeplitz_radial_eigs(zeta, q, b, count, order=order)
+        ln_nu = np.where(nu_lin > 0, np.log(np.where(nu_lin > 0, nu_lin, 1.0)), np.nan)
+    with np.errstate(under="ignore"):
+        nu = np.exp(ln_nu)
     rows = []
-    if count > 0:
-        try:
-            ln_nu = operators.toeplitz_radial_eigs(zeta, q, b, count, order=order,
-                                                   log_scale=True)
-        except symbols.UnsupportedProfileError:
-            nu_lin = operators.toeplitz_radial_eigs(zeta, q, b, count, order=order)
-            ln_nu = np.where(nu_lin > 0, np.log(np.where(nu_lin > 0, nu_lin, 1.0)), np.nan)
-        with np.errstate(under="ignore"):
-            nu = np.exp(ln_nu)
-        for k in range(count):
-            pred = res = r_k = r_lnk = math.nan
-            if model is not None and k >= 2:
-                pred = float(model.predict_log(k))
-                res = ln_nu[k] - pred
-                r_k = res / k
-                r_lnk = res / math.log(k)
-            rows.append((k, nu[k], ln_nu[k], pred, res, r_k, r_lnk))
+    for k in range(count):
+        pred = res = r_k = r_lnk = math.nan
+        if model is not None and k >= 2:
+            pred = float(model.predict_log(k))
+            res = ln_nu[k] - pred
+            r_k = res / k
+            r_lnk = res / math.log(k)
+        rows.append((k, nu[k], ln_nu[k], pred, res, r_k, r_lnk))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "toeplitz.csv",
@@ -479,6 +479,9 @@ def main(argv=None):
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except quadrature.QuadratureAccuracyError as exc:
+        print(f"accuracy error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -185,7 +185,9 @@ def log_gammainc_lower(a, x, tol=1e-17, max_terms=10_000):
     Series representation for x < a + 1, continued fraction for the upper
     tail otherwise (Numerical-Recipes style), assembled fully in log space
     so that values far below the double underflow threshold keep an exact
-    logarithm (needed for P(k+1, x) with k in the hundreds).
+    logarithm (needed for P(k+1, x) with k in the hundreds).  Raises
+    ArithmeticError when either expansion is still moving after max_terms
+    (x near a with a above about 1e7).
     """
     a = float(a)
     x = float(x)
@@ -203,8 +205,8 @@ def log_gammainc_lower(a, x, tol=1e-17, max_terms=10_000):
             term *= x / (a + n)
             total += term
             if term < tol * total:
-                break
-        return log_prefactor + math.log(total)
+                return log_prefactor + math.log(total)
+        raise ArithmeticError(f"P({a!r}, {x!r}): series unconverged after {max_terms} terms")
     # continued fraction for Q(a, x), then P = 1 - Q
     tiny = 1e-300
     b = x + 1.0 - a
@@ -225,6 +227,9 @@ def log_gammainc_lower(a, x, tol=1e-17, max_terms=10_000):
         h *= delta
         if abs(delta - 1.0) < tol:
             break
+    else:
+        raise ArithmeticError(
+            f"P({a!r}, {x!r}): continued fraction unconverged after {max_terms} terms")
     log_q = a * math.log(x) - x - math.lgamma(a) + math.log(h)
     q = math.exp(log_q)
     if q >= 1.0:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -38,15 +39,6 @@ def test_coeffs_f_index_range():
     assert len(asy.coeffs_f(0.75, 1.0)) == 3     # j < 4
 
 
-def test_coeffs_sample_at_zero():
-    # implicit solves at eps = 0: s_< = 1 with F = 1, s_> solves beta mu s^beta = 1
-    assert asy._f_sample(0.0, 0.5, 1.3) == pytest.approx(1.0, rel=1e-14)
-    beta, mu = 2.0, 1.0
-    s = (beta * mu) ** (-1 / beta)
-    assert asy._g_sample(0.0, beta, mu) == pytest.approx(
-        mu * s ** beta - math.log(s), rel=1e-14)
-
-
 def test_coeffs_g_envelope_identity():
     for beta, mu in [(2.0, 1.0), (1.5, 0.7), (3.0, 2.0)]:
         g = asy.coeffs_g(beta, mu)
@@ -55,41 +47,48 @@ def test_coeffs_g_envelope_identity():
     assert len(asy.coeffs_g(1.5, 0.7)) == 2      # j < 3
 
 
+def taylor_oracle(beta, mu, count):
+    """Taylor coefficients 1..count of F (beta < 1) or G (beta > 1) by mpmath.
+
+    Independent of the series recurrence: the implicit root is solved at 40
+    digits and the variational function differentiated numerically.
+    """
+    with mp.workdps(40):
+        beta, mu = mp.mpf(beta), mp.mpf(mu)
+        if beta < 1:
+            def fn(eps):
+                s = mp.findroot(lambda s: s - 1 + eps * beta * mu * s**beta, mp.mpf(1))
+                return s - mp.log(s) + eps * mu * s**beta
+        else:
+            def fn(eps):
+                s = mp.findroot(lambda s: beta * mu * s**beta - 1 + eps * s,
+                                (beta * mu) ** (-1 / beta))
+                return mu * s**beta - mp.log(s) + eps * s
+        return [float(c) for c in mp.taylor(fn, 0, count)[1:]]
+
+
+# (beta, coefficient count): j < 1/(1-beta) below 1, j < beta/(beta-1) above
+ORACLE_CASES = [(0.3, 1), (0.5, 1), (2.0 / 3.0, 2), (0.7, 3), (0.8, 4), (0.9, 9),
+                (0.95, 19), (1.05, 20), (1.1, 10), (1.25, 4), (1.5, 2), (2.0, 1), (3.0, 1)]
+
+
 def test_coeffs_against_mpmath_taylor_oracle():
-    # independent oracle: arbitrary-precision Taylor coefficients of the
-    # implicit functions via mpmath differentiation
-    mp.mp.dps = 40
-
-    def f_mp(eps, beta, mu):
-        s = mp.findroot(lambda s: s - 1 + eps * beta * mu * s**beta, mp.mpf(1))
-        return s - mp.log(s) + eps * mu * s**beta
-
-    beta, mu = 2.0 / 3.0, 0.7
-    f = asy.coeffs_f(beta, mu)
-    for j, fj in enumerate(f, start=1):
-        oracle = mp.diff(lambda e: f_mp(e, beta, mu), 0, j) / mp.factorial(j)
-        assert fj == pytest.approx(float(oracle), abs=2e-8)
-
-    def g_mp(eps, beta, mu):
-        s = mp.findroot(lambda s: beta * mu * s**beta - 1 + eps * s,
-                        mp.mpf(beta * mu) ** (-1 / beta))
-        return mu * s**beta - mp.log(s) + eps * s
-
-    beta, mu = 1.5, 0.7
-    g = asy.coeffs_g(beta, mu)
-    for j, gj in enumerate(g, start=1):
-        oracle = mp.diff(lambda e: g_mp(e, beta, mu), 0, j) / mp.factorial(j)
-        assert gj == pytest.approx(float(oracle), abs=2e-8)
+    mu = 0.7
+    for beta, count in ORACLE_CASES:
+        got = asy.coeffs_f(beta, mu) if beta < 1 else asy.coeffs_g(beta, mu)
+        assert len(got) == count, beta
+        assert got == pytest.approx(taylor_oracle(beta, mu, count), rel=1e-13, abs=0), beta
 
 
-def test_coeffs_grid_invariance():
-    # halving the base step moves the extracted coefficients below 1e-8
-    f1 = asy.coeffs_f(0.75, 1.2, h0=1e-2)
-    f2 = asy.coeffs_f(0.75, 1.2, h0=5e-3)
-    assert np.abs(f1 - f2).max() < 1e-8
-    g1 = asy.coeffs_g(1.5, 1.2, h0=1e-2)
-    g2 = asy.coeffs_g(1.5, 1.2, h0=5e-3)
-    assert np.abs(g1 - g2).max() < 1e-8
+def test_coeffs_raise_past_the_bound_and_on_overflow():
+    t0 = time.perf_counter()
+    for beta, fn in [(1 - 1e-9, asy.coeffs_f), (1 + 1e-9, asy.coeffs_g)]:
+        with pytest.raises(ValueError, match="more than the 1000 supported"):
+            fn(beta, 1.0)
+    assert time.perf_counter() - t0 < 1.0
+    # 19 coefficients of size up to about mu^19 leave the double range
+    with pytest.raises(ValueError, match="overflow"):
+        asy.coeffs_f(0.95, 1e20)
 
 
 def test_predict_exp_branches():
@@ -103,15 +102,6 @@ def test_predict_exp_branches():
     assert np.allclose(asy.predict_exp(k, 2.0, 1.0), expect, atol=1e-7)
     with pytest.raises(ValueError):
         asy.predict_exp(5, -1.0, 1.0)
-
-
-def test_predict_counting():
-    v = sy.radial_symbol(sy.power(2.0))
-    assert asy.predict_counting(1e-2, v) == pytest.approx(49.5)
-    assert asy.predict_counting(2.0, v) == 0.0
-    lams = np.linspace(1e-3, 1e-2, 9)
-    vals = [asy.predict_counting(l, v) for l in lams]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_exp_model_from_profile():

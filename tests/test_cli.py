@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import landauspec
 from landauspec import operators
 from landauspec.cli import main
+from test_asymptotics import taylor_oracle
 
 
 def write_config(tmp_path, name, payload):
@@ -211,13 +213,49 @@ def test_construct_gaps_rejects_levels_below_multiplicities(tmp_path, capsys):
     assert "levels must be at least len(multiplicities)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("beta,needed,band", [(0.9, 9, "(0, 0.8]"), (1.1, 10, "[1.25, inf)")])
-def test_asymptotics_rejects_beta_outside_stencil_band(tmp_path, capsys, beta, needed, band):
+@pytest.mark.parametrize("beta,count", [(0.9, 9), (1.1, 10)])
+def test_asymptotics_beta_near_one(tmp_path, beta, count):
     cfg = write_config(tmp_path, "c.json", {
         "kind": "exp", "beta": beta, "gamma": 1.0, "b": 2.0, "k_range": [2, 20]})
+    out = tmp_path / "out"
+    assert main(["asymptotics", "--config", cfg, "--out", str(out)]) == 0
+    model = json.loads((out / "asymptotics.json").read_text())["model"]
+    assert model["coefficients"] == pytest.approx(
+        taylor_oracle(beta, model["mu"], count), rel=1e-13, abs=0)
+
+
+def test_asymptotics_rejects_beta_past_coefficient_bound(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "kind": "exp", "beta": 1 + 1e-9, "gamma": 1.0, "b": 2.0, "k_range": [2, 20]})
+    t0 = time.perf_counter()
     assert main(["asymptotics", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert f"needs {needed} coefficients" in err and band in err
+    assert time.perf_counter() - t0 < 1.0
+    assert "coefficients g_j, more than the 1000 supported" in capsys.readouterr().err
+
+
+_BAD_COUNTS = [
+    ("toeplitz", "count", -3, "non-negative"), ("toeplitz", "count", "8", "non-negative"),
+    ("toeplitz", "count", 2.5, "non-negative"), ("toeplitz", "q", -1, "non-negative"),
+    ("toeplitz", "q", 1.5, "non-negative"), ("toeplitz", "q", "x", "non-negative"),
+    ("radial-eigs", "count", "8", "positive"), ("radial-eigs", "count", 0, "positive"),
+    ("radial-eigs", "count", -3, "positive"), ("radial-eigs", "count", True, "positive")]
+
+
+@pytest.mark.parametrize("command,key,value,what", _BAD_COUNTS)
+def test_toeplitz_and_radial_eigs_reject_bad_sizes(tmp_path, capsys, command, key, value, what):
+    payload = {"toeplitz": {"zeta": {"kind": "gaussian", "rate": 1.0}, "b": 1.0, "count": 4},
+               "radial-eigs": {"profile": {"kind": "gaussian", "rate": 1.0}, "count": 4}}
+    cfg = write_config(tmp_path, "c.json", dict(payload[command], **{key: value}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be a {what} integer" in capsys.readouterr().err
+
+
+def test_toeplitz_unresolved_grid_exits_2(tmp_path, capsys):
+    # the k = 0 integrand of gaussian(1e27) peaks below the log grid
+    cfg = write_config(tmp_path, "c.json", {
+        "zeta": {"kind": "gaussian", "rate": 1e27}, "b": 1.0, "count": 4})
+    assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "log grid" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():

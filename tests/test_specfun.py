@@ -125,6 +125,19 @@ def test_log_gammainc_lower_against_scipy():
             gammainc(a, x), rel=1e-12)
 
 
+def test_log_gammainc_lower_large_a():
+    from scipy.special import gammainc
+    # a = 1e6 converges on both branches; the prefactor a ln x - x - lgamma(a+1)
+    # cancels to about 1e-10 there, hence the looser tolerance
+    for x in (1e6 - 1, 1e6 + 2):
+        assert math.exp(sf.log_gammainc_lower(1e6, x)) == pytest.approx(
+            gammainc(1e6, x), rel=1e-8)
+    # a = 1e8 near x = a needs far more than max_terms series terms: no silent
+    # truncated value (it used to return -1.075 against ln 0.5 = -0.693)
+    with pytest.raises(ArithmeticError, match="unconverged"):
+        sf.log_gammainc_lower(1e8, 1e8 - 1)
+
+
 def test_log_gammainc_lower_extreme_tail():
     # P(k+1, 1) ~ e^-1 / (k+1)! far below the double underflow threshold;
     # oracle: first-term expansion with the next-term correction

@@ -296,6 +296,16 @@ def test_phase_space_volume_closed_forms():
     assert sy.phase_space_volume(g, 0.1) == pytest.approx(math.log(10) / 1.0, rel=1e-12)
 
 
+def test_phase_space_volume_counting_prediction():
+    # the counting-function prediction for power(2): zero above the maximum,
+    # decreasing in the level
+    v = sy.radial_symbol(sy.power(2.0))
+    assert sy.phase_space_volume(v, 1e-2) == pytest.approx(49.5)
+    assert sy.phase_space_volume(v, 2.0) == 0.0
+    vals = [sy.phase_space_volume(v, lam) for lam in np.linspace(1e-3, 1e-2, 9)]
+    assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
 def test_phase_space_volume_numeric_segments():
     # mix profile handled by scan + bisection; oracle: gaussian closed form
     prof = sy.profile_mix([(1.0, sy.gaussian(0.5))])
