@@ -158,7 +158,10 @@ class AsymptoticModel:
 
 
 def compact_model(b, cap):
-    return AsymptoticModel("compact", b=float(b), capacity=float(cap))
+    b, cap = float(b), float(cap)
+    if not (b > 0 and cap > 0):       # the law reads cap^2, so a sign would be lost
+        raise ValueError(f"b and capacity must be positive, got b={b!r}, capacity={cap!r}")
+    return AsymptoticModel("compact", b=b, capacity=cap)
 
 
 def exp_model(beta, mu):

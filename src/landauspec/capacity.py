@@ -15,8 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+
+# Rejection batches of 4n bounding-box draws before sample() gives up: enough
+# for any polygon filling more than about 1/40000 of its bounding box.
+_SAMPLE_BATCHES = 10_000
 
 
 @dataclass(frozen=True)
@@ -31,6 +37,14 @@ class CompactSet:
     vertices: tuple = ()
     members: tuple = ()
 
+    def __post_init__(self):
+        if not np.isfinite([self.center, self.radius, self.a, self.b, *self.vertices]).all():
+            raise ValueError("set coordinates must be finite")
+        # sample() draws polygon points by rejection, which never ends on zero area
+        if self.kind == "polygon" and not _has_area(self.vertices):
+            raise ValueError("polygon has zero area (collinear or fewer than three "
+                             "vertices); use a segment instead")
+
     @property
     def connected(self):
         return self.kind != "union"
@@ -41,7 +55,7 @@ class CompactSet:
         if self.kind == "segment":
             return self.a == self.b
         if self.kind == "polygon":
-            return len(set(self.vertices)) < 2
+            return False                 # zero area is refused on construction
         return all(m.degenerate() for m in self.members)
 
     def bounding_box(self):
@@ -70,7 +84,7 @@ class CompactSet:
             dist = np.abs(w - (self.a + np.clip(t, 0, 1) * d))
             return on & (dist <= tol * max(1.0, abs(d)))
         if self.kind == "polygon":
-            return _polygon_contains(self.vertices, w, tol=tol)
+            return self._polygon_nearest(w, tol)[1]
         out = np.zeros(np.shape(w), dtype=bool)
         for m in self.members:
             out |= m.membership(w, tol=tol)
@@ -82,29 +96,51 @@ class CompactSet:
         if self.kind == "disk":
             d = w - self.center
             r = np.abs(d)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                scale = np.where(r > self.radius, self.radius / np.where(r == 0, 1.0, r), 1.0)
+            scale = np.divide(self.radius, r, out=np.ones_like(r), where=r > self.radius)
             return self.center + d * scale
         if self.kind == "segment":
             d = self.b - self.a
             t = np.clip(((w - self.a) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
             return self.a + t * d
         if self.kind == "polygon":
-            proj = _polygon_boundary_project(self.vertices, w)
-            inside = _polygon_contains(self.vertices, w)
-            return np.where(inside, w, proj)
-        best = None
-        best_d = None
-        for m in self.members:
-            p = m.project(w)
-            d = np.abs(p - w)
-            if best is None:
-                best, best_d = p, d
-            else:
-                take = d < best_d
-                best = np.where(take, p, best)
-                best_d = np.where(take, d, best_d)
-        return best
+            nearest, inside = self._polygon_nearest(w, 1e-12)
+            return np.where(inside, w, nearest)
+        p = np.stack([m.project(w) for m in self.members]).reshape(len(self.members), -1)
+        nearest = np.abs(p - w.reshape(-1)).argmin(axis=0)
+        return p[nearest, np.arange(p.shape[1])].reshape(w.shape)
+
+    @cached_property
+    def _edges(self):
+        """Polygon edge arrays: start, direction, squared length, end ordinate, rise.
+
+        Zero squared lengths and rises are stored as 1: a zero-length edge then
+        projects to its start, and a horizontal edge is never crossed anyway.
+        """
+        a = np.array(self.vertices, dtype=complex)
+        b = np.roll(a, -1)
+        d = b - a
+        len2 = np.abs(d) ** 2
+        return (a, d, np.where(len2 == 0, 1.0, len2), b.imag,
+                np.where(d.imag == 0, 1.0, d.imag))
+
+    def _polygon_nearest(self, w, tol):
+        """Nearest boundary point of a polygon, and membership within tol of the boundary.
+
+        One (points x edges) broadcast gives the clamped edge parameter, the
+        nearest point on each edge, its distance and the crossing-number parity.
+        """
+        a, d, len2, b_imag, rise = self._edges
+        col = w.reshape(-1, 1)
+        t = np.clip(((col - a) * np.conj(d)).real / len2, 0.0, 1.0)
+        p = a + t * d
+        dist = np.abs(col - p)
+        rows, e = np.arange(len(col)), dist.argmin(axis=1)
+        y = col.imag
+        crosses = (a.imag > y) != (b_imag > y)
+        xint = a.real + (y - a.imag) * d.real / rise
+        odd = np.logical_xor.reduce(crosses & (col.real < xint), axis=1)
+        inside = odd | (dist[rows, e] <= tol)
+        return p[rows, e].reshape(w.shape), inside.reshape(w.shape)
 
     def sample(self, n, rng):
         """n points distributed over the set (uniform-ish; seeds the ascent)."""
@@ -118,12 +154,17 @@ class CompactSet:
             x0, x1, y0, y1 = self.bounding_box()
             out = np.empty(n, dtype=complex)
             have = 0
-            while have < n:
+            for _ in range(_SAMPLE_BATCHES):
+                if have == n:
+                    return out
                 cand = (rng.uniform(x0, x1, 4 * n) + 1j * rng.uniform(y0, y1, 4 * n))
-                good = cand[_polygon_contains(self.vertices, cand)]
+                good = cand[self.membership(cand)]
                 take = min(n - have, len(good))
                 out[have:have + take] = good[:take]
                 have += take
+            if have < n:
+                raise ValueError(f"polygon too thin to sample: {have} of {n} points inside "
+                                 f"after {_SAMPLE_BATCHES} batches of bounding-box draws")
             return out
         idx = rng.integers(0, len(self.members), n)
         return np.concatenate([
@@ -171,51 +212,15 @@ def set_union(members):
     return CompactSet("union", members=tuple(members))
 
 
-def _polygon_contains(vertices, w, tol=1e-12):
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    x, y = w.real, w.imag
-    inside = np.zeros(w.shape, dtype=bool)
-    n = len(vertices)
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        crosses = ((a.imag > y) != (b.imag > y))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = a.real + (y - a.imag) * (b.real - a.real) / (b.imag - a.imag)
-        inside ^= crosses & (x < xint)
-    # count boundary points as members
-    bdry = np.zeros(w.shape, dtype=bool)
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        d = b - a
-        t = np.clip(((w - a) * np.conj(d)).real / abs(d) ** 2, 0, 1) if d != 0 else 0.0
-        bdry |= np.abs(w - (a + t * d)) <= tol
-    return inside | bdry
-
-
-def _polygon_boundary_project(vertices, w):
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    best = None
-    best_d = None
-    n = len(vertices)
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        d = b - a
-        if d == 0:
-            p = np.full(w.shape, a)
-        else:
-            t = np.clip(((w - a) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
-            p = a + t * d
-        dist = np.abs(p - w)
-        if best is None:
-            best, best_d = p, dist
-        else:
-            take = dist < best_d
-            best = np.where(take, p, best)
-            best_d = np.where(take, dist, best_d)
-    return best
+def _has_area(vertices):
+    """Whether a polygon's shoelace area exceeds rounding level (1e-12 of its box side squared)."""
+    v = np.array(vertices, dtype=complex)
+    if len(v) < 3:
+        return False
+    v = v - v[0]        # shoelace terms at the polygon's own scale, wherever it lies
+    x, y = v.real, v.imag
+    area = 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return bool(area > 1e-12 * max(np.ptp(x), np.ptp(y)) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -230,46 +235,56 @@ class FeketeResult:
     delta_j: float
     restart: int = 0
     iterations: int = 0
+    converged: bool = False      # False when the ascent stopped at max_iter
 
 
-def _log_energy(w):
-    iu = np.triu_indices(len(w), 1)
-    d = np.abs(w[:, None] - w[None, :])[iu]
-    if np.any(d == 0):
-        return -np.inf
-    return float(np.sum(np.log(d)))
+def _pair_kernel(w, pairs):
+    """Pair log-energy sum_{i<k} log|w_i - w_k| and the difference matrix behind it.
 
-
-def _energy_gradient(w):
+    pairs holds the flat indices i*n + k, i < k, in row-major order: summed in
+    that order the energy is bit-identical to a loop over pairs, so accept/reject
+    decisions at rounding-level ties do not depend on how it is computed.
+    diff[i, k] = w_i - w_k with the diagonal set to 1; with its diagonal zeroed,
+    1/conj(diff) summed over k is the energy gradient at w.  Coincident points
+    give -inf.
+    """
     diff = w[:, None] - w[None, :]
     np.fill_diagonal(diff, 1.0)
-    g = 1.0 / np.conj(diff)
-    np.fill_diagonal(g, 0.0)
-    return g.sum(axis=1)
+    dist = np.abs(diff).take(pairs)
+    if not dist.all():
+        return -np.inf, diff
+    return float(np.log(dist).sum()), diff
 
 
 def _ascend(K, w, max_iter, rtol):
-    E = _log_energy(w)
-    step = 0.1 * max(1.0, abs(K.bounding_box()[1] - K.bounding_box()[0]))
-    it = 0
+    """Projected gradient ascent with step halving; returns (w, E, iterations, converged).
+
+    Converged means the relative energy gain fell below rtol or 60 halvings
+    found no gain; otherwise the ascent ran out of its max_iter iterations.
+    """
+    i, k = np.triu_indices(len(w), 1)
+    pairs = i * len(w) + k
+    E, diff = _pair_kernel(w, pairs)
+    x0, x1 = K.bounding_box()[:2]
+    step = 0.1 * max(1.0, abs(x1 - x0))
     for it in range(max_iter):
-        g = _energy_gradient(w)
-        improved = False
+        g = 1.0 / np.conj(diff)
+        np.fill_diagonal(g, 0.0)
+        g = g.sum(axis=1)
         for _ in range(60):
             trial = K.project(w + step * g)
-            E2 = _log_energy(trial)
+            E2, diff2 = _pair_kernel(trial, pairs)
             if E2 > E:
-                improved = True
                 break
             step *= 0.5
-        if not improved:
-            break
+        else:
+            return w, E, it + 1, True
         done = abs(E2 - E) < rtol * max(1.0, abs(E2))
-        w, E = trial, E2
+        w, E, diff = trial, E2, diff2
         step *= 1.3
         if done:
-            break
-    return w, E, it + 1
+            return w, E, it + 1, True
+    return w, E, max_iter, False
 
 
 def fekete_optimize(K, j, restarts=8, seed=0, max_iter=5000, rtol=1e-10):
@@ -298,14 +313,14 @@ def fekete_optimize(K, j, restarts=8, seed=0, max_iter=5000, rtol=1e-10):
             if not len(bad):
                 break
             w0[bad] = K.sample(len(bad), rng)
-        w, E, its = _ascend(K, w0, max_iter, rtol)
+        w, E, its, converged = _ascend(K, w0, max_iter, rtol)
         order = np.lexsort((w.imag, w.real))
         w = w[order]
         key = (E, tuple((-p.real, -p.imag) for p in w))
         if best is None or key > best[0]:
             jj = float(j)
             best = (key, FeketeResult(j, w, E, math.exp(2.0 * E / (jj * (jj - 1))),
-                                      restart=ridx, iterations=its))
+                                      restart=ridx, iterations=its, converged=converged))
     return best[1]
 
 

@@ -259,7 +259,10 @@ def _model_from_config(cfg, zeta, b):
     if kind == "compact":
         _require(cfg, ["capacity"], "model")
         _reject_unknown(cfg, {"kind", "capacity"}, "model")
-        return asymptotics.compact_model(b, float(cfg["capacity"]))
+        try:
+            return asymptotics.compact_model(b, cfg["capacity"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"model: {exc}") from exc
     raise ConfigError(f"model: unknown kind {kind!r}")
 
 
@@ -301,6 +304,8 @@ def cmd_toeplitz(args):
 
 
 def _parse_set(cfg, where="set"):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where}: expected an object with a 'kind' key")
     _require(cfg, ["kind"], where)
     kind = cfg["kind"]
     try:
@@ -318,7 +323,7 @@ def _parse_set(cfg, where="set"):
         if kind == "union":
             _reject_unknown(cfg, {"kind", "members"}, where)
             return capacity.set_union([_parse_set(m, f"{where}.members") for m in cfg["members"]])
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: malformed geometry ({exc})") from exc
     raise ConfigError(f"{where}: unknown set kind {kind!r}")
 
@@ -328,9 +333,15 @@ def cmd_capacity(args):
     _require(cfg, ["set", "j_max"], "capacity")
     _reject_unknown(cfg, {"set", "j_max", "restarts", "seed"}, "capacity")
     K = _parse_set(cfg["set"])
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    restarts = int(cfg.get("restarts", 8))
-    est = capacity.capacity_estimate(K, int(cfg["j_max"]), restarts=restarts, seed=seed)
+    j_max = _positive_int(cfg, "j_max", "capacity")
+    restarts = _positive_int(cfg, "restarts", "capacity", default=8, allow_zero=True)
+    seed = _positive_int(cfg, "seed", "capacity", default=0, allow_zero=True)
+    if args.seed is not None:
+        seed = args.seed
+    try:
+        est = capacity.capacity_estimate(K, j_max, restarts=restarts, seed=seed)
+    except ValueError as exc:       # j_max below 8, a degenerate set, a negative --seed
+        raise ConfigError(f"capacity: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "capacity.json", {
@@ -339,6 +350,7 @@ def cmd_capacity(args):
         "j_max": est.j_max,
         "per_j": [{
             "j": r.j, "log_energy": r.log_energy, "delta_j": r.delta_j,
+            "iterations": r.iterations, "converged": r.converged,
             "points": [[p.real, p.imag] for p in r.points],
         } for r in est.per_j],
         "provenance": _provenance(args, digest, command="capacity",
@@ -350,23 +362,31 @@ def cmd_capacity(args):
 def cmd_asymptotics(args):
     cfg, digest = _load_config(args.config)
     _require(cfg, ["kind", "k_range"], "asymptotics")
-    k_lo, k_hi = (int(v) for v in cfg["k_range"])
+    k_range = cfg["k_range"]
+    if not (isinstance(k_range, list) and len(k_range) == 2 and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in k_range)):
+        raise ConfigError(f"asymptotics: k_range must be two integers [k_lo, k_hi], "
+                          f"got {k_range!r}")
+    k_lo, k_hi = k_range
     ks = np.arange(max(2, k_lo), k_hi + 1)
     if cfg["kind"] == "exp":
         _require(cfg, ["beta", "gamma", "b"], "asymptotics")
         _reject_unknown(cfg, {"kind", "beta", "gamma", "b", "k_range"}, "asymptotics")
-        beta = float(cfg["beta"])
         try:
+            beta = float(cfg["beta"])
             mu = asymptotics.mu_from_weight(float(cfg["gamma"]), beta, float(cfg["b"]))
             model = asymptotics.exp_model(beta, mu)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"asymptotics: {exc}") from exc
         meta = {"beta": beta, "mu": mu, "coefficients": list(model.coeffs)}
     elif cfg["kind"] == "compact":
         _require(cfg, ["b", "capacity"], "asymptotics")
         _reject_unknown(cfg, {"kind", "b", "capacity", "k_range"}, "asymptotics")
-        model = asymptotics.compact_model(float(cfg["b"]), float(cfg["capacity"]))
-        meta = {"b": float(cfg["b"]), "capacity": float(cfg["capacity"])}
+        try:
+            model = asymptotics.compact_model(cfg["b"], cfg["capacity"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"asymptotics: {exc}") from exc
+        meta = {"b": model.b, "capacity": model.capacity}
     else:
         raise ConfigError(f"asymptotics: unknown kind {cfg['kind']!r}")
     pred = model.predict_log(ks)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,3 +104,149 @@ def test_polygon_square_capacity():
     est = cap.capacity_estimate(sq, 24, restarts=6, seed=13)
     assert est.estimate == pytest.approx(
         math.gamma(0.25) ** 2 / (4 * math.pi ** 1.5), rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# the fused kernels against the per-pair and per-edge formulas they replace
+
+
+def _reference_energy(w):
+    iu = np.triu_indices(len(w), 1)
+    d = np.abs(w[:, None] - w[None, :])[iu]
+    return -np.inf if np.any(d == 0) else float(np.sum(np.log(d)))
+
+
+def _reference_gradient(w):
+    diff = w[:, None] - w[None, :]
+    np.fill_diagonal(diff, 1.0)
+    g = 1.0 / np.conj(diff)
+    np.fill_diagonal(g, 0.0)
+    return g.sum(axis=1)
+
+
+def _reference_ascend(K, w, max_iter):
+    E = _reference_energy(w)
+    step = 0.1 * max(1.0, abs(K.bounding_box()[1] - K.bounding_box()[0]))
+    for _ in range(max_iter):
+        g = _reference_gradient(w)
+        for _ in range(60):
+            trial = K.project(w + step * g)
+            E2 = _reference_energy(trial)
+            if E2 > E:
+                break
+            step *= 0.5
+        else:
+            break
+        w, E = trial, E2
+        step *= 1.3
+    return w, E
+
+
+def _upper_pairs(n):
+    i, k = np.triu_indices(n, 1)
+    return i * n + k
+
+
+def test_pair_kernel_matches_pair_sum_and_gradient():
+    # the energy is summed in the per-pair order, so it is bit-identical
+    rng = np.random.default_rng(11)
+    for n in range(2, 41):
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        E, diff = cap._pair_kernel(w, _upper_pairs(n))
+        assert E == _reference_energy(w)
+        g = 1.0 / np.conj(diff)
+        np.fill_diagonal(g, 0.0)
+        ref = _reference_gradient(w)
+        assert np.abs(g.sum(axis=1) - ref).max() <= 1e-13 * np.abs(ref).max()
+    w = np.array([0.0, 1.0, 1j, 1.0])             # coincident points: -inf, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cap._pair_kernel(w, _upper_pairs(4))[0] == -np.inf
+
+
+def test_ascent_follows_reference_gradient():
+    # a few ascent iterations with the per-pair energy and the explicit gradient
+    # must land on the same points as the ascent on the fused pair kernel
+    rng = np.random.default_rng(5)
+    sets = [cap.disk(0.3j, 1.0), cap.polygon([0, 1.0, 1.0 + 1.0j, 1.0j]),
+            cap.set_union([cap.disk(-2.0, 0.5), cap.disk(2.0, 0.5)])]
+    for n in (2, 3, 9, 24, 40):
+        for K in sets:
+            w0 = K.sample(n, rng)
+            w, E, its, _ = cap._ascend(K, w0, 4, 0.0)
+            w_ref, E_ref = _reference_ascend(K, w0, 4)
+            assert its == 4
+            assert np.array_equal(w, w_ref) and E == E_ref
+
+
+def _reference_polygon(vertices, w, tol=1e-12):
+    """Per-edge loops: nearest boundary point and crossing-number membership."""
+    n = len(vertices)
+    inside = np.zeros(w.shape, dtype=bool)
+    best, best_d = None, None
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        crosses = (a.imag > w.imag) != (b.imag > w.imag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = a.real + (w.imag - a.imag) * (b.real - a.real) / (b.imag - a.imag)
+        inside ^= crosses & (w.real < xint)
+        d = b - a
+        t = np.clip(((w - a) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
+        p = a + t * d
+        dist = np.abs(p - w)
+        if best is None:
+            best, best_d = p, dist
+        else:
+            take = dist < best_d
+            best, best_d = np.where(take, p, best), np.where(take, dist, best_d)
+    return best, inside | (best_d <= tol)
+
+
+@pytest.mark.parametrize("vertices", [
+    [0, 1.0, 1.0 + 1.0j, 1.0j],                                   # square
+    [0.2 - 0.1j, 1.7 - 0.1j, 0.95 + 1.199j],                      # triangle
+    [0, 2.0, 2.0 + 1.0j, 1.0 + 1.0j, 1.0 + 2.0j, 2.0j]],          # L-shaped hexagon
+    ids=["square", "triangle", "l-hexagon"])
+def test_polygon_project_and_membership_match_per_edge_loops(vertices):
+    K = cap.polygon(vertices)
+    v = np.array(vertices, dtype=complex)
+    rng = np.random.default_rng(3)
+    w = np.concatenate([rng.normal(1.0, 1.2, 400) + 1j * rng.normal(1.0, 1.2, 400),
+                        v, 0.5 * (v + np.roll(v, -1))])
+    nearest, inside = _reference_polygon(K.vertices, w)
+    assert np.array_equal(K.membership(w), inside)
+    assert np.abs(K.project(w) - np.where(inside, w, nearest)).max() <= 1e-14
+    for tol in (0.0, 1e-3, 0.1):
+        assert np.array_equal(K.membership(w, tol=tol), _reference_polygon(K.vertices, w, tol)[1])
+    assert K.membership(v).all() and K.membership(0.5 * (v + np.roll(v, -1))).all()
+
+
+@pytest.mark.parametrize("K,j,iterations,log_energy", [
+    (cap.segment(-1.0, 1.0), 16, 107, -55.115579679641236),
+    (cap.polygon([0, 1.0, 1.0 + 1.0j, 1.0j]), 12, 62, -18.759551311232027),
+    (cap.set_union([cap.disk(-2.0, 0.5), cap.disk(2.0, 0.5)]), 11, 1082, 34.27522890301398)],
+    ids=["segment", "square", "two-disks"])
+def test_fekete_iterates_pinned(K, j, iterations, log_energy):
+    # iteration counts and energies of the per-pair / per-edge implementation
+    r = cap.fekete_optimize(K, j, restarts=1, seed=1)
+    assert r.iterations == iterations and r.converged
+    assert r.log_energy == pytest.approx(log_energy, rel=1e-12, abs=0)
+
+
+def test_ascent_reports_max_iter_as_not_converged():
+    r = cap.fekete_optimize(cap.segment(-1.0, 1.0), 16, restarts=1, seed=1, max_iter=3)
+    assert r.iterations == 3 and not r.converged
+
+
+@pytest.mark.parametrize("vertices", [
+    [0, 1.0 + 1.0j, 2.0 + 2.0j], [0, 1.0], [0], [],
+    [1e6 + 0.1j * k for k in range(4)]])
+def test_zero_area_polygon_refused(vertices):
+    with pytest.raises(ValueError, match="use a segment"):
+        cap.polygon(vertices)
+
+
+def test_sliver_polygon_sampling_gives_up():
+    sliver = cap.polygon([0, 1.0 + 1.0j, 2.0 + 2.000000001j])     # area 5e-10
+    with pytest.raises(ValueError, match="too thin to sample"):
+        cap.fekete_optimize(sliver, 8, restarts=1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import landauspec
-from landauspec import operators
+from landauspec import capacity, operators
 from landauspec.cli import main
 from test_asymptotics import taylor_oracle
 
@@ -283,3 +283,76 @@ def test_verify_command(tmp_path, capsys):
     assert main(["verify", "--filter", "wigner-closed-form",
                  "--inject-fault", "pair_phase_sign"]) == 1
     assert main(["verify", "--filter", "no-such-suite"]) == 2
+
+
+_DISK = {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0}
+_BAD_CAPACITY = [
+    ({"set": _DISK, "j_max": 3}, "j_max must be at least 8"),
+    ({"set": _DISK, "j_max": "x"}, "j_max must be a positive integer"),
+    ({"set": _DISK, "j_max": 8.7}, "j_max must be a positive integer"),
+    ({"set": _DISK, "j_max": 8, "restarts": -1}, "restarts must be a non-negative integer"),
+    ({"set": _DISK, "j_max": 8, "seed": "1"}, "seed must be a non-negative integer"),
+    ({"set": {"kind": "disk", "radius": -1}, "j_max": 8}, "degenerate set"),
+    ({"set": {"kind": "polygon", "vertices": [[0, 0]]}, "j_max": 8}, "zero area"),
+    ({"set": {"kind": "polygon", "vertices": [[0, 0], [1, 0]]}, "j_max": 8}, "zero area"),
+    ({"set": {"kind": "disk", "radius": float("inf")}, "j_max": 8}, "must be finite"),
+    ({"set": {"kind": "union", "members": [_DISK, 5]}, "j_max": 8}, "expected an object"),
+    ({"set": 5, "j_max": 8}, "expected an object")]
+
+
+@pytest.mark.parametrize("payload,message", _BAD_CAPACITY)
+def test_capacity_rejects_bad_configs(tmp_path, capsys, payload, message):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vertices,message", [
+    ([[0, 0], [1, 1], [2, 2]], "use a segment"),
+    ([[0, 0], [1, 1], [2, 2.000000001]], "too thin to sample")], ids=["collinear", "sliver"])
+def test_capacity_polygon_without_room_exits_2(tmp_path, vertices, message):
+    # rejection sampling inside these polygons would never end
+    cfg = write_config(tmp_path, "c.json", {
+        "set": {"kind": "polygon", "vertices": vertices}, "j_max": 8, "restarts": 1})
+    src = str(Path(landauspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "landauspec.cli", "capacity", "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+
+
+def test_capacity_reports_iterations_and_convergence(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "set": {"kind": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0]},
+        "j_max": 11, "restarts": 1, "seed": 1})
+    out = tmp_path / "out"
+    assert main(["capacity", "--config", cfg, "--out", str(out)]) == 0
+    per_j = json.loads((out / "capacity.json").read_text())["per_j"]
+    est = capacity.capacity_estimate(capacity.segment(-1.0, 1.0), 11, restarts=1, seed=1)
+    assert [(r["j"], r["iterations"], r["converged"]) for r in per_j] == \
+        [(r.j, r.iterations, True) for r in est.per_j]
+
+
+_BAD_ASYMPTOTICS = [
+    ({"kind": "exp", "beta": 2.0, "gamma": 1.0, "b": 2.0, "k_range": [2, "x"]}, "k_range"),
+    ({"kind": "exp", "beta": 2.0, "gamma": 1.0, "b": 2.0, "k_range": [2]}, "k_range"),
+    ({"kind": "exp", "beta": "x", "gamma": 1.0, "b": 2.0, "k_range": [2, 20]}, "float"),
+    ({"kind": "compact", "b": 2.0, "capacity": -1.0, "k_range": [2, 20]},
+     "capacity must be positive")]
+
+
+@pytest.mark.parametrize("payload,message", _BAD_ASYMPTOTICS)
+def test_asymptotics_rejects_bad_configs(tmp_path, capsys, payload, message):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["asymptotics", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_toeplitz_compact_model_rejects_negative_capacity(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "zeta": {"kind": "disk_indicator", "cutoff": 1.0}, "b": 2.0, "count": 4,
+        "model": {"kind": "compact", "capacity": -1.0}})
+    assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "capacity must be positive" in capsys.readouterr().err
