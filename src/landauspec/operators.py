@@ -173,48 +173,43 @@ def banded_structure_check(v, n, order=None):
 # radial fast paths: explicit eigenvalue sequences
 
 
+def _laguerre_sequence(profile, count, order, profile_scale, laguerre_scale, sign):
+    """sign^k int_0^inf R(profile_scale y) Lcal_k(laguerre_scale y) dy, k < count.
+
+    Lcal_k is the weighted Laguerre function of laguerre_fn_iter (|Lcal_k| <= 1),
+    so one degree sweep serves every k.  Compactly supported R takes a
+    Gauss-Legendre panel on [0, support_bound / profile_scale] of order
+    `order` or max(200, count // 2 + 64); otherwise Gauss-Laguerre with flat
+    weights of order `order` or max(400, count // 2 + 400).
+    """
+    if profile.compact_support:
+        rule = quadrature.gauss_legendre_panel(
+            order or max(200, count // 2 + 64), 0.0, profile.support_bound / profile_scale)
+        weights = rule.weights
+    else:
+        rule = quadrature.gauss_laguerre(order or max(quadrature.DEFAULT_ORDER_HALFLINE,
+                                                      count // 2 + 400))
+        weights = rule.flat_weights
+    y = rule.nodes
+    c = weights * np.atleast_1d(profile(profile_scale * y))
+    mu = np.empty(count)
+    for k, val in enumerate(laguerre_fn_iter(0.0, laguerre_scale * y, count - 1)):
+        mu[k] = sign ** k * np.dot(c, val)
+    return mu
+
+
 def weyl_radial_eigs(profile, count, order=None):
     """Eigenvalues mu_k, k < count, of the Weyl operator with a radial symbol.
 
     mu_k = ((-1)^k / 2) int_0^inf R(t/2) L_k(t) e^(-t/2) dt, evaluated in the
-    weighted form (-1)^k int R(u) Lcal_k(2u) du with |Lcal_k| <= 1; a single
-    degree sweep serves every k at once.  Compact support switches to a
-    finite Gauss-Legendre panel.
+    weighted form (-1)^k int R(u) Lcal_k(2u) du.
     """
-    if profile.compact_support:
-        bound = profile.support_bound
-        rule = quadrature.gauss_legendre_panel(
-            order or max(200, count // 2 + 64), 0.0, bound)
-        u = rule.nodes
-        c = rule.weights * np.atleast_1d(profile(u))
-    else:
-        rule = quadrature.gauss_laguerre(order or max(quadrature.DEFAULT_ORDER_HALFLINE,
-                                                      count // 2 + 400))
-        u = rule.nodes
-        c = rule.flat_weights * np.atleast_1d(profile(u))
-    mu = np.empty(count)
-    for k, val in enumerate(laguerre_fn_iter(0.0, 2.0 * u, count - 1)):
-        mu[k] = (-1.0) ** k * np.dot(c, val)
-    return mu
+    return _laguerre_sequence(profile, count, order, 1.0, 2.0, -1.0)
 
 
 def weyl_radial_eigs_fourier(profile_hat, count, order=None):
     """Same eigenvalues from the Fourier side: mu_k = int Rhat(2t) Lcal_k(t) dt."""
-    if profile_hat.compact_support:
-        bound = profile_hat.support_bound / 2.0
-        rule = quadrature.gauss_legendre_panel(
-            order or max(200, count // 2 + 64), 0.0, bound)
-        t = rule.nodes
-        c = rule.weights * np.atleast_1d(profile_hat(2.0 * t))
-    else:
-        rule = quadrature.gauss_laguerre(order or max(quadrature.DEFAULT_ORDER_HALFLINE,
-                                                      count // 2 + 400))
-        t = rule.nodes
-        c = rule.flat_weights * np.atleast_1d(profile_hat(2.0 * t))
-    mu = np.empty(count)
-    for k, val in enumerate(laguerre_fn_iter(0.0, t, count - 1)):
-        mu[k] = np.dot(c, val)
-    return mu
+    return _laguerre_sequence(profile_hat, count, order, 2.0, 1.0, 1.0)
 
 
 _LOG_GRID_STEP = 0.02

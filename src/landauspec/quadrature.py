@@ -1,13 +1,15 @@
 """Gauss-Hermite / Gauss-Laguerre rules and tensor-product integration.
 
-Nodes come from the Golub-Welsch eigenproblem (symmetric tridiagonal Jacobi
-matrix).  Weights are recovered through the Christoffel function evaluated
-with *exponentially weighted* orthonormal recurrences: the raw Gauss-Laguerre
-weights underflow double precision near order 180, but w_i * exp(x_i) (the
-"flat" weights used to integrate functions that carry their own decay) stay
-O(node spacing) at any order.  Rules are cached and safe for concurrent
-readers.  scipy.linalg is imported when the first rule is built, so importing
-the package loads no scipy.
+Gauss-Laguerre nodes are the zeros of L_n^(alpha), found by Newton's method
+from WKB guesses (the phase of the Langer-corrected Laguerre equation) on a
+ratio form of the three-term recurrence that carries x at full relative
+precision; Gauss-Hermite nodes are square roots of Laguerre nodes with
+alpha = -1/2 (even order) or +1/2 (odd order, plus 0).  Weights are recovered
+through the Christoffel function evaluated with *exponentially weighted*
+orthonormal recurrences: the raw Gauss-Laguerre weights underflow double
+precision near order 180, but w_i * exp(x_i) (the "flat" weights used to
+integrate functions that carry their own decay) stay O(node spacing) at any
+order.  Rules are cached and safe for concurrent readers.
 
 Integrands with a jump (compactly supported radial profiles) are never fed
 to Gauss-Laguerre; a finite-interval Gauss-Legendre panel is used instead.
@@ -16,6 +18,7 @@ to Gauss-Laguerre; a finite-interval Gauss-Legendre panel is used instead.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,20 +64,93 @@ def _christoffel_flat_weights(fn_iter):
     return 1.0 / total
 
 
+def _laguerre_guesses(n, alpha):
+    """WKB estimates of the zeros of L_n^(alpha), ascending.
+
+    u = x^((alpha+1)/2) e^(-x/2) L_n^(alpha)(x) solves u'' + Q u = 0 with,
+    after Langer's correction, Q = kappa/x - 1/4 - alpha^2/(4 x^2),
+    kappa = n + (alpha + 1)/2, which is positive between the turning points
+    p < q.  Zero k sits where the phase int_x^q sqrt(Q) reaches
+    (n - k + 3/4) pi; the phase has a closed form, inverted by bisection.
+    """
+    kappa = n + 0.5 * (alpha + 1.0)
+    q = 2.0 * kappa + math.sqrt(4.0 * kappa * kappa - alpha * alpha)
+    p = alpha * alpha / q                     # p q = alpha^2
+
+    def twice_phase(x):                       # an antiderivative of 2 sqrt(Q) on [p, q]
+        root = np.sqrt(np.maximum((x - p) * (q - x), 0.0))
+        val = root + 0.5 * (p + q) * np.arcsin(np.clip((2.0 * x - p - q) / (q - p), -1.0, 1.0))
+        if p > 0:
+            val -= abs(alpha) * np.arcsin(
+                np.clip(((p + q) * x - 2.0 * p * q) / (x * (q - p)), -1.0, 1.0))
+        return val
+
+    k = np.arange(1, n + 1)
+    total = 0.5 * math.pi * (math.sqrt(q) - math.sqrt(p)) ** 2     # 2 int_p^q sqrt(Q)
+    target = twice_phase(np.array([p])) + total - 2.0 * math.pi * (n - k + 0.75)
+    lo = np.full(n, p)
+    hi = np.full(n, q)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        below = twice_phase(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+_NEWTON_MAX_ITER = 40
+
+
+def _laguerre_nodes(n, alpha):
+    """Zeros of L_n^(alpha), ascending, by Newton's method from WKB guesses.
+
+    The recurrence runs on e_j, where L_j / L_(j-1) = (1 + e_j)(j + alpha)/j:
+
+        e_1 = -x/(1 + alpha),
+        e_j = ((j - 1)/(1 + 1/e_(j-1)) - x)/(j + alpha),
+
+    whose terms stay comparable to x, so small nodes keep their relative
+    precision (the plain ratio L_j / L_(j-1) rounds x against j); an exact
+    zero of some L_j passes through as e = inf.  The Newton step L_n / L_n'
+    is x (1 + 1/e_n)/n.  Each node stops once its step is below
+    1e-13 (1 + x); nodes that have not stopped after 40 steps, or that
+    coincide, raise ArithmeticError.
+    """
+    x = _laguerre_guesses(n, alpha)
+    active = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_MAX_ITER):
+            if not active.size:
+                break
+            xa = x[active]
+            e = -xa / (1.0 + alpha)
+            for j in range(2, n + 1):
+                np.divide(1.0, e, out=e)
+                e += 1.0
+                np.divide(j - 1.0, e, out=e)
+                e -= xa
+                e /= j + alpha
+            np.divide(1.0, e, out=e)
+            e += 1.0
+            step = xa * e / n
+            x[active] = xa - step
+            active = active[~(np.abs(step) < 1e-13 * (1.0 + xa))]
+    if active.size or not (np.all(np.diff(x) > 0) and np.all(x > 0)):
+        raise ArithmeticError(
+            f"Newton iteration for the zeros of L_{n}^({alpha}) did not converge")
+    return x
+
+
 @functools.lru_cache(maxsize=256)
 def gauss_hermite(order):
     """Rule for the weight exp(-x^2) on R."""
     order = int(order)
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}]")
-    if order == 1:
-        nodes = np.zeros(1)
-    else:
-        from scipy.linalg import eigh_tridiagonal
-
-        off = np.sqrt(np.arange(1, order) / 2.0)
-        nodes = eigh_tridiagonal(np.zeros(order), off, eigvals_only=True)
-        nodes = 0.5 * (nodes - nodes[::-1])     # enforce exact +/- symmetry
+    # H_2m(x) ~ L_m^(-1/2)(x^2) and H_2m+1(x) ~ x L_m^(1/2)(x^2)
+    half, odd = divmod(order, 2)
+    pos = np.sqrt(_laguerre_nodes(half, 0.5 if odd else -0.5))
+    nodes = np.concatenate((-pos[::-1], np.zeros(odd), pos))
     flat = _christoffel_flat_weights(hermite_fn_iter(nodes, order - 1))
     flat = 0.5 * (flat + flat[::-1])
     with np.errstate(under="ignore"):
@@ -91,14 +167,7 @@ def gauss_laguerre(order, alpha=0.0):
         raise ValueError(f"order must be in [1, {MAX_ORDER}]")
     if alpha <= -1.0:
         raise ValueError("alpha must exceed -1")
-    diag = 2.0 * np.arange(order) + alpha + 1.0
-    if order == 1:
-        nodes = diag.copy()
-    else:
-        from scipy.linalg import eigh_tridiagonal
-
-        j = np.arange(1, order)
-        nodes = eigh_tridiagonal(diag, np.sqrt(j * (j + alpha)), eigvals_only=True)
+    nodes = _laguerre_nodes(order, alpha)
     flat = _christoffel_flat_weights(laguerre_fn_iter(alpha, nodes, order - 1))
     # raw weights overflow/underflow at large order or alpha; the flat
     # weights are the reliable representation there

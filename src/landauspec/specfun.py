@@ -8,7 +8,9 @@ and (generalized) Laguerre polynomials L_q^(nu).  Degrees run into the
 thousands, so the exponentially weighted forms are the primitives here:
 they are evaluated by three-term recurrences that never form a huge
 polynomial value next to a tiny Gaussian.  All factorial arithmetic is
-done in log space.
+done in log space.  The Bessel functions J_0 and J_1 behind the radial
+Hankel transforms are evaluated here too, from tabulated Chebyshev series
+below x = 25 and the Hankel asymptotic expansion above.
 """
 
 from __future__ import annotations
@@ -171,6 +173,108 @@ def laguerre_fn_iter(alpha, u, m_max):
         yield float(m_cur[0] * np.exp(ls[0])) if scalar else m_cur * np.exp(ls)
 
 
+# J_0(x) and J_1(x)/x on [0, 25] as sums c_k T_k(2 (x/25)^2 - 1): the shifted
+# Chebyshev coefficients of their power series in (x/25)^2, rounded from
+# exact rational arithmetic; terms below 1e-17 dropped (tests re-derive them)
+_BESSEL_SPLIT = 25.0
+_BESSEL_CHEB = (
+    np.array([
+        0.021574925525236297, -0.05476977917955194, 0.06010839401127275,
+        -0.0242035801107129, 0.10230154815190808, -0.00241341556954302,
+        0.07870544713910102, -0.10141017371089794, 0.005794054446509239,
+        -0.048848833418506, 0.15553890209625837, -0.1680975465334128,
+        0.1070667295086968, -0.0476318426804495, 0.01606395522283889,
+        -0.0043110506822779645, 0.0009509181585333076, -0.00017646540271865863,
+        2.804333203966645e-05, -3.87021824485084e-06, 4.6916613105606406e-07,
+        -5.043413949321052e-08, 4.846461789324112e-09, -4.192147415657952e-10,
+        3.283849348995491e-11, -2.3419403749594486e-12, 1.5278072405255397e-13,
+        -9.1559103365564e-15, 5.059810557112847e-16, -2.5874520548260087e-17]),
+    np.array([
+        0.024479907557506134, -0.052848924268463174, 0.048258761941514,
+        -0.05131014938177459, 0.04732934446526263, -0.0460723101163969,
+        0.047174885868811876, -0.04002773177611394, 0.03808853430431542,
+        -0.039434420600791394, 0.032461148694503526, -0.01952544113247032,
+        0.008793014142599006, -0.0030799914799344926, 0.0008670755205722075,
+        -0.00020133070400176322, 3.935378957483837e-05, -6.5826651341418175e-06,
+        9.54917943258245e-07, -1.2148143220266733e-07, 1.3680866110520754e-08,
+        -1.3749026523149277e-09, 1.2416941474576645e-10, -1.0139012441257947e-11,
+        7.525948287963323e-13, -5.1027241143796926e-14, 3.173908809308757e-15,
+        -1.818161791069714e-16, 9.626196994865078e-18]),
+)
+
+
+def _hankel_series(nu):
+    """Coefficients of P and zQ in powers of z^-2 for J_nu(z), nu = 0, 1.
+
+    J_nu(z) = sqrt(2 / (pi z)) (P cos chi - Q sin chi), chi = z - (nu/2 + 1/4) pi,
+    with a_k = prod_{j <= k} (4 nu^2 - (2j - 1)^2) / (k! 8^k); P takes the even
+    terms (-1)^(k/2) a_k z^-k, Q the odd ones.  At z = 25 the first omitted
+    term, a_16 z^-16, is below 3e-16, so J loses less than 5e-17.
+    """
+    a = [1.0]
+    for k in range(1, 16):
+        a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
+    return (np.array([(-1) ** m * a[2 * m] for m in range(8)]),
+            np.array([(-1) ** m * a[2 * m + 1] for m in range(8)]))
+
+
+_BESSEL_HANKEL = (_hankel_series(0), _hankel_series(1))
+
+
+def _chebyshev_near_minus_one(c, v):
+    """sum_k c_k T_k(v/2 - 1) by Reinsch's form of Clenshaw's recurrence.
+
+    v = 2 (w + 1) is passed instead of w = v/2 - 1, so points near w = -1
+    (small x in the Bessel tables) keep their full relative precision.
+    """
+    b = np.zeros_like(v)
+    d = np.zeros_like(v)
+    for ck in c[:0:-1]:
+        d = ck + v * b - d
+        b = d - b
+    return c[0] + 0.5 * v * b - d
+
+
+def bessel_j(nu, x):
+    """Bessel function J_nu(x) of order nu = 0 or 1 for real x >= 0.
+
+    Below x = 25 a tabulated Chebyshev series in (x/25)^2; above, the Hankel
+    expansion truncated at 16 terms, with cos/sin of x - (nu/2 + 1/4) pi
+    formed from cos x and sin x so large x loses no phase.  Absolute error
+    about 1e-15 on [0, 5000].
+    """
+    if nu not in (0, 1):
+        raise ValueError("order must be 0 or 1")
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x < _BESSEL_SPLIT
+    xs = x[small]
+    vals = _chebyshev_near_minus_one(_BESSEL_CHEB[nu], 4.0 * (xs / _BESSEL_SPLIT) ** 2)
+    out[small] = xs * vals if nu else vals
+    large = ~small
+    z = x[large]
+    y = 1.0 / (z * z)
+    p_coef, zq_coef = _BESSEL_HANKEL[nu]
+    p = np.full_like(z, p_coef[-1])
+    q = np.full_like(z, zq_coef[-1])
+    for pc, qc in zip(p_coef[-2::-1], zq_coef[-2::-1]):
+        p *= y
+        p += pc
+        q *= y
+        q += qc
+    q /= z
+    c, s = np.cos(z), np.sin(z)
+    # J_0: (p + q) c + (p - q) s;  J_1: (p + q) s - (p - q) c  (times 1/sqrt(pi z))
+    if nu:
+        c, s = s, -c
+    c *= p + q
+    s *= p - q
+    c += s
+    c /= np.sqrt(np.pi * z)
+    out[large] = c
+    return out if out.ndim else float(out)
+
+
 def unit_gaussian(n, w):
     """Isotropic unit-mass Gaussian pi^(-n) exp(-|w|^2) on R^(2n)."""
     w = np.asarray(w, dtype=float)
@@ -179,13 +283,53 @@ def unit_gaussian(n, w):
     return np.pi ** (-n) * np.exp(-np.sum(w * w, axis=-1))
 
 
+def _log1p_minus_identity(t):
+    """log(1 + t) - t for |t| <= 1/2, without the cancellation at small |t|.
+
+    With r = t/(2 + t), log(1 + t) = 2 atanh(r) and t = 2r/(1 - r), so the
+    difference is -2r^2/(1 - r) + 2 sum_(k >= 1) r^(2k+1)/(2k + 1).
+    """
+    r = t / (2.0 + t)
+    r2 = r * r
+    term = r * r2
+    tail = 0.0
+    k = 3
+    while abs(term) > 1e-17 * abs(r2):
+        tail += term / k
+        term *= r2
+        k += 2
+    return -2.0 * r2 / (1.0 - r) + 2.0 * tail
+
+
+_STIRLING_MIN_A = 30.0
+
+
+def _log_gamma_prefactor(a, x):
+    """a ln x - x - lgamma(a + 1), kept accurate for x near a >> 1.
+
+    For a >= 30 and |x - a| <= a/2 it is a (log1p(t) - t) - ln(2 pi a)/2 - S(a),
+    t = (x - a)/a, with S the Stirling tail of lgamma(a + 1) (four terms; the
+    fifth is below 5e-17 there); the direct form would lose about
+    |a ln x| * 1e-16 to cancellation.
+    """
+    if a < _STIRLING_MIN_A or abs(x - a) > 0.5 * a:
+        return a * math.log(x) - x - math.lgamma(a + 1.0)
+    inv = 1.0 / a
+    inv2 = inv * inv
+    tail = inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0)))
+    return (a * _log1p_minus_identity((x - a) / a)
+            - 0.5 * math.log(2.0 * math.pi * a) - tail)
+
+
 def log_gammainc_lower(a, x, tol=1e-17, max_terms=10_000):
     """ln P(a, x) for the regularized lower incomplete gamma function.
 
     Series representation for x < a + 1, continued fraction for the upper
     tail otherwise (Numerical-Recipes style), assembled fully in log space
     so that values far below the double underflow threshold keep an exact
-    logarithm (needed for P(k+1, x) with k in the hundreds).  Raises
+    logarithm (needed for P(k+1, x) with k in the hundreds).  Both branches
+    share the prefactor x^a e^(-x) / Gamma(a + 1), taken through Stirling's
+    series so it does not cancel when x is near a large a.  Raises
     ArithmeticError when either expansion is still moving after max_terms
     (x near a with a above about 1e7).
     """
@@ -197,7 +341,7 @@ def log_gammainc_lower(a, x, tol=1e-17, max_terms=10_000):
         raise ValueError("x must be nonnegative")
     if x == 0.0:
         return -np.inf
-    log_prefactor = a * math.log(x) - x - math.lgamma(a + 1.0)
+    log_prefactor = _log_gamma_prefactor(a, x)
     if x < a + 1.0:
         term = 1.0
         total = 1.0
@@ -230,7 +374,7 @@ def log_gammainc_lower(a, x, tol=1e-17, max_terms=10_000):
     else:
         raise ArithmeticError(
             f"P({a!r}, {x!r}): continued fraction unconverged after {max_terms} terms")
-    log_q = a * math.log(x) - x - math.lgamma(a) + math.log(h)
+    log_q = log_prefactor + math.log(a) + math.log(h)    # x^a e^-x / Gamma(a) times h
     q = math.exp(log_q)
     if q >= 1.0:
         return -np.inf

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quadrature
-from .specfun import laguerre_weighted
+from .specfun import bessel_j, laguerre_weighted
 from .wigner import wigner_diag
 
 
@@ -691,6 +691,7 @@ def _level_crossing(profile, lam, sign, s_hi):
 
 
 def _bisect(profile, lam, sign, lo, hi, tol=1e-12):
+    """Crossing of sign * R = lam in [lo, hi]; ArithmeticError after 200 halvings."""
     flo = sign * float(profile(lo)) - lam
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -701,7 +702,8 @@ def _bisect(profile, lam, sign, lo, hi, tol=1e-12):
             lo, flo = mid, fmid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise ArithmeticError(
+        f"bisection for the level {lam!r} crossing did not converge on [{lo!r}, {hi!r}]")
 
 
 def phase_space_volume(F, lam, sign=+1, s_max=None, extent=8.0, cells=512):
@@ -776,11 +778,17 @@ def condition_C_estimate(volume, lam_range, npts=50):
 # radial Fourier transforms (unitary normalization)
 
 
+_HANKEL_BLOCK = 32          # rows per (points x nodes) block of Bessel values
+
+
 def fourier_radial_profile(profile, order=400):
     """Radial profile of the 2-D unitary Fourier transform of a radial symbol.
 
-    Closed forms for Gaussian, Laguerre-mix, and disk profiles; Hankel
-    quadrature otherwise (requires integrable decay).
+    Closed forms for Gaussian, Laguerre-mix, and disk profiles (the last
+    through J_1); otherwise the Hankel transform Rhat(u) =
+    (1/2) int_0^inf R(s) J_0(sqrt(u s)) ds by order-`order` Gauss-Laguerre
+    (requires integrable decay), with J_0 from specfun.bessel_j evaluated in
+    blocks of 32 points so the temporaries stay small.
     """
     k = profile.kind
     amp = profile.amplitude
@@ -800,15 +808,13 @@ def fourier_radial_profile(profile, order=400):
 
         return custom(fhat)
     if k == "disk_indicator":
-        from scipy.special import j1
-
         c = profile.support_bound
 
         def fhat(u):
             u = np.atleast_1d(np.asarray(u, dtype=float))
             out = np.empty_like(u)
             pos = u > 0
-            out[pos] = amp * math.sqrt(c) * j1(np.sqrt(u[pos] * c)) / np.sqrt(u[pos])
+            out[pos] = amp * math.sqrt(c) * bessel_j(1, np.sqrt(u[pos] * c)) / np.sqrt(u[pos])
             out[~pos] = amp * c / 2.0
             return out
 
@@ -816,18 +822,17 @@ def fourier_radial_profile(profile, order=400):
     if k == "mix":
         return RadialProfile("mix", parts=tuple(
             (w, fourier_radial_profile(p, order=order)) for w, p in profile.parts))
-    from scipy.special import j0
-
     rule = quadrature.gauss_laguerre(order)
     s_nodes = rule.nodes
-    fw = rule.flat_weights
-    base_vals = np.atleast_1d(profile(s_nodes))
+    half_weighted = 0.5 * rule.flat_weights * np.atleast_1d(profile(s_nodes))
 
     def fhat(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty_like(u)
-        for i, u0 in enumerate(u):
-            out[i] = 0.5 * np.dot(fw, base_vals * j0(np.sqrt(u0 * s_nodes)))
-        return out
+        pts = u.ravel()
+        out = np.empty_like(pts)
+        for i in range(0, pts.size, _HANKEL_BLOCK):
+            block = np.sqrt(pts[i:i + _HANKEL_BLOCK, None] * s_nodes)
+            out[i:i + _HANKEL_BLOCK] = bessel_j(0, block) @ half_weighted
+        return out.reshape(u.shape)
 
     return custom(fhat)

@@ -259,7 +259,6 @@ def test_toeplitz_unresolved_grid_exits_2(tmp_path, capsys):
 
 
 def test_import_loads_no_scipy():
-    # scipy is loaded only when a Gauss rule or a Hankel transform is built
     src = str(Path(landauspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import landauspec, landauspec.cli, sys; "
@@ -267,6 +266,51 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+_GAUSS = {"kind": "gaussian", "rate": 0.5}
+# every subcommand, each reaching its Gauss rules or Bessel functions: Toeplitz
+# on the log grid and on a Legendre panel, radial-eigs through the closed-form,
+# J_0 (Hankel) and J_1 (disk) Fourier sides, spectrum and construct-gaps through
+# the radial-diagonal route, verify through its Gauss-Hermite suites
+_NO_SCIPY_RUNS = [
+    ["toeplitz", {"zeta": _GAUSS, "b": 1.0, "q": 1, "count": 20}],
+    ["toeplitz", {"zeta": {"kind": "disk_indicator", "cutoff": 2.0}, "b": 2.0, "count": 20}],
+    ["radial-eigs", {"profile": _GAUSS, "count": 16}],
+    ["radial-eigs", {"profile": {"kind": "exp_beta", "gamma": 1.0, "beta": 0.5}, "count": 16}],
+    ["radial-eigs", {"profile": {"kind": "disk_indicator", "cutoff": 1.5}, "count": 16}],
+    ["spectrum", {"b": 1.0, "levels": 3, "radial": 8, "sign": "-", "symbol": {
+        "separable": {"frame": "lab", "terms": [{"coeff": 1.0, "A": _GAUSS, "B": _GAUSS}]}}}],
+    ["construct-gaps", {"b": 1.0, "multiplicities": [2, 0, 1], "level_scales": [0.8, 0.5, 0.3],
+                        "index_scales": [0.5, 0.25], "verify": True, "levels": 4, "radial": 8}],
+    ["asymptotics", {"kind": "exp", "beta": 2.0, "gamma": 1.0, "b": 2.0, "k_range": [2, 20]}],
+    ["capacity", {"set": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
+                  "j_max": 8, "restarts": 0, "seed": 1}],
+]
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # sys.modules["scipy"] = None makes any scipy import raise ImportError
+    src = str(Path(landauspec.__file__).resolve().parents[1])
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from landauspec.cli import main\n"
+        "codes = []\n"
+        "for i, (command, payload) in enumerate(json.loads(sys.argv[1])):\n"
+        "    cfg = f'c{i}.json'\n"
+        "    with open(cfg, 'w') as fh:\n"
+        "        json.dump(payload, fh)\n"
+        "    codes.append(main([command, '--config', cfg, '--out', f'out{i}']))\n"
+        "codes.append(main(['verify']))\n"
+        "print(json.dumps(codes))\n")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(_NO_SCIPY_RUNS)],
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * (len(_NO_SCIPY_RUNS) + 1)
+    rows = read_csv(tmp_path / "out3" / "radial_eigs.csv")[1]
+    assert all(math.isfinite(float(r[3])) for r in rows)    # the J_0 column ran
 
 
 def test_construct_gaps_invalid_scales(tmp_path):

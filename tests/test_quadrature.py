@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from landauspec import quadrature as qd
+from landauspec.specfun import laguerre_fn_iter
 
 
 def gauss_hermite_moment(k):
@@ -70,6 +71,78 @@ def test_gauss_hermite_flat_weights_high_order():
     assert np.all(np.isfinite(r.flat_weights)) and np.all(r.flat_weights > 0)
     val = float(np.dot(r.flat_weights, np.exp(-r.nodes**2)))
     assert val == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+
+def _laguerre_nodes_by_eigensolver(order, alpha):
+    from scipy.linalg import eigh_tridiagonal
+    diag = 2.0 * np.arange(order) + alpha + 1.0
+    if order == 1:
+        return diag
+    j = np.arange(1, order)
+    return eigh_tridiagonal(diag, np.sqrt(j * (j + alpha)), eigvals_only=True)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 3.0])
+def test_gauss_laguerre_matches_eigensolver(alpha):
+    # nodes against the Golub-Welsch eigenvalues, flat weights against the
+    # Christoffel sweep at those eigenvalues.  eigh_tridiagonal itself errs by
+    # up to 1.1e-13 (1 + x) at order 2900 (alpha = 0.5, measured against
+    # extended-precision Newton), hence 1.5e-13 there.  The flat weights follow
+    # those node errors: up to 1.7e-13 absolute at the smallest nodes and
+    # 9e-13 relative at the outermost ones (x ~ 5000)
+    for order in (1, 2, 3, 24, 88, 432, 1500, 2900):
+        rule = qd.gauss_laguerre(order, alpha)
+        ref = _laguerre_nodes_by_eigensolver(order, alpha)
+        tol = 1.5e-13 if order > 1500 else 1e-13
+        assert np.all(np.abs(rule.nodes - ref) <= tol * (1.0 + ref)), order
+        ref_flat = qd._christoffel_flat_weights(laguerre_fn_iter(alpha, ref, order - 1))
+        assert np.all(np.abs(rule.flat_weights - ref_flat) <= 5e-13 + 2e-12 * ref_flat), order
+
+
+def _mp_laguerre_zero(order, alpha, x):
+    # Newton on the three-term recurrence at 40 digits, from x
+    import mpmath as mp
+    with mp.workdps(40):
+        x, a = mp.mpf(x), mp.mpf(alpha)
+        for _ in range(3):
+            prev, cur = mp.mpf(1), 1 + a - x
+            for j in range(2, order + 1):
+                prev, cur = cur, ((2 * j - 1 + a - x) * cur - (j - 1 + a) * prev) / j
+            x -= x * cur / (order * cur - (order + a) * prev)
+        return float(x)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 3.0])
+def test_gauss_laguerre_nodes_against_mpmath(alpha):
+    # the smallest nodes keep full relative precision: eigensolvers (and a
+    # ratio recurrence in L_j / L_(j-1)) lose about 1e-13 absolute there
+    order = 2900
+    nodes = qd.gauss_laguerre(order, alpha).nodes
+    for i in (0, 1, 2, 1450, order - 1):
+        ref = _mp_laguerre_zero(order, alpha, nodes[i])
+        assert abs(nodes[i] - ref) <= 1e-15 * (1.0 + ref), i
+
+
+def test_gauss_laguerre_large_alpha_moments():
+    # the WKB guesses carry the alpha^2 / x^2 term, so large alpha converges too
+    for alpha in (10.0, 100.0):
+        r = qd.gauss_laguerre(30, alpha)
+        for k in range(0, 40, 7):
+            val = float(np.dot(r.weights, r.nodes ** k))
+            assert val == pytest.approx(math.exp(math.lgamma(alpha + k + 1.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 64, 96, 2000])
+def test_gauss_hermite_matches_eigensolver(order):
+    from scipy.linalg import eigh_tridiagonal
+    nodes = qd.gauss_hermite(order).nodes
+    if order == 1:
+        ref = np.zeros(1)
+    else:
+        ref = eigh_tridiagonal(np.zeros(order), np.sqrt(np.arange(1, order) / 2.0),
+                               eigvals_only=True)
+    assert np.all(np.abs(nodes - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+    assert np.array_equal(nodes, -nodes[::-1])
 
 
 def test_order_validation():

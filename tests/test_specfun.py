@@ -125,13 +125,18 @@ def test_log_gammainc_lower_against_scipy():
             gammainc(a, x), rel=1e-12)
 
 
-def test_log_gammainc_lower_large_a():
+@pytest.mark.parametrize("a", [1e5, 1e6])
+def test_log_gammainc_lower_large_a(a):
     from scipy.special import gammainc
-    # a = 1e6 converges on both branches; the prefactor a ln x - x - lgamma(a+1)
-    # cancels to about 1e-10 there, hence the looser tolerance
-    for x in (1e6 - 1, 1e6 + 2):
-        assert math.exp(sf.log_gammainc_lower(1e6, x)) == pytest.approx(
-            gammainc(1e6, x), rel=1e-8)
+    # both branches near x = a, where a ln x - x - lgamma(a + 1) cancels
+    # between terms of size 1e7 unless taken through Stirling's series
+    root = math.sqrt(a)
+    for x in (a - 3 * root, a - 1, a + 2, a + 3 * root):
+        assert math.exp(sf.log_gammainc_lower(a, x)) == pytest.approx(
+            gammainc(a, x), rel=1e-12)
+
+
+def test_log_gammainc_lower_unconverged_raises():
     # a = 1e8 near x = a needs far more than max_terms series terms: no silent
     # truncated value (it used to return -1.075 against ln 0.5 = -0.693)
     with pytest.raises(ArithmeticError, match="unconverged"):
@@ -148,3 +153,59 @@ def test_log_gammainc_lower_extreme_tail():
             math.exp(math.lgamma(k + 2.0) - math.lgamma(k + 2.0 + n)) for n in range(1, 8)))
         assert got == pytest.approx(lead + corr, abs=1e-12)
     assert sf.log_gammainc_lower(5.0, 0.0) == -np.inf
+
+
+def _shifted_chebyshev_exact(power_coeffs):
+    # sum_m d_m u^m in T_k(2u - 1): u^m = 4^-m (C(2m, m) + 2 sum_k C(2m, m - k) T_k)
+    from fractions import Fraction
+    return [(2 if k else 1) * sum(d * Fraction(math.comb(2 * m, m - k), 4 ** m)
+                                  for m, d in enumerate(power_coeffs) if m >= k)
+            for k in range(len(power_coeffs))]
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+def test_bessel_tables_are_the_power_series(nu):
+    # J_nu(x) / x^nu = sum_m (-x^2/4)^m / (2^nu m! (m + nu)!) with u = (x/25)^2;
+    # 60 terms leave the series exact far beyond double precision
+    from fractions import Fraction
+    q = Fraction(-25 * 25, 4)
+    exact = _shifted_chebyshev_exact(
+        [q ** m / (2 ** nu * math.factorial(m) * math.factorial(m + nu)) for m in range(60)])
+    table = sf._BESSEL_CHEB[nu]
+    assert table.tolist() == [float(c) for c in exact[:len(table)]]
+    assert all(abs(c) < 1e-17 for c in exact[len(table):])
+
+
+def _bessel_points():
+    rng = np.random.default_rng(7)
+    return np.concatenate([[0.0, 1e-300, 1e-8, 24.999999999, 25.0, 5000.0],
+                           rng.uniform(0, 30, 300), rng.uniform(30, 60, 100),
+                           rng.uniform(60, 5000, 200)])
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+def test_bessel_j_against_mpmath(nu):
+    import mpmath as mp
+    x = _bessel_points()
+    with mp.workdps(30):
+        ref = np.array([float(mp.besselj(nu, mp.mpf(float(v)))) for v in x])
+    assert np.abs(sf.bessel_j(nu, x) - ref).max() < 1e-15
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+def test_bessel_j_matches_scipy(nu):
+    from scipy.special import j0, j1
+    x = np.linspace(0.0, 5000.0, 500_001)
+    ref = (j0 if nu == 0 else j1)(x)
+    # scipy rounds the phase x - (2 nu + 1) pi/4 to double, which costs up to
+    # half an ulp of x times the amplitude sqrt(2 / (pi x))
+    tol = 2e-15 + 2.0 ** -53 * np.sqrt(2.0 * x / np.pi)
+    assert np.all(np.abs(sf.bessel_j(nu, x) - ref) <= tol)
+
+
+def test_bessel_j_scalar_and_order():
+    assert sf.bessel_j(0, 0.0) == 1.0
+    assert sf.bessel_j(1, 0.0) == 0.0
+    assert isinstance(sf.bessel_j(1, 30.0), float)
+    with pytest.raises(ValueError):
+        sf.bessel_j(2, 1.0)

@@ -357,6 +357,26 @@ def test_fourier_profile_numeric_matches_closed():
     assert np.abs(np.atleast_1d(numeric(u)) - closed(u)).max() < 1e-12
 
 
+def test_fourier_profile_hankel_blocks_match_pointwise_sum():
+    # the blocked (points x nodes) evaluation against the per-point sum
+    from landauspec.specfun import bessel_j
+    prof = sy.power(3.0)
+    fp = sy.fourier_radial_profile(prof)
+    rule = qd.gauss_laguerre(400)
+    base = rule.flat_weights * prof(rule.nodes)
+    u = np.linspace(0.0, 40.0, 70).reshape(7, 10)
+    got = fp(u)
+    assert got.shape == (7, 10)
+    ref = [0.5 * np.dot(base, bessel_j(0, np.sqrt(u0 * rule.nodes))) for u0 in u.ravel()]
+    assert np.abs(got.ravel() - ref).max() < 1e-14
+
+
+def test_level_crossing_bisection_raises_without_a_finite_bracket():
+    # 200 halvings never shrink [0, inf): no silent midpoint
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        sy._bisect(sy.gaussian(1.0), 0.5, 1.0, 0.0, math.inf)
+
+
 def test_fourier_profile_disk_bessel():
     # closed Bessel form against direct 2-D quadrature of the transform
     c = 1.5
