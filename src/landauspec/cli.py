@@ -13,17 +13,31 @@ Outputs are deterministic given (config, seed): JSON is key-sorted, CSV
 carries 17 significant digits, and every file embeds the config hash.
 Exit codes: 0 success, 1 assertion/verification failure, 2 config error.
 
-Config schema (JSON; unknown keys rejected).  A profile block is
-    {"kind": "gaussian", "rate": R, "amplitude": A}
-    {"kind": "power", "gamma": G} | {"kind": "disk_indicator", "cutoff": C}
-    {"kind": "exp_beta", "gamma": G, "beta": B} | {"kind": "constant", "value": V}
-    {"kind": "laguerre_mix", "coeffs": [...]} |
-    {"kind": "poly_gauss", "coeffs": [...], "rate": R}
-    {"kind": "tabulated", "grid": [...], "values": [...]}
-    {"kind": "level_kernel", "q": Q}
-and a 4-D symbol block is
-    {"separable": {"frame": "lab"|"kappa_pulled",
-                   "terms": [{"coeff": c, "A": <profile>, "B": <profile>}]}}
+Config schema (JSON; README.md has it as a table).  Unknown keys, booleans
+where numbers belong and non-finite numbers are rejected; an optional key
+that is absent or null takes the default after "=".
+    radial-eigs     profile, count int>0, order int>0 = none
+    spectrum        b float>0, symbol, levels int>0, radial int>0,
+                    sign "+"|"-"|"plus"|"minus" = "+"
+    toeplitz        zeta profile, b float>0, count int>=0, q int>=0 = 0,
+                    order int>0 = none, model = none
+    capacity        set, j_max int>=8, restarts int>=0 = 8, seed int>=0 = 0
+    asymptotics     kind "exp" with beta, gamma, b float>0 | kind "compact"
+                    with b, capacity float>0; both with k_range [int, int]
+    construct-gaps  b float>0, multiplicities [int>=0], level_scales [float],
+                    index_scales [float], verify bool = false, levels int>0 =
+                    len(multiplicities) + 1, radial int>0 = max(multiplicities + [4]) + 8
+profile  {"kind": K, <keys of K>, "amplitude": float = 1} with K and its keys
+         gaussian rate, power gamma, disk_indicator cutoff, exp_beta gamma beta
+         (all float>0), constant value float, laguerre_mix coeffs, poly_gauss
+         coeffs rate>0 (coeffs non-empty [float]), tabulated grid values
+         ([float], grid increasing), level_kernel q int>=0
+symbol   {"separable": {"frame": "lab"|"kappa_pulled" = "lab",
+                        "terms": [{"coeff": float, "A": profile, "B": profile}]}}
+model    {"kind": "exp"} | {"kind": "compact", "capacity": float>0}
+set      {"kind": "disk", "center": [float, float] = [0, 0], "radius": float>0} |
+         segment a, b [float, float] | polygon vertices [[float, float], ...] |
+         union members [set, ...]
 """
 
 from __future__ import annotations
@@ -53,92 +67,175 @@ def _fmt(x):
     return str(x)
 
 
-def _require(cfg, keys, where):
-    missing = [k for k in keys if k not in cfg]
-    if missing:
-        raise ConfigError(f"{where}: missing keys {missing}")
+# ---------------------------------------------------------------------------
+# config schema: every node walks a JSON value to a checked Python value
 
 
-def _reject_unknown(cfg, allowed, where):
-    unknown = [k for k in cfg if k not in allowed]
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-
-
-def _positive_int(cfg, key, where, default=None, allow_zero=False):
-    value = cfg.get(key, default)
-    low, what = (0, "non-negative") if allow_zero else (1, "positive")
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"{where}: {key} must be a {what} integer, got {value!r}")
-    return value
-
-
-_PROFILE_KEYS = {
-    "gaussian": {"rate"},
-    "power": {"gamma"},
-    "disk_indicator": {"cutoff"},
-    "exp_beta": {"gamma", "beta"},
-    "constant": {"value"},
-    "laguerre_mix": {"coeffs"},
-    "poly_gauss": {"coeffs", "rate"},
-    "tabulated": {"grid", "values"},
-    "level_kernel": {"q"},
-}
-
-
-def parse_profile(cfg, where="profile"):
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError(f"{where}: expected an object with a 'kind' key")
-    kind = cfg["kind"]
-    if kind not in _PROFILE_KEYS:
-        raise ConfigError(f"{where}: unknown profile kind {kind!r}")
-    _require(cfg, _PROFILE_KEYS[kind], where)
-    _reject_unknown(cfg, _PROFILE_KEYS[kind] | {"kind", "amplitude"}, where)
-    amp = float(cfg.get("amplitude", 1.0))
+def _built(path, make, *args):
+    """Call a library constructor on checked values; its ValueError is a config error."""
     try:
-        if kind == "gaussian":
-            return symbols.gaussian(cfg["rate"], amplitude=amp)
-        if kind == "power":
-            return symbols.power(cfg["gamma"], amplitude=amp)
-        if kind == "disk_indicator":
-            return symbols.disk_indicator(cfg["cutoff"], amplitude=amp)
-        if kind == "exp_beta":
-            return symbols.exp_beta(cfg["gamma"], cfg["beta"], amplitude=amp)
-        if kind == "constant":
-            return symbols.constant(cfg["value"] * amp)
-        if kind == "laguerre_mix":
-            return symbols.laguerre_mix(cfg["coeffs"], amplitude=amp)
-        if kind == "poly_gauss":
-            return symbols.poly_gauss(cfg["coeffs"], cfg["rate"], amplitude=amp)
-        if kind == "tabulated":
-            return symbols.tabulated(cfg["grid"], cfg["values"], amplitude=amp)
-        return symbols.diag_kernel_profile(int(cfg["q"])).scaled(amp)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def parse_symbol4d(cfg, b, where="symbol"):
-    if not isinstance(cfg, dict) or "separable" not in cfg:
-        raise ConfigError(f"{where}: expected an object with a 'separable' block")
-    block = cfg["separable"]
-    _require(block, ["terms"], where)
-    _reject_unknown(block, {"terms", "frame"}, where)
-    frame = block.get("frame", "lab")
-    terms = []
-    for i, t in enumerate(block["terms"]):
-        _require(t, ["coeff", "A", "B"], f"{where}.terms[{i}]")
-        terms.append((float(t["coeff"]),
-                      symbols.radial_symbol(parse_profile(t["A"], f"{where}.terms[{i}].A")),
-                      symbols.radial_symbol(parse_profile(t["B"], f"{where}.terms[{i}].B"))))
-    try:
-        return symbols.separable_symbol(b, terms, frame=frame)
+        return make(*args)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load_config(path):
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _bad(path, what, value):
+    return ConfigError(f"{path} must be {what}, got {value!r}")
+
+
+class Real:
+    def __init__(self, positive=False):
+        self.positive = positive
+
+    def walk(self, v, path):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise _bad(path, "a float", v)
+        if not -sys.float_info.max <= v <= sys.float_info.max:    # NaN fails both
+            raise _bad(path, "finite", v)
+        if self.positive and not v > 0:
+            raise _bad(path, "positive", v)
+        return float(v)
+
+
+class Int:
+    _WHAT = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+
+    def __init__(self, low=None):
+        self.low = low
+
+    def walk(self, v, path):
+        if isinstance(v, bool) or not isinstance(v, int) or (
+                self.low is not None and v < self.low):
+            raise _bad(path, self._WHAT[self.low], v)
+        return v
+
+
+class OneOf:
+    """A string or boolean from a table; walks to the table's value for it."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def walk(self, v, path):
+        if type(v) not in (str, bool) or v not in self.table:
+            raise _bad(path, f"one of {list(self.table)}", v)
+        return self.table[v]
+
+
+class List:
+    def __init__(self, item, length=None, nonempty=False, make=None):
+        self.item, self.length, self.nonempty, self.make = item, length, nonempty, make
+
+    def walk(self, v, path):
+        if not isinstance(v, list) or (self.nonempty and not v) or (
+                self.length is not None and len(v) != self.length):
+            what = (f"a list of {self.length} items" if self.length is not None
+                    else "a non-empty list" if self.nonempty else "a list")
+            raise _bad(path, what, v)
+        out = [self.item.walk(x, f"{path}[{i}]") for i, x in enumerate(v)]
+        return _built(path, self.make, out) if self.make else out
+
+
+class Obj:
+    """An object with fixed keys: fields maps key -> spec (required) or (spec, default)."""
+
+    def __init__(self, fields, make=None):
+        self.fields, self.make = fields, make
+
+    def walk(self, v, path, kind=None):
+        if not isinstance(v, dict):
+            raise ConfigError(f"{path}: expected an object, got {v!r}")
+        out = {} if kind is None else {"kind": kind}
+        unknown = sorted(set(v) - set(self.fields) - set(out))
+        if unknown:
+            raise ConfigError(f"{path or 'config'}: unknown keys {unknown}")
+        for key, field in self.fields.items():
+            spec, default = field if isinstance(field, tuple) else (field, _REQUIRED)
+            where = _join(path, key)
+            if v.get(key) is not None:
+                out[key] = spec.walk(v[key], where)
+            elif default is _REQUIRED:
+                raise ConfigError(f"{where} is required")
+            else:
+                out[key] = default
+        return _built(path, self.make, out) if self.make else out
+
+
+class Kinds:
+    """An object whose "kind" picks the Obj that walks the rest of it."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def walk(self, v, path):
+        if not isinstance(v, dict):
+            raise ConfigError(f"{path}: expected an object with a 'kind' key, got {v!r}")
+        kind = OneOf({k: k for k in self.table}).walk(v.get("kind"), _join(path, "kind"))
+        return self.table[kind].walk(v, path, kind)
+
+
+_REQUIRED = object()
+FLOAT, POSITIVE, BOOL = Real(), Real(positive=True), OneOf({True: True, False: False})
+COEFFS = List(FLOAT, nonempty=True)
+
+
+def _profile(make, **fields):
+    """Profile kind whose constructor takes `fields` in order, then the amplitude."""
+    return Obj({**fields, "amplitude": (FLOAT, 1.0)},
+               lambda p: make(*(p[k] for k in fields), amplitude=p["amplitude"]))
+
+
+PROFILE = Kinds({
+    "gaussian": _profile(symbols.gaussian, rate=POSITIVE),
+    "power": _profile(symbols.power, gamma=POSITIVE),
+    "disk_indicator": _profile(symbols.disk_indicator, cutoff=POSITIVE),
+    "exp_beta": _profile(symbols.exp_beta, gamma=POSITIVE, beta=POSITIVE),
+    "constant": _profile(symbols.constant, value=FLOAT),
+    "laguerre_mix": _profile(symbols.laguerre_mix, coeffs=COEFFS),
+    "poly_gauss": _profile(symbols.poly_gauss, coeffs=COEFFS, rate=POSITIVE),
+    "tabulated": _profile(symbols.tabulated, grid=List(FLOAT), values=List(FLOAT)),
+    "level_kernel": _profile(symbols.diag_kernel_profile, q=Int(0)),
+})
+TERM = Obj({"coeff": FLOAT, "A": PROFILE, "B": PROFILE},
+           lambda t: (t["coeff"], symbols.radial_symbol(t["A"]), symbols.radial_symbol(t["B"])))
+SYMBOL = Obj({"separable": Obj({
+    "terms": List(TERM), "frame": (OneOf({"lab": "lab", "kappa_pulled": "kappa_pulled"}), "lab")})})
+MODEL = Kinds({"exp": Obj({}), "compact": Obj({"capacity": POSITIVE})})
+POINT = List(FLOAT, length=2, make=lambda p: complex(*p))
+SET = Kinds({
+    "disk": Obj({"center": (POINT, 0j), "radius": FLOAT},
+                lambda s: capacity.disk(s["center"], s["radius"])),
+    "segment": Obj({"a": POINT, "b": POINT}, lambda s: capacity.segment(s["a"], s["b"])),
+    "polygon": Obj({"vertices": List(POINT)}, lambda s: capacity.polygon(s["vertices"])),
+})
+# a union's members are sets themselves
+SET.table["union"] = Obj({"members": List(SET)}, lambda s: capacity.set_union(s["members"]))
+K_RANGE = List(Int(), length=2)
+
+RADIAL_EIGS = Obj({"profile": PROFILE, "count": Int(1), "order": (Int(1), None)})
+SPECTRUM = Obj({"b": POSITIVE, "symbol": SYMBOL, "levels": Int(1), "radial": Int(1),
+                "sign": (OneOf({"+": +1, "-": -1, "plus": +1, "minus": -1}), +1)})
+TOEPLITZ = Obj({"zeta": PROFILE, "b": POSITIVE, "count": Int(0), "q": (Int(0), 0),
+                "order": (Int(1), None), "model": (MODEL, None)})
+CAPACITY = Obj({"set": SET, "j_max": Int(1), "restarts": (Int(0), 8), "seed": (Int(0), 0)})
+ASYMPTOTICS = Kinds({
+    "exp": Obj({"beta": POSITIVE, "gamma": POSITIVE, "b": POSITIVE, "k_range": K_RANGE}),
+    "compact": Obj({"b": POSITIVE, "capacity": POSITIVE, "k_range": K_RANGE}),
+})
+CONSTRUCT_GAPS = Obj({
+    "b": POSITIVE, "multiplicities": List(Int(0)), "level_scales": List(FLOAT),
+    "index_scales": List(FLOAT), "verify": (BOOL, False),
+    "levels": (Int(1), None), "radial": (Int(1), None)})
+
+
+def _load_config(args, spec):
+    """Read args.config, let the --seed/--order flags override it, and walk it with spec."""
     try:
-        text = Path(path).read_text()
+        text = Path(args.config).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
@@ -147,20 +244,17 @@ def _load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
+    for flag in ("seed", "order"):
+        if getattr(args, flag, None) is not None:
+            cfg[flag] = getattr(args, flag)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    return cfg, digest
+    return spec.walk(cfg, ""), digest
 
 
 def _provenance(args, digest, **extra):
-    prov = {
-        "tool": "landauspec",
-        "version": __version__,
-        "config_sha256": digest,
-        "seed": args.seed,
-        "order": args.order,
-    }
-    prov.update(extra)
-    return prov
+    flags = {flag: getattr(args, flag) for flag in ("seed", "order") if hasattr(args, flag)}
+    return {"tool": "landauspec", "version": __version__, "config_sha256": digest,
+            **flags, **extra}
 
 
 def _write_csv(path, header, rows):
@@ -192,12 +286,8 @@ def _json_default(obj):
 
 
 def cmd_radial_eigs(args):
-    cfg, digest = _load_config(args.config)
-    _require(cfg, ["profile", "count"], "radial-eigs")
-    _reject_unknown(cfg, {"profile", "count", "order"}, "radial-eigs")
-    profile = parse_profile(cfg["profile"])
-    count = _positive_int(cfg, "count", "radial-eigs")
-    order = args.order or cfg.get("order")
+    cfg, digest = _load_config(args, RADIAL_EIGS)
+    profile, count, order = cfg["profile"], cfg["count"], cfg["order"]
     mu_w = operators.weyl_radial_eigs(profile, count, order=order)
     mu_aw = operators.antiwick_radial_eigs(profile, count, order=order)
     try:
@@ -215,18 +305,11 @@ def cmd_radial_eigs(args):
 
 
 def cmd_spectrum(args):
-    cfg, digest = _load_config(args.config)
-    _require(cfg, ["b", "symbol", "levels", "radial"], "spectrum")
-    _reject_unknown(cfg, {"b", "symbol", "levels", "radial", "sign", "order"}, "spectrum")
-    b = float(cfg["b"])
-    V = parse_symbol4d(cfg["symbol"], b)
-    sign = {"+": +1, "-": -1, "plus": +1, "minus": -1}.get(cfg.get("sign", "+"))
-    if sign is None:
-        raise ConfigError("spectrum: sign must be '+' or '-'")
-    levels = _positive_int(cfg, "levels", "spectrum")
-    radial = _positive_int(cfg, "radial", "spectrum")
-    order = args.order or cfg.get("order")
-    H = operators.assemble_hv(V, levels, radial, sign=sign, order=order)
+    cfg, digest = _load_config(args, SPECTRUM)
+    b, sign, levels, radial = cfg["b"], cfg["sign"], cfg["levels"], cfg["radial"]
+    block = cfg["symbol"]["separable"]
+    V = _built("symbol", symbols.separable_symbol, b, block["terms"], block["frame"])
+    H = operators.assemble_hv(V, levels, radial, sign=sign)
     rep = operators.eig_hermitian(H)
     trust = H.provenance["trust_radius"]
     out = Path(args.out)
@@ -245,37 +328,14 @@ def cmd_spectrum(args):
     return 0
 
 
-def _model_from_config(cfg, zeta, b):
-    if cfg is None:
-        return None
-    _require(cfg, ["kind"], "model")
-    kind = cfg["kind"]
-    if kind == "exp":
-        _reject_unknown(cfg, {"kind"}, "model")
-        try:
-            return asymptotics.exp_model_from_profile(zeta, b)
-        except ValueError as exc:   # no exp model for the kind, bad b, beta near 1
-            raise ConfigError(f"model: {exc}") from exc
-    if kind == "compact":
-        _require(cfg, ["capacity"], "model")
-        _reject_unknown(cfg, {"kind", "capacity"}, "model")
-        try:
-            return asymptotics.compact_model(b, cfg["capacity"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"model: {exc}") from exc
-    raise ConfigError(f"model: unknown kind {kind!r}")
-
-
 def cmd_toeplitz(args):
-    cfg, digest = _load_config(args.config)
-    _require(cfg, ["zeta", "b", "count"], "toeplitz")
-    _reject_unknown(cfg, {"zeta", "b", "count", "q", "order", "model"}, "toeplitz")
-    zeta = parse_profile(cfg["zeta"], "zeta")
-    b = float(cfg["b"])
-    q = _positive_int(cfg, "q", "toeplitz", default=0, allow_zero=True)
-    count = _positive_int(cfg, "count", "toeplitz", allow_zero=True)
-    order = args.order or cfg.get("order")
-    model = _model_from_config(cfg.get("model"), zeta, b)
+    cfg, digest = _load_config(args, TOEPLITZ)
+    zeta, b, q, count, order = cfg["zeta"], cfg["b"], cfg["q"], cfg["count"], cfg["order"]
+    model = cfg["model"]
+    if model is not None and model["kind"] == "exp":
+        model = _built("model", asymptotics.exp_model_from_profile, zeta, b)
+    elif model is not None:
+        model = _built("model", asymptotics.compact_model, b, model["capacity"])
     try:
         ln_nu = operators.toeplitz_radial_eigs(zeta, q, b, count, order=order,
                                                log_scale=True)
@@ -303,45 +363,13 @@ def cmd_toeplitz(args):
     return 0
 
 
-def _parse_set(cfg, where="set"):
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where}: expected an object with a 'kind' key")
-    _require(cfg, ["kind"], where)
-    kind = cfg["kind"]
-    try:
-        if kind == "disk":
-            _reject_unknown(cfg, {"kind", "center", "radius"}, where)
-            c = cfg.get("center", [0.0, 0.0])
-            return capacity.disk(complex(c[0], c[1]), float(cfg["radius"]))
-        if kind == "segment":
-            _reject_unknown(cfg, {"kind", "a", "b"}, where)
-            return capacity.segment(complex(cfg["a"][0], cfg["a"][1]),
-                                    complex(cfg["b"][0], cfg["b"][1]))
-        if kind == "polygon":
-            _reject_unknown(cfg, {"kind", "vertices"}, where)
-            return capacity.polygon([complex(v[0], v[1]) for v in cfg["vertices"]])
-        if kind == "union":
-            _reject_unknown(cfg, {"kind", "members"}, where)
-            return capacity.set_union([_parse_set(m, f"{where}.members") for m in cfg["members"]])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: malformed geometry ({exc})") from exc
-    raise ConfigError(f"{where}: unknown set kind {kind!r}")
-
-
 def cmd_capacity(args):
-    cfg, digest = _load_config(args.config)
-    _require(cfg, ["set", "j_max"], "capacity")
-    _reject_unknown(cfg, {"set", "j_max", "restarts", "seed"}, "capacity")
-    K = _parse_set(cfg["set"])
-    j_max = _positive_int(cfg, "j_max", "capacity")
-    restarts = _positive_int(cfg, "restarts", "capacity", default=8, allow_zero=True)
-    seed = _positive_int(cfg, "seed", "capacity", default=0, allow_zero=True)
-    if args.seed is not None:
-        seed = args.seed
-    try:
-        est = capacity.capacity_estimate(K, j_max, restarts=restarts, seed=seed)
-    except ValueError as exc:       # j_max below 8, a degenerate set, a negative --seed
-        raise ConfigError(f"capacity: {exc}") from exc
+    cfg, digest = _load_config(args, CAPACITY)
+    restarts, seed = cfg["restarts"], cfg["seed"]
+    # every ValueError of the estimate is about its input: j_max below 8, a
+    # degenerate set, a polygon too thin for its seeded starts to sample
+    est = _built("capacity", capacity.capacity_estimate, cfg["set"], cfg["j_max"],
+                 restarts, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "capacity.json", {
@@ -360,35 +388,17 @@ def cmd_capacity(args):
 
 
 def cmd_asymptotics(args):
-    cfg, digest = _load_config(args.config)
-    _require(cfg, ["kind", "k_range"], "asymptotics")
-    k_range = cfg["k_range"]
-    if not (isinstance(k_range, list) and len(k_range) == 2 and all(
-            isinstance(v, int) and not isinstance(v, bool) for v in k_range)):
-        raise ConfigError(f"asymptotics: k_range must be two integers [k_lo, k_hi], "
-                          f"got {k_range!r}")
-    k_lo, k_hi = k_range
+    cfg, digest = _load_config(args, ASYMPTOTICS)
+    k_lo, k_hi = cfg["k_range"]
     ks = np.arange(max(2, k_lo), k_hi + 1)
     if cfg["kind"] == "exp":
-        _require(cfg, ["beta", "gamma", "b"], "asymptotics")
-        _reject_unknown(cfg, {"kind", "beta", "gamma", "b", "k_range"}, "asymptotics")
-        try:
-            beta = float(cfg["beta"])
-            mu = asymptotics.mu_from_weight(float(cfg["gamma"]), beta, float(cfg["b"]))
-            model = asymptotics.exp_model(beta, mu)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"asymptotics: {exc}") from exc
+        beta = cfg["beta"]
+        mu = _built("asymptotics", asymptotics.mu_from_weight, cfg["gamma"], beta, cfg["b"])
+        model = _built("asymptotics", asymptotics.exp_model, beta, mu)
         meta = {"beta": beta, "mu": mu, "coefficients": list(model.coeffs)}
-    elif cfg["kind"] == "compact":
-        _require(cfg, ["b", "capacity"], "asymptotics")
-        _reject_unknown(cfg, {"kind", "b", "capacity", "k_range"}, "asymptotics")
-        try:
-            model = asymptotics.compact_model(cfg["b"], cfg["capacity"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"asymptotics: {exc}") from exc
-        meta = {"b": model.b, "capacity": model.capacity}
     else:
-        raise ConfigError(f"asymptotics: unknown kind {cfg['kind']!r}")
+        model = _built("asymptotics", asymptotics.compact_model, cfg["b"], cfg["capacity"])
+        meta = {"b": model.b, "capacity": model.capacity}
     pred = model.predict_log(ks)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -402,30 +412,23 @@ def cmd_asymptotics(args):
 
 
 def cmd_construct_gaps(args):
-    cfg, digest = _load_config(args.config)
-    _require(cfg, ["b", "multiplicities", "level_scales", "index_scales"], "construct-gaps")
-    _reject_unknown(cfg, {"b", "multiplicities", "level_scales", "index_scales",
-                          "verify", "levels", "radial", "order"}, "construct-gaps")
-    b = float(cfg["b"])
-    try:
-        V, predictions = operators.prescribed_gap_symbol(
-            b, cfg["multiplicities"], cfg["level_scales"], cfg["index_scales"])
-    except ValueError as exc:
-        raise ConfigError(f"construct-gaps: {exc}") from exc
+    cfg, digest = _load_config(args, CONSTRUCT_GAPS)
+    b, mult = cfg["b"], cfg["multiplicities"]
+    V, predictions = _built("construct-gaps", operators.prescribed_gap_symbol,
+                            b, mult, cfg["level_scales"], cfg["index_scales"])
     payload = {
         "b": b,
-        "multiplicities": [int(m) for m in cfg["multiplicities"]],
+        "multiplicities": mult,
         "predicted": [{"q": q, "k": k, "eigenvalue": val} for q, k, val in predictions],
         "terms": len(V.terms),
         "provenance": _provenance(args, digest, command="construct-gaps"),
     }
-    mult = payload["multiplicities"]
-    Q = _positive_int(cfg, "levels", "construct-gaps", default=len(mult) + 1)
-    Kr = _positive_int(cfg, "radial", "construct-gaps", default=max(mult + [4]) + 8)
-    if cfg.get("verify"):
+    Q = cfg["levels"] or len(mult) + 1
+    Kr = cfg["radial"] or max(mult + [4]) + 8
+    if cfg["verify"]:
         if Q < len(mult):
-            raise ConfigError("construct-gaps: levels must be at least len(multiplicities)")
-        H = operators.assemble_hv(V, Q, Kr, sign=-1, order=args.order or cfg.get("order"))
+            raise ConfigError("levels must be at least len(multiplicities)")
+        H = operators.assemble_hv(V, Q, Kr, sign=-1)
         rep = operators.eig_hermitian(H)
         trust = H.provenance["trust_radius"]
         payload["gap_counts"] = [rep.gap_count(q, "-") for q in range(len(mult))]
@@ -440,10 +443,8 @@ def cmd_construct_gaps(args):
 
 
 def cmd_verify(args):
-    try:
-        results = verify.run_suites(name_filter=args.filter, fault=args.inject_fault)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _built("--filter", verify.select_suites, args.filter)
+    results = verify.run_suites(name_filter=args.filter, fault=args.inject_fault)
     width = max(len(r["suite"]) for r in results)
     failed = []
     for r in results:
@@ -467,28 +468,26 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True):
-        if config_required:
-            sp.add_argument("--config", required=True, help="JSON config path")
-        sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="seed override")
-        sp.add_argument("--order", type=int, default=None, help="quadrature order override")
-
-    for name, fn in [("radial-eigs", cmd_radial_eigs), ("spectrum", cmd_spectrum),
-                     ("toeplitz", cmd_toeplitz), ("capacity", cmd_capacity),
-                     ("asymptotics", cmd_asymptotics),
-                     ("construct-gaps", cmd_construct_gaps)]:
+    # --order reaches only the commands whose quadrature takes it; --seed only capacity
+    for name, fn, flags in [("radial-eigs", cmd_radial_eigs, ["order"]),
+                            ("spectrum", cmd_spectrum, []),
+                            ("toeplitz", cmd_toeplitz, ["order"]),
+                            ("capacity", cmd_capacity, ["seed"]),
+                            ("asymptotics", cmd_asymptotics, []),
+                            ("construct-gaps", cmd_construct_gaps, [])]:
         sp = sub.add_parser(name)
-        common(sp)
+        sp.add_argument("--config", required=True, help="JSON config path")
+        sp.add_argument("--out", default="out", help="output directory")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", type=int, default=None,
+                            help=f"overrides the config's {flag}")
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("verify")
     sp.add_argument("--filter", default=None, help="run only matching suites")
-    sp.add_argument("--inject-fault", default=None,
+    sp.add_argument("--inject-fault", default=None, choices=sorted(verify.FAULTS),
                     help="corrupt a kernel to demonstrate suite sensitivity")
     sp.add_argument("--out", default=None, help="optional report directory")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--order", type=int, default=None)
     sp.set_defaults(fn=cmd_verify)
     return p
 

@@ -528,6 +528,8 @@ def prescribed_gap_symbol(b, multiplicities, level_scales, index_scales):
     if any(m < 0 for m in multiplicities):
         raise ValueError("multiplicities must be nonnegative")
     active = [q for q, m in enumerate(multiplicities) if m > 0]
+    if active and active[-1] >= len(level_scales):
+        raise ValueError("not enough level scales")
     used_levels = [level_scales[q] for q in active]
     for q, c in zip(active, used_levels):
         if c <= 0:

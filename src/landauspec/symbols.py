@@ -152,30 +152,30 @@ class RadialProfile:
         return replace(self, arg_scale=self.arg_scale * scale)
 
 
-def constant(c=1.0):
-    return RadialProfile("constant", amplitude=float(c))
+def constant(c=1.0, amplitude=1.0):
+    return RadialProfile("constant", amplitude=float(c) * float(amplitude))
 
 
 def gaussian(rate, amplitude=1.0):
-    if rate <= 0:
+    if not rate > 0:
         raise ValueError("rate must be positive")
     return RadialProfile("gaussian", amplitude=float(amplitude), rate=float(rate))
 
 
 def power(gamma, amplitude=1.0):
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     return RadialProfile("power", amplitude=float(amplitude), gamma=float(gamma))
 
 
 def disk_indicator(cutoff, amplitude=1.0):
-    if cutoff <= 0:
+    if not cutoff > 0:
         raise ValueError("cutoff must be positive")
     return RadialProfile("disk_indicator", amplitude=float(amplitude), cutoff=float(cutoff))
 
 
 def exp_beta(gamma, beta, amplitude=1.0):
-    if gamma <= 0 or beta <= 0:
+    if not (gamma > 0 and beta > 0):
         raise ValueError("gamma and beta must be positive")
     return RadialProfile("exp_beta", amplitude=float(amplitude), gamma=float(gamma), beta=float(beta))
 
@@ -185,6 +185,8 @@ def laguerre_mix(coeffs, amplitude=1.0):
 
 
 def poly_gauss(coeffs, rate, amplitude=1.0):
+    if not rate > 0:
+        raise ValueError("rate must be positive")
     return RadialProfile("poly_gauss", amplitude=float(amplitude), rate=float(rate),
                          coeffs=tuple(float(c) for c in coeffs))
 
@@ -194,6 +196,10 @@ def tabulated(grid, values, amplitude=1.0):
     values = tuple(float(v) for v in values)
     if len(grid) != len(values) or len(grid) < 2:
         raise ValueError("grid and values must have equal length >= 2")
+    if not np.isfinite(grid + values).all():
+        raise ValueError("grid and values must be finite")
+    if any(x >= y for x, y in zip(grid, grid[1:])):    # np.interp reads any other order wrongly
+        raise ValueError("grid must be strictly increasing")
     return RadialProfile("tabulated", amplitude=float(amplitude), grid=grid, values=values)
 
 
@@ -205,10 +211,12 @@ def profile_mix(parts):
     return RadialProfile("mix", parts=tuple((float(w), p) for w, p in parts))
 
 
-def diag_kernel_profile(q):
+def diag_kernel_profile(q, amplitude=1.0):
     """Radial profile of the diagonal Wigner kernel Psi_q."""
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 0:
+        raise ValueError(f"level q must be a non-negative integer, got {q!r}")
     coeffs = [0.0] * q + [1.0 / math.pi]
-    return laguerre_mix(coeffs)
+    return laguerre_mix(coeffs, amplitude=amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +396,8 @@ class Symbol4D:
 
 
 def separable_symbol(b, terms, frame="lab"):
+    if not 0 < b < math.inf:
+        raise ValueError(f"field strength must be finite and positive, got {b!r}")
     if frame not in ("lab", "kappa_pulled"):
         raise ValueError("frame must be 'lab' or 'kappa_pulled'")
     return Symbol4D(float(b), terms=tuple((float(c), A, B) for c, A, B in terms), frame=frame)

@@ -157,13 +157,21 @@ SUITES = [
 ]
 
 
-def run_suites(name_filter=None, fault=None):
-    """Run the identity suites; returns a list of result dicts."""
-    results = []
+FAULTS = wigner.FAULTS
+
+
+def select_suites(name_filter=None):
+    """The (name, suite) pairs whose name contains name_filter; all when it is empty."""
     selected = [(n, f) for n, f in SUITES if not name_filter or name_filter in n]
     if not selected:
         raise ValueError(f"no suite matches filter {name_filter!r}")
-    for name, fn in selected:
+    return selected
+
+
+def run_suites(name_filter=None, fault=None):
+    """Run the identity suites; returns a list of result dicts."""
+    results = []
+    for name, fn in select_suites(name_filter):
         if fault:
             with wigner.inject_fault(fault):
                 err, tol = fn()

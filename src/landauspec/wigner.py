@@ -19,12 +19,15 @@ from . import quadrature
 from .specfun import laguerre_fn_iter, laguerre_weighted
 
 # fault hooks for the verification suite's mutation check
+FAULTS = frozenset({"pair_phase_sign"})
 _ACTIVE_FAULTS: set = set()
 
 
 @contextlib.contextmanager
 def inject_fault(name):
     """Deliberately corrupt a kernel (testing that the verify suites notice)."""
+    if name not in FAULTS:
+        raise ValueError(f"unknown fault {name!r}; known: {sorted(FAULTS)}")
     _ACTIVE_FAULTS.add(name)
     try:
         yield

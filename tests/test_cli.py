@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import landauspec
 from landauspec import capacity, operators
@@ -400,3 +401,160 @@ def test_toeplitz_compact_model_rejects_negative_capacity(tmp_path, capsys):
         "model": {"kind": "compact", "capacity": -1.0}})
     assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "capacity must be positive" in capsys.readouterr().err
+
+
+_TOEPLITZ = {"zeta": {"kind": "gaussian", "rate": 1.0}, "b": 1.0, "count": 4}
+_SPECTRUM = {"b": 1.0, "levels": 2, "radial": 3, "sign": "-", "symbol": {"separable": {
+    "frame": "lab", "terms": [{"coeff": 1.0, "A": _GAUSS, "B": _GAUSS}]}}}
+_GAPS = {"b": 1.0, "multiplicities": [1], "level_scales": [0.8], "index_scales": [0.5]}
+_TERM0 = ("symbol", "separable", "terms", 0)
+
+
+def _with(payload, where, value):
+    """Deep copy of payload with the value at the key path `where` replaced."""
+    out = json.loads(json.dumps(payload))
+    node = out
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    return out
+
+
+# configs that crashed with a traceback or ran to exit 0 on bad input, with
+# the key path their error message must name
+_ESCAPES = [
+    ("toeplitz", _TOEPLITZ, ("b",), "x", "b must be a float"),
+    ("toeplitz", _TOEPLITZ, ("b",), -1, "b must be positive"),
+    ("toeplitz", _TOEPLITZ, ("zeta", "amplitude"), "x", "zeta.amplitude"),
+    ("toeplitz", _TOEPLITZ, ("model",), 5, "model"),
+    ("spectrum", _SPECTRUM, ("b",), "x", "b must be a float"),
+    ("spectrum", _SPECTRUM, ("symbol", "separable"), 5, "symbol.separable"),
+    ("spectrum", _SPECTRUM, _TERM0[:3], 5, "symbol.separable.terms"),
+    ("spectrum", _SPECTRUM, _TERM0[:3], [5], "symbol.separable.terms[0]"),
+    ("spectrum", _SPECTRUM, _TERM0 + ("coeff",), "x", "symbol.separable.terms[0].coeff"),
+    ("construct-gaps", _GAPS, ("b",), "x", "b must be a float"),
+    ("construct-gaps", _GAPS, ("level_scales",), 5, "level_scales"),
+    ("toeplitz", _TOEPLITZ, ("zeta", "rate"), float("nan"), "zeta.rate must be finite"),
+    ("toeplitz", _TOEPLITZ, ("zeta",), {"kind": "poly_gauss", "coeffs": [1.0], "rate": -1},
+     "zeta.rate must be positive"),
+    ("spectrum", _SPECTRUM, ("b",), -1, "b must be positive"),
+    ("spectrum", _SPECTRUM, _TERM0 + ("A",), {"kind": "level_kernel", "q": -1},
+     "symbol.separable.terms[0].A.q"),
+    ("spectrum", _SPECTRUM, _TERM0 + ("A",), {"kind": "level_kernel", "q": 2.7},
+     "symbol.separable.terms[0].A.q"),
+    ("toeplitz", _TOEPLITZ, ("zeta",), {"kind": "tabulated", "grid": [3, 1, 2],
+                                        "values": [1, 1, 1]}, "zeta: grid"),
+    ("toeplitz", _TOEPLITZ, ("zeta",), {"kind": "power", "gamma": True}, "zeta.gamma"),
+    ("construct-gaps", _GAPS, ("multiplicities",), [1.7], "multiplicities[0]"),
+    ("toeplitz", _TOEPLITZ, ("order",), "x", "order must be a positive integer"),
+    ("spectrum", _SPECTRUM, ("order",), "x", "unknown keys ['order']"),
+]
+
+
+@pytest.mark.parametrize("command,payload,where,value,path", _ESCAPES)
+def test_malformed_config_names_key_path(tmp_path, capsys, command, payload, where, value,
+                                         path):
+    cfg = write_config(tmp_path, "c.json", _with(payload, where, value))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_verify_rejects_unknown_fault(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--filter", "symplectic", "--inject-fault", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+_VALID = [
+    ("radial-eigs", {"profile": {"kind": "gaussian", "rate": 1.0, "amplitude": 2.0},
+                     "count": 4, "order": 40}),
+    ("radial-eigs", {"profile": {"kind": "tabulated", "grid": [0.0, 1.0, 2.0],
+                                 "values": [1.0, 0.5, 0.0]}, "count": 3}),
+    ("toeplitz", {"zeta": {"kind": "exp_beta", "gamma": 1.0, "beta": 2.0}, "b": 2.0,
+                  "q": 1, "count": 4, "model": {"kind": "exp"}}),
+    ("toeplitz", {"zeta": {"kind": "disk_indicator", "cutoff": 1.0}, "b": 2.0, "count": 4,
+                  "order": 24, "model": {"kind": "compact", "capacity": 1.0}}),
+    ("toeplitz", {"zeta": {"kind": "poly_gauss", "coeffs": [1.0, 0.5], "rate": 1.0},
+                  "b": 1.0, "count": 3}),
+    ("spectrum", {"b": 1.0, "levels": 2, "radial": 3, "sign": "-", "symbol": {"separable": {
+        "frame": "lab", "terms": [
+            {"coeff": 1.0, "A": {"kind": "level_kernel", "q": 0},
+             "B": {"kind": "power", "gamma": 3.0}},
+            {"coeff": 0.5, "A": {"kind": "laguerre_mix", "coeffs": [1.0, 0.2]},
+             "B": {"kind": "constant", "value": 0.1}}]}}}),
+    ("capacity", {"set": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
+                  "j_max": 8, "restarts": 0, "seed": 1}),
+    ("capacity", {"set": {"kind": "union", "members": [
+        {"kind": "segment", "a": [-3.0, 0.0], "b": [-2.0, 0.0]},
+        {"kind": "polygon", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}]},
+        "j_max": 8, "restarts": 0}),
+    ("asymptotics", {"kind": "exp", "beta": 0.5, "gamma": 1.0, "b": 2.0, "k_range": [2, 8]}),
+    ("asymptotics", {"kind": "compact", "b": 2.0, "capacity": 1.0, "k_range": [0, 8]}),
+    ("construct-gaps", {"b": 1.0, "multiplicities": [2, 0, 1], "level_scales": [0.8, 0.5, 0.3],
+                        "index_scales": [0.5, 0.25], "verify": True, "levels": 3,
+                        "radial": 3}),
+]
+_ODD_VALUES = [-1, 0, 1, 2.5, "x", True, None, float("nan"), [], {}]
+
+
+def _nodes(cfg, where=()):
+    """Key paths of every value below the root of a config."""
+    items = cfg.items() if isinstance(cfg, dict) else enumerate(cfg)
+    for key, value in items:
+        yield where + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, where + (key,))
+
+
+def _mutate(cfg, data):
+    where = data.draw(st.sampled_from(list(_nodes(cfg))))
+    parent = cfg
+    for key in where[:-1]:
+        parent = parent[key]
+    key, op = where[-1], data.draw(st.sampled_from(["set", "delete", "extra", "nest"]))
+    if op == "set":
+        parent[key] = data.draw(st.sampled_from(_ODD_VALUES))
+    elif op == "delete":
+        del parent[key]
+    elif op == "extra" and isinstance(parent, dict):
+        parent["extra"] = data.draw(st.sampled_from(_ODD_VALUES))
+    elif op == "extra":
+        parent.append(data.draw(st.sampled_from(_ODD_VALUES)))
+    else:
+        parent[key] = data.draw(st.sampled_from([[parent[key]], {"kind": parent[key]}]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_configs_exit_0_or_2(tmp_path_factory, data):
+    command, payload = data.draw(st.sampled_from(_VALID))
+    cfg = json.loads(json.dumps(payload))
+    for _ in range(data.draw(st.integers(1, 2))):
+        if cfg:
+            _mutate(cfg, data)
+    tmp = tmp_path_factory.mktemp("mutant")
+    path = write_config(tmp, "c.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp / "out")]) in (0, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--order", "40"], ["construct-gaps", "--order", "40"],
+    ["toeplitz", "--seed", "1"], ["radial-eigs", "--seed", "1"],
+    ["asymptotics", "--order", "40"], ["verify", "--seed", "1"], ["verify", "--order", "40"]])
+def test_flags_that_reach_nothing_are_refused(tmp_path, capsys, argv):
+    config = [] if argv[0] == "verify" else ["--config", write_config(tmp_path, "c.json", {})]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + config)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+def test_seed_flag_overrides_and_is_checked_like_the_config_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"set": _DISK, "j_max": 8, "restarts": 0, "seed": 1})
+    assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "3"]) == 0
+    prov = json.loads((tmp_path / "o" / "capacity.json").read_text())["provenance"]
+    assert (prov["seed"], prov["capacity_seed"]) == (3, 3) and "order" not in prov

@@ -548,6 +548,8 @@ def test_prescribed_gap_symbol_validation():
         op.prescribed_gap_symbol(1.0, [0, 1], [0.5, 2.1], [0.5])     # >= 2b at q=1
     with pytest.raises(ValueError):
         op.prescribed_gap_symbol(1.0, [1], [0.5], [1.5])             # index scale > 1
+    with pytest.raises(ValueError, match="not enough level scales"):
+        op.prescribed_gap_symbol(1.0, [1, 1], [0.5], [0.5])
     # level 0 may exceed 2b
     V, pred = op.prescribed_gap_symbol(1.0, [1], [3.0], [0.5])
     assert pred == [(0, 0, pytest.approx(1.0 - 1.5))]

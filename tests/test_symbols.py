@@ -88,6 +88,32 @@ def test_profile_log_value():
     assert lv[0] == 0.0 and lv[2] == -np.inf
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: sy.gaussian(_NAN), "rate must be positive"),
+    (lambda: sy.power(_NAN), "gamma must be positive"),
+    (lambda: sy.exp_beta(1.0, _NAN), "gamma and beta must be positive"),
+    (lambda: sy.disk_indicator(_NAN), "cutoff must be positive"),
+    (lambda: sy.poly_gauss([1.0], -1.0), "rate must be positive"),
+    (lambda: sy.tabulated([3.0, 1.0, 2.0], [1.0, 1.0, 1.0]), "strictly increasing"),
+    (lambda: sy.tabulated([0.0, 1.0], [1.0, math.inf]), "must be finite"),
+    (lambda: sy.diag_kernel_profile(-1), "non-negative integer"),
+    (lambda: sy.diag_kernel_profile(2.7), "non-negative integer")],
+    ids=["gaussian", "power", "exp_beta", "disk_indicator", "poly_gauss",
+         "tabulated-order", "tabulated-inf", "level-kernel-negative", "level-kernel-fraction"])
+def test_profile_constructors_refuse_unrepresentable_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("b", [-1.0, 0.0, _NAN, math.inf])
+def test_separable_symbol_refuses_bad_field_strength(b):
+    with pytest.raises(ValueError, match="finite and positive"):
+        sy.separable_symbol(b, [])
+
+
 # ---------------------------------------------------------------------------
 # reduction
 

@@ -134,3 +134,9 @@ def test_fault_injection_breaks_oracle_agreement():
         num = wg.wigner_numeric(hermite_u(2), hermite_u(0), 0.5, 0.9)
         closed = wg.wigner_eval(2, 0, 0.5, 0.9)
     assert abs(num - closed) > 1e-3
+
+
+def test_fault_injection_refuses_unknown_names():
+    with pytest.raises(ValueError, match="unknown fault"):
+        with wg.inject_fault("bogus"):
+            pass
