@@ -339,11 +339,12 @@ def cmd_toeplitz(args):
     try:
         ln_nu = operators.toeplitz_radial_eigs(zeta, q, b, count, order=order,
                                                log_scale=True)
+        with np.errstate(under="ignore"):
+            nu = np.exp(ln_nu)
     except symbols.UnsupportedProfileError:
-        nu_lin = operators.toeplitz_radial_eigs(zeta, q, b, count, order=order)
-        ln_nu = np.where(nu_lin > 0, np.log(np.where(nu_lin > 0, nu_lin, 1.0)), np.nan)
-    with np.errstate(under="ignore"):
-        nu = np.exp(ln_nu)
+        # no log form (or amplitude <= 0): keep the signed linear values
+        nu = operators.toeplitz_radial_eigs(zeta, q, b, count, order=order)
+        ln_nu = np.where(nu > 0, np.log(np.where(nu > 0, nu, 1.0)), np.nan)
     rows = []
     for k in range(count):
         pred = res = r_k = r_lnk = math.nan

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature, symbols
-from .specfun import laguerre, laguerre_fn_iter
+from .specfun import laguerre_fn_iter, laguerre_log_abs
 from .wigner import wigner_pair_diagonal_sweep
 
 
@@ -108,17 +108,14 @@ def kernel_pair_matrix(v, n, order=None):
     weighted = np.asarray(v.evaluate(x, xi)) * fw[:, None] * fw[None, :]
     M = np.zeros((n, n), dtype=complex)
     for d in range(n):
-        # conjugated values conj(Psi_{m+d, m}) = Psi_{m, m+d}
-        for m, val in wigner_pair_diagonal_sweep(n - d, x, xi, d, conjugate=True):
-            M[m + d, m] = np.einsum("ij,ij->", weighted, val)
-        if d == 0:
-            continue
-        if v.real:
+        # <v, Psi_{k,l}> pairs v with conj(Psi_{k,l}) = Psi_{l,k}; val = Psi_{m+d, m}
+        for m, val in wigner_pair_diagonal_sweep(n - d, x, xi, d):
+            M[m, m + d] = np.einsum("ij,ij->", weighted, val)
+            if d and not v.real:
+                M[m + d, m] = np.einsum("ij,ij->", weighted, np.conj(val))
+        if d and v.real:
             idx = np.arange(n - d)
-            M[idx, idx + d] = np.conj(M[idx + d, idx])
-        else:
-            for m, val in wigner_pair_diagonal_sweep(n - d, x, xi, d, conjugate=False):
-                M[m, m + d] = np.einsum("ij,ij->", weighted, val)
+            M[idx + d, idx] = np.conj(M[idx, idx + d])
     return M
 
 
@@ -202,8 +199,15 @@ def weyl_radial_eigs(profile, count, order=None):
     """Eigenvalues mu_k, k < count, of the Weyl operator with a radial symbol.
 
     mu_k = ((-1)^k / 2) int_0^inf R(t/2) L_k(t) e^(-t/2) dt, evaluated in the
-    weighted form (-1)^k int R(u) Lcal_k(2u) du.
+    weighted form (-1)^k int R(u) Lcal_k(2u) du.  A Laguerre-mix profile
+    sum_j c_j (-1)^j L_j(2s) e^(-s) (arg_scale 1) needs no quadrature: by
+    orthogonality mu_k = amplitude c_k / 2, and 0 past the last coefficient.
     """
+    if profile.kind == "laguerre_mix" and profile.arg_scale == 1.0:
+        mu = np.zeros(count)
+        cs = profile.coeffs[:count]
+        mu[:len(cs)] = 0.5 * profile.amplitude * np.array(cs)
+        return mu
     return _laguerre_sequence(profile, count, order, 1.0, 2.0, -1.0)
 
 
@@ -268,10 +272,9 @@ def _radial_moments(profile, q, scale, count, order=None, log_scale=False):
         m, d = np.minimum(ks, q), np.abs(ks - q)
         norm = [math.lgamma(a + 1.0) - math.lgamma(a + c + 1.0) for a, c in zip(m, d)]
         terms = d[:, None] * ln_t + lead + np.array(norm)[:, None]
-        with np.errstate(divide="ignore"):
-            for row, (a, c) in enumerate(zip(m, d)):
-                if a:
-                    terms[row] += 2.0 * np.log(np.abs(laguerre(int(a), float(c), t)))
+        for row, (a, c) in enumerate(zip(m, d)):
+            if a:
+                terms[row] += 2.0 * laguerre_log_abs(int(a), float(c), t)
         logs = terms if log_scale else terms + ln_abs     # ln |integrand|
         peak = logs.max(axis=1)
         ends = np.maximum(logs[:, 0], logs[:, -1])
@@ -442,8 +445,8 @@ def _diagonal_hv(b, G, sign):
 
 
 def _assemble_generic(V, Q, K, order=None):
-    rule = quadrature.gauss_hermite(order or max(quadrature.DEFAULT_ORDER_R4,
-                                                 2 * max(Q, K) + 16))
+    N = max(Q, K)
+    rule = quadrature.gauss_hermite(order or max(quadrature.DEFAULT_ORDER_R4, 2 * N + 16))
     p = rule.nodes
     fw = rule.flat_weights
     n = len(p)
@@ -451,25 +454,13 @@ def _assemble_generic(V, Q, K, order=None):
                              p[None, None, :, None], p[None, None, None, :])
     vals = vals * fw[:, None, None, None] * fw[None, :, None, None] \
         * fw[None, None, :, None] * fw[None, None, None, :]
-    G1 = np.empty((Q, Q, n, n), dtype=complex)   # conj(Psi_{q,r}(x, xi))
-    for d in range(Q):
-        for m, val in wigner_pair_diagonal_sweep(Q - d, p[:, None], p[None, :], d,
-                                                 conjugate=True):
-            G1[m + d, m] = val
-            if d:
-                G1[m, m + d] = np.conj(val)
-    G2 = np.empty((K, K, n, n), dtype=complex)
-    if K == Q:
-        G2 = G1
-    else:
-        for d in range(K):
-            for m, val in wigner_pair_diagonal_sweep(K - d, p[:, None], p[None, :], d,
-                                                     conjugate=True):
-                G2[m + d, m] = val
-                if d:
-                    G2[m, m + d] = np.conj(val)
-    half = np.einsum("xyuv,qrxu->qryv", vals, G1)
-    M0 = np.einsum("qryv,klyv->qkrl", half, G2)
+    G = np.empty((N, N, n, n), dtype=complex)   # conj(Psi_{q,r}(x, xi)), sliced per factor
+    for d in range(N):
+        for m, val in wigner_pair_diagonal_sweep(N - d, p[:, None], p[None, :], d):
+            G[m + d, m] = np.conj(val)
+            G[m, m + d] = val
+    half = np.einsum("xyuv,qrxu->qryv", vals, G[:Q, :Q])
+    M0 = np.einsum("qryv,klyv->qkrl", half, G[:K, :K])
     return M0.reshape(Q * K, Q * K)
 
 

@@ -5,12 +5,13 @@ Every kernel in this package is built from Hermite functions
     psi_q(x) = H_q(x) exp(-x^2/2) / (sqrt(pi) 2^q q!)^(1/2)
 
 and (generalized) Laguerre polynomials L_q^(nu).  Degrees run into the
-thousands, so the exponentially weighted forms are the primitives here:
-they are evaluated by three-term recurrences that never form a huge
-polynomial value next to a tiny Gaussian.  All factorial arithmetic is
-done in log space.  The Bessel functions J_0 and J_1 behind the radial
-Hankel transforms are evaluated here too, from tabulated Chebyshev series
-below x = 25 and the Hankel asymptotic expansion above.
+thousands, so sweeps carry mantissa/exponent pairs: laguerre_fn_iter, the one
+weighted-Laguerre evaluator, serves every Wigner kernel, Laguerre-mix profile
+and Weyl sequence, and laguerre_log_abs gives ln |L_m^(nu)| for the moment
+integrals.  All factorial arithmetic is done in log space.  The Bessel
+functions J_0 and J_1 behind the radial Hankel transforms are evaluated here
+too, from tabulated Chebyshev series below x = 25 and the Hankel asymptotic
+expansion above.
 """
 
 from __future__ import annotations
@@ -112,11 +113,9 @@ def hermite_fn(q, x):
     """Orthonormal Hermite function psi_q(x), finite for q up to 1e4."""
     if q < 0:
         raise ValueError("degree must be nonnegative")
-    scalar = np.isscalar(x)
-    for j, val in enumerate(hermite_fn_iter(x, q)):
-        if j == q:
-            return float(val) if scalar else val
-    raise AssertionError("unreachable")
+    for val in hermite_fn_iter(x, q):
+        pass
+    return val
 
 
 def laguerre(q, nu, xi):
@@ -132,25 +131,13 @@ def laguerre(q, nu, xi):
     return l_cur if l_cur.ndim else float(l_cur)
 
 
-def laguerre_weighted(q, nu, xi):
-    """L_q^(nu)(xi) * exp(-xi/2), run in weighted form (stable for q <= 1e4)."""
-    if q < 0:
-        raise ValueError("degree must be nonnegative")
-    xi = np.asarray(xi, dtype=float)
-    l_prev = np.zeros_like(xi)
-    l_cur = np.exp(-0.5 * xi)
-    for j in range(q):
-        l_next = ((2.0 * j + nu + 1.0 - xi) * l_cur - (j + nu) * l_prev) / (j + 1.0)
-        l_prev, l_cur = l_cur, l_next
-    return l_cur if l_cur.ndim else float(l_cur)
-
-
 def laguerre_fn_iter(alpha, u, m_max):
-    """Yield the orthonormal weighted Laguerre functions ell_m^(alpha)(u).
+    """Yield the orthonormal weighted Laguerre functions ell_m^(alpha)(u), m <= m_max.
 
     ell_m^(alpha)(u) = sqrt(m! / Gamma(m+alpha+1)) u^(alpha/2) L_m^(alpha)(u) e^(-u/2),
-    an orthonormal family in L^2(0, inf).  Mantissa/exponent scaling keeps the
-    sweep alive through regions where the seed underflows (large u, large alpha).
+    an orthonormal family in L^2(0, inf) (L_m(u) e^(-u/2) at alpha = 0).
+    Mantissa/exponent scaling keeps the sweep alive where the seed underflows
+    (u past about 1490, large alpha); a sum over m costs m_max steps.
     """
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
@@ -171,6 +158,32 @@ def laguerre_fn_iter(alpha, u, m_max):
         m_prev, m_cur = m_cur, m_next
         _renormalize(m_cur, m_prev, ls)
         yield float(m_cur[0] * np.exp(ls[0])) if scalar else m_cur * np.exp(ls)
+
+
+_LOG_SWEEP_CHECK = 16        # recurrence steps between renormalizations
+
+
+def laguerre_log_abs(m, nu, x):
+    """ln |L_m^(nu)(x)| from the three-term recurrence with rescaled mantissas.
+
+    A step grows a value by at most (|2j + nu + 1 - x| + j + nu) / (j + 1), so
+    16 steps stay below 1e100 while x + 2 nu < 1e7: renormalizing every 16
+    steps keeps the mantissas finite where the plain L_m^(nu)(x) overflows.
+    An exact zero gives -inf.
+    """
+    x = np.asarray(x, dtype=float)
+    l_prev = np.zeros_like(x)
+    l_cur = np.ones_like(x)
+    ls = np.zeros_like(x) if m >= _LOG_SWEEP_CHECK else 0.0    # no rescale before step 16
+    for j in range(m):
+        l_next = ((2.0 * j + nu + 1.0 - x) * l_cur - (j + nu) * l_prev) / (j + 1.0)
+        l_prev, l_cur = l_cur, l_next
+        if j % _LOG_SWEEP_CHECK == _LOG_SWEEP_CHECK - 1:
+            _renormalize(l_cur, l_prev, ls)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.abs(l_cur))
+    out += ls
+    return out
 
 
 # J_0(x) and J_1(x)/x on [0, 25] as sums c_k T_k(2 (x/25)^2 - 1): the shifted

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quadrature
-from .specfun import bessel_j, laguerre_weighted
+from .specfun import bessel_j, laguerre_fn_iter
 from .wigner import wigner_diag
 
 
@@ -78,10 +78,7 @@ class RadialProfile:
         elif k == "exp_beta":
             base = np.exp(-self.gamma * u ** self.beta)
         elif k == "laguerre_mix":
-            base = np.zeros_like(u)
-            for j, c in enumerate(self.coeffs):
-                if c:
-                    base += c * (-1.0) ** j * laguerre_weighted(j, 0.0, 2.0 * u)
+            base = _laguerre_series(self.coeffs, -1.0, 2.0 * u)
         elif k == "poly_gauss":
             base = np.polynomial.polynomial.polyval(u, np.asarray(self.coeffs)) \
                 * np.exp(-self.rate * u)
@@ -150,6 +147,16 @@ class RadialProfile:
         if self.kind == "mix":
             return replace(self, parts=tuple((w, p.with_arg_scale(scale)) for w, p in self.parts))
         return replace(self, arg_scale=self.arg_scale * scale)
+
+
+def _laguerre_series(coeffs, sign, x):
+    """sum_j c_j sign^j L_j(x) e^(-x/2) along one weighted Laguerre sweep (0 for no c_j)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for j, (c, val) in enumerate(zip(coeffs, laguerre_fn_iter(0.0, x, len(coeffs) - 1))):
+        if c:
+            out += c * sign ** j * val
+    return out
 
 
 def constant(c=1.0, amplitude=1.0):
@@ -414,11 +421,8 @@ def generic_symbol_4d(b, fn):
 def kernel_pairing(symbol2d, q, order=None):
     """Integral of the 2-D symbol against the (real) diagonal kernel Psi_q."""
     order = order or max(quadrature.DEFAULT_ORDER_R2, 2 * q + 32)
-    rule = quadrature.gauss_hermite(order)
-    p = rule.nodes
-    fw = rule.flat_weights
-    vals = symbol2d.evaluate(p[:, None], p[None, :]) * wigner_diag(q, p[:, None], p[None, :])
-    return complex(np.einsum("i,j,ij->", fw, fw, vals)).real
+    return complex(quadrature.integrate_r2(
+        lambda x, xi: symbol2d.evaluate(x, xi) * wigner_diag(q, x, xi), order=order)).real
 
 
 def reduce_symbol(V, q, order=None, check=False):
@@ -809,12 +813,7 @@ def fourier_radial_profile(profile, order=400):
         cs = profile.coeffs
 
         def fhat(u):
-            u = np.asarray(u, dtype=float)
-            out = np.zeros_like(u)
-            for j, c in enumerate(cs):
-                if c:
-                    out += 0.5 * c * laguerre_weighted(j, 0.0, 0.5 * u)
-            return amp * out
+            return 0.5 * amp * _laguerre_series(cs, 1.0, 0.5 * np.asarray(u, dtype=float))
 
         return custom(fhat)
     if k == "disk_indicator":

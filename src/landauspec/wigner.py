@@ -3,9 +3,10 @@
 W(u, v)(x, xi) = (2 pi)^(-1) int e^(i x' xi) u(x - x'/2) conj(v(x + x'/2)) dx'
 
 For the Hermite basis the pair kernels have a Laguerre-Gaussian closed form
-with angular factor e^(i (k - l) theta); the diagonal ones are real.  The
-inner product convention throughout the package is linear in the first
-factor and conjugate-linear in the second.
+with angular factor e^(-i (k - l) theta), built only by
+wigner_pair_diagonal_sweep from one rescaled Laguerre sweep per diagonal;
+the diagonal kernels are real.  The inner product convention throughout the
+package is linear in the first factor and conjugate-linear in the second.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from . import quadrature
-from .specfun import laguerre_fn_iter, laguerre_weighted
+from .specfun import laguerre_fn_iter
 
 # fault hooks for the verification suite's mutation check
 FAULTS = frozenset({"pair_phase_sign"})
@@ -35,73 +36,47 @@ def inject_fault(name):
         _ACTIVE_FAULTS.discard(name)
 
 
-def wigner_eval(k, l, x, xi):
-    """Pair kernel Psi_{k,l}(x, xi), the Wigner transform of (psi_k, psi_l).
+def wigner_pair_diagonal_sweep(n, x, xi, d):
+    """Yield (m, Psi_{m+d, m}) on the grid for m = 0 .. n-1 from one Laguerre sweep.
 
-    Closed Laguerre-Gaussian form
+        Psi_{m+d, m} = (1/pi) (-1)^m e^(-i d theta) ell_m^(d)(2(x^2+xi^2)),
 
-        Psi_{k,l} = (1/pi) (-1)^m e^(-i (k-l) theta) ell_m^(|k-l|)(2(x^2+xi^2)),
-
-    m = min(k, l), with ell the orthonormal weighted Laguerre function; the
-    normalization sqrt(m!/M!) and the radial power never meet in linear
-    space, so indices up to ~1e3 are safe.  The phase orientation is pinned
-    to the transform definition (checked against wigner_numeric).
+    ell the orthonormal weighted Laguerre function of laguerre_fn_iter, whose
+    scaling keeps indices in the thousands finite.  The phase orientation is
+    pinned to the transform definition (checked against wigner_numeric);
+    Psi_{m, m+d} is the conjugate, and the d = 0 values are real.
     """
-    if k < 0 or l < 0:
-        raise ValueError("indices must be nonnegative")
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     s = x * x + xi * xi
-    d = abs(k - l)
-    m = min(k, l)
-    radial = None
-    for j, val in enumerate(laguerre_fn_iter(float(d), 2.0 * s, m)):
-        if j == m:
-            radial = val
-    sign = -1.0 if m % 2 else 1.0
-    if d == 0:
-        return (sign / np.pi) * radial + 0.0j
-    theta = np.arctan2(xi, x)
-    if "pair_phase_sign" in _ACTIVE_FAULTS:
-        theta = -theta
-    phase = np.exp(-1j * d * theta) if k >= l else np.exp(1j * d * theta)
-    return (sign / np.pi) * radial * phase
+    phase = 1.0
+    if d:
+        theta = np.arctan2(xi, x)
+        if "pair_phase_sign" in _ACTIVE_FAULTS:
+            theta = -theta
+        phase = np.exp(-1j * d * theta)
+    for m, val in enumerate(laguerre_fn_iter(float(d), 2.0 * s, n - 1)):
+        sign = -1.0 if m % 2 else 1.0
+        yield m, (sign / np.pi) * val * phase
+
+
+def wigner_eval(k, l, x, xi):
+    """Pair kernel Psi_{k,l}(x, xi), the Wigner transform of (psi_k, psi_l).
+
+    Step min(k, l) of the |k - l| diagonal sweep, conjugated when k < l.
+    """
+    if k < 0 or l < 0:
+        raise ValueError("indices must be nonnegative")
+    for _, val in wigner_pair_diagonal_sweep(min(k, l) + 1, x, xi, abs(k - l)):
+        pass
+    return val if k >= l else np.conj(val)
 
 
 def wigner_diag(k, x, xi):
     """Diagonal kernel Psi_k(x, xi) = (1/pi) (-1)^k L_k(2(x^2+xi^2)) e^(-(x^2+xi^2))."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    s = x * x + xi * xi
-    sign = -1.0 if k % 2 else 1.0
-    # L_k(2s) e^(-s) is exactly the weighted Laguerre evaluated at 2s
-    return (sign / np.pi) * laguerre_weighted(k, 0.0, 2.0 * s)
-
-
-def wigner_pair_diagonal_sweep(n, x, xi, d, conjugate=False):
-    """Yield (m, Psi_{m+d, m}) on the grid for m = 0 .. n-1, one recurrence sweep.
-
-    With conjugate=True the values of Psi_{m, m+d} = conj(Psi_{m+d, m}) are
-    produced instead.  Used by the matrix assembly to get entire diagonals of
-    pair-kernel values at the cost of a single Laguerre recurrence.
-    """
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    s = x * x + xi * xi
-    if d == 0:
-        for m, val in enumerate(laguerre_fn_iter(0.0, 2.0 * s, n - 1)):
-            sign = -1.0 if m % 2 else 1.0
-            yield m, (sign / np.pi) * val + 0.0j
-        return
-    theta = np.arctan2(xi, x)
-    if "pair_phase_sign" in _ACTIVE_FAULTS:
-        theta = -theta
-    phase = np.exp(1j * d * theta) if conjugate else np.exp(-1j * d * theta)
-    for m, val in enumerate(laguerre_fn_iter(float(d), 2.0 * s, n - 1)):
-        sign = -1.0 if m % 2 else 1.0
-        yield m, (sign / np.pi) * val * phase
+    return np.real(wigner_eval(k, k, x, xi))
 
 
 def wigner_numeric(u, v, x, xi, order=120):
@@ -149,15 +124,11 @@ def husimi_diag(k, x, xi):
 
 def husimi_numeric(k, x, xi, order=None):
     """Direct convolution of the unit Gaussian with Psi_k (oracle for husimi_diag)."""
-    order = order or (80 + 2 * k)
-    rule = quadrature.gauss_hermite(order)
-    p = rule.nodes
-    fw = rule.flat_weights
-    px = p[:, None]
-    pxi = p[None, :]
-    gauss = np.exp(-((x - px) ** 2 + (xi - pxi) ** 2)) / np.pi
-    vals = gauss * wigner_diag(k, px, pxi)
-    return float(np.einsum("i,j,ij->", fw, fw, vals))
+    def smoothed(px, pxi):
+        gauss = np.exp(-((x - px) ** 2 + (xi - pxi) ** 2)) / np.pi
+        return gauss * wigner_diag(k, px, pxi)
+
+    return float(quadrature.integrate_r2(smoothed, order=order or (80 + 2 * k)))
 
 
 def wigner_fourier_check(k, w, order=None):
@@ -167,14 +138,9 @@ def wigner_fourier_check(k, w, order=None):
     rhs: ((-1)^k / 2) Psi_k(w / 2).  They agree for every k.
     """
     w = np.asarray(w, dtype=float)
-    order = order or (96 + 2 * k)
-    rule = quadrature.gauss_hermite(order)
-    p = rule.nodes
-    fw = rule.flat_weights
-    px = p[:, None]
-    pxi = p[None, :]
-    vals = wigner_diag(k, px, pxi) * np.exp(-1j * (w[0] * px + w[1] * pxi))
-    lhs = np.einsum("i,j,ij->", fw, fw, vals) / (2.0 * np.pi)
+    lhs = quadrature.integrate_r2(
+        lambda px, pxi: wigner_diag(k, px, pxi) * np.exp(-1j * (w[0] * px + w[1] * pxi)),
+        order=order or (96 + 2 * k)) / (2.0 * np.pi)
     sign = -1.0 if k % 2 else 1.0
     rhs = 0.5 * sign * wigner_diag(k, w[0] / 2.0, w[1] / 2.0)
     return float(np.real(lhs)), float(rhs)
@@ -183,10 +149,6 @@ def wigner_fourier_check(k, w, order=None):
 def moyal_pairing(k, l, kp, lp, order=None):
     """<Psi_{k,l}, Psi_{k',l'}> over R^2 by quadrature; equals delta delta / (2 pi)."""
     order = order or max(quadrature.DEFAULT_ORDER_R2, 2 * max(k, l, kp, lp) + 32)
-    rule = quadrature.gauss_hermite(order)
-    p = rule.nodes
-    fw = rule.flat_weights
-    px = p[:, None]
-    pxi = p[None, :]
-    vals = wigner_eval(k, l, px, pxi) * np.conjugate(wigner_eval(kp, lp, px, pxi))
-    return complex(np.einsum("i,j,ij->", fw, fw, vals))
+    return complex(quadrature.integrate_r2(
+        lambda x, xi: wigner_eval(k, l, x, xi) * np.conjugate(wigner_eval(kp, lp, x, xi)),
+        order=order))

@@ -122,6 +122,17 @@ def test_toeplitz_exponential_residual(tmp_path):
     assert float(rows[5][1]) == pytest.approx(2.0 ** -6.0, rel=1e-10)
 
 
+def test_toeplitz_negative_amplitude_keeps_signed_values(tmp_path):
+    # no log form: nu_k = -2 / 3^(k+1) is written as is, ln nu_k as NaN
+    cfg = write_config(tmp_path, "c.json", {
+        "zeta": {"kind": "gaussian", "rate": 1.0, "amplitude": -2.0}, "b": 1.0, "count": 3})
+    out = tmp_path / "out"
+    assert main(["toeplitz", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "toeplitz.csv")
+    assert [float(r[1]) for r in rows] == pytest.approx([-2 / 3, -2 / 9, -2 / 27], rel=1e-12)
+    assert all(math.isnan(float(r[2])) for r in rows)
+
+
 def test_toeplitz_empty_range(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "zeta": {"kind": "gaussian", "rate": 1.0}, "b": 1.0, "count": 0})

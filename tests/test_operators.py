@@ -138,9 +138,22 @@ def test_weyl_radial_eigs_constant():
 
 def test_weyl_radial_eigs_laguerre_mix_moyal_oracle():
     coeffs = [0.4, -0.3, 0.2, 0.1]
-    mu = op.weyl_radial_eigs(sy.laguerre_mix(coeffs), 8)
     expect = np.array(coeffs + [0.0] * 4) / 2.0
-    assert np.abs(mu - expect).max() < 1e-12
+    mix = sy.laguerre_mix(coeffs)
+    # the coefficient route, and quadrature through an opaque evaluator
+    for prof in (mix, sy.custom(lambda s: mix(s))):
+        mu = op.weyl_radial_eigs(prof, 8)
+        assert np.abs(mu - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("q", [300, 500])
+def test_weyl_radial_eigs_high_level_kernel(q):
+    # 2 pi mu_k of the level-q kernel is delta_kq (Laguerre orthogonality)
+    count = q + 100
+    mu = op.weyl_radial_eigs(sy.diag_kernel_profile(q), count)
+    expect = np.zeros(count)
+    expect[q] = 1.0
+    assert np.abs(2.0 * np.pi * mu - expect).max() < 1e-12
 
 
 def test_weyl_radial_eigs_matches_matrix_diagonal():
@@ -315,6 +328,35 @@ def test_toeplitz_higher_level_2d_quadrature_oracle():
         val = np.einsum("i,j,ij->", fw, fw,
                         zeta(p[:, None] ** 2 + p[None, :] ** 2) * density(k))
         assert nu[k] == pytest.approx(val, rel=1e-7)
+
+
+def _exact_gaussian_half_moment(k, q):
+    """nu_k of gaussian(1/2), b = 1, level q: (m!/M!) int t^d [L_m^d(t)]^2 e^(-2t) dt.
+
+    m! L_m^d(t) = sum_i A_i t^i with integer A_i, and int t^n e^(-2t) dt =
+    n!/2^(n+1), so nu_k is an exact rational.
+    """
+    from fractions import Fraction
+    m, M, d = min(k, q), max(k, q), abs(k - q)
+    A = [(-1) ** i * math.comb(m + d, m - i) * (math.factorial(m) // math.factorial(i))
+         for i in range(m + 1)]
+    square = [0] * (2 * m + 1)                   # (m! L_m^d)^2, integer coefficients
+    for i, a in enumerate(A):
+        for j, c in enumerate(A):
+            square[i + j] += a * c
+    top = d + 2 * m + 1
+    num = sum(c * math.factorial(d + n) * 2 ** (top - d - n - 1) for n, c in enumerate(square))
+    return Fraction(num, 2 ** top * math.factorial(m) * math.factorial(M))
+
+
+def test_toeplitz_high_level_exact_moments():
+    # at q = 250 the plain L_m^d overflows on the moment grid from k ~ 141
+    q = 250
+    ln_nu = op.toeplitz_radial_eigs(sy.gaussian(0.5), q, 1.0, 400, log_scale=True)
+    assert np.isfinite(ln_nu).all()
+    for k in (250, 399):
+        assert ln_nu[k] == pytest.approx(math.log(_exact_gaussian_half_moment(k, q)),
+                                         abs=1e-11)
 
 
 def test_toeplitz_level_shift_identity():

@@ -74,26 +74,57 @@ def test_laguerre_endpoint_exact(q):
     assert sf.laguerre(q, 0, 0.0) == 1.0
 
 
-def test_laguerre_weighted_values():
-    assert sf.laguerre_weighted(0, 0, 3.1) == pytest.approx(np.exp(-1.55), rel=1e-15)
-    assert sf.laguerre_weighted(1, 0, 2.0) == pytest.approx(-np.exp(-1.0), rel=1e-14)
+def _laguerre_fn0(q, x):
+    """L_q(x) e^(-x/2): the last value of a laguerre_fn_iter sweep with alpha = 0."""
+    *_, val = sf.laguerre_fn_iter(0.0, x, q)
+    return val
 
 
-def test_laguerre_weighted_stability_bound():
-    # classical bound |L_q(x) e^{-x/2}| <= 1
+def test_laguerre_fn_values():
+    assert _laguerre_fn0(0, 3.1) == pytest.approx(np.exp(-1.55), rel=1e-15)
+    assert _laguerre_fn0(1, 2.0) == pytest.approx(-np.exp(-1.0), rel=1e-14)
+    # past x ~ 1490 the seed e^(-x/2) underflows; mpmath at 60 and 120 digits
+    assert _laguerre_fn0(375, 1492.0) == pytest.approx(-0.053550487205286353, abs=1e-13)
+    assert _laguerre_fn0(500, 1800.0) == pytest.approx(-0.024711026749782010, abs=1e-13)
+
+
+def test_laguerre_fn_stability_bound():
+    # classical bound |L_q(x) e^{-x/2}| <= 1, at every degree up to 10^4
     xi = np.linspace(0, 4000, 2000)
-    for q in (10, 100, 1000, 10_000):
-        assert np.all(np.abs(sf.laguerre_weighted(q, 0, xi)) <= 1.0 + 1e-12)
+    for val in sf.laguerre_fn_iter(0.0, xi, 10_000):
+        assert np.all(np.abs(val) <= 1.0 + 1e-12)
 
 
-def test_laguerre_weighted_orthonormality():
+def test_laguerre_fn_orthonormality():
     rule = qd.gauss_laguerre(2 * 40 + 8)
     t = rule.nodes
     fw = rule.flat_weights
     for j in range(0, 41, 8):
         for k in range(0, 41, 8):
-            ip = float(np.dot(fw, sf.laguerre_weighted(j, 0, t) * sf.laguerre_weighted(k, 0, t)))
+            ip = float(np.dot(fw, _laguerre_fn0(j, t) * _laguerre_fn0(k, t)))
             assert ip == pytest.approx(1.0 if j == k else 0.0, abs=1e-12)
+
+
+def test_laguerre_log_abs_matches_plain_recurrence():
+    x = np.array([0.0, 0.3, 2.0, 11.0, 60.0])
+    for m, nu in ((0, 3.0), (1, 0.0), (5, 2.5), (17, 7.0), (40, 1.0), (33, 40.0)):
+        with np.errstate(divide="ignore"):
+            want = np.log(np.abs(sf.laguerre(m, nu, x)))
+        assert np.abs(sf.laguerre_log_abs(m, nu, x) - want).max() < 1e-12
+    assert sf.laguerre_log_abs(1, 0.0, np.array([1.0]))[0] == -np.inf
+
+
+def test_laguerre_log_abs_past_overflow():
+    # L_300^(10)(5000) ~ 1e600: the plain recurrence overflows, the log does not
+    # L = sum_i (-1)^i C(310, 300 - i) x^i / i!, exact in rationals
+    from fractions import Fraction
+    exact = sum(Fraction((-1) ** i * math.comb(310, 300 - i) * 5000 ** i, math.factorial(i))
+                for i in range(301))
+    ln_exact = math.log(abs(exact.numerator)) - math.log(exact.denominator)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(sf.laguerre(300, 10.0, 5000.0))
+    got = sf.laguerre_log_abs(300, 10.0, np.array([5000.0]))[0]
+    assert got == pytest.approx(ln_exact, rel=1e-13)
 
 
 @given(st.integers(0, 5000))

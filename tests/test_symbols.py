@@ -66,6 +66,25 @@ def test_profile_evaluators():
     prof = sy.diag_kernel_profile(3)
     r = np.sqrt(s)
     assert np.allclose(prof(s), wigner_diag(3, r, 0.0), atol=1e-14)
+    # several modes with signs (-1)^j, zero coefficients skipped
+    x = 2.0 * s
+    L2, L3 = 1 - 2 * x + x ** 2 / 2, 1 - 3 * x + 1.5 * x ** 2 - x ** 3 / 6
+    mix = sy.laguerre_mix([0.5, 0.0, -2.0, 1.0])
+    assert np.allclose(mix(s), (0.5 - 2.0 * L2 - L3) * np.exp(-s), atol=1e-14)
+
+
+def test_laguerre_mix_profile_past_seed_underflow():
+    # pi R(900) = L_500(1800) e^(-900), mpmath at 60 and 120 digits
+    assert sy.diag_kernel_profile(500)(900.0) == pytest.approx(-0.0078657641122077184,
+                                                                abs=1e-13)
+
+
+def test_empty_laguerre_mix_keeps_the_input_shape():
+    u = np.ones((2, 3))
+    assert sy.laguerre_mix([])(u).shape == (2, 3)
+    assert sy.laguerre_mix([])(1.0) == 0.0
+    fhat = sy.fourier_radial_profile(sy.laguerre_mix([]))
+    assert fhat(u).shape == (2, 3) and not fhat(u).any()
 
 
 def test_profile_arg_scale_folds_into_parameters():

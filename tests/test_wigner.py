@@ -89,8 +89,15 @@ def test_pair_sweep_matches_eval():
     for d in (0, 1, 3):
         for m, val in wg.wigner_pair_diagonal_sweep(4, x, xi, d):
             assert np.abs(val - wg.wigner_eval(m + d, m, x, xi)).max() < 1e-14
-        for m, val in wg.wigner_pair_diagonal_sweep(4, x, xi, d, conjugate=True):
-            assert np.abs(val - wg.wigner_eval(m, m + d, x, xi)).max() < 1e-14
+            assert np.abs(np.conj(val) - wg.wigner_eval(m, m + d, x, xi)).max() < 1e-14
+
+
+def test_diag_kernel_past_seed_underflow():
+    # (1/pi) L_500(1800) e^(-900): mpmath at 60 and 120 digits; the seed
+    # e^(-900) of an unscaled weighted recurrence underflows to 0
+    ref = -0.0078657641122077184
+    assert wg.wigner_diag(500, 30.0, 0.0) == pytest.approx(ref, abs=1e-13)
+    assert wg.wigner_eval(500, 500, 0.0, 30.0) == pytest.approx(ref, abs=1e-13)
 
 
 def test_moyal_orthogonality():
