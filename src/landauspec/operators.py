@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import quadrature, symbols
+from . import quadrature, symbols, wigner
 from .specfun import laguerre_fn_iter, laguerre_log_abs
 from .wigner import wigner_pair_diagonal_sweep
 
@@ -202,7 +202,13 @@ def weyl_radial_eigs(profile, count, order=None):
     weighted form (-1)^k int R(u) Lcal_k(2u) du.  A Laguerre-mix profile
     sum_j c_j (-1)^j L_j(2s) e^(-s) (arg_scale 1) needs no quadrature: by
     orthogonality mu_k = amplitude c_k / 2, and 0 past the last coefficient.
+    The map is linear, so a mix is the weighted sum of its parts' sequences,
+    each part taking its own route.
     """
+    if profile.kind == "mix":
+        return profile.amplitude * sum(
+            (w * weyl_radial_eigs(p.with_arg_scale(profile.arg_scale), count, order)
+             for w, p in profile.parts), np.zeros(count))
     if profile.kind == "laguerre_mix" and profile.arg_scale == 1.0:
         mu = np.zeros(count)
         cs = profile.coeffs[:count]
@@ -220,26 +226,32 @@ _LOG_GRID_STEP = 0.02
 _LOG_GRID_FLOOR = -60.0
 _LOG_GRID_MARGIN = 36.0      # nats the grid ends must lie below each row's peak
 _MOMENT_BLOCK = 16           # rows per (rows x nodes) block
+_COARSE_STRIDE = 8           # grid nodes per coarse-pass node
+_WINDOW_DROP = 60.0          # nats below a row's coarse peak that its block's window keeps
+_WINDOW_PAD = 2              # coarse steps added to each side of a window
+_PASS_SIZE = 4096            # most (rows x nodes) elements per recurrence buffer
 
 
 @functools.lru_cache(maxsize=32)
 def _log_grid(size):
-    """Trapezoid nodes in u = ln t: (t, ln t, ln weight), read-only and shared.
+    """Trapezoid nodes in u = ln t: (t, ln t, ln(weight) - t), read-only and shared.
 
     Serves t^n e^(-t) times slowly varying factors, n < size, on
     u in [-60, ln(size + 60) + 2.5] with step h = 0.02 and weights h t.  Degree
     n peaks with width n^(-1/2) in u, and the rule errs by about
     exp(-2 pi^2 / (n h^2)), so past size ~ 940 h shrinks to hold (size + 60) h^2
-    at 0.4.
+    at 0.4.  Each row needs only a few hundred of the nodes: `_radial_moments`
+    reads every 8th node (and the last) in a coarse pass to place a window per
+    block of rows, then sums over the window with one recurrence per block.
     """
     h = min(_LOG_GRID_STEP, math.sqrt(0.4 / (size + 60.0)))
     top = math.log(size + 60.0) + 2.5
     u = _LOG_GRID_FLOOR + h * np.arange(math.ceil((top - _LOG_GRID_FLOOR) / h) + 1)
     t = np.exp(u)
-    log_w = math.log(h) + u
-    for a in (t, u, log_w):
+    lead = (math.log(h) + u) - t
+    for a in (t, u, lead):
         a.setflags(write=False)
-    return t, u, log_w
+    return t, u, lead
 
 
 def _radial_moments(profile, q, scale, count, order=None, log_scale=False):
@@ -249,47 +261,96 @@ def _radial_moments(profile, q, scale, count, order=None, log_scale=False):
     m = min(k, q), M = max(k, q), d = |k - q|, all on one node set: the log
     grid, or for compactly supported profiles a Gauss-Legendre panel on
     [0, support_bound / scale] of order `order` or max(240, (count + 120) // 2).
-    On the grid a row whose integrand is not 36 nats below its peak at both
-    ends raises QuadratureAccuracyError.
+
+    Rows go in blocks of 16, and one Laguerre recurrence serves a block: rows
+    k >= q share m = q, and rows k < q are read off at their own step m.  Row
+    k + q is t^(k+q) e^(-t) times bounded factors, so on the grid it lives on a
+    few hundred of the grid's thousands of nodes.  A coarse pass over every 8th
+    node (and both ends) finds them.  The block's window is the contiguous
+    range where some row is within 60 nats of its own coarse peak, padded by
+    two coarse steps, and the trapezoid sum runs on the window only.  This
+    takes |R| never to rise by tens of nats between two coarse nodes (16%
+    apart in t).  The closed-form kinds (constant, gaussian, power, exp_beta,
+    disk_indicator, poly_gauss, laguerre_mix, and mixes of them) are smooth,
+    or only fall at a jump, and their zeros are isolated, so they keep it.  A
+    tabulated or custom R may hide a narrow bump between coarse nodes, so
+    those kinds run every block on the whole grid.  Row k = q falls only like
+    t below its peak, so its block's window would reach the grid's floor
+    anyway: that block skips the coarse pass and runs on the whole grid.  A
+    row whose integrand is not 36 nats below its peak at both ends of the
+    full grid raises QuadratureAccuracyError; both ends are coarse nodes, so
+    the check sees the same nodes with or without a window.
     """
     on_grid = not profile.compact_support
     if on_grid:
-        t, ln_t, log_w = _log_grid(count + q)    # row k: t^(k+q) e^(-t) times bounded factors
+        t, ln_t, lead = _log_grid(count + q)    # row k: t^(k+q) e^(-t) times bounded factors
     else:
         rule = quadrature.gauss_legendre_panel(
             order or max(240, (count + 120) // 2), 0.0, profile.support_bound / scale)
-        t, ln_t, log_w = rule.nodes, np.log(rule.nodes), np.log(rule.weights)
-    lead = log_w - t
+        t, ln_t = rule.nodes, np.log(rule.nodes)
+        lead = np.log(rule.weights) - t
     if log_scale:
         lead = lead + profile.log_value(scale * t)
     else:
         values = np.atleast_1d(profile(scale * t))
         with np.errstate(divide="ignore"):
             ln_abs = np.log(np.abs(values))
+    # the planted fault of `verify --inject-fault moment_window` clips the window
+    drop = 5.0 if wigner.fault_active("moment_window") else _WINDOW_DROP
+
+    def row_logs(ks, nodes):
+        """ln of the rows' terms (without the sign of R) and of |integrand| on nodes."""
+        m, d = np.minimum(ks, q)[:, None], np.abs(ks - q)[:, None]
+        norm = np.array([[math.lgamma(a + 1.0) - math.lgamma(a + c + 1.0)]
+                         for a, c in zip(m.flat, d.flat)])
+        x = t[nodes]
+        terms = d * ln_t[nodes] + lead[nodes] + norm
+        if q:
+            # one recurrence serves the rows (row k = 0 has m = 0 and needs none).
+            # On a wide window it takes a few rows at a time: larger buffers are
+            # returned to the system when freed and page-fault again on the next
+            # step.  A lone row (the whole-grid block) passes plain numbers: as
+            # (1, 1) arrays it pays the per-row read-off and small-array
+            # arithmetic on every step, which made (q, count) = (3, 8) 25% slower.
+            step = max(1, _PASS_SIZE // x.size)
+            for r in range(int(ks[0] == 0), ks.size, step):
+                part = slice(r, r + step)
+                deg, nu = (int(m[r, 0]), float(d[r, 0])) if step == 1 else (m[part], d[part])
+                terms[part] += 2.0 * laguerre_log_abs(deg, nu, x)
+        return terms, (terms if log_scale else terms + ln_abs[nodes])
+
     out = np.empty(count)
     for k0 in range(0, count, _MOMENT_BLOCK):
         ks = np.arange(k0, min(k0 + _MOMENT_BLOCK, count))
-        m, d = np.minimum(ks, q), np.abs(ks - q)
-        norm = [math.lgamma(a + 1.0) - math.lgamma(a + c + 1.0) for a, c in zip(m, d)]
-        terms = d[:, None] * ln_t + lead + np.array(norm)[:, None]
-        for row, (a, c) in enumerate(zip(m, d)):
-            if a:
-                terms[row] += 2.0 * laguerre_log_abs(int(a), float(c), t)
-        logs = terms if log_scale else terms + ln_abs     # ln |integrand|
+        lo, hi, coarse_logs = 0, t.size, None
+        if on_grid and profile.closed_form and not ks[0] <= q <= ks[-1]:
+            # every 8th node and the last; built per block, since caching it
+            # beside the grid fragmented the heap and raised the peak memory of
+            # later jobs in the same process
+            coarse = np.append(np.arange(0, t.size - 1, _COARSE_STRIDE), t.size - 1)
+            coarse_logs = row_logs(ks, coarse)[1]
+            keep = coarse_logs >= coarse_logs.max(axis=1)[:, None] - drop
+            near = np.flatnonzero(keep.any(axis=0))
+            if near.size:
+                lo = coarse[max(near[0] - _WINDOW_PAD, 0)]
+                hi = coarse[min(near[-1] + _WINDOW_PAD, coarse.size - 1)] + 1
+        terms, logs = row_logs(ks, slice(lo, hi))
         peak = logs.max(axis=1)
-        ends = np.maximum(logs[:, 0], logs[:, -1])
-        short = np.isfinite(peak) & (ends > peak - _LOG_GRID_MARGIN)
-        if on_grid and short.any():
-            i = int(np.argmax(short))
-            raise quadrature.QuadratureAccuracyError(
-                f"moment k = {ks[i]}: integrand only {peak[i] - ends[i]:.1f} nats below "
-                f"its peak at an end of the log grid (needs {_LOG_GRID_MARGIN:g})")
+        if on_grid:
+            edges = logs if coarse_logs is None else coarse_logs
+            ends = np.maximum(edges[:, 0], edges[:, -1])
+            short = np.isfinite(peak) & (ends > peak - _LOG_GRID_MARGIN)
+            if short.any():
+                i = int(np.argmax(short))
+                raise quadrature.QuadratureAccuracyError(
+                    f"moment k = {ks[i]}: integrand only {peak[i] - ends[i]:.1f} nats below "
+                    f"its peak at an end of the log grid (needs {_LOG_GRID_MARGIN:g})")
         if log_scale:
             shift = np.where(np.isfinite(peak), peak, 0.0)
             with np.errstate(divide="ignore"):
                 out[ks] = shift + np.log(np.exp(terms - shift[:, None]).sum(axis=1))
         else:
-            out[ks] = np.exp(terms) @ values
+            out[ks] = np.exp(terms) @ values[lo:hi]
     return out
 
 

@@ -170,19 +170,44 @@ def laguerre_log_abs(m, nu, x):
     16 steps stay below 1e100 while x + 2 nu < 1e7: renormalizing every 16
     steps keeps the mantissas finite where the plain L_m^(nu)(x) overflows.
     An exact zero gives -inf.
+
+    One recurrence serves a block of orders: nu may be an array broadcasting
+    against x, e.g. shape (R, 1) against x of shape (N,), giving (R, N); m may
+    then be an integer array of shape (R, 1), and row r is read off at its own
+    step m_r.  Every row is bit-identical to the scalar call with its m and nu.
     """
     x = np.asarray(x, dtype=float)
-    l_prev = np.zeros_like(x)
-    l_cur = np.ones_like(x)
-    ls = np.zeros_like(x) if m >= _LOG_SWEEP_CHECK else 0.0    # no rescale before step 16
-    for j in range(m):
-        l_next = ((2.0 * j + nu + 1.0 - x) * l_cur - (j + nu) * l_prev) / (j + 1.0)
-        l_prev, l_cur = l_cur, l_next
-        if j % _LOG_SWEEP_CHECK == _LOG_SWEEP_CHECK - 1:
-            _renormalize(l_cur, l_prev, ls)
+    m = np.asarray(m)
+    # one shared degree (the rows k >= q of a moment block) needs no per-row
+    # read-off, which made a q = 1, count 300 moment call 10% slower
+    if m.ndim and (m == m.flat[0]).all():
+        m = m.flat[0]
+    shape = np.broadcast(m, nu, x).shape
+    steps = int(m.max(initial=0))
+    l_prev, l_cur, l_next = np.zeros(shape), np.ones(shape), np.empty(shape)
+    # no rescale before step 16, so a short scalar sweep needs no exponent array
+    ls = np.zeros(shape) if steps >= _LOG_SWEEP_CHECK or m.ndim else 0.0
+    if m.ndim:      # row r is read off after step m_r; degree 0 gives ln 1
+        stops = {int(s): (m == s).ravel() for s in np.unique(m)}
+        out = np.zeros(shape)
     with np.errstate(divide="ignore"):
-        out = np.log(np.abs(l_cur))
-    out += ls
+        for j in range(steps):
+            # l_next = ((2j + nu + 1 - x) l_cur - (j + nu) l_prev) / (j + 1) in
+            # three rotating buffers, operation for operation as written
+            np.subtract(2.0 * j + nu + 1.0, x, out=l_next)
+            l_next *= l_cur
+            l_prev *= j + nu
+            l_next -= l_prev
+            l_next /= j + 1.0
+            l_prev, l_cur, l_next = l_cur, l_next, l_prev
+            if j % _LOG_SWEEP_CHECK == _LOG_SWEEP_CHECK - 1:
+                _renormalize(l_cur, l_prev, ls)
+            if m.ndim and j + 1 in stops:
+                rows = stops[j + 1]
+                out[rows] = np.log(np.abs(l_cur[rows])) + ls[rows]
+        if not m.ndim:
+            out = np.log(np.abs(l_cur))
+            out += ls
     return out
 
 

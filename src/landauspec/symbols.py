@@ -118,6 +118,13 @@ class RadialProfile:
         return self.kind == "disk_indicator"
 
     @property
+    def closed_form(self):
+        """Whether R is a formula: no tabulated or custom kind, alone or in a mix."""
+        if self.kind == "mix":
+            return all(p.closed_form for _, p in self.parts)
+        return self.kind not in ("tabulated", "custom")
+
+    @property
     def support_bound(self):
         """Support bound in s for compactly supported profiles."""
         if not self.compact_support:

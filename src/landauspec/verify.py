@@ -3,8 +3,8 @@
 Each suite recomputes one structural identity two independent ways and
 compares at a pinned tolerance.  The CLI `verify` command runs them all and
 fails loudly on the first broken identity; the suites are sensitive enough
-to catch a planted sign error in the pair-kernel phase (see
-wigner.inject_fault).
+to catch the planted faults of wigner.inject_fault: a sign error in the
+pair-kernel phase, and moment windows clipped to 5 nats.
 """
 
 from __future__ import annotations
@@ -99,6 +99,23 @@ def _suite_laplacian_level_shift():
     return err, 1e-7
 
 
+def _suite_toeplitz_closed_form():
+    # gaussian weights e^(-a s), mu = 2a/b, s = 1 + mu: at q = 0 nu_k = s^-(k+1);
+    # at q = 1 nu_k = (k s^2 - 2ks + k + 1) s^-(k+2).  Count 60 puts rows past
+    # the first block, where the moment kernel sums over windows.
+    k = np.arange(60)
+    err = 0.0
+    for a, b in ((0.3, 1.0), (2.0, 1.0)):
+        s = 1.0 + 2.0 * a / b
+        zeta = symbols.gaussian(a)
+        q0 = operators.toeplitz_radial_eigs(zeta, 0, b, k.size, log_scale=True)
+        q1 = operators.toeplitz_radial_eigs(zeta, 1, b, k.size, log_scale=True)
+        err = max(err, float(np.abs(q0 + (k + 1) * np.log(s)).max()),
+                  float(np.abs(q1 - np.log(k * s * s - 2 * k * s + k + 1)
+                               + (k + 2) * np.log(s)).max()))
+    return err, 1e-11
+
+
 def _suite_banded():
     v = symbols.angular_symbol({
         1: lambda r: 0.5 * r * np.exp(-r * r),
@@ -149,6 +166,7 @@ SUITES = [
     ("symplectic-frame", _suite_symplectic_frame),
     ("hilbert-schmidt", _suite_hilbert_schmidt),
     ("laplacian-level-shift", _suite_laplacian_level_shift),
+    ("toeplitz-closed-form", _suite_toeplitz_closed_form),
     ("banded-structure", _suite_banded),
     ("radial-diagonal", _suite_radial_diagonal),
     ("positivity-weyl", _suite_positivity_weyl),

@@ -20,7 +20,7 @@ from . import quadrature
 from .specfun import laguerre_fn_iter
 
 # fault hooks for the verification suite's mutation check
-FAULTS = frozenset({"pair_phase_sign"})
+FAULTS = frozenset({"pair_phase_sign", "moment_window"})
 _ACTIVE_FAULTS: set = set()
 
 
@@ -34,6 +34,11 @@ def inject_fault(name):
         yield
     finally:
         _ACTIVE_FAULTS.discard(name)
+
+
+def fault_active(name):
+    """Whether the planted fault `name` (one of FAULTS) is switched on."""
+    return name in _ACTIVE_FAULTS
 
 
 def wigner_pair_diagonal_sweep(n, x, xi, d):
@@ -52,7 +57,7 @@ def wigner_pair_diagonal_sweep(n, x, xi, d):
     phase = 1.0
     if d:
         theta = np.arctan2(xi, x)
-        if "pair_phase_sign" in _ACTIVE_FAULTS:
+        if fault_active("pair_phase_sign"):
             theta = -theta
         phase = np.exp(-1j * d * theta)
     for m, val in enumerate(laguerre_fn_iter(float(d), 2.0 * s, n - 1)):

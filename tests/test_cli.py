@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import landauspec
-from landauspec import capacity, operators
+from landauspec import capacity, operators, verify
 from landauspec.cli import main
 from test_asymptotics import taylor_oracle
 
@@ -338,7 +338,13 @@ def test_verify_command(tmp_path, capsys):
     # mutation check: the planted phase error must be caught
     assert main(["verify", "--filter", "wigner-closed-form",
                  "--inject-fault", "pair_phase_sign"]) == 1
+    assert main(["verify", "--filter", "toeplitz-closed-form",
+                 "--inject-fault", "moment_window"]) == 1
     assert main(["verify", "--filter", "no-such-suite"]) == 2
+    # each planted fault turns exactly its own layer's suite red
+    for fault, suite in (("pair_phase_sign", "wigner-closed-form"),
+                         ("moment_window", "toeplitz-closed-form")):
+        assert [r["suite"] for r in verify.run_suites(fault=fault) if not r["passed"]] == [suite]
 
 
 _DISK = {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0}

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -8,7 +9,7 @@ from scipy.special import gammaln
 from landauspec import operators as op
 from landauspec import quadrature as qd
 from landauspec import symbols as sy
-from landauspec.specfun import hermite_fn, laguerre, log_gammainc_lower
+from landauspec.specfun import hermite_fn, laguerre, laguerre_log_abs, log_gammainc_lower
 
 
 def gaussian_weyl_exact(a, amp, count):
@@ -156,6 +157,25 @@ def test_weyl_radial_eigs_high_level_kernel(q):
     assert np.abs(2.0 * np.pi * mu - expect).max() < 1e-12
 
 
+@pytest.mark.parametrize("q", [300, 500])
+def test_weyl_radial_eigs_mix_sums_its_parts(q):
+    # a mix of level kernels (as reduce_symbol builds) keeps their exact route
+    kernel = sy.diag_kernel_profile(q)
+    count = q + 100
+    expect = np.zeros(count)
+    expect[q] = 1.0
+    for mix in (sy.profile_mix([(1.0, kernel)]),
+                sy.profile_mix([(0.25, kernel), (0.75, kernel)])):
+        mu = op.weyl_radial_eigs(mix, count)
+        assert np.abs(2.0 * np.pi * mu - expect).max() < 1e-12
+    # a part that needs quadrature keeps its own rule, and the amplitude applies
+    mix = sy.RadialProfile("mix", amplitude=3.0,
+                           parts=((1.0, kernel), (-2.0, sy.gaussian(0.15))))
+    mu = op.weyl_radial_eigs(mix, count)
+    expect = 3.0 * (expect / (2.0 * np.pi) - 2.0 * op.weyl_radial_eigs(sy.gaussian(0.15), count))
+    assert np.abs(mu - expect).max() < 1e-12
+
+
 def test_weyl_radial_eigs_matches_matrix_diagonal():
     prof = sy.gaussian(0.15)
     mu = op.weyl_radial_eigs(prof, 33)
@@ -290,6 +310,65 @@ def test_toeplitz_gaussian_closed_forms_under_strong_decay():
     # q = 0, a = 20: -(k+1) ln(1 + 2a/b)
     logs = op.toeplitz_radial_eigs(sy.gaussian(20.0), 0, 1.0, 300, log_scale=True)
     assert np.abs(logs + (k + 1) * math.log(41.0)).max() < 1e-11
+
+
+def _full_grid_moments(profile, q, scale, count, log_scale=False):
+    """The moment kernel before windowing: every row on the whole log grid,
+    one Laguerre recurrence per row (reference for `_radial_moments`)."""
+    t, ln_t, lead = op._log_grid(count + q)
+    if log_scale:
+        lead = lead + profile.log_value(scale * t)
+    else:
+        values = np.atleast_1d(profile(scale * t))
+    out = np.empty(count)
+    for k0 in range(0, count, 16):
+        ks = np.arange(k0, min(k0 + 16, count))
+        m, d = np.minimum(ks, q), np.abs(ks - q)
+        norm = [math.lgamma(a + 1.0) - math.lgamma(a + c + 1.0) for a, c in zip(m, d)]
+        terms = d[:, None] * ln_t + lead + np.array(norm)[:, None]
+        for row, (a, c) in enumerate(zip(m, d)):
+            if a:
+                terms[row] += 2.0 * laguerre_log_abs(int(a), float(c), t)
+        if log_scale:
+            peak = terms.max(axis=1)
+            shift = np.where(np.isfinite(peak), peak, 0.0)
+            with np.errstate(divide="ignore"):
+                out[ks] = shift + np.log(np.exp(terms - shift[:, None]).sum(axis=1))
+        else:
+            out[ks] = np.exp(terms) @ values
+    return out
+
+
+_WINDOW_PROFILES = [sy.gaussian(0.4), sy.power(2.0), sy.exp_beta(1.0, 0.5),
+                    sy.exp_beta(0.8, 2.0)]
+# linear route only: a negative amplitude, and no log form with a zero
+# stretch, sign changes, a high degree, and a bump narrower than a coarse step
+_LINEAR_PROFILES = [sy.gaussian(0.4, amplitude=-1.5),
+                    sy.tabulated([0, 1, 2, 4, 8, 30], [1.0, 0.5, 0.0, 0.0, 0.3, 0.1]),
+                    sy.poly_gauss([1.0, -3.0, 0.5, 0.2], 0.4),
+                    sy.diag_kernel_profile(40),
+                    sy.tabulated([0, 1, 2, 49.9, 50, 50.1], [1.0, 0.0, 0.0, 0.0, 1.0, 0.0])]
+
+
+@pytest.mark.parametrize("q", [0, 1, 3, 40])
+def test_windowed_moments_match_full_grid(q):
+    # the coarse pass, the 60-nat windows and the block recurrence against
+    # every row summed over the whole grid.  Past |ln nu| = 512 one unit in
+    # the last place is 1.1e-13, so sums that differ in their last bit may
+    # round one unit apart.  Where R changes sign, nu is held to 1e-13 of the
+    # moment of |R| (the same as of nu where R keeps its sign).
+    b = 1.0
+    counts = (1, 8, 17, 300)
+    for prof, count, log_scale in itertools.chain(
+            itertools.product(_WINDOW_PROFILES, counts, (True, False)),
+            itertools.product(_LINEAR_PROFILES, counts, (False,))):
+        got = op.toeplitz_radial_eigs(prof, q, b, count, log_scale=log_scale)
+        want = _full_grid_moments(prof, q, 2.0 / b, count, log_scale=log_scale)
+        if log_scale:
+            assert (np.abs(got - want) <= 1e-13 + np.spacing(np.abs(want))).all(), (prof, count)
+        else:
+            size = _full_grid_moments(sy.custom(lambda s: np.abs(prof(s))), q, 2.0 / b, count)
+            assert (np.abs(got - want) <= 1e-13 * size).all(), (prof, count)
 
 
 def test_log_grid_truncation_raises():

@@ -114,6 +114,22 @@ def test_laguerre_log_abs_matches_plain_recurrence():
     assert sf.laguerre_log_abs(1, 0.0, np.array([1.0]))[0] == -np.inf
 
 
+def test_laguerre_log_abs_block_rows_match_scalar_calls():
+    # one recurrence over a column of orders is, row for row, the scalar
+    # recurrence; m = 15, 16, 17 straddle the first renormalization
+    x = np.exp(np.linspace(-60.0, 7.0, 700))
+    nu = np.array([0.0, 0.5, 3.0, 17.0, 40.0, 250.0])[:, None]
+    for m in (1, 15, 16, 17, 250):
+        block = sf.laguerre_log_abs(m, nu, x)
+        for row, v in zip(block, nu[:, 0]):
+            assert np.array_equal(row, sf.laguerre_log_abs(m, float(v), x))
+    # per-row degrees: row r is read off at its own step m_r
+    ms = np.array([0, 1, 15, 16, 17, 250])[:, None]
+    block = sf.laguerre_log_abs(ms, nu, x)
+    for row, m, v in zip(block, ms[:, 0], nu[:, 0]):
+        assert np.array_equal(row, sf.laguerre_log_abs(int(m), float(v), x))
+
+
 def test_laguerre_log_abs_past_overflow():
     # L_300^(10)(5000) ~ 1e600: the plain recurrence overflows, the log does not
     # L = sum_i (-1)^i C(310, 300 - i) x^i / i!, exact in rationals
