@@ -234,14 +234,3 @@ def compare_series(model, k_range, eigs=None, log_eigs=None):
     return ResidualReport(ks, r,
                           float(np.max(np.abs(r) / ks)),
                           float(np.max(np.abs(r) / np.log(ks))))
-
-
-def dyadic_windows(k_lo, k_hi):
-    """[(k_lo, 2 k_lo), (2 k_lo, 4 k_lo), ...] up to k_hi."""
-    out = []
-    lo = k_lo
-    while lo < k_hi:
-        hi = min(2 * lo, k_hi)
-        out.append((lo, hi))
-        lo = hi
-    return out

@@ -34,6 +34,7 @@ profile  {"kind": K, <keys of K>, "amplitude": float = 1} with K and its keys
          ([float], grid increasing), level_kernel q int>=0
 symbol   {"separable": {"frame": "lab"|"kappa_pulled" = "lab",
                         "terms": [{"coeff": float, "A": profile, "B": profile}]}}
+         (terms are always the pulled-back factors; frame is checked but has no effect)
 model    {"kind": "exp"} | {"kind": "compact", "capacity": float>0}
 set      {"kind": "disk", "center": [float, float] = [0, 0], "radius": float>0} |
          segment a, b [float, float] | polygon vertices [[float, float], ...] |
@@ -308,7 +309,7 @@ def cmd_spectrum(args):
     cfg, digest = _load_config(args, SPECTRUM)
     b, sign, levels, radial = cfg["b"], cfg["sign"], cfg["levels"], cfg["radial"]
     block = cfg["symbol"]["separable"]
-    V = _built("symbol", symbols.separable_symbol, b, block["terms"], block["frame"])
+    V = _built("symbol", symbols.separable_symbol, b, block["terms"])
     H = operators.assemble_hv(V, levels, radial, sign=sign)
     rep = operators.eig_hermitian(H)
     trust = H.provenance["trust_radius"]

@@ -39,10 +39,6 @@ class TruncatedOperator:
     radial: int = 0                      # landau basis: radial indices K per level
     provenance: dict = field(default_factory=dict)
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
     def hermiticity_defect(self):
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
 
@@ -65,13 +61,6 @@ class SpectrumReport:
             if w["q"] == q and w["side"] == side:
                 return w["count"]
         raise KeyError(f"no window for level {q} side {side!r}")
-
-    def recount(self):
-        """Recompute every window count from the raw eigenvalues."""
-        return [
-            dict(w, count=_count_open(self.eigenvalues, w["lo"], w["hi"], self.cluster_tol))
-            for w in self.windows
-        ]
 
     def clusters(self):
         """(value, multiplicity) pairs, grouping eigenvalues within cluster_tol."""
@@ -202,13 +191,7 @@ def weyl_radial_eigs(profile, count, order=None):
     weighted form (-1)^k int R(u) Lcal_k(2u) du.  A Laguerre-mix profile
     sum_j c_j (-1)^j L_j(2s) e^(-s) (arg_scale 1) needs no quadrature: by
     orthogonality mu_k = amplitude c_k / 2, and 0 past the last coefficient.
-    The map is linear, so a mix is the weighted sum of its parts' sequences,
-    each part taking its own route.
     """
-    if profile.kind == "mix":
-        return profile.amplitude * sum(
-            (w * weyl_radial_eigs(p.with_arg_scale(profile.arg_scale), count, order)
-             for w, p in profile.parts), np.zeros(count))
     if profile.kind == "laguerre_mix" and profile.arg_scale == 1.0:
         mu = np.zeros(count)
         cs = profile.coeffs[:count]
@@ -271,8 +254,8 @@ def _radial_moments(profile, q, scale, count, order=None, log_scale=False):
     two coarse steps, and the trapezoid sum runs on the window only.  This
     takes |R| never to rise by tens of nats between two coarse nodes (16%
     apart in t).  The closed-form kinds (constant, gaussian, power, exp_beta,
-    disk_indicator, poly_gauss, laguerre_mix, and mixes of them) are smooth,
-    or only fall at a jump, and their zeros are isolated, so they keep it.  A
+    disk_indicator, poly_gauss and laguerre_mix) are smooth, or only fall at
+    a jump, and their zeros are isolated, so they keep it.  A
     tabulated or custom R may hide a narrow bump between coarse nodes, so
     those kinds run every block on the whole grid.  Row k = q falls only like
     t below its peak, so its block's window would reach the grid's floor
@@ -423,19 +406,17 @@ def landau_levels(b, q_count):
 
 
 def assemble_hv(V, levels, radial, sign=+1, order=None):
-    """Truncated matrix of H = diag(Landau levels) + sign * op(V).
+    """Truncated matrix of H = diag(Landau levels) + sign * op(V), V separable.
 
     The route follows the symbol's structure and is recorded in the
     provenance:
 
-      radial-diagonal  separable, every factor radial: both pairing matrices
-                       are diagonal, so H is diagonal with entries
+      radial-diagonal  every factor radial: both pairing matrices are
+                       diagonal, so H is diagonal with entries
                        lam_q + sign * sum c mu_q(A) mu_k(B), mu the 1-D Weyl
                        sequences (default rules; `order` is not used)
-      dense-separable  separable with an angular or generic factor: each 4-D
-                       pairing factors into two 2-D pairing matrices
-      generic          full 4-D tensor quadrature, capped at
-                       levels * radial <= 48 per side
+      dense-separable  some factor angular or generic: each 4-D pairing
+                       factors into two 2-D pairing matrices
 
     The i^(k-l-q+r) phases enter as a diagonal unitary conjugation, so they
     never change the spectrum but are kept so the matrix is literally the
@@ -447,22 +428,15 @@ def assemble_hv(V, levels, radial, sign=+1, order=None):
     Q, K = int(levels), int(radial)
     if Q < 1 or K < 1:
         raise ValueError("levels and radial must be positive")
-    if V.separable and all(A.structure == B.structure == "radial" for _, A, B in V.terms):
+    if all(A.structure == B.structure == "radial" for _, A, B in V.terms):
         return _diagonal_hv(b, _radial_couplings(V.terms, Q, K), sign)
     dim = Q * K
-    if V.separable:
-        route = "dense-separable"
-        M0 = np.zeros((Q, K, Q, K), dtype=complex)
-        for c, A, B in V.terms:
-            PA = kernel_pair_matrix(A, Q, order=order)
-            PB = kernel_pair_matrix(B, K, order=order)
-            M0 += c * np.einsum("qr,kl->qkrl", PA, PB)
-        M0 = M0.reshape(dim, dim)
-    else:
-        if dim > 48:
-            raise ValueError("generic 4-D quadrature is capped at levels*radial <= 48")
-        route = "generic"
-        M0 = _assemble_generic(V, Q, K, order=order)
+    M0 = np.zeros((Q, K, Q, K), dtype=complex)
+    for c, A, B in V.terms:
+        PA = kernel_pair_matrix(A, Q, order=order)
+        PB = kernel_pair_matrix(B, K, order=order)
+        M0 += c * np.einsum("qr,kl->qkrl", PA, PB)
+    M0 = M0.reshape(dim, dim)
     pow4 = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
     D = pow4[(np.arange(K)[None, :] - np.arange(Q)[:, None]) % 4].reshape(dim)  # i^(k-q)
     M = D[:, None] * M0 * np.conj(D)[None, :]
@@ -475,7 +449,7 @@ def assemble_hv(V, levels, radial, sign=+1, order=None):
     boundary = max(float(A[:, K - 1, :, :].max()), float(A[:, :, :, K - 1].max()),
                    float(A[Q - 1].max()), float(A[:, :, Q - 1, :].max()))
     return TruncatedOperator("landau", H, b=b, levels=Q, radial=K, provenance={
-        "basis": "landau", "levels": Q, "radial": K, "sign": sign, "route": route,
+        "basis": "landau", "levels": Q, "radial": K, "sign": sign, "route": "dense-separable",
         "order": order, "max_coupling": float(A.max()), "trust_radius": 10.0 * boundary})
 
 
@@ -503,26 +477,6 @@ def _diagonal_hv(b, G, sign):
         "basis": "landau", "levels": Q, "radial": K, "sign": sign,
         "route": "radial-diagonal", "order": None, "max_coupling": float(A.max()),
         "trust_radius": 10.0 * boundary})
-
-
-def _assemble_generic(V, Q, K, order=None):
-    N = max(Q, K)
-    rule = quadrature.gauss_hermite(order or max(quadrature.DEFAULT_ORDER_R4, 2 * N + 16))
-    p = rule.nodes
-    fw = rule.flat_weights
-    n = len(p)
-    vals = V.evaluate_pulled(p[:, None, None, None], p[None, :, None, None],
-                             p[None, None, :, None], p[None, None, None, :])
-    vals = vals * fw[:, None, None, None] * fw[None, :, None, None] \
-        * fw[None, None, :, None] * fw[None, None, None, :]
-    G = np.empty((N, N, n, n), dtype=complex)   # conj(Psi_{q,r}(x, xi)), sliced per factor
-    for d in range(N):
-        for m, val in wigner_pair_diagonal_sweep(N - d, p[:, None], p[None, :], d):
-            G[m + d, m] = np.conj(val)
-            G[m, m + d] = val
-    half = np.einsum("xyuv,qrxu->qryv", vals, G[:Q, :Q])
-    M0 = np.einsum("qryv,klyv->qkrl", half, G[:K, :K])
-    return M0.reshape(Q * K, Q * K)
 
 
 def eig_hermitian(T, provenance=None):
@@ -610,7 +564,7 @@ def prescribed_gap_symbol(b, multiplicities, level_scales, index_scales):
             B = symbols.radial_symbol(symbols.diag_kernel_profile(k))
             terms.append((four_pi_sq * C, A, B))
             predictions.append((q, k, lam[q] - C))
-    return symbols.separable_symbol(b, terms, frame="lab"), predictions
+    return symbols.separable_symbol(b, terms), predictions
 
 
 # ---------------------------------------------------------------------------

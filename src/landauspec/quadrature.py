@@ -192,7 +192,6 @@ def gauss_legendre_panel(order, a, b):
 
 
 DEFAULT_ORDER_R2 = 80
-DEFAULT_ORDER_R4 = 40
 DEFAULT_ORDER_HALFLINE = 400
 
 
@@ -210,24 +209,14 @@ def integrate_r2(f, rule=None, order=None):
     return np.einsum("i,j,ij->", fw, fw, vals)
 
 
-def integrate_r4(f, rule=None, order=None):
-    """Four-fold tensor Gauss-Hermite estimate over R^4; f(x, y, xi, eta)."""
-    if rule is None:
-        rule = gauss_hermite(order or DEFAULT_ORDER_R4)
-    x = rule.nodes
-    fw = rule.flat_weights
-    vals = f(x[:, None, None, None], x[None, :, None, None],
-             x[None, None, :, None], x[None, None, None, :])
-    return np.einsum("i,j,k,l,ijkl->", fw, fw, fw, fw, vals)
-
-
 def integrate_halfline(f, rule=None, order=None, support=None):
     """Estimate the integral of f over [0, inf).
 
     f carries its own decay.  When `support` is given (compactly supported
     integrand vanishing beyond it) a Gauss-Legendre panel on [0, support]
     replaces Gauss-Laguerre, which would otherwise lose all accuracy at
-    the jump.
+    the jump.  The radial routes build their own rules; tests keep this as
+    the independent half-line oracle.
     """
     if support is not None:
         rule = gauss_legendre_panel(order or DEFAULT_ORDER_HALFLINE, 0.0, float(support))
@@ -235,17 +224,3 @@ def integrate_halfline(f, rule=None, order=None, support=None):
     if rule is None:
         rule = gauss_laguerre(order or DEFAULT_ORDER_HALFLINE)
     return float(np.dot(rule.flat_weights, f(rule.nodes)))
-
-
-def doubling_check(estimate_fn, order, rtol=1e-8, atol=1e-12):
-    """Compare estimate_fn at `order` and 2*order; raise on disagreement.
-
-    Returns the higher-order estimate.
-    """
-    lo = estimate_fn(order)
-    hi = estimate_fn(2 * order)
-    if abs(hi - lo) > rtol * max(abs(hi), abs(lo)) + atol:
-        raise QuadratureAccuracyError(
-            f"order doubling moved the estimate from {lo!r} to {hi!r}"
-        )
-    return hi

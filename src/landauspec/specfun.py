@@ -1,4 +1,4 @@
-"""Stable Hermite/Laguerre evaluation, log-factorials, and Gaussians.
+"""Stable Hermite/Laguerre evaluation, Bessel functions and incomplete gammas.
 
 Every kernel in this package is built from Hermite functions
 
@@ -21,15 +21,6 @@ import math
 import numpy as np
 
 
-class PolynomialOverflowError(ArithmeticError):
-    """Unweighted polynomial evaluation left the representable range."""
-
-
-_EXACT_LOG_FACTORIAL_LIMIT = 256
-_LOG_FACTORIAL_TABLE = np.cumsum(
-    np.concatenate(([0.0], np.log(np.arange(1, _EXACT_LOG_FACTORIAL_LIMIT + 1.0))))
-)
-
 # mantissas outside [1e-120, 1e120] get renormalized during scaled sweeps;
 # fixed power-of-ten factors keep the rescale itself away from subnormals
 _RESCALE_HI = 1e120
@@ -50,38 +41,6 @@ def _renormalize(m_cur, m_prev, ls):
         m_cur[small] *= _RESCALE_FACTOR
         m_prev[small] *= _RESCALE_FACTOR
         ls[small] -= _LOG_RESCALE
-
-
-def log_factorial(n):
-    """ln(n!); exact cumulative sum up to 256, lgamma above."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n <= _EXACT_LOG_FACTORIAL_LIMIT:
-        return float(_LOG_FACTORIAL_TABLE[n])
-    return float(math.lgamma(n + 1.0))
-
-
-def hermite_poly(q, x):
-    """Hermite polynomial H_q(x) by the recurrence H_{q+1} = 2x H_q - 2q H_{q-1}.
-
-    Unweighted form: raises PolynomialOverflowError when the value leaves
-    the representable range (use hermite_fn for large degrees).
-    """
-    if q < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.zeros_like(x)
-    h_cur = np.ones_like(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(q):
-            h_next = 2.0 * x * h_cur - 2.0 * j * h_prev
-            h_prev, h_cur = h_cur, h_next
-            if not np.all(np.isfinite(h_cur)):
-                raise PolynomialOverflowError(
-                    f"H_{j + 1} overflowed; use the weighted form instead"
-                )
-    return h_cur if h_cur.ndim else float(h_cur)
 
 
 def hermite_fn_iter(x, q_max):
@@ -119,7 +78,11 @@ def hermite_fn(q, x):
 
 
 def laguerre(q, nu, xi):
-    """Generalized Laguerre polynomial L_q^(nu)(xi) by three-term recurrence."""
+    """Generalized Laguerre polynomial L_q^(nu)(xi) by three-term recurrence.
+
+    Unscaled, so it overflows at large degree; no runtime path calls it, and
+    tests keep it as the plain-recurrence oracle for laguerre_log_abs.
+    """
     if q < 0:
         raise ValueError("degree must be nonnegative")
     xi = np.asarray(xi, dtype=float)
@@ -311,14 +274,6 @@ def bessel_j(nu, x):
     c /= np.sqrt(np.pi * z)
     out[large] = c
     return out if out.ndim else float(out)
-
-
-def unit_gaussian(n, w):
-    """Isotropic unit-mass Gaussian pi^(-n) exp(-|w|^2) on R^(2n)."""
-    w = np.asarray(w, dtype=float)
-    if w.shape[-1] != 2 * n:
-        raise ValueError(f"expected a vector of length {2 * n}")
-    return np.pi ** (-n) * np.exp(-np.sum(w * w, axis=-1))
 
 
 def _log1p_minus_identity(t):

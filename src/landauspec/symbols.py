@@ -1,12 +1,11 @@
 """Phase-space symbols and their transformations.
 
 Covers the radial profile families used as perturbation weights, symbols on
-R^2 and R^4, the linear symplectic change of coordinates that straightens
-the magnetic Hamiltonian into a scaled oscillator, reduction of a 4-D symbol
-to a single oscillator level, anti-Wick to Weyl conversion (Gaussian
-smoothing), the swap-and-scale producing the effective local weight, the
-Laguerre polynomial of the Laplacian, super-level-set volumes, and the
-two-sided logarithmic-derivative bounds certifying volume regularity.
+R^2 and separable symbols on R^4, the linear symplectic change of coordinates
+that straightens the magnetic Hamiltonian into a scaled oscillator, anti-Wick
+to Weyl conversion of radial symbols (Gaussian smoothing), the Laguerre
+polynomial of the Laplacian, super-level-set volumes, and the two-sided
+logarithmic-derivative bounds certifying volume regularity.
 
 Symbols are immutable after construction; every transform returns a new one.
 """
@@ -20,7 +19,6 @@ import numpy as np
 
 from . import quadrature
 from .specfun import bessel_j, laguerre_fn_iter
-from .wigner import wigner_diag
 
 
 class UnsupportedProfileError(ValueError):
@@ -47,7 +45,6 @@ class RadialProfile:
       poly_gauss(coeffs, rate)    (sum_j c_j s^j) exp(-rate s)
       tabulated(grid, values)     linear interpolation, 0 beyond the grid
       custom(fn)                  arbitrary evaluator
-      mix(parts)                  sum of weighted profiles
     """
 
     kind: str
@@ -61,7 +58,6 @@ class RadialProfile:
     grid: tuple = ()
     values: tuple = ()
     fn: object = field(default=None, repr=False)
-    parts: tuple = ()
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -86,8 +82,6 @@ class RadialProfile:
             base = np.interp(u, self.grid, self.values, left=self.values[0], right=0.0)
         elif k == "custom":
             base = np.asarray(self.fn(u), dtype=float)
-        elif k == "mix":
-            base = sum(w * p(u) for w, p in self.parts)
         else:
             raise UnsupportedProfileError(f"unknown profile kind {k!r}")
         out = self.amplitude * base
@@ -119,9 +113,7 @@ class RadialProfile:
 
     @property
     def closed_form(self):
-        """Whether R is a formula: no tabulated or custom kind, alone or in a mix."""
-        if self.kind == "mix":
-            return all(p.closed_form for _, p in self.parts)
+        """Whether R is a formula: neither the tabulated nor the custom kind."""
         return self.kind not in ("tabulated", "custom")
 
     @property
@@ -130,15 +122,6 @@ class RadialProfile:
         if not self.compact_support:
             raise UnsupportedProfileError("profile is not compactly supported")
         return self.cutoff / self.arg_scale
-
-    def superexp_beta(self):
-        """Exponent beta when the profile decays like exp(-c s^beta) with beta > 1."""
-        if self.kind == "exp_beta" and self.beta > 1.0:
-            return self.beta
-        return None
-
-    def scaled(self, factor):
-        return replace(self, amplitude=self.amplitude * factor)
 
     def with_arg_scale(self, scale):
         """Profile of s -> R(scale * s), folding the scale into parameters."""
@@ -151,8 +134,6 @@ class RadialProfile:
             return replace(self, cutoff=self.cutoff / scale)
         if self.kind == "constant":
             return self
-        if self.kind == "mix":
-            return replace(self, parts=tuple((w, p.with_arg_scale(scale)) for w, p in self.parts))
         return replace(self, arg_scale=self.arg_scale * scale)
 
 
@@ -221,10 +202,6 @@ def custom(fn, amplitude=1.0):
     return RadialProfile("custom", amplitude=float(amplitude), fn=fn)
 
 
-def profile_mix(parts):
-    return RadialProfile("mix", parts=tuple((float(w), p) for w, p in parts))
-
-
 def diag_kernel_profile(q, amplitude=1.0):
     """Radial profile of the diagonal Wigner kernel Psi_q."""
     if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 0:
@@ -276,14 +253,6 @@ class Symbol2D:
             return max(abs(k) for k, _ in self.modes)
         raise ValueError("generic symbols carry no declared bandwidth")
 
-    def scaled(self, factor):
-        if self.structure == "radial":
-            return replace(self, profile=self.profile.scaled(factor))
-        if self.structure == "angular":
-            return replace(self, modes=tuple(
-                (k, (lambda r, f=fk, c=factor: c * f(r))) for k, fk in self.modes))
-        return replace(self, fn=lambda x, xi, f=self.fn, c=factor: c * f(x, xi))
-
 
 def radial_symbol(profile, decay=None):
     if decay is None:
@@ -298,6 +267,12 @@ def angular_symbol(modes, real=True, decay="schwartz"):
 
 
 def generic_symbol(fn, real=True, decay="bounded"):
+    """A 2-D symbol known only through its evaluator fn(x, xi).
+
+    No CLI config builds one.  It stays as the form of a symbol with no
+    radial or angular structure, which `operators.weyl_matrix` pairs by
+    quadrature and `phase_space_volume` measures by grid counting.
+    """
     return Symbol2D("generic", fn=fn, real=real, decay=decay)
 
 
@@ -338,19 +313,6 @@ def oscillator_frame_map(b, p):
     return ((x - eta) / rb, (xi - y) / rb, rb * (xi + y) / 2.0, -rb * (eta + x) / 2.0)
 
 
-def oscillator_frame_inverse(b, p):
-    """Closed-form inverse of the frame map."""
-    if b <= 0:
-        raise ValueError("field strength must be positive")
-    xp, yp, xip, etap = p
-    rb = math.sqrt(b)
-    x = (rb * xp - 2.0 * etap / rb) / 2.0
-    eta = (-2.0 * etap / rb - rb * xp) / 2.0
-    xi = (rb * yp + 2.0 * xip / rb) / 2.0
-    y = (2.0 * xip / rb - rb * yp) / 2.0
-    return (x, y, xi, eta)
-
-
 def magnetic_symbol(b, p):
     """Weyl symbol of the magnetic Hamiltonian: (xi + by/2)^2 + (eta - bx/2)^2."""
     x, y, xi, eta = p
@@ -369,116 +331,36 @@ def landau_symbol_check(b, p):
 
 @dataclass(frozen=True)
 class Symbol4D:
-    """Symbol on R^4, tied to a field strength b.
+    """Separable symbol on R^4, tied to a field strength b.
 
-    Separable form stores terms (c, A, B) meaning the *pulled-back* symbol is
-    sum c A(x, xi) B(y, eta) exactly; the lab-frame symbol is that composed
-    with the inverse frame map, so the pullback costs no quadrature.  The
-    frame tag records whether the terms were specified in the lab frame
-    (already composed with the inverse map) or directly as the pulled form.
-    Generic symbols store a lab-frame evaluator.
+    Terms (c, A, B) mean that the *pulled-back* symbol is sum c A(x, xi)
+    B(y, eta) exactly; the lab-frame symbol is that composed with the inverse
+    frame map, so the pullback costs no quadrature.
     """
 
     b: float
     terms: tuple = ()                   # ((coeff, Symbol2D, Symbol2D), ...)
-    frame: str = "lab"
-    fn: object = field(default=None, repr=False)
-
-    @property
-    def separable(self):
-        return self.fn is None
 
     def evaluate_pulled(self, x, y, xi, eta):
-        """The symbol composed with the frame map (entries live here)."""
-        if self.separable:
-            out = None
-            for c, A, B in self.terms:
-                val = c * A.evaluate(x, xi) * B.evaluate(y, eta)
-                out = val if out is None else out + val
-            if out is None:
-                out = np.zeros(np.broadcast_shapes(
-                    np.shape(x), np.shape(y), np.shape(xi), np.shape(eta)))
-            return out
-        px, py, pxi, peta = oscillator_frame_map(self.b, (x, y, xi, eta))
-        return self.fn(px, py, pxi, peta)
+        """The symbol composed with the frame map (entries live here).
 
-    def evaluate_lab(self, x, y, xi, eta):
-        if self.separable:
-            px, py, pxi, peta = oscillator_frame_inverse(self.b, (x, y, xi, eta))
-            return self.evaluate_pulled(px, py, pxi, peta)
-        return self.fn(x, y, xi, eta)
+        The level-basis routes pair the factors and never call this; it is
+        the pointwise definition that tests check the stored terms against.
+        """
+        out = None
+        for c, A, B in self.terms:
+            val = c * A.evaluate(x, xi) * B.evaluate(y, eta)
+            out = val if out is None else out + val
+        if out is None:
+            out = np.zeros(np.broadcast_shapes(
+                np.shape(x), np.shape(y), np.shape(xi), np.shape(eta)))
+        return out
 
 
-def separable_symbol(b, terms, frame="lab"):
+def separable_symbol(b, terms):
     if not 0 < b < math.inf:
         raise ValueError(f"field strength must be finite and positive, got {b!r}")
-    if frame not in ("lab", "kappa_pulled"):
-        raise ValueError("frame must be 'lab' or 'kappa_pulled'")
-    return Symbol4D(float(b), terms=tuple((float(c), A, B) for c, A, B in terms), frame=frame)
-
-
-def generic_symbol_4d(b, fn):
-    return Symbol4D(float(b), fn=fn)
-
-
-# ---------------------------------------------------------------------------
-# reduction to one oscillator level
-
-
-def kernel_pairing(symbol2d, q, order=None):
-    """Integral of the 2-D symbol against the (real) diagonal kernel Psi_q."""
-    order = order or max(quadrature.DEFAULT_ORDER_R2, 2 * q + 32)
-    return complex(quadrature.integrate_r2(
-        lambda x, xi: symbol2d.evaluate(x, xi) * wigner_diag(q, x, xi), order=order)).real
-
-
-def reduce_symbol(V, q, order=None, check=False):
-    """Reduced 2-D symbol of a 4-D one at oscillator level q.
-
-    v_q(y, eta) = integral of the pulled-back symbol against Psi_q in its
-    first phase-space pair.  Separable symbols reduce term by term to
-    sum c <A, Psi_q> B with a single 2-D quadrature per term; generic ones
-    fall back to pointwise quadrature.
-    """
-    if V.separable:
-        weights = []
-        for c, A, B in V.terms:
-            w = c * kernel_pairing(A, q, order=order)
-            if check:
-                w2 = c * kernel_pairing(A, q, order=2 * (order or quadrature.DEFAULT_ORDER_R2))
-                if abs(w2 - w) > 1e-8 * max(1.0, abs(w2)):
-                    raise quadrature.QuadratureAccuracyError(
-                        f"level pairing did not converge: {w} vs {w2}")
-            weights.append(w)
-        if all(B.structure == "radial" for _, _, B in V.terms):
-            parts = tuple((w, B.profile) for w, (_, _, B) in zip(weights, V.terms))
-            return radial_symbol(RadialProfile("mix", parts=parts))
-        terms = list(zip(weights, (B for _, _, B in V.terms)))
-
-        def fn(yy, ee):
-            return sum(w * B.evaluate(yy, ee) for w, B in terms)
-
-        return generic_symbol(fn, real=all(B.real for _, B in terms), decay="schwartz")
-
-    rule = quadrature.gauss_hermite(order or quadrature.DEFAULT_ORDER_R2)
-    p = rule.nodes
-    fw = rule.flat_weights
-    kq = wigner_diag(q, p[:, None], p[None, :])
-
-    def fn(yy, ee):
-        yy = np.asarray(yy, dtype=float)
-        ee = np.asarray(ee, dtype=float)
-        shape = np.broadcast_shapes(yy.shape, ee.shape)
-        yf = np.broadcast_to(yy, shape).ravel()
-        ef = np.broadcast_to(ee, shape).ravel()
-        out = np.empty(yf.shape)
-        for i, (y0, e0) in enumerate(zip(yf, ef)):
-            vals = V.evaluate_pulled(p[:, None], y0, p[None, :], e0) * kq
-            out[i] = np.einsum("i,j,ij->", fw, fw, vals)
-        out = out.reshape(shape)
-        return out if out.ndim else float(out)
-
-    return generic_symbol(fn, real=True, decay="bounded")
+    return Symbol4D(float(b), terms=tuple((float(c), A, B) for c, A, B in terms))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +375,9 @@ def _radial_gauss_convolution(profile, order=240, n_theta=512, rho_max=9.0):
     radial variable kept as p (the integrand is entire in p, unlike in
     p^2 where a sqrt kink would slow the rule down); the e^(-p^2) envelope
     makes the finite panel exact for practical purposes.  Angular average by
-    midpoint (periodic, spectrally accurate).
+    midpoint (periodic, spectrally accurate).  The smoothing route for
+    profiles with no closed form, and the oracle tests hold the closed forms
+    against.
     """
     rule = quadrature.gauss_legendre_panel(order, 0.0, rho_max)
     rho = rule.nodes
@@ -554,34 +438,16 @@ def _disk_gauss_convolution(profile):
 def antiwick_to_weyl(F, order=200):
     """Convolution with the unit Gaussian: the Weyl symbol of the anti-Wick operator.
 
+    Radial symbols only; any other structure raises UnsupportedProfileError.
     Gaussian profiles convolve in closed form, Laguerre mixes smooth to
     polynomial-times-Gaussian profiles, compactly supported disks use the
-    exact angular arc; everything else is smoothed by polar quadrature.
+    exact angular arc; every other profile is smoothed by polar quadrature.
     Nonnegative symbols stay nonnegative (positive kernel), and mass is
     preserved for integrable ones.
     """
-    if F.structure == "radial":
-        return radial_symbol(_smooth_profile(F.profile, order=order), decay="schwartz")
-
-    rule = quadrature.gauss_hermite(min(order, 200))
-    p = rule.nodes
-    fw = rule.flat_weights
-
-    def fn(x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        shape = np.broadcast_shapes(x.shape, xi.shape)
-        xf = np.broadcast_to(x, shape).ravel()
-        xif = np.broadcast_to(xi, shape).ravel()
-        out = np.empty(xf.shape)
-        for i, (x0, xi0) in enumerate(zip(xf, xif)):
-            vals = F.evaluate(x0 - p[:, None], xi0 - p[None, :]) * np.exp(
-                -(p[:, None] ** 2 + p[None, :] ** 2)) / np.pi
-            out[i] = np.einsum("i,j,ij->", fw, fw, vals).real
-        out = out.reshape(shape)
-        return out if out.ndim else float(out)
-
-    return generic_symbol(fn, real=F.real, decay="schwartz")
+    if F.structure != "radial":
+        raise UnsupportedProfileError("only radial symbols are supported")
+    return radial_symbol(_smooth_profile(F.profile, order=order), decay="schwartz")
 
 
 def _smooth_profile(profile, order=200):
@@ -597,30 +463,13 @@ def _smooth_profile(profile, order=200):
         for j, c in enumerate(profile.coeffs):
             coeffs[j] = c / (2.0 ** (j + 1) * math.factorial(j))
         return poly_gauss(coeffs, 0.5, amplitude=profile.amplitude)
-    if k == "mix":
-        return RadialProfile("mix", parts=tuple(
-            (w, _smooth_profile(p, order=order)) for w, p in profile.parts))
     if k == "disk_indicator":
         return _disk_gauss_convolution(profile)
     return _radial_gauss_convolution(profile, order=order)
 
 
 # ---------------------------------------------------------------------------
-# effective local weight and the Laguerre Laplacian
-
-
-def effective_local_symbol(vt, b):
-    """Swap-and-scale wrapper omega(x, y) = vt(-sqrt(b) y, -sqrt(b) x).
-
-    Radial profiles map to radial profiles with the argument scaled by b.
-    """
-    if b <= 0:
-        raise ValueError("field strength must be positive")
-    if vt.structure == "radial":
-        return radial_symbol(vt.profile.with_arg_scale(b), decay=vt.decay)
-    rb = math.sqrt(b)
-    return generic_symbol(lambda x, y: vt.evaluate(-rb * np.asarray(y), -rb * np.asarray(x)),
-                          real=vt.real, decay=vt.decay)
+# the Laguerre Laplacian
 
 
 def _poly_gauss_laplacian(coeffs, rate):
@@ -727,11 +576,16 @@ def _bisect(profile, lam, sign, lo, hi, tol=1e-12):
         f"bisection for the level {lam!r} crossing did not converge on [{lo!r}, {hi!r}]")
 
 
+_VOLUME_SEARCH_CAP = 1e12   # largest s the doubling search for the set's edge reaches
+
+
 def phase_space_volume(F, lam, sign=+1, s_max=None, extent=8.0, cells=512):
     """(2 pi)^(-1) * Lebesgue measure of the super-level set {sign F > lam}.
 
     Radial symbols: the set is a union of annuli; closed forms for the
-    monotone kinds, monotone-segment bisection otherwise.  Generic symbols:
+    monotone kinds, monotone-segment bisection otherwise, on [0, s_max].
+    Without s_max the edge is found by doubling s from 1; a profile whose
+    |R| still exceeds lam past s = 1e12 raises ValueError.  Generic symbols:
     cell counting on a square grid of the given extent.
     """
     if lam <= 0:
@@ -760,7 +614,11 @@ def phase_space_volume(F, lam, sign=+1, s_max=None, extent=8.0, cells=512):
         if s_max is None:
             s_max = 1.0
             while np.max(np.abs(np.atleast_1d(prof(
-                    np.linspace(0.8 * s_max, s_max, 8))))) > lam and s_max < 1e12:
+                    np.linspace(0.8 * s_max, s_max, 8))))) > lam:
+                if s_max >= _VOLUME_SEARCH_CAP:
+                    raise ValueError(
+                        f"|R| still exceeds the level {lam!r} at s = {s_max:g}; the search "
+                        f"for the edge of the super-level set stops at s = {_VOLUME_SEARCH_CAP:g}")
                 s_max *= 2.0
             s_max *= 2.0
         return 0.5 * _level_crossing(prof, lam, sign, s_max)
@@ -835,9 +693,6 @@ def fourier_radial_profile(profile, order=400):
             return out
 
         return custom(fhat)
-    if k == "mix":
-        return RadialProfile("mix", parts=tuple(
-            (w, fourier_radial_profile(p, order=order)) for w, p in profile.parts))
     rule = quadrature.gauss_laguerre(order)
     s_nodes = rule.nodes
     half_weighted = 0.5 * rule.flat_weights * np.atleast_1d(profile(s_nodes))

@@ -149,11 +149,3 @@ def wigner_fourier_check(k, w, order=None):
     sign = -1.0 if k % 2 else 1.0
     rhs = 0.5 * sign * wigner_diag(k, w[0] / 2.0, w[1] / 2.0)
     return float(np.real(lhs)), float(rhs)
-
-
-def moyal_pairing(k, l, kp, lp, order=None):
-    """<Psi_{k,l}, Psi_{k',l'}> over R^2 by quadrature; equals delta delta / (2 pi)."""
-    order = order or max(quadrature.DEFAULT_ORDER_R2, 2 * max(k, l, kp, lp) + 32)
-    return complex(quadrature.integrate_r2(
-        lambda x, xi: wigner_eval(k, l, x, xi) * np.conjugate(wigner_eval(kp, lp, x, xi)),
-        order=order))

@@ -152,8 +152,3 @@ def test_compare_series_incomplete_gamma_windows():
     rep = asy.compare_series(asy.compact_model(b, R), (25, 200), log_eigs=log_eigs)
     stats = rep.window_stats([(25, 50), (50, 100), (100, 200)], norm="k")
     assert stats[0] > stats[1] > stats[2]
-
-
-def test_dyadic_windows():
-    assert asy.dyadic_windows(25, 400) == [(25, 50), (50, 100), (100, 200), (200, 400)]
-    assert asy.dyadic_windows(100, 150) == [(100, 150)]

@@ -171,35 +171,6 @@ def test_integrate_r2_moyal_norm():
     assert val == pytest.approx(1 / (2 * math.pi), abs=1e-10)
 
 
-def test_integrate_r4():
-    val = qd.integrate_r4(
-        lambda x, y, xi, eta: np.exp(-(x**2 + y**2 + xi**2 + eta**2)) / np.pi**2,
-        order=30)
-    assert val == pytest.approx(1.0, abs=1e-10)
-
-
-def test_integrate_r4_separable_factorization():
-    def g(x, xi):
-        return np.exp(-(x**2 + xi**2)) * (1 + x * xi)
-
-    def h(y, eta):
-        return np.exp(-2 * (y**2 + eta**2)) * (1 + y**2)
-
-    v4 = qd.integrate_r4(lambda x, y, xi, eta: g(x, xi) * h(y, eta), order=30)
-    v2 = qd.integrate_r2(g, order=30) * qd.integrate_r2(h, order=30)
-    assert v4 == pytest.approx(v2, rel=1e-12)
-
-
-def test_integrate_r4_pair_norm():
-    # ||Psi_q (x) Psi_k||^2 = (2 pi)^-2
-    from landauspec.wigner import wigner_diag
-    for q, k in [(0, 0), (2, 1), (4, 3)]:
-        val = qd.integrate_r4(
-            lambda x, y, xi, eta: wigner_diag(q, x, xi) ** 2 * wigner_diag(k, y, eta) ** 2,
-            order=36)
-        assert val == pytest.approx((2 * math.pi) ** -2, abs=1e-8)
-
-
 def test_integrate_halfline():
     assert qd.integrate_halfline(lambda t: np.exp(-t)) == pytest.approx(1.0, rel=1e-12)
     # Gamma oracle: int t^k e^-t / k! dt = 1
@@ -225,10 +196,3 @@ def test_doubling_convergence():
 
     diffs = [abs(estimate(2 * n) - estimate(n)) for n in (10, 20, 40)]
     assert diffs[0] > diffs[1] > diffs[2]
-
-
-def test_doubling_check_raises_on_bad_integrand():
-    with pytest.raises(qd.QuadratureAccuracyError):
-        qd.doubling_check(
-            lambda n: qd.integrate_r2(lambda x, xi: np.cos(40 * x) / (1 + x**2 + xi**2),
-                                      order=n), 8)

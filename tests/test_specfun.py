@@ -8,21 +8,6 @@ from landauspec import quadrature as qd
 from landauspec import specfun as sf
 
 
-def test_hermite_poly_low_degrees():
-    assert sf.hermite_poly(0, 3.7) == 1.0
-    # recurrence from H0 = 1, H1 = 2x
-    assert sf.hermite_poly(1, 2.0) == 4.0
-    # H3(x) = 8x^3 - 12x
-    assert sf.hermite_poly(3, 1.0) == pytest.approx(-4.0, abs=1e-14)
-    x = 0.83
-    assert sf.hermite_poly(4, x) == pytest.approx(16 * x**4 - 48 * x**2 + 12, rel=1e-13)
-
-
-def test_hermite_poly_overflow_is_distinct_error():
-    with pytest.raises(sf.PolynomialOverflowError):
-        sf.hermite_poly(400, 60.0)
-
-
 def test_hermite_fn_values():
     assert sf.hermite_fn(0, 0.0) == pytest.approx(np.pi ** -0.25, rel=1e-15)
     assert sf.hermite_fn(1, 0.0) == 0.0
@@ -141,28 +126,6 @@ def test_laguerre_log_abs_past_overflow():
         assert not np.isfinite(sf.laguerre(300, 10.0, 5000.0))
     got = sf.laguerre_log_abs(300, 10.0, np.array([5000.0]))[0]
     assert got == pytest.approx(ln_exact, rel=1e-13)
-
-
-@given(st.integers(0, 5000))
-@settings(max_examples=60, deadline=None)
-def test_log_factorial_against_lgamma(n):
-    assert sf.log_factorial(n) == pytest.approx(math.lgamma(n + 1), rel=1e-14, abs=1e-14)
-
-
-def test_log_factorial_small():
-    assert sf.log_factorial(0) == 0.0
-    assert sf.log_factorial(1) == 0.0
-    assert sf.log_factorial(10) == pytest.approx(math.log(3628800), rel=1e-15)
-
-
-def test_unit_gaussian():
-    assert sf.unit_gaussian(1, [0.0, 0.0]) == pytest.approx(1 / np.pi, rel=1e-15)
-    assert sf.unit_gaussian(2, [0.0] * 4) == pytest.approx(np.pi ** -2, rel=1e-15)
-    # unit mass via tensor quadrature
-    val = qd.integrate_r2(lambda x, xi: np.exp(-(x**2 + xi**2)) / np.pi, order=40)
-    assert val == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        sf.unit_gaussian(2, [0.0, 0.0])
 
 
 def test_log_gammainc_lower_against_scipy():

@@ -25,15 +25,6 @@ def test_frame_map_symplectic(b):
     assert np.abs(M.T @ J @ M - J).max() < 1e-14
 
 
-def test_frame_map_inverse_roundtrip():
-    rng = np.random.default_rng(3)
-    for b in (0.25, 1.0, 4.0):
-        for _ in range(20):
-            p = tuple(rng.normal(size=4))
-            q = sy.oscillator_frame_inverse(b, sy.oscillator_frame_map(b, p))
-            assert np.abs(np.asarray(q) - np.asarray(p)).max() < 1e-13
-
-
 def test_landau_symbol_identity():
     lhs, rhs = sy.landau_symbol_check(1.0, (1, 0, 0, 0))
     assert (lhs, rhs) == (1.0, 1.0)
@@ -134,82 +125,20 @@ def test_separable_symbol_refuses_bad_field_strength(b):
 
 
 # ---------------------------------------------------------------------------
-# reduction
+# separable symbols on R^4
 
 
 def test_separable_pullback_is_exact():
-    # lab-frame separable symbols store the pulled factors; composing the
-    # lab evaluator with the frame map reproduces A (x) B to machine precision
+    # separable symbols store the pulled factors, so the pulled-back symbol
+    # is A (x) B to machine precision
     A = sy.radial_symbol(sy.gaussian(0.6, amplitude=1.3))
     B = sy.radial_symbol(sy.laguerre_mix([0.2, -0.4, 0.3]))
-    V = sy.separable_symbol(2.0, [(0.9, A, B)], frame="lab")
+    V = sy.separable_symbol(2.0, [(0.9, A, B)])
     rng = np.random.default_rng(5)
     for _ in range(25):
         x, y, xi, eta = rng.normal(size=4)
         stored = 0.9 * float(A.profile(x * x + xi * xi)) * float(B.profile(y * y + eta * eta))
-        lab_pt = sy.oscillator_frame_inverse(2.0, (x, y, xi, eta))
-        via_lab = V.evaluate_lab(*lab_pt)
-        assert via_lab == pytest.approx(stored, rel=1e-13, abs=1e-15)
         assert V.evaluate_pulled(x, y, xi, eta) == pytest.approx(stored, rel=1e-15)
-
-
-def test_reduce_picks_out_the_matching_level():
-    # pulled symbol 2 pi Psi_{q0} (x) v reduces to v at q0 and to 0 elsewhere
-    vprof = sy.gaussian(0.5, amplitude=0.7)
-    V = sy.separable_symbol(1.0, [(2 * np.pi,
-                                   sy.radial_symbol(sy.diag_kernel_profile(2)),
-                                   sy.radial_symbol(vprof))])
-    s = np.array([0.0, 1.0, 2.5])
-    red = sy.reduce_symbol(V, 2)
-    assert np.abs(red.profile(s) / vprof(s) - 1).max() < 1e-8
-    null = sy.reduce_symbol(V, 1)
-    assert np.abs(null.profile(s)).max() < 1e-9
-
-
-def test_reduce_linearity():
-    A0 = sy.radial_symbol(sy.diag_kernel_profile(0))
-    A1 = sy.radial_symbol(sy.diag_kernel_profile(1))
-    B0 = sy.radial_symbol(sy.gaussian(0.5))
-    B1 = sy.radial_symbol(sy.gaussian(1.5))
-    alpha = 0.37
-    V1 = sy.separable_symbol(1.0, [(1.0, A0, B0)])
-    V2 = sy.separable_symbol(1.0, [(1.0, A1, B1)])
-    Vsum = sy.separable_symbol(1.0, [(alpha, A0, B0), (1.0, A1, B1)])
-    s = np.array([0.0, 0.8, 3.0])
-    lhs = sy.reduce_symbol(Vsum, 1).profile(s)
-    rhs = alpha * sy.reduce_symbol(V1, 1).profile(s) + sy.reduce_symbol(V2, 1).profile(s)
-    assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def test_reduce_generic_matches_separable():
-    vprof = sy.gaussian(1.0, amplitude=0.3)
-    terms = [(2 * np.pi, sy.radial_symbol(sy.diag_kernel_profile(1)),
-              sy.radial_symbol(vprof))]
-    V = sy.separable_symbol(2.0, terms)
-    Vgen = sy.generic_symbol_4d(2.0, lambda x, y, xi, eta: V.evaluate_lab(x, y, xi, eta))
-    red_s = sy.reduce_symbol(V, 1)
-    red_g = sy.reduce_symbol(Vgen, 1)
-    pts = [(0.0, 0.0), (0.7, -0.4), (1.5, 1.0)]
-    for y, eta in pts:
-        assert red_g.fn(y, eta) == pytest.approx(float(red_s.profile(y * y + eta * eta)),
-                                                 abs=1e-8)
-
-
-def test_reduce_gaussian_product_crosscheck():
-    # V = G2 (pulled trivially): v_q = (int G1 Psi_q) G1; radial 1-D route
-    # against the 2-D tensor quadrature route
-    g1 = sy.gaussian(1.0, amplitude=1 / np.pi)
-    V = sy.separable_symbol(1.0, [(1.0, sy.radial_symbol(g1), sy.radial_symbol(g1))])
-    for q in (0, 1, 3):
-        from landauspec.wigner import wigner_diag
-        # area element: int_{R^2} f(s) dx dxi = pi * int_0^inf f(s) ds
-        radial = qd.integrate_halfline(
-            lambda t: np.exp(-t) * wigner_diag(q, np.sqrt(t), 0.0), order=200)
-        twod = sy.kernel_pairing(sy.radial_symbol(g1), q)
-        assert twod == pytest.approx(radial, abs=1e-9)
-        red = sy.reduce_symbol(V, q)
-        assert red.profile(np.array([0.7]))[0] == pytest.approx(
-            radial * g1(0.7), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +158,12 @@ def test_antiwick_gaussian_closed_form():
 def test_antiwick_constant():
     G = sy.antiwick_to_weyl(sy.radial_symbol(sy.constant(1.0)))
     assert float(G.profile(5.0)) == 1.0
+
+
+def test_antiwick_rejects_non_radial_symbols():
+    F = sy.angular_symbol({0: lambda r: np.exp(-r * r)})
+    with pytest.raises(sy.UnsupportedProfileError):
+        sy.antiwick_to_weyl(F)
 
 
 def test_antiwick_disk_mass_and_positivity():
@@ -256,33 +191,8 @@ def test_antiwick_mass_preserved_generic_profile():
     assert mass1 == pytest.approx(mass0, rel=1e-8)
 
 
-def test_antiwick_generic_symbol_matches_radial_path():
-    prof = sy.gaussian(0.8, amplitude=0.5)
-    F_rad = sy.radial_symbol(prof)
-    F_gen = sy.generic_symbol(lambda x, xi: prof(np.asarray(x) ** 2 + np.asarray(xi) ** 2))
-    G_rad = sy.antiwick_to_weyl(F_rad)
-    G_gen = sy.antiwick_to_weyl(F_gen)
-    for (x, xi) in [(0.0, 0.0), (1.0, 0.5), (-0.3, 1.7)]:
-        assert G_gen.fn(x, xi) == pytest.approx(
-            float(G_rad.profile(x * x + xi * xi)), abs=1e-10)
-
-
 # ---------------------------------------------------------------------------
-# effective local weight and the Laguerre Laplacian
-
-
-def test_effective_local_symbol():
-    vt = sy.radial_symbol(sy.gaussian(0.7))
-    om = sy.effective_local_symbol(vt, 2.0)
-    assert om.profile.rate == pytest.approx(1.4)
-    c = sy.effective_local_symbol(sy.radial_symbol(sy.constant(2.5)), 3.0)
-    assert float(c.profile(9.0)) == 2.5
-    # pointwise: omega(1, 2) = vt(-2 sqrt(b), -sqrt(b))
-    b = 3.0
-    vgen = sy.generic_symbol(lambda x, y: np.asarray(x) + 10 * np.asarray(y))
-    om2 = sy.effective_local_symbol(vgen, b)
-    assert om2.evaluate(1.0, 2.0) == pytest.approx(
-        vgen.evaluate(-2 * math.sqrt(b), -math.sqrt(b)))
+# the Laguerre Laplacian
 
 
 def test_laguerre_laplacian_gaussian():
@@ -352,11 +262,23 @@ def test_phase_space_volume_counting_prediction():
 
 
 def test_phase_space_volume_numeric_segments():
-    # mix profile handled by scan + bisection; oracle: gaussian closed form
-    prof = sy.profile_mix([(1.0, sy.gaussian(0.5))])
+    # custom profile handled by scan + bisection; oracle: gaussian closed form
+    prof = sy.custom(sy.gaussian(0.5))
     v = sy.radial_symbol(prof)
     ref = sy.phase_space_volume(sy.radial_symbol(sy.gaussian(0.5)), 0.2)
     assert sy.phase_space_volume(v, 0.2) == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("prof", [
+    sy.custom(lambda s: 1.0 + 0.0 * s),
+    sy.tabulated([0.0, 1e13], [1.0, 1.0]),
+    sy.custom(lambda s: (1.0 + s) ** -0.01),     # true volume about 6e29
+], ids=["flat", "tabulated-past-cap", "slow-power"])
+def test_phase_space_volume_search_cap_raises(prof):
+    # |R| > lam out to the search cap: the doubling search must say so
+    # instead of returning half the cap as the volume
+    with pytest.raises(ValueError, match=r"level 0\.5.*1e\+12"):
+        sy.phase_space_volume(sy.radial_symbol(prof), 0.5)
 
 
 def test_phase_space_volume_negative_side():

@@ -100,15 +100,6 @@ def test_diag_kernel_past_seed_underflow():
     assert wg.wigner_eval(500, 500, 0.0, 30.0) == pytest.approx(ref, abs=1e-13)
 
 
-def test_moyal_orthogonality():
-    for idx in [(0, 0, 0, 0), (2, 1, 2, 1), (3, 3, 3, 3)]:
-        val = wg.moyal_pairing(*idx)
-        assert val.real == pytest.approx(1 / (2 * math.pi), abs=1e-9)
-        assert abs(val.imag) < 1e-9
-    for idx in [(0, 0, 1, 1), (2, 1, 1, 2), (3, 0, 2, 0), (5, 2, 4, 1)]:
-        assert abs(wg.moyal_pairing(*idx)) < 1e-9
-
-
 def test_husimi_closed_form():
     assert wg.husimi_diag(0, 0.0, 0.0) == pytest.approx(1 / (2 * math.pi), rel=1e-14)
     for k in range(6):
