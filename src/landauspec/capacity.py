@@ -7,8 +7,19 @@ the transfinite-diameter quotient delta_j; the classical two-sided bound
 
 (Delta_j over ordered pairs, K connected) turns the best-found configuration
 into a point estimate (left inequality, exact for disks) and a certified
-lower bound (right inequality).  Optimization is projected gradient ascent
-with multi-start; everything is deterministic given (seed, restarts).
+lower bound (right inequality).
+
+Each start is optimized in two phases.  Projected gradient ascent with step
+halving runs until the relative energy gain per step falls below 1e-4 with
+every point on the boundary of K.  Damped Newton steps then polish the
+configuration in arc-length coordinates along the boundary: the reduced
+Hessian of the energy, with its eigenvalues replaced by their moduli (floored
+at 1e-9 of the largest), gives the step, which is halved until the energy
+rises and mapped back onto K by projection.  Segment endpoints and polygon
+vertices stay pinned during those steps.  A point off the boundary, or a
+Newton step that no halving makes gain, hands back to the gradient ascent.
+Multi-start picks the best result; everything is deterministic given
+(seed, restarts).
 """
 
 from __future__ import annotations
@@ -23,6 +34,9 @@ import numpy as np
 # Rejection batches of 4n bounding-box draws before sample() gives up: enough
 # for any polygon filling more than about 1/40000 of its bounding box.
 _SAMPLE_BATCHES = 10_000
+
+# Relative energy gain per gradient step below which Newton steps take over.
+_NEWTON_SWITCH = 1e-4
 
 
 @dataclass(frozen=True)
@@ -44,6 +58,11 @@ class CompactSet:
         if self.kind == "polygon" and not _has_area(self.vertices):
             raise ValueError("polygon has zero area (collinear or fewer than three "
                              "vertices); use a segment instead")
+        # a one-point member would divide by zero in project() and boundary_frame()
+        for i, m in enumerate(self.members):
+            if m.degenerate():
+                raise ValueError(f"union member {i} is a degenerate {m.kind} "
+                                 "(fewer than two distinct points)")
 
     @property
     def connected(self):
@@ -56,7 +75,7 @@ class CompactSet:
             return self.a == self.b
         if self.kind == "polygon":
             return False                 # zero area is refused on construction
-        return all(m.degenerate() for m in self.members)
+        return not self.members          # degenerate members are refused on construction
 
     def bounding_box(self):
         if self.kind == "disk":
@@ -103,11 +122,57 @@ class CompactSet:
             t = np.clip(((w - self.a) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
             return self.a + t * d
         if self.kind == "polygon":
-            nearest, inside = self._polygon_nearest(w, 1e-12)
+            nearest, inside = self._polygon_nearest(w, 1e-12)[:2]
             return np.where(inside, w, nearest)
         p = np.stack([m.project(w) for m in self.members]).reshape(len(self.members), -1)
         nearest = np.abs(p - w.reshape(-1)).argmin(axis=0)
         return p[nearest, np.arange(p.shape[1])].reshape(w.shape)
+
+    def boundary_frame(self, w):
+        """Boundary geometry at each point: (tangent, curvature, normal, on).
+
+        tangent is the unit tangent, or 0 where the point is pinned (a segment
+        endpoint or a polygon vertex); curvature is 1/r on a circle and 0 on
+        edges; normal is the outward unit normal, so moving by s along the
+        boundary takes w to w + s*tangent - (s^2/2)*curvature*normal + O(s^3).
+        on is False where the point lies off the boundary by more than 1e-12
+        of the member's size (at least 1); there the other entries mean nothing.
+        A union delegates each point to the member nearest it.
+        """
+        w = np.asarray(w, dtype=complex)
+        tol = 1e-12
+        if self.kind == "disk":
+            d = w - self.center
+            r = np.abs(d)
+            n = d / np.where(r == 0, 1.0, r)
+            on = np.abs(r - self.radius) <= tol * max(1.0, self.radius)
+            return 1j * n, np.full(w.shape, 1.0 / self.radius), n, on
+        if self.kind == "segment":
+            d = self.b - self.a
+            u = d / abs(d)
+            s = ((w - self.a) * np.conj(u)).real          # arc length from a
+            eps = tol * max(1.0, abs(d))
+            on = np.abs(w - (self.a + np.clip(s, 0.0, abs(d)) * u)) <= eps
+            pinned = (s <= eps) | (s >= abs(d) - eps)
+            return (np.where(pinned, 0.0, u), np.zeros(w.shape),
+                    np.full(w.shape, -1j * u), on)
+        if self.kind == "polygon":
+            d, len2 = self._edges[1:3]
+            _, _, e, t, dist = self._polygon_nearest(w, tol)
+            length = np.sqrt(len2[e])
+            eps = tol * np.maximum(1.0, length)
+            u = d[e] / length
+            pinned = (np.minimum(t, 1.0 - t) * length <= eps)
+            # outward is to the right of a counter-clockwise edge
+            n = -1j * u * np.sign(_signed_area(self.vertices))
+            return (np.where(pinned, 0.0, u).reshape(w.shape), np.zeros(w.shape),
+                    n.reshape(w.shape), (dist <= eps).reshape(w.shape))
+        p = np.stack([m.project(w) for m in self.members]).reshape(len(self.members), -1)
+        nearest = np.abs(p - w.reshape(-1)).argmin(axis=0)
+        frames = [m.boundary_frame(w.reshape(-1)) for m in self.members]
+        cols = np.arange(p.shape[1])
+        return tuple(np.stack([f[q] for f in frames])[nearest, cols].reshape(w.shape)
+                     for q in range(4))
 
     @cached_property
     def _edges(self):
@@ -124,7 +189,8 @@ class CompactSet:
                 np.where(d.imag == 0, 1.0, d.imag))
 
     def _polygon_nearest(self, w, tol):
-        """Nearest boundary point of a polygon, and membership within tol of the boundary.
+        """Nearest boundary point of a polygon, membership within tol of the boundary,
+        and (flattened) the nearest edge, the parameter along it and the distance to it.
 
         One (points x edges) broadcast gives the clamped edge parameter, the
         nearest point on each edge, its distance and the crossing-number parity.
@@ -140,7 +206,8 @@ class CompactSet:
         xint = a.real + (y - a.imag) * d.real / rise
         odd = np.logical_xor.reduce(crosses & (col.real < xint), axis=1)
         inside = odd | (dist[rows, e] <= tol)
-        return p[rows, e].reshape(w.shape), inside.reshape(w.shape)
+        return (p[rows, e].reshape(w.shape), inside.reshape(w.shape),
+                e, t[rows, e], dist[rows, e])
 
     def sample(self, n, rng):
         """n points distributed over the set (uniform-ish; seeds the ascent)."""
@@ -212,15 +279,20 @@ def set_union(members):
     return CompactSet("union", members=tuple(members))
 
 
-def _has_area(vertices):
-    """Whether a polygon's shoelace area exceeds rounding level (1e-12 of its box side squared)."""
+def _signed_area(vertices):
+    """Shoelace area of a polygon, positive when its vertices run counter-clockwise."""
     v = np.array(vertices, dtype=complex)
-    if len(v) < 3:
-        return False
     v = v - v[0]        # shoelace terms at the polygon's own scale, wherever it lies
     x, y = v.real, v.imag
-    area = 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-    return bool(area > 1e-12 * max(np.ptp(x), np.ptp(y)) ** 2)
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _has_area(vertices):
+    """Whether a polygon's shoelace area exceeds rounding level (1e-12 of its box side squared)."""
+    if len(vertices) < 3:
+        return False
+    v = np.array(vertices, dtype=complex)
+    return bool(abs(_signed_area(vertices)) > 1e-12 * max(np.ptp(v.real), np.ptp(v.imag)) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +306,9 @@ class FeketeResult:
     log_energy: float
     delta_j: float
     restart: int = 0
-    iterations: int = 0
+    iterations: int = 0          # both phases of the ascent
     converged: bool = False      # False when the ascent stopped at max_iter
+    newton_iterations: int = 0   # the Newton steps among the iterations
 
 
 def _pair_kernel(w, pairs):
@@ -256,14 +329,21 @@ def _pair_kernel(w, pairs):
     return float(np.log(dist).sum()), diff
 
 
-def _ascend(K, w, max_iter, rtol):
+def _upper_pairs(n):
+    """Flat indices i*n + k, i < k, in row-major order: the pairs of _pair_kernel."""
+    i, k = np.triu_indices(n, 1)
+    return i * n + k
+
+
+def _ascend(K, w, max_iter, rtol, hand_over=0.0):
     """Projected gradient ascent with step halving; returns (w, E, iterations, converged).
 
     Converged means the relative energy gain fell below rtol or 60 halvings
-    found no gain; otherwise the ascent ran out of its max_iter iterations.
+    found no gain.  Otherwise the ascent ran out of its max_iter iterations,
+    or (with hand_over > 0) the gain fell below hand_over with every point on
+    the boundary of K, where Newton steps can take over.
     """
-    i, k = np.triu_indices(len(w), 1)
-    pairs = i * len(w) + k
+    pairs = _upper_pairs(len(w))
     E, diff = _pair_kernel(w, pairs)
     x0, x1 = K.bounding_box()[:2]
     step = 0.1 * max(1.0, abs(x1 - x0))
@@ -280,19 +360,100 @@ def _ascend(K, w, max_iter, rtol):
         else:
             return w, E, it + 1, True
         done = abs(E2 - E) < rtol * max(1.0, abs(E2))
+        small = abs(E2 - E) < hand_over * max(1.0, abs(E2))
         w, E, diff = trial, E2, diff2
         step *= 1.3
         if done:
             return w, E, it + 1, True
+        if small and K.boundary_frame(w)[3].all():
+            return w, E, it + 1, False
     return w, E, max_iter, False
+
+
+def _tangent_system(diff, t, kappa, n):
+    """Gradient g and Hessian M of the energy in arc-length coordinates along the boundary.
+
+    diff is the difference matrix of _pair_kernel, (t, kappa, n) the boundary
+    frame at the points.  With G_i = sum_k 1/conj(w_i - w_k):
+    g_i = Re(G_i conj(t_i)), M_ik = Re(t_i t_k / (w_i - w_k)^2) for i != k, and
+    M_ii = -sum_k Re(t_i^2 / (w_i - w_k)^2) - kappa_i Re(G_i conj(n_i)).
+    Rows of pinned points (t = 0) vanish apart from the curvature term.
+    """
+    inv = 1.0 / diff
+    np.fill_diagonal(inv, 0.0)
+    G = np.conj(inv.sum(axis=1))
+    inv2 = inv * inv
+    M = (t[:, None] * t[None, :] * inv2).real
+    np.fill_diagonal(M, -(t * t * inv2.sum(axis=1)).real - kappa * (G * np.conj(n)).real)
+    return (G * np.conj(t)).real, M
+
+
+def _newton_direction(g, M, free):
+    """Modified Newton step V diag(1/max(|lam|, 1e-9 max|lam|)) V^T g over the free points.
+
+    (lam, V) is the eigensystem of -M on the free points; taking moduli makes
+    the step an ascent direction where M is indefinite, and the floor bounds
+    it along almost-flat modes.  Pinned points get 0.
+    """
+    lam, V = np.linalg.eigh(-M[np.ix_(free, free)])
+    a = np.abs(lam)
+    p = np.zeros(len(g))
+    p[free] = V @ ((V.T @ g[free]) / np.maximum(a, 1e-9 * a.max()))
+    return p
+
+
+def _fekete_ascent(K, w, max_iter, rtol):
+    """Gradient ascent polished by damped Newton steps along the boundary.
+
+    Returns (w, E, iterations, newton_iterations, converged).  Iterations count
+    both phases and max_iter caps their total; converged as in _ascend, the
+    Newton steps stopping on the same relative-gain rule.  A point off the
+    boundary hands back to the gradient ascent, which returns once every point
+    is on it again; a Newton step that 30 halvings cannot make gain hands back
+    for good.
+    """
+    pairs = _upper_pairs(len(w))
+    hand_over = _NEWTON_SWITCH
+    w, E, its, converged = _ascend(K, w, max_iter, rtol, hand_over)
+    newton_its = 0
+    while not converged and its < max_iter:
+        E, diff = _pair_kernel(w, pairs)
+        while its < max_iter:
+            t, kappa, n, on = K.boundary_frame(w)
+            free = t != 0
+            if not on.all():
+                break
+            if not free.any():           # every point pinned: nothing to polish
+                hand_over = 0.0
+                break
+            p = _newton_direction(*_tangent_system(diff, t, kappa, n), free) * t
+            for _ in range(30):
+                trial = K.project(w + p)
+                E2, diff2 = _pair_kernel(trial, pairs)
+                if E2 > E:
+                    break
+                p *= 0.5
+            else:
+                hand_over = 0.0
+                break
+            its += 1
+            newton_its += 1
+            done = abs(E2 - E) < rtol * max(1.0, abs(E2))
+            w, E, diff = trial, E2, diff2
+            if done:
+                return w, E, its, newton_its, True
+        if its < max_iter:
+            w, E, n_grad, converged = _ascend(K, w, max_iter - its, rtol, hand_over)
+            its += n_grad
+    return w, E, its, newton_its, converged
 
 
 def fekete_optimize(K, j, restarts=8, seed=0, max_iter=5000, rtol=1e-10):
     """Best-found j-point configuration maximizing the pairwise log-energy.
 
-    Projected gradient ascent with step halving, from `restarts` seeded
-    interior starts plus one boundary-biased start; ties broken by higher
-    energy, then lexicographic point order.  The result is a lower bound on
+    Projected gradient ascent finished by Newton steps along the boundary,
+    from `restarts` seeded interior starts plus one boundary-biased start;
+    ties broken by higher energy, then lexicographic point order.  The result is a lower bound on
     the true extremal energy.  Deterministic given (seed, restarts).
     """
     if j < 2:
@@ -313,14 +474,15 @@ def fekete_optimize(K, j, restarts=8, seed=0, max_iter=5000, rtol=1e-10):
             if not len(bad):
                 break
             w0[bad] = K.sample(len(bad), rng)
-        w, E, its, converged = _ascend(K, w0, max_iter, rtol)
+        w, E, its, newton_its, converged = _fekete_ascent(K, w0, max_iter, rtol)
         order = np.lexsort((w.imag, w.real))
         w = w[order]
         key = (E, tuple((-p.real, -p.imag) for p in w))
         if best is None or key > best[0]:
             jj = float(j)
             best = (key, FeketeResult(j, w, E, math.exp(2.0 * E / (jj * (jj - 1))),
-                                      restart=ridx, iterations=its, converged=converged))
+                                      restart=ridx, iterations=its, converged=converged,
+                                      newton_iterations=newton_its))
     return best[1]
 
 

@@ -380,7 +380,8 @@ def cmd_capacity(args):
         "j_max": est.j_max,
         "per_j": [{
             "j": r.j, "log_energy": r.log_energy, "delta_j": r.delta_j,
-            "iterations": r.iterations, "converged": r.converged,
+            "iterations": r.iterations, "newton_iterations": r.newton_iterations,
+            "converged": r.converged,
             "points": [[p.real, p.imag] for p in r.points],
         } for r in est.per_j],
         "provenance": _provenance(args, digest, command="capacity",

@@ -209,7 +209,7 @@ _LOG_GRID_STEP = 0.02
 _LOG_GRID_FLOOR = -60.0
 _LOG_GRID_MARGIN = 36.0      # nats the grid ends must lie below each row's peak
 _MOMENT_BLOCK = 16           # rows per (rows x nodes) block
-_COARSE_STRIDE = 8           # grid nodes per coarse-pass node
+_COARSE_STRIDE = 16          # grid nodes per coarse-pass node
 _WINDOW_DROP = 60.0          # nats below a row's coarse peak that its block's window keeps
 _WINDOW_PAD = 2              # coarse steps added to each side of a window
 _PASS_SIZE = 4096            # most (rows x nodes) elements per recurrence buffer
@@ -224,7 +224,7 @@ def _log_grid(size):
     n peaks with width n^(-1/2) in u, and the rule errs by about
     exp(-2 pi^2 / (n h^2)), so past size ~ 940 h shrinks to hold (size + 60) h^2
     at 0.4.  Each row needs only a few hundred of the nodes: `_radial_moments`
-    reads every 8th node (and the last) in a coarse pass to place a window per
+    reads every 16th node (and the last) in a coarse pass to place a window per
     block of rows, then sums over the window with one recurrence per block.
     """
     h = min(_LOG_GRID_STEP, math.sqrt(0.4 / (size + 60.0)))
@@ -248,11 +248,11 @@ def _radial_moments(profile, q, scale, count, order=None, log_scale=False):
     Rows go in blocks of 16, and one Laguerre recurrence serves a block: rows
     k >= q share m = q, and rows k < q are read off at their own step m.  Row
     k + q is t^(k+q) e^(-t) times bounded factors, so on the grid it lives on a
-    few hundred of the grid's thousands of nodes.  A coarse pass over every 8th
+    few hundred of the grid's thousands of nodes.  A coarse pass over every 16th
     node (and both ends) finds them.  The block's window is the contiguous
     range where some row is within 60 nats of its own coarse peak, padded by
     two coarse steps, and the trapezoid sum runs on the window only.  This
-    takes |R| never to rise by tens of nats between two coarse nodes (16%
+    takes |R| never to rise by tens of nats between two coarse nodes (38%
     apart in t).  The closed-form kinds (constant, gaussian, power, exp_beta,
     disk_indicator, poly_gauss and laguerre_mix) are smooth, or only fall at
     a jump, and their zeros are isolated, so they keep it.  A
@@ -307,7 +307,7 @@ def _radial_moments(profile, q, scale, count, order=None, log_scale=False):
         ks = np.arange(k0, min(k0 + _MOMENT_BLOCK, count))
         lo, hi, coarse_logs = 0, t.size, None
         if on_grid and profile.closed_form and not ks[0] <= q <= ks[-1]:
-            # every 8th node and the last; built per block, since caching it
+            # every 16th node and the last; built per block, since caching it
             # beside the grid fragmented the heap and raised the peak memory of
             # later jobs in the same process
             coarse = np.append(np.arange(0, t.size - 1, _COARSE_STRIDE), t.size - 1)

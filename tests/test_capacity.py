@@ -221,16 +221,20 @@ def test_polygon_project_and_membership_match_per_edge_loops(vertices):
     assert K.membership(v).all() and K.membership(0.5 * (v + np.roll(v, -1))).all()
 
 
-@pytest.mark.parametrize("K,j,iterations,log_energy", [
-    (cap.segment(-1.0, 1.0), 16, 107, -55.115579679641236),
-    (cap.polygon([0, 1.0, 1.0 + 1.0j, 1.0j]), 12, 62, -18.759551311232027),
-    (cap.set_union([cap.disk(-2.0, 0.5), cap.disk(2.0, 0.5)]), 11, 1082, 34.27522890301398)],
+@pytest.mark.parametrize("K,j,iterations,log_energy,gradient_only", [
+    (cap.segment(-1.0, 1.0), 16, 37, -55.11557961053518, -55.115579679641236),
+    (cap.polygon([0, 1.0, 1.0 + 1.0j, 1.0j]), 12, 15, -18.759551303146022, -18.759551311232027),
+    (cap.set_union([cap.disk(-2.0, 0.5), cap.disk(2.0, 0.5)]), 11, 17, 34.2752291868156,
+     34.27522890301398)],
     ids=["segment", "square", "two-disks"])
-def test_fekete_iterates_pinned(K, j, iterations, log_energy):
-    # iteration counts and energies of the per-pair / per-edge implementation
+def test_fekete_iterates_pinned(K, j, iterations, log_energy, gradient_only):
+    # iteration counts and energies of the two-phase ascent; gradient_only is the
+    # energy the projected-gradient ascent alone reached, which the Newton polish
+    # must not lose
     r = cap.fekete_optimize(K, j, restarts=1, seed=1)
     assert r.iterations == iterations and r.converged
     assert r.log_energy == pytest.approx(log_energy, rel=1e-12, abs=0)
+    assert r.log_energy >= gradient_only
 
 
 def test_ascent_reports_max_iter_as_not_converged():
@@ -250,3 +254,117 @@ def test_sliver_polygon_sampling_gives_up():
     sliver = cap.polygon([0, 1.0 + 1.0j, 2.0 + 2.000000001j])     # area 5e-10
     with pytest.raises(ValueError, match="too thin to sample"):
         cap.fekete_optimize(sliver, 8, restarts=1)
+
+
+def test_union_with_degenerate_member_refused():
+    # a one-point member made project() divide by zero and the ascent stop at once
+    with pytest.raises(ValueError, match="union member 1 is a degenerate segment"):
+        cap.set_union([cap.disk(0.0, 1.0), cap.segment(5.0, 5.0)])
+    with pytest.raises(ValueError, match="union member 0 is a degenerate disk"):
+        cap.set_union([cap.disk(5.0, 0.0), cap.disk(0.0, 1.0)])
+
+
+# ---------------------------------------------------------------------------
+# the Newton phase: boundary frames and the tangent Hessian
+
+
+def test_boundary_frame_geometry():
+    t, kappa, n, on = cap.disk(1.0 + 1.0j, 2.0).boundary_frame(np.array([3.0 + 1.0j, 1.0 + 1.0j]))
+    assert t[0] == pytest.approx(1j) and kappa[0] == 0.5 and n[0] == pytest.approx(1.0)
+    assert list(on) == [True, False]
+    t, kappa, n, on = cap.segment(0.0, 2.0).boundary_frame(np.array([0.0, 1.0, 2.0, 1.0 + 0.5j]))
+    assert list(t[:3]) == [0, 1, 0] and not kappa.any() and list(on) == [True, True, True, False]
+    ccw = [0, 1.0, 1.0 + 1.0j, 1.0j]
+    for vertices in (ccw, ccw[::-1]):
+        w = np.array([0.5, 1.0 + 0.5j, 1.0, 0.5 + 0.5j])   # two edge midpoints, a vertex, the centre
+        t, kappa, n, on = cap.polygon(vertices).boundary_frame(w)
+        assert np.allclose(n[:2], [-1j, 1.0]) and abs(t[0]) == 1 and t[2] == 0
+        assert not kappa.any() and list(on) == [True, True, True, False]
+    u = cap.set_union([cap.disk(-2.0, 0.5), cap.disk(2.0, 1.0)])
+    t, kappa, n, on = u.boundary_frame(np.array([-1.5, 1.0, 2.0]))
+    assert list(kappa) == [2.0, 1.0, 1.0] and list(on) == [True, True, False]
+    assert np.allclose(n[:2], [1.0, -1.0])
+
+
+def _arc_move(w, frame, s):
+    """Points moved by arc lengths s along the boundary: turned about the centre of
+    curvature where kappa > 0, along the tangent on edges."""
+    t, kappa, n, _ = frame
+    centre = w - n / np.where(kappa > 0, kappa, 1.0)
+    return np.where(kappa > 0, centre + (w - centre) * np.exp(1j * s * kappa), w + s * t)
+
+
+def _tangent_gradient(K, w):
+    E, diff = cap._pair_kernel(w, _upper_pairs(len(w)))
+    frame = K.boundary_frame(w)
+    return E, frame, cap._tangent_system(diff, *frame[:3])
+
+
+_ARC = 0.4 + 0.1j + 1.3 * np.exp(1j * np.linspace(0.2, 1.6, 6))
+
+
+@pytest.mark.parametrize("K,w", [
+    (cap.disk(0.4 + 0.1j, 1.3), _ARC),
+    (cap.polygon([0, 2.0, 1.0 + 1.5j]), np.array([0.0, 0.7, 1.3, 1.6 + 0.6j, 0.4 + 0.6j])),
+    (cap.segment(-1.0 - 0.5j, 1.0 + 0.5j), np.array([-1.0 - 0.5j, -0.4 - 0.2j, 0.2 + 0.1j, 0.8 + 0.4j])),
+    (cap.set_union([cap.disk(-2.0, 0.5), cap.disk(2.0, 1.0)]),
+     np.array([-2.0 + 0.5j, -2.5, 3.0, 2.0 - 1.0j, 2.0 + np.exp(2.0j)]))],
+    ids=["disk-arc", "polygon-edges", "segment-interior", "union-members"])
+def test_tangent_hessian_matches_central_differences(K, w):
+    # the exact gradient and Hessian of E along the boundary, in arc length per point,
+    # against central differences of E and of the tangent gradient
+    E, frame, (g, M) = _tangent_gradient(K, w)
+    assert frame[3].all()
+    free = np.flatnonzero(frame[0] != 0)
+    assert len(free) >= 3
+    h = 1e-5
+    for k in free:
+        s = np.zeros(len(w))
+        s[k] = h
+        up, down = _arc_move(w, frame, s), _arc_move(w, frame, -s)
+        E_up, _, (g_up, _) = _tangent_gradient(K, up)
+        E_down, _, (g_down, _) = _tangent_gradient(K, down)
+        assert (E_up - E_down) / (2 * h) == pytest.approx(g[k], rel=1e-6, abs=1e-6 * abs(g).max())
+        column = (g_up - g_down) / (2 * h)
+        assert np.abs(column[free] - M[free, k]).max() <= 1e-6 * np.abs(M).max()
+    pinned = frame[0] == 0
+    assert not g[pinned].any()
+    # the modified Newton step solves A p = g on the free points, A being -M with its
+    # eigenvalues replaced by max(|lam|, 1e-9 max|lam|), so it climbs: g . p > 0
+    p = cap._newton_direction(g, M, ~pinned)
+    lam, V = np.linalg.eigh(-M[np.ix_(free, free)])
+    a = np.maximum(np.abs(lam), 1e-9 * np.abs(lam).max())
+    assert np.abs(V @ (a * (V.T @ p[free])) - g[free]).max() <= 1e-12 * np.abs(g).max()
+    assert not p[pinned].any() and g @ p > 0
+
+
+# the benchmark's five shapes at their j_max, with the per-j best log-energies the
+# projected-gradient ascent alone reached at restarts 1, seed 1
+_BENCHMARK_SHAPES = {
+    "disk": (cap.disk(0.0, 1.5), 40, [
+        19.67078919374795, 35.48900494634009, 70.83652275089798, 138.64085583455082,
+        271.77795184530777, 390.04037340664706]),
+    "segment": (cap.segment(0.0, 2.0), 32, [
+        -8.076797420205141, -20.836835315093634, -55.115579679641236, -130.95280215875817,
+        -276.83195525626195]),
+    "square": (cap.polygon([0, 1.5, 1.5 + 1.5j, 1.5j]), 24, [
+        6.007272607008433, 7.454529318539006, 8.715140229762696, 6.287124296174827,
+        5.692355771935642]),
+    "triangle": (cap.polygon([0, 1.5, 1.5 * complex(0.5, math.sqrt(3) / 2)]), 24, [
+        -3.464624765839643, -10.90501413752091, -31.620670066836606, -78.59298598484773,
+        -87.00549885780649]),
+    "two-disks": (cap.set_union([cap.disk(-2.0, 0.5), cap.disk(2.0, 0.5)]), 24, [
+        19.79273077905474, 34.27522890301398, 67.68437659706693, 129.47428363630075,
+        140.3898835766555]),
+}
+
+
+@pytest.mark.parametrize("name", list(_BENCHMARK_SHAPES))
+def test_newton_polish_loses_no_energy(name):
+    # Newton steps pin polygon vertices; they must not trade a maximum for a worse one
+    K, j_max, gradient_only = _BENCHMARK_SHAPES[name]
+    est = cap.capacity_estimate(K, j_max, restarts=1, seed=1)
+    assert all(r.converged for r in est.per_j)
+    assert [r.j for r in est.per_j] == cap._j_schedule(j_max)
+    for r, old in zip(est.per_j, gradient_only):
+        assert r.log_energy >= old, (r.j, r.log_energy, old)

@@ -359,7 +359,11 @@ _BAD_CAPACITY = [
     ({"set": {"kind": "polygon", "vertices": [[0, 0], [1, 0]]}, "j_max": 8}, "zero area"),
     ({"set": {"kind": "disk", "radius": float("inf")}, "j_max": 8}, "must be finite"),
     ({"set": {"kind": "union", "members": [_DISK, 5]}, "j_max": 8}, "expected an object"),
-    ({"set": 5, "j_max": 8}, "expected an object")]
+    ({"set": 5, "j_max": 8}, "expected an object"),
+    ({"set": {"kind": "union", "members": [_DISK, {"kind": "segment", "a": [5, 5], "b": [5, 5]}]},
+      "j_max": 8}, "union member 1 is a degenerate segment"),
+    ({"set": {"kind": "union", "members": [{"kind": "disk", "center": [5, 0], "radius": 0}, _DISK]},
+      "j_max": 8}, "union member 0 is a degenerate disk")]
 
 
 @pytest.mark.parametrize("payload,message", _BAD_CAPACITY)
@@ -393,8 +397,9 @@ def test_capacity_reports_iterations_and_convergence(tmp_path):
     assert main(["capacity", "--config", cfg, "--out", str(out)]) == 0
     per_j = json.loads((out / "capacity.json").read_text())["per_j"]
     est = capacity.capacity_estimate(capacity.segment(-1.0, 1.0), 11, restarts=1, seed=1)
-    assert [(r["j"], r["iterations"], r["converged"]) for r in per_j] == \
-        [(r.j, r.iterations, True) for r in est.per_j]
+    assert [(r["j"], r["iterations"], r["newton_iterations"], r["converged"]) for r in per_j] == \
+        [(r.j, r.iterations, r.newton_iterations, True) for r in est.per_j]
+    assert all(0 < r["newton_iterations"] < r["iterations"] for r in per_j)
 
 
 _BAD_ASYMPTOTICS = [
