@@ -124,9 +124,13 @@ class CompactSet:
         if self.kind == "polygon":
             nearest, inside = self._polygon_nearest(w, 1e-12)[:2]
             return np.where(inside, w, nearest)
-        p = np.stack([m.project(w) for m in self.members]).reshape(len(self.members), -1)
-        nearest = np.abs(p - w.reshape(-1)).argmin(axis=0)
+        p, nearest = self._nearest_member(w)
         return p[nearest, np.arange(p.shape[1])].reshape(w.shape)
+
+    def _nearest_member(self, w):
+        """Union members' projections of w, (members, points), and per point the nearest."""
+        p = np.stack([m.project(w) for m in self.members]).reshape(len(self.members), -1)
+        return p, np.abs(p - w.reshape(-1)).argmin(axis=0)
 
     def boundary_frame(self, w):
         """Boundary geometry at each point: (tangent, curvature, normal, on).
@@ -167,10 +171,9 @@ class CompactSet:
             n = -1j * u * np.sign(_signed_area(self.vertices))
             return (np.where(pinned, 0.0, u).reshape(w.shape), np.zeros(w.shape),
                     n.reshape(w.shape), (dist <= eps).reshape(w.shape))
-        p = np.stack([m.project(w) for m in self.members]).reshape(len(self.members), -1)
-        nearest = np.abs(p - w.reshape(-1)).argmin(axis=0)
+        nearest = self._nearest_member(w)[1]
         frames = [m.boundary_frame(w.reshape(-1)) for m in self.members]
-        cols = np.arange(p.shape[1])
+        cols = np.arange(nearest.size)
         return tuple(np.stack([f[q] for f in frames])[nearest, cols].reshape(w.shape)
                      for q in range(4))
 

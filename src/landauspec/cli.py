@@ -312,7 +312,7 @@ def cmd_spectrum(args):
     V = _built("symbol", symbols.separable_symbol, b, block["terms"])
     H = operators.assemble_hv(V, levels, radial, sign=sign)
     rep = operators.eig_hermitian(H)
-    trust = H.provenance["trust_radius"]
+    trust = H.trust_radius
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "eigenvalues.csv", ["index", "eigenvalue"],
@@ -433,7 +433,7 @@ def cmd_construct_gaps(args):
             raise ConfigError("levels must be at least len(multiplicities)")
         H = operators.assemble_hv(V, Q, Kr, sign=-1)
         rep = operators.eig_hermitian(H)
-        trust = H.provenance["trust_radius"]
+        trust = H.trust_radius
         payload["gap_counts"] = [rep.gap_count(q, "-") for q in range(len(mult))]
         payload["eigenvalue_errors"] = [
             float(np.abs(rep.eigenvalues - val).min()) for _, _, val in predictions]

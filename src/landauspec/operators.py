@@ -1,14 +1,14 @@
-"""Truncated operator matrices and explicit eigenvalue formulas.
+"""Hermite-basis pairing matrices, explicit eigenvalue sequences, and the
+level-basis Hamiltonian.
 
-The perturbed magnetic Hamiltonian is assembled in the level basis whose
-matrix elements are pairings of the pulled-back symbol against tensor
-products of Wigner pair kernels, with unit-modulus phases i^(k-l-q+r).
-Radial symbols get dedicated fast paths: their operators are diagonal in
-the Hermite basis and the eigenvalues reduce to half-line Laguerre-type
-integrals, evaluated in log space wherever values dive below the double
-underflow threshold.  A separable 4-D symbol with radial factors is
-therefore diagonal in the level basis and is assembled from those 1-D
-sequences without any pairing matrix.
+A 2-D symbol's Weyl operator is truncated in the Hermite basis by pairing
+the symbol against Wigner pair kernels.  Radial symbols need no pairing:
+their operators are diagonal in the Hermite basis and the eigenvalues reduce
+to half-line Laguerre-type integrals, evaluated in log space wherever values
+dive below the double underflow threshold.  The perturbed magnetic
+Hamiltonian H_V = H_0 + op(V) of a separable 4-D symbol with radial factors
+is therefore diagonal in the level basis, and is held as that diagonal,
+built from those 1-D sequences.
 """
 
 from __future__ import annotations
@@ -29,18 +29,16 @@ class TruncationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TruncatedOperator:
-    """Finite Hermitian matrix in a named orthonormal basis."""
+class LevelOperator:
+    """Truncated level-basis H_V, diagonal: entry (q, k) is lam_q + sign * G[q, k].
 
-    basis: str                           # 'hermite' | 'landau'
-    matrix: np.ndarray = field(repr=False)
-    b: float = 0.0
-    levels: int = 0                      # landau basis: number of levels Q
-    radial: int = 0                      # landau basis: radial indices K per level
-    provenance: dict = field(default_factory=dict)
+    trust_radius is ten times the largest coupling on the truncation boundary
+    (see `_diagonal_hv`).
+    """
 
-    def hermiticity_defect(self):
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
+    b: float
+    diagonal: np.ndarray = field(repr=False)   # (levels, radial)
+    trust_radius: float = 0.0
 
 
 @dataclass
@@ -48,13 +46,10 @@ class SpectrumReport:
     """Sorted eigenvalues with per-gap counts for the level basis."""
 
     eigenvalues: np.ndarray
-    basis: str
     b: float = 0.0
     levels: int = 0
-    radial: int = 0
     cluster_tol: float = 0.0
     windows: list = field(default_factory=list)   # dicts: q, side, lo, hi, count
-    provenance: dict = field(default_factory=dict)
 
     def gap_count(self, q, side):
         for w in self.windows:
@@ -82,14 +77,18 @@ def _count_open(eigs, lo, hi, tol):
 # dense matrices in the Hermite basis
 
 
+def _pairing_order(n, order=None):
+    """Tensor Gauss-Hermite order for pairings with n Hermite functions."""
+    return order or max(quadrature.DEFAULT_ORDER_R2, 2 * n + 16)
+
+
 def kernel_pair_matrix(v, n, order=None):
     """Matrix of pairings <v, Psi_{k,l}> for k, l < n, by tensor quadrature.
 
     One Laguerre recurrence sweep per diagonal supplies all pair-kernel
-    values; for real symbols only the lower triangle is integrated.
+    values; symbols are real, so only the upper triangle is integrated.
     """
-    order = order or max(quadrature.DEFAULT_ORDER_R2, 2 * n + 16)
-    rule = quadrature.gauss_hermite(order)
+    rule = quadrature.gauss_hermite(_pairing_order(n, order))
     p = rule.nodes
     fw = rule.flat_weights
     x = p[:, None]
@@ -100,24 +99,22 @@ def kernel_pair_matrix(v, n, order=None):
         # <v, Psi_{k,l}> pairs v with conj(Psi_{k,l}) = Psi_{l,k}; val = Psi_{m+d, m}
         for m, val in wigner_pair_diagonal_sweep(n - d, x, xi, d):
             M[m, m + d] = np.einsum("ij,ij->", weighted, val)
-            if d and not v.real:
-                M[m + d, m] = np.einsum("ij,ij->", weighted, np.conj(val))
-        if d and v.real:
+        if d:
             idx = np.arange(n - d)
             M[idx + d, idx] = np.conj(M[idx, idx + d])
     return M
 
 
 def weyl_matrix(v, n, order=None, check=False):
-    """Truncated Weyl operator of a 2-D symbol in the Hermite basis.
+    """Truncated Weyl operator of a 2-D symbol in the Hermite basis, (n, n).
 
-    Entry (k, l) is <op(v) psi_l, psi_k> = <v, Psi_{k,l}>; Hermitian for real
-    symbols.  With check=True the assembly is repeated at double order and a
-    disagreement raises QuadratureAccuracyError.
+    Entry (k, l) is <op(v) psi_l, psi_k> = <v, Psi_{k,l}>; Hermitian, as
+    symbols are real.  With check=True the assembly is repeated at double
+    order and a disagreement raises QuadratureAccuracyError.
     """
     if n < 1:
         raise ValueError("need at least one basis function")
-    order = order or max(quadrature.DEFAULT_ORDER_R2, 2 * n + 16)
+    order = _pairing_order(n, order)
     M = kernel_pair_matrix(v, n, order=order)
     if check:
         M2 = kernel_pair_matrix(v, n, order=2 * order)
@@ -126,8 +123,7 @@ def weyl_matrix(v, n, order=None, check=False):
             raise quadrature.QuadratureAccuracyError(
                 f"pairing matrix moved by {defect:.3e} under order doubling")
         M = M2
-    return TruncatedOperator("hermite", M, provenance={
-        "basis": "hermite", "size": n, "order": order})
+    return M
 
 
 def hilbert_schmidt_check(v, n, order=None):
@@ -135,18 +131,17 @@ def hilbert_schmidt_check(v, n, order=None):
 
     The truncated Frobenius mass converges upward to (2 pi)^(-1) ||v||^2.
     """
-    M = weyl_matrix(v, n, order=order).matrix
-    mat = float(np.sum(np.abs(M) ** 2))
+    order = _pairing_order(n, order)
+    mat = float(np.sum(np.abs(weyl_matrix(v, n, order=order)) ** 2))
     sym = float(np.real(quadrature.integrate_r2(
-        lambda x, xi: np.abs(v.evaluate(x, xi)) ** 2,
-        order=order or max(quadrature.DEFAULT_ORDER_R2, 2 * n + 16))))
+        lambda x, xi: np.abs(v.evaluate(x, xi)) ** 2, order=order)))
     return mat, sym / (2.0 * np.pi)
 
 
 def banded_structure_check(v, n, order=None):
     """(max |entry| inside the declared angular band, max outside)."""
     width = v.bandwidth
-    M = weyl_matrix(v, n, order=order).matrix
+    M = weyl_matrix(v, n, order=order)
     k = np.arange(n)
     inside = np.abs(k[:, None] - k[None, :]) <= width
     a = np.abs(M)
@@ -405,52 +400,25 @@ def landau_levels(b, q_count):
     return b * (2.0 * np.arange(q_count) + 1.0)
 
 
-def assemble_hv(V, levels, radial, sign=+1, order=None):
-    """Truncated matrix of H = diag(Landau levels) + sign * op(V), V separable.
+def assemble_hv(V, levels, radial, sign=+1):
+    """Truncated level-basis H = diag(Landau levels) + sign * op(V), V separable.
 
-    The route follows the symbol's structure and is recorded in the
-    provenance:
-
-      radial-diagonal  every factor radial: both pairing matrices are
-                       diagonal, so H is diagonal with entries
-                       lam_q + sign * sum c mu_q(A) mu_k(B), mu the 1-D Weyl
-                       sequences (default rules; `order` is not used)
-      dense-separable  some factor angular or generic: each 4-D pairing
-                       factors into two 2-D pairing matrices
-
-    The i^(k-l-q+r) phases enter as a diagonal unitary conjugation, so they
-    never change the spectrum but are kept so the matrix is literally the
-    one in the level basis.
+    Every factor of every term must be radial: both pairing matrices of a
+    term are then diagonal, so H is diagonal with entries
+    lam_q + sign * sum c mu_q(A) mu_k(B), mu the 1-D Weyl sequences (default
+    rules).  A term with another factor raises UnsupportedProfileError.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    b = V.b
     Q, K = int(levels), int(radial)
     if Q < 1 or K < 1:
         raise ValueError("levels and radial must be positive")
-    if all(A.structure == B.structure == "radial" for _, A, B in V.terms):
-        return _diagonal_hv(b, _radial_couplings(V.terms, Q, K), sign)
-    dim = Q * K
-    M0 = np.zeros((Q, K, Q, K), dtype=complex)
-    for c, A, B in V.terms:
-        PA = kernel_pair_matrix(A, Q, order=order)
-        PB = kernel_pair_matrix(B, K, order=order)
-        M0 += c * np.einsum("qr,kl->qkrl", PA, PB)
-    M0 = M0.reshape(dim, dim)
-    pow4 = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
-    D = pow4[(np.arange(K)[None, :] - np.arange(Q)[:, None]) % 4].reshape(dim)  # i^(k-q)
-    M = D[:, None] * M0 * np.conj(D)[None, :]
-    lam = np.repeat(landau_levels(b, Q), K)
-    H = np.diag(lam).astype(complex) + sign * M
-    # truncation trust region: couplings on the truncation boundary bound
-    # what was discarded; eigenvalues closer to a level than 10x that are
-    # not to be trusted for gap counting
-    A = np.abs(M0.reshape(Q, K, Q, K))
-    boundary = max(float(A[:, K - 1, :, :].max()), float(A[:, :, :, K - 1].max()),
-                   float(A[Q - 1].max()), float(A[:, :, Q - 1, :].max()))
-    return TruncatedOperator("landau", H, b=b, levels=Q, radial=K, provenance={
-        "basis": "landau", "levels": Q, "radial": K, "sign": sign, "route": "dense-separable",
-        "order": order, "max_coupling": float(A.max()), "trust_radius": 10.0 * boundary})
+    for i, (_, A, B) in enumerate(V.terms):
+        if not A.structure == B.structure == "radial":
+            raise symbols.UnsupportedProfileError(
+                f"term {i} has a {A.structure} x {B.structure} factor pair; "
+                "the level basis takes radial factors only")
+    return _diagonal_hv(V.b, _radial_couplings(V.terms, Q, K), sign)
 
 
 def _radial_couplings(terms, levels, radial, b_eigs=weyl_radial_eigs):
@@ -466,52 +434,37 @@ def _radial_couplings(terms, levels, radial, b_eigs=weyl_radial_eigs):
 
 
 def _diagonal_hv(b, G, sign):
-    """Diagonal level-basis operator lam_q + sign * G[q, k], flattened (q, k)."""
+    """The LevelOperator with diagonal lam_q + sign * G[q, k].
+
+    Couplings on the truncation boundary (radial index K-1, level Q-1) bound
+    what was discarded; eigenvalues closer to a level than ten times the
+    largest of them are not to be trusted for gap counting.
+    """
     Q, K = G.shape
-    H = np.diag((landau_levels(b, Q)[:, None] + sign * G).ravel()).astype(complex)
-    # the diagonal entries on the truncation boundary (radial index K-1, level
-    # Q-1) are the couplings the dense route's trust radius is taken from
     A = np.abs(G)
     boundary = max(float(A[:, K - 1].max()), float(A[Q - 1].max()))
-    return TruncatedOperator("landau", H, b=b, levels=Q, radial=K, provenance={
-        "basis": "landau", "levels": Q, "radial": K, "sign": sign,
-        "route": "radial-diagonal", "order": None, "max_coupling": float(A.max()),
-        "trust_radius": 10.0 * boundary})
+    return LevelOperator(b, landau_levels(b, Q)[:, None] + sign * G, 10.0 * boundary)
 
 
-def eig_hermitian(T, provenance=None):
-    """Full symmetric eigendecomposition of a truncated operator.
+def eig_hermitian(H):
+    """Spectrum of a LevelOperator: its sorted diagonal, with gap-window counts.
 
-    Checks hermiticity against 1e-10 of the Frobenius norm, clusters
-    degenerate eigenvalues at the same scale, and for the level basis
-    populates the spectral-gap window counts.  A matrix with no nonzero
-    off-diagonal entry (the radial-diagonal route) gives its sorted diagonal
-    without a dense eigensolve.
+    Degenerate eigenvalues cluster within 1e-10 of the diagonal's 2-norm.
     """
-    M = T.matrix
-    norm = float(np.linalg.norm(M)) or 1.0
-    defect = T.hermiticity_defect()
-    if defect > 1e-10 * norm:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
-    if np.count_nonzero(M) == np.count_nonzero(M.diagonal()):
-        eigs = np.sort(M.diagonal().real)
-    else:
-        eigs = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-    tol = 1e-10 * norm
+    eigs = np.sort(H.diagonal, axis=None)
+    tol = 1e-10 * float(np.linalg.norm(H.diagonal))
+    levels = H.diagonal.shape[0]
+    lam = landau_levels(H.b, levels + 1)
     windows = []
-    if T.basis == "landau" and T.levels:
-        lam = landau_levels(T.b, T.levels + 1)
-        for q in range(T.levels):
-            lo = lam[q - 1] if q >= 1 else -np.inf
-            windows.append({
-                "q": q, "side": "-", "lo": lo, "hi": lam[q],
-                "count": _count_open(eigs, lo, lam[q], tol)})
-            windows.append({
-                "q": q, "side": "+", "lo": lam[q], "hi": lam[q + 1],
-                "count": _count_open(eigs, lam[q], lam[q + 1], tol)})
-    return SpectrumReport(eigs, T.basis, b=T.b, levels=T.levels, radial=T.radial,
-                          cluster_tol=tol, windows=windows,
-                          provenance=dict(T.provenance, **(provenance or {})))
+    for q in range(levels):
+        lo = lam[q - 1] if q >= 1 else -np.inf
+        windows.append({
+            "q": q, "side": "-", "lo": lo, "hi": lam[q],
+            "count": _count_open(eigs, lo, lam[q], tol)})
+        windows.append({
+            "q": q, "side": "+", "lo": lam[q], "hi": lam[q + 1],
+            "count": _count_open(eigs, lam[q], lam[q + 1], tol)})
+    return SpectrumReport(eigs, b=H.b, levels=levels, cluster_tol=tol, windows=windows)
 
 
 # ---------------------------------------------------------------------------

@@ -219,16 +219,15 @@ class Symbol2D:
     """Symbol on phase space R^2: radial, finite angular expansion, or generic.
 
     Angular symbols store radial coefficient functions F_k(r) for modes
-    k = -K .. K; they are real-valued when F_{-k} = conj(F_k), which the
-    caller asserts through `real`.
+    k = -K .. K.  Symbols are real-valued: an angular one evaluates to the
+    real part of its expansion, which is the expansion itself when
+    F_{-k} = conj(F_k).
     """
 
     structure: str                      # 'radial' | 'angular' | 'generic'
     profile: RadialProfile = None
     modes: tuple = ()                   # ((k, fn), ...) for angular symbols
     fn: object = field(default=None, repr=False)
-    real: bool = True
-    decay: str = "schwartz"
 
     def evaluate(self, x, xi):
         x = np.asarray(x, dtype=float)
@@ -241,7 +240,7 @@ class Symbol2D:
             out = np.zeros(np.broadcast_shapes(x.shape, xi.shape), dtype=complex)
             for k, fk in self.modes:
                 out = out + fk(r) * np.exp(1j * k * theta)
-            return out.real if self.real else out
+            return out.real
         return self.fn(x, xi)
 
     @property
@@ -254,26 +253,24 @@ class Symbol2D:
         raise ValueError("generic symbols carry no declared bandwidth")
 
 
-def radial_symbol(profile, decay=None):
-    if decay is None:
-        decay = "compact" if profile.compact_support else "schwartz"
-    return Symbol2D("radial", profile=profile, decay=decay)
+def radial_symbol(profile):
+    return Symbol2D("radial", profile=profile)
 
 
-def angular_symbol(modes, real=True, decay="schwartz"):
+def angular_symbol(modes):
     """modes: dict or iterable of (k, F_k) with F_k a radial function of r."""
     items = modes.items() if isinstance(modes, dict) else modes
-    return Symbol2D("angular", modes=tuple(sorted(items)), real=real, decay=decay)
+    return Symbol2D("angular", modes=tuple(sorted(items)))
 
 
-def generic_symbol(fn, real=True, decay="bounded"):
+def generic_symbol(fn):
     """A 2-D symbol known only through its evaluator fn(x, xi).
 
     No CLI config builds one.  It stays as the form of a symbol with no
     radial or angular structure, which `operators.weyl_matrix` pairs by
     quadrature and `phase_space_volume` measures by grid counting.
     """
-    return Symbol2D("generic", fn=fn, real=real, decay=decay)
+    return Symbol2D("generic", fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +444,7 @@ def antiwick_to_weyl(F, order=200):
     """
     if F.structure != "radial":
         raise UnsupportedProfileError("only radial symbols are supported")
-    return radial_symbol(_smooth_profile(F.profile, order=order), decay="schwartz")
+    return radial_symbol(_smooth_profile(F.profile, order=order))
 
 
 def _smooth_profile(profile, order=200):

@@ -109,7 +109,7 @@ def test_criterion_06_radial_diagonalization():
     details = []
 
     for prof, order in ((gauss, None), (mix, 192)):
-        T = op.weyl_matrix(sy.radial_symbol(prof), 33, order=order).matrix
+        T = op.weyl_matrix(sy.radial_symbol(prof), 33, order=order)
         diag = np.real(np.diag(T))
         off = np.abs(T - np.diag(np.diag(T))).max()
         ratio = off / np.abs(diag).max()
@@ -134,8 +134,7 @@ def test_criterion_06_radial_diagonalization():
 
 def test_criterion_07_rank_one_and_hilbert_schmidt():
     v = sy.radial_symbol(sy.gaussian(1.0, amplitude=2.0))   # 2 pi Psi_0
-    T = op.weyl_matrix(v, 16)
-    eigs = np.linalg.eigvalsh(T.matrix)
+    eigs = np.linalg.eigvalsh(op.weyl_matrix(v, 16))
     err = max(abs(eigs[-1] - 1.0), float(np.abs(eigs[:-1]).max()))
     mat, symn = op.hilbert_schmidt_check(sy.radial_symbol(sy.gaussian(0.5, amplitude=1.1)), 64)
     hs = abs(mat - symn) / symn

@@ -157,6 +157,35 @@ def test_capacity_command_and_determinism(tmp_path):
     assert data["lower_cert"] <= data["estimate"]
 
 
+_RERUN_CONFIGS = {
+    "spectrum": {
+        "b": 1.2, "levels": 3, "radial": 8, "sign": "-",
+        "symbol": {"separable": {"terms": [
+            {"coeff": 9.0, "A": {"kind": "level_kernel", "q": 1},
+             "B": {"kind": "gaussian", "rate": 0.4}}]}}},
+    "construct-gaps": {
+        "b": 1.0, "multiplicities": [2, 0, 1], "level_scales": [0.8, 0.5, 0.3],
+        "index_scales": [0.5, 0.25], "verify": True},
+    "toeplitz": {
+        "zeta": {"kind": "exp_beta", "gamma": 1.0, "beta": 1.5},
+        "b": 2.0, "q": 1, "count": 40, "model": {"kind": "exp"}},
+    "radial-eigs": {"profile": {"kind": "gaussian", "rate": 0.3}, "count": 12},
+    "asymptotics": {"kind": "exp", "beta": 2.0, "gamma": 1.0, "b": 2.0, "k_range": [2, 20]},
+}
+
+
+@pytest.mark.parametrize("command", list(_RERUN_CONFIGS))
+def test_rerun_is_byte_identical(tmp_path, command):
+    cfg = write_config(tmp_path, "c.json", _RERUN_CONFIGS[command])
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert main([command, "--config", cfg, "--out", str(out1)]) == 0
+    assert main([command, "--config", cfg, "--out", str(out2)]) == 0
+    files = sorted(p.name for p in out1.iterdir())
+    assert files and files == sorted(p.name for p in out2.iterdir())
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 def test_asymptotics_command(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "kind": "exp", "beta": 2.0, "gamma": 1.0, "b": 2.0, "k_range": [2, 20]})
@@ -190,7 +219,7 @@ def test_construct_gaps_writes_trust_radius(tmp_path):
     data = json.loads((out / "construct_gaps.json").read_text())
     V, _ = operators.prescribed_gap_symbol(gaps["b"], gaps["multiplicities"],
                                            gaps["level_scales"], gaps["index_scales"])
-    trust = operators.assemble_hv(V, 4, 8, sign=-1).provenance["trust_radius"]
+    trust = operators.assemble_hv(V, 4, 8, sign=-1).trust_radius
     assert data["trust_radius"] == trust
     assert data["trust_warning"] is (trust > 0.5 * gaps["b"])
 

@@ -23,30 +23,30 @@ def gaussian_weyl_exact(a, amp, count):
 
 
 def test_weyl_matrix_constant_is_identity():
-    T = op.weyl_matrix(sy.radial_symbol(sy.constant(2.5)), 8)
-    assert np.abs(T.matrix - 2.5 * np.eye(8)).max() < 1e-10
+    M = op.weyl_matrix(sy.radial_symbol(sy.constant(2.5)), 8)
+    assert np.abs(M - 2.5 * np.eye(8)).max() < 1e-10
 
 
 def test_weyl_matrix_rank_one_projection():
     # 2 pi Psi_0 is the symbol of the projection onto the ground state
     v = sy.radial_symbol(sy.gaussian(1.0, amplitude=2.0))
-    T = op.weyl_matrix(v, 10)
-    assert T.matrix[0, 0].real == pytest.approx(1.0, abs=1e-9)
-    off = T.matrix.copy()
+    M = op.weyl_matrix(v, 10)
+    assert M[0, 0].real == pytest.approx(1.0, abs=1e-9)
+    off = M.copy()
     off[0, 0] = 0.0
     assert np.abs(off).max() < 1e-9
-    eigs = np.linalg.eigvalsh(T.matrix)
+    eigs = np.linalg.eigvalsh(M)
     assert eigs[-1] == pytest.approx(1.0, abs=1e-9)
     assert np.abs(eigs[:-1]).max() < 1e-9
 
 
 def test_weyl_matrix_radial_is_diagonal():
     for prof in (sy.gaussian(0.3), sy.laguerre_mix([0.5, 0.2, -0.1])):
-        T = op.weyl_matrix(sy.radial_symbol(prof), 14)
-        d = np.abs(np.diag(T.matrix)).max()
-        off = np.abs(T.matrix - np.diag(np.diag(T.matrix))).max()
+        M = op.weyl_matrix(sy.radial_symbol(prof), 14)
+        d = np.abs(np.diag(M)).max()
+        off = np.abs(M - np.diag(np.diag(M))).max()
         assert off < 1e-9 * d
-        assert T.hermiticity_defect() < 1e-10 * np.linalg.norm(T.matrix)
+        assert np.abs(M - M.conj().T).max() < 1e-10 * np.linalg.norm(M)
 
 
 def test_weyl_matrix_kernel_integral_oracle():
@@ -57,7 +57,7 @@ def test_weyl_matrix_kernel_integral_oracle():
     F = sy.angular_symbol({1: lambda r: 0.5 * r * np.exp(-r * r),
                            -1: lambda r: 0.5 * r * np.exp(-r * r)})
     n = 4
-    T = op.weyl_matrix(F, n).matrix
+    T = op.weyl_matrix(F, n)
 
     rule = qd.gauss_hermite(64)
     u = rule.nodes
@@ -78,7 +78,7 @@ def test_weyl_matrix_kernel_integral_oracle():
 
 
 def test_weyl_matrix_doubling_check_flags_bad_symbol():
-    wild = sy.generic_symbol(lambda x, xi: np.cos(60.0 * np.asarray(x)), real=True)
+    wild = sy.generic_symbol(lambda x, xi: np.cos(60.0 * np.asarray(x)))
     with pytest.raises(qd.QuadratureAccuracyError):
         op.weyl_matrix(wild, 6, order=24, check=True)
 
@@ -112,7 +112,7 @@ def test_banded_structure():
                                2: lambda r: -1j * f2(r), -2: lambda r: 1j * f2(r)})
     max_in, max_out = op.banded_structure_check(penta, 10)
     assert max_out < 1e-9 * max_in
-    T = op.weyl_matrix(penta, 10).matrix
+    T = op.weyl_matrix(penta, 10)
     assert abs(T[0, 2]) > 1e-3   # the band is actually used
 
 
@@ -160,7 +160,7 @@ def test_weyl_radial_eigs_high_level_kernel(q):
 def test_weyl_radial_eigs_matches_matrix_diagonal():
     prof = sy.gaussian(0.15)
     mu = op.weyl_radial_eigs(prof, 33)
-    diag = np.real(np.diag(op.weyl_matrix(sy.radial_symbol(prof), 33).matrix))
+    diag = np.real(np.diag(op.weyl_matrix(sy.radial_symbol(prof), 33)))
     assert np.abs(diag / mu - 1).max() < 1e-8
 
 
@@ -465,17 +465,12 @@ def test_assemble_single_level_block_matches_weyl_matrix():
     V = sy.separable_symbol(b, [(2 * np.pi,
                                  sy.radial_symbol(sy.diag_kernel_profile(q0)),
                                  sy.radial_symbol(vprof))])
-    H = op.assemble_hv(V, Q, K, sign=+1).matrix
+    H = op.assemble_hv(V, Q, K, sign=+1).diagonal
     lam = op.landau_levels(b, Q)
-    blocks = H.reshape(Q, K, Q, K)
     for q in range(Q):
-        for r in range(Q):
-            blk = blocks[q, :, r, :]
-            if q == r == q0:
-                continue
-            off = blk - np.diag(np.full(K, lam[q])) * (q == r)
-            assert np.abs(off).max() < 1e-9
-    shifted = np.linalg.eigvalsh(blocks[q0, :, q0, :]) - lam[q0]
+        if q != q0:
+            assert np.abs(H[q] - lam[q]).max() < 1e-9
+    shifted = H[q0] - lam[q0]
     mu = np.sort(op.weyl_radial_eigs(vprof, K))
     assert np.abs(np.sort(shifted) - mu).max() < 1e-9
 
@@ -503,11 +498,10 @@ def test_assemble_scaling_monotonicity():
 
 
 def _dense_hv(V, Q, K, sign, order=None):
-    """Level-basis H from Kronecker products of the 2-D pairing matrices."""
+    """Dense level-basis H from Kronecker products of the 2-D pairing matrices."""
     M = sum(c * np.kron(op.kernel_pair_matrix(A, Q, order=order),
                         op.kernel_pair_matrix(B, K, order=order)) for c, A, B in V.terms)
-    H = np.diag(np.repeat(op.landau_levels(V.b, Q), K)).astype(complex) + sign * M
-    return op.TruncatedOperator("landau", H, b=V.b, levels=Q, radial=K)
+    return np.diag(np.repeat(op.landau_levels(V.b, Q), K)).astype(complex) + sign * M
 
 
 @pytest.mark.parametrize("profile", [
@@ -526,59 +520,25 @@ def test_radial_diagonal_matches_dense_pairings(profile):
     V = sy.separable_symbol(1.3, [
         (1.7, sy.radial_symbol(profile), sy.radial_symbol(profile)),
         (-0.4, sy.radial_symbol(sy.gaussian(0.3)), sy.radial_symbol(profile))])
-    T = op.assemble_hv(V, Q, K, sign=-1)
-    assert T.provenance["route"] == "radial-diagonal"
-    dense = _dense_hv(V, Q, K, -1, order=200).matrix
-    assert np.abs(T.matrix - dense).max() < 1e-11
+    H = op.assemble_hv(V, Q, K, sign=-1)
+    dense = _dense_hv(V, Q, K, -1, order=200)
+    assert np.abs(np.diag(H.diagonal.ravel()) - dense).max() < 1e-11
     # the trust radius reads the boundary couplings of the dense matrix
     M0 = np.abs(dense - np.diag(np.repeat(op.landau_levels(1.3, Q), K))).reshape(Q, K, Q, K)
     boundary = max(M0[:, K - 1].max(), M0[:, :, :, K - 1].max(),
                    M0[Q - 1].max(), M0[:, :, Q - 1].max())
-    assert T.provenance["trust_radius"] == pytest.approx(10 * boundary, rel=1e-9, abs=1e-10)
-    assert T.provenance["max_coupling"] == pytest.approx(M0.max(), rel=1e-9)
+    assert H.trust_radius == pytest.approx(10 * boundary, rel=1e-9, abs=1e-10)
 
 
-def test_assemble_routes_follow_structure():
+def test_assemble_refuses_non_radial_factor():
+    # the same Gaussian written as a one-mode angular symbol, in the second term
     gauss = sy.gaussian(0.6, amplitude=0.5)
     A = sy.radial_symbol(sy.diag_kernel_profile(0))
-    radial = sy.separable_symbol(1.0, [(2 * np.pi, A, sy.radial_symbol(gauss))])
-    # the same Gaussian written as a one-mode angular symbol
-    angular = sy.separable_symbol(1.0, [(2 * np.pi, A, sy.angular_symbol(
-        {0: lambda r: gauss(r * r)}))])
-    Tr = op.assemble_hv(radial, 2, 4, sign=+1)
-    Ta = op.assemble_hv(angular, 2, 4, sign=+1)
-    assert [T.provenance["route"] for T in (Tr, Ta)] == ["radial-diagonal", "dense-separable"]
-    assert np.abs(Tr.matrix - Ta.matrix).max() < 1e-10
-    assert Tr.provenance["trust_radius"] == pytest.approx(
-        Ta.provenance["trust_radius"], rel=1e-9)
-
-
-def test_eig_hermitian_small_matrices():
-    T = op.TruncatedOperator("hermite", np.eye(3, dtype=complex))
-    assert np.allclose(op.eig_hermitian(T).eigenvalues, 1.0)
-    T2 = op.TruncatedOperator("hermite", np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.allclose(op.eig_hermitian(T2).eigenvalues, [-1.0, 1.0])
-    bad = op.TruncatedOperator("hermite", np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(ValueError):
-        op.eig_hermitian(bad)
-
-
-def test_eig_hermitian_diagonal_matches_dense_eigensolve():
-    terms = [(1.3, sy.radial_symbol(sy.gaussian(0.4)), sy.radial_symbol(sy.gaussian(0.7))),
-             (-0.6, sy.radial_symbol(sy.power(2.0)), sy.radial_symbol(sy.gaussian(0.9)))]
-    H = op.assemble_hv(sy.separable_symbol(1.2, terms), 6, 16, sign=-1)
-    M = H.matrix
-    assert np.count_nonzero(M - np.diag(M.diagonal())) == 0
-    dense = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-    assert np.abs(op.eig_hermitian(H).eigenvalues - dense).max() < 1e-12
-    # one off-diagonal pair takes the dense eigensolve
-    M2 = M.copy()
-    M2[0, 5] = M2[5, 0] = 0.3
-    T = op.TruncatedOperator("landau", M2, b=H.b, levels=H.levels, radial=H.radial)
-    dense = np.linalg.eigvalsh(M2)
-    got = op.eig_hermitian(T).eigenvalues
-    assert np.abs(got - dense).max() < 1e-12
-    assert np.abs(got - np.sort(M2.diagonal().real)).max() > 1e-3
+    V = sy.separable_symbol(1.0, [
+        (2 * np.pi, A, sy.radial_symbol(gauss)),
+        (2 * np.pi, A, sy.angular_symbol({0: lambda r: gauss(r * r)}))])
+    with pytest.raises(sy.UnsupportedProfileError, match="term 1 has a radial x angular"):
+        op.assemble_hv(V, 2, 4, sign=+1)
 
 
 def test_gap_counts_recountable():
@@ -675,6 +635,8 @@ def test_birman_schwinger_matches_numeric_smoothing():
     v = sy.antiwick_to_weyl(sy.radial_symbol(omega.profile.with_arg_scale(1.0 / b)))
     V = sy.separable_symbol(b, [(2 * np.pi, sy.radial_symbol(sy.diag_kernel_profile(q)), v)])
     for sign, key in ((+1, "shifts_plus"), (-1, "shifts_minus")):
-        rep = op.eig_hermitian(_dense_hv(V, levels, radial, sign, order=order))
+        H = _dense_hv(V, levels, radial, sign, order=order)
+        rep = op.SpectrumReport(np.linalg.eigvalsh(H), b=b, levels=levels,
+                                cluster_tol=1e-10 * np.linalg.norm(H))
         ref = op._gap_shifts(rep, q, sign)[:11]
         assert np.abs(res[key] / ref - 1).max() < 1e-9
