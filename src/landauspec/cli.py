@@ -9,9 +9,12 @@ Subcommands
     construct-gaps  symbol with prescribed gap eigenvalue counts
     verify          run the identity suites
 
-Outputs are deterministic given (config, seed): JSON is key-sorted, CSV
+Outputs are deterministic given the config: JSON is key-sorted, CSV
 carries 17 significant digits, and every file embeds the config hash.
-Exit codes: 0 success, 1 assertion/verification failure, 2 config error.
+Every command but verify takes --config and --out; toeplitz writes nu_k
+with its sign and ln nu_k, NaN where nu_k <= 0.  Exit codes: 0 success,
+1 assertion/verification failure, 2 config error (a rule order past
+quadrature.MAX_ORDER included).
 
 Config schema (JSON; README.md has it as a table).  Unknown keys, booleans
 where numbers belong and non-finite numbers are rejected; an optional key
@@ -24,6 +27,7 @@ that is absent or null takes the default after "=".
     capacity        set, j_max int>=8, restarts int>=0 = 8, seed int>=0 = 0
     asymptotics     kind "exp" with beta, gamma, b float>0 | kind "compact"
                     with b, capacity float>0; both with k_range [int, int]
+                    holding some k >= 2
     construct-gaps  b float>0, multiplicities [int>=0], level_scales [float],
                     index_scales [float], verify bool = false, levels int>0 =
                     len(multiplicities) + 1, radial int>0 = max(multiplicities + [4]) + 8
@@ -58,14 +62,6 @@ from . import __version__, asymptotics, capacity, operators, quadrature, symbols
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(x):
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return format(x, ".17g")
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +230,7 @@ CONSTRUCT_GAPS = Obj({
 
 
 def _load_config(args, spec):
-    """Read args.config, let the --seed/--order flags override it, and walk it with spec."""
+    """Read args.config and walk it with spec."""
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
@@ -245,17 +241,12 @@ def _load_config(args, spec):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    for flag in ("seed", "order"):
-        if getattr(args, flag, None) is not None:
-            cfg[flag] = getattr(args, flag)
     digest = hashlib.sha256(text.encode()).hexdigest()
     return spec.walk(cfg, ""), digest
 
 
-def _provenance(args, digest, **extra):
-    flags = {flag: getattr(args, flag) for flag in ("seed", "order") if hasattr(args, flag)}
-    return {"tool": "landauspec", "version": __version__, "config_sha256": digest,
-            **flags, **extra}
+def _provenance(digest, **extra):
+    return {"tool": "landauspec", "version": __version__, "config_sha256": digest, **extra}
 
 
 def _write_csv(path, header, rows):
@@ -263,7 +254,7 @@ def _write_csv(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([_fmt(v) for v in row])
+            w.writerow([format(v, ".17g") for v in row])
 
 
 def _write_json(path, payload):
@@ -301,7 +292,7 @@ def cmd_radial_eigs(args):
     _write_csv(out / "radial_eigs.csv", ["k", "mu_w", "mu_aw", "mu_w_fourier"],
                [(k, mu_w[k], mu_aw[k], mu_wf[k]) for k in range(count)])
     _write_json(out / "radial_eigs.json", {
-        "provenance": _provenance(args, digest, command="radial-eigs", count=count)})
+        "provenance": _provenance(digest, command="radial-eigs", count=count)})
     return 0
 
 
@@ -323,7 +314,7 @@ def cmd_spectrum(args):
         "cluster_tol": rep.cluster_tol,
         "trust_radius": trust,
         "trust_warning": bool(trust > 0.5 * b),
-        "provenance": _provenance(args, digest, command="spectrum", sign=sign,
+        "provenance": _provenance(digest, command="spectrum", sign=sign,
                                   levels=levels, radial=radial),
     })
     return 0
@@ -337,15 +328,10 @@ def cmd_toeplitz(args):
         model = _built("model", asymptotics.exp_model_from_profile, zeta, b)
     elif model is not None:
         model = _built("model", asymptotics.compact_model, b, model["capacity"])
-    try:
-        ln_nu = operators.toeplitz_radial_eigs(zeta, q, b, count, order=order,
-                                               log_scale=True)
-        with np.errstate(under="ignore"):
-            nu = np.exp(ln_nu)
-    except symbols.UnsupportedProfileError:
-        # no log form (or amplitude <= 0): keep the signed linear values
-        nu = operators.toeplitz_radial_eigs(zeta, q, b, count, order=order)
-        ln_nu = np.where(nu > 0, np.log(np.where(nu > 0, nu, 1.0)), np.nan)
+    sign, log_abs = operators.toeplitz_radial_eigs(zeta, q, b, count, order=order)
+    with np.errstate(under="ignore"):
+        nu = sign * np.exp(log_abs)
+    ln_nu = np.where(sign > 0, log_abs, np.nan)
     rows = []
     for k in range(count):
         pred = res = r_k = r_lnk = math.nan
@@ -361,7 +347,7 @@ def cmd_toeplitz(args):
                ["k", "nu_k", "ln_nu_k", "model_prediction", "residual",
                 "residual_over_k", "residual_over_ln_k"], rows)
     _write_json(out / "toeplitz.json", {
-        "provenance": _provenance(args, digest, command="toeplitz", q=q, count=count)})
+        "provenance": _provenance(digest, command="toeplitz", q=q, count=count)})
     return 0
 
 
@@ -384,7 +370,7 @@ def cmd_capacity(args):
             "converged": r.converged,
             "points": [[p.real, p.imag] for p in r.points],
         } for r in est.per_j],
-        "provenance": _provenance(args, digest, command="capacity",
+        "provenance": _provenance(digest, command="capacity",
                                   restarts=restarts, capacity_seed=seed),
     })
     return 0
@@ -394,6 +380,8 @@ def cmd_asymptotics(args):
     cfg, digest = _load_config(args, ASYMPTOTICS)
     k_lo, k_hi = cfg["k_range"]
     ks = np.arange(max(2, k_lo), k_hi + 1)
+    if not ks.size:
+        raise ConfigError(f"k_range {cfg['k_range']} holds no k >= 2")
     if cfg["kind"] == "exp":
         beta = cfg["beta"]
         mu = _built("asymptotics", asymptotics.mu_from_weight, cfg["gamma"], beta, cfg["b"])
@@ -409,7 +397,7 @@ def cmd_asymptotics(args):
                list(zip(ks.tolist(), pred)))
     _write_json(out / "asymptotics.json", {
         "model": meta,
-        "provenance": _provenance(args, digest, command="asymptotics"),
+        "provenance": _provenance(digest, command="asymptotics"),
     })
     return 0
 
@@ -424,7 +412,7 @@ def cmd_construct_gaps(args):
         "multiplicities": mult,
         "predicted": [{"q": q, "k": k, "eigenvalue": val} for q, k, val in predictions],
         "terms": len(V.terms),
-        "provenance": _provenance(args, digest, command="construct-gaps"),
+        "provenance": _provenance(digest, command="construct-gaps"),
     }
     Q = cfg["levels"] or len(mult) + 1
     Kr = cfg["radial"] or max(mult + [4]) + 8
@@ -471,19 +459,12 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    # --order reaches only the commands whose quadrature takes it; --seed only capacity
-    for name, fn, flags in [("radial-eigs", cmd_radial_eigs, ["order"]),
-                            ("spectrum", cmd_spectrum, []),
-                            ("toeplitz", cmd_toeplitz, ["order"]),
-                            ("capacity", cmd_capacity, ["seed"]),
-                            ("asymptotics", cmd_asymptotics, []),
-                            ("construct-gaps", cmd_construct_gaps, [])]:
+    for name, fn in [("radial-eigs", cmd_radial_eigs), ("spectrum", cmd_spectrum),
+                     ("toeplitz", cmd_toeplitz), ("capacity", cmd_capacity),
+                     ("asymptotics", cmd_asymptotics), ("construct-gaps", cmd_construct_gaps)]:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default="out", help="output directory")
-        for flag in flags:
-            sp.add_argument(f"--{flag}", type=int, default=None,
-                            help=f"overrides the config's {flag}")
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("verify")
@@ -499,7 +480,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, quadrature.RuleOrderError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except quadrature.QuadratureAccuracyError as exc:

@@ -4,8 +4,9 @@ level-basis Hamiltonian.
 A 2-D symbol's Weyl operator is truncated in the Hermite basis by pairing
 the symbol against Wigner pair kernels.  Radial symbols need no pairing:
 their operators are diagonal in the Hermite basis and the eigenvalues reduce
-to half-line Laguerre-type integrals, evaluated in log space wherever values
-dive below the double underflow threshold.  The perturbed magnetic
+to half-line Laguerre-type integrals.  The Toeplitz and anti-Wick moments
+are one signed sum in log space for every weight, so their logs stay exact
+far below the double underflow threshold.  The perturbed magnetic
 Hamiltonian H_V = H_0 + op(V) of a separable 4-D symbol with radial factors
 is therefore diagonal in the level basis, and is held as that diagonal,
 built from those 1-D sequences.
@@ -154,24 +155,34 @@ def banded_structure_check(v, n, order=None):
 # radial fast paths: explicit eigenvalue sequences
 
 
+def _panels(profile, scale, order, top=math.inf):
+    """Gauss-Legendre (nodes, weights) in t for R(scale t): one panel of `order`
+    per interval from 0 through R's breakpoints, none past top."""
+    ends = [0.0]
+    for s in profile.breakpoints:
+        ends.append(min(s / scale, top))
+        if ends[-1] == top:
+            break
+    rules = [quadrature.gauss_legendre_panel(order, a, c)
+             for a, c in zip(ends, ends[1:]) if c > a]
+    return (np.concatenate([rule.nodes for rule in rules]),
+            np.concatenate([rule.weights for rule in rules]))
+
+
 def _laguerre_sequence(profile, count, order, profile_scale, laguerre_scale, sign):
     """sign^k int_0^inf R(profile_scale y) Lcal_k(laguerre_scale y) dy, k < count.
 
     Lcal_k is the weighted Laguerre function of laguerre_fn_iter (|Lcal_k| <= 1),
-    so one degree sweep serves every k.  Compactly supported R takes a
-    Gauss-Legendre panel on [0, support_bound / profile_scale] of order
-    `order` or max(200, count // 2 + 64); otherwise Gauss-Laguerre with flat
-    weights of order `order` or max(400, count // 2 + 400).
+    so one degree sweep serves every k.  R with breakpoints takes `_panels` of
+    order `order` or max(200, count // 2 + 64); otherwise Gauss-Laguerre with
+    flat weights of order `order` or max(400, count // 2 + 400).
     """
-    if profile.compact_support:
-        rule = quadrature.gauss_legendre_panel(
-            order or max(200, count // 2 + 64), 0.0, profile.support_bound / profile_scale)
-        weights = rule.weights
+    if profile.breakpoints:
+        y, weights = _panels(profile, profile_scale, order or max(200, count // 2 + 64))
     else:
         rule = quadrature.gauss_laguerre(order or max(quadrature.DEFAULT_ORDER_HALFLINE,
                                                       count // 2 + 400))
-        weights = rule.flat_weights
-    y = rule.nodes
+        y, weights = rule.nodes, rule.flat_weights
     c = weights * np.atleast_1d(profile(profile_scale * y))
     mu = np.empty(count)
     for k, val in enumerate(laguerre_fn_iter(0.0, laguerre_scale * y, count - 1)):
@@ -232,15 +243,16 @@ def _log_grid(size):
     return t, u, lead
 
 
-def _radial_moments(profile, q, scale, count, order=None, log_scale=False):
-    """nu_k, k < count, of the level-q compression of R(scale t), every k at once.
+def _radial_moments(profile, q, scale, count, order=None):
+    """(sign, ln |nu_k|), k < count, of the level-q compression of R(scale t).
 
     nu_k = (m!/M!) int_0^inf R(scale t) t^d [L_m^d(t)]^2 e^(-t) dt with
-    m = min(k, q), M = max(k, q), d = |k - q|, all on one node set: the log
-    grid, or for compactly supported profiles a Gauss-Legendre panel on
-    [0, support_bound / scale] of order `order` or max(240, (count + 120) // 2).
-
-    Rows go in blocks of 16, and one Laguerre recurrence serves a block: rows
+    m = min(k, q), M = max(k, q), d = |k - q|, every k on one node set: the
+    log grid, or for R with breakpoints `_panels` of order `order` or
+    max(240, (count + 120) // 2) up to the grid's last node.  A term is
+    ln |integrand| on a node, and a block sums exp(term - peak) sign R, so
+    ln |nu_k| stays exact far below the underflow threshold.  Rows go
+    in blocks of 16, and one Laguerre recurrence serves a block: rows
     k >= q share m = q, and rows k < q are read off at their own step m.  Row
     k + q is t^(k+q) e^(-t) times bounded factors, so on the grid it lives on a
     few hundred of the grid's thousands of nodes.  A coarse pass over every 16th
@@ -248,41 +260,36 @@ def _radial_moments(profile, q, scale, count, order=None, log_scale=False):
     range where some row is within 60 nats of its own coarse peak, padded by
     two coarse steps, and the trapezoid sum runs on the window only.  This
     takes |R| never to rise by tens of nats between two coarse nodes (38%
-    apart in t).  The closed-form kinds (constant, gaussian, power, exp_beta,
-    disk_indicator, poly_gauss and laguerre_mix) are smooth, or only fall at
-    a jump, and their zeros are isolated, so they keep it.  A
-    tabulated or custom R may hide a narrow bump between coarse nodes, so
-    those kinds run every block on the whole grid.  Row k = q falls only like
-    t below its peak, so its block's window would reach the grid's floor
-    anyway: that block skips the coarse pass and runs on the whole grid.  A
-    row whose integrand is not 36 nats below its peak at both ends of the
-    full grid raises QuadratureAccuracyError; both ends are coarse nodes, so
-    the check sees the same nodes with or without a window.
+    apart in t).  The other kinds on the grid are formulas, smooth with
+    isolated zeros, so they keep it.  A custom R may hide a narrow bump between
+    coarse nodes, so that kind runs every block on the whole grid.  Row k = q
+    falls only like t below its peak, so its block's window would reach the
+    grid's floor anyway: that block skips the coarse pass and runs on the
+    whole grid.  A row whose integrand is not 36 nats below its peak at both
+    ends of the full grid raises QuadratureAccuracyError; both ends are coarse
+    nodes, so the check sees the same nodes with or without a window.
     """
-    on_grid = not profile.compact_support
+    grid = _log_grid(count + q)         # row k: t^(k+q) e^(-t) times bounded factors
+    on_grid = not profile.breakpoints
     if on_grid:
-        t, ln_t, lead = _log_grid(count + q)    # row k: t^(k+q) e^(-t) times bounded factors
+        t, ln_t, lead = grid
     else:
-        rule = quadrature.gauss_legendre_panel(
-            order or max(240, (count + 120) // 2), 0.0, profile.support_bound / scale)
-        t, ln_t = rule.nodes, np.log(rule.nodes)
-        lead = np.log(rule.weights) - t
-    if log_scale:
-        lead = lead + profile.log_value(scale * t)
-    else:
-        values = np.atleast_1d(profile(scale * t))
-        with np.errstate(divide="ignore"):
-            ln_abs = np.log(np.abs(values))
+        t, weights = _panels(profile, scale, order or max(240, (count + 120) // 2),
+                             top=grid[0][-1])
+        ln_t = np.log(t)
+        lead = np.log(weights) - t
+    log_r, sign_r = profile.log_abs(scale * t)
+    lead = lead + log_r
+    # ln n! for n <= max(k, q), read off as ln(m!/M!) with M = m + d
+    ln_fact = np.array([math.lgamma(n + 1.0) for n in range(max(count, q + 1))])
     # the planted fault of `verify --inject-fault moment_window` clips the window
     drop = 5.0 if wigner.fault_active("moment_window") else _WINDOW_DROP
 
     def row_logs(ks, nodes):
-        """ln of the rows' terms (without the sign of R) and of |integrand| on nodes."""
+        """ln |integrand| of the rows on nodes."""
         m, d = np.minimum(ks, q)[:, None], np.abs(ks - q)[:, None]
-        norm = np.array([[math.lgamma(a + 1.0) - math.lgamma(a + c + 1.0)]
-                         for a, c in zip(m.flat, d.flat)])
         x = t[nodes]
-        terms = d * ln_t[nodes] + lead[nodes] + norm
+        logs = d * ln_t[nodes] + lead[nodes] + (ln_fact[m] - ln_fact[m + d])
         if q:
             # one recurrence serves the rows (row k = 0 has m = 0 and needs none).
             # On a wide window it takes a few rows at a time: larger buffers are
@@ -294,25 +301,25 @@ def _radial_moments(profile, q, scale, count, order=None, log_scale=False):
             for r in range(int(ks[0] == 0), ks.size, step):
                 part = slice(r, r + step)
                 deg, nu = (int(m[r, 0]), float(d[r, 0])) if step == 1 else (m[part], d[part])
-                terms[part] += 2.0 * laguerre_log_abs(deg, nu, x)
-        return terms, (terms if log_scale else terms + ln_abs[nodes])
+                logs[part] += 2.0 * laguerre_log_abs(deg, nu, x)
+        return logs
 
-    out = np.empty(count)
+    sign, log_abs = np.empty(count), np.empty(count)
     for k0 in range(0, count, _MOMENT_BLOCK):
         ks = np.arange(k0, min(k0 + _MOMENT_BLOCK, count))
         lo, hi, coarse_logs = 0, t.size, None
-        if on_grid and profile.closed_form and not ks[0] <= q <= ks[-1]:
+        if on_grid and profile.kind != "custom" and not ks[0] <= q <= ks[-1]:
             # every 16th node and the last; built per block, since caching it
             # beside the grid fragmented the heap and raised the peak memory of
             # later jobs in the same process
             coarse = np.append(np.arange(0, t.size - 1, _COARSE_STRIDE), t.size - 1)
-            coarse_logs = row_logs(ks, coarse)[1]
+            coarse_logs = row_logs(ks, coarse)
             keep = coarse_logs >= coarse_logs.max(axis=1)[:, None] - drop
             near = np.flatnonzero(keep.any(axis=0))
             if near.size:
                 lo = coarse[max(near[0] - _WINDOW_PAD, 0)]
                 hi = coarse[min(near[-1] + _WINDOW_PAD, coarse.size - 1)] + 1
-        terms, logs = row_logs(ks, slice(lo, hi))
+        logs = row_logs(ks, slice(lo, hi))
         peak = logs.max(axis=1)
         if on_grid:
             edges = logs if coarse_logs is None else coarse_logs
@@ -323,38 +330,39 @@ def _radial_moments(profile, q, scale, count, order=None, log_scale=False):
                 raise quadrature.QuadratureAccuracyError(
                     f"moment k = {ks[i]}: integrand only {peak[i] - ends[i]:.1f} nats below "
                     f"its peak at an end of the log grid (needs {_LOG_GRID_MARGIN:g})")
-        if log_scale:
-            shift = np.where(np.isfinite(peak), peak, 0.0)
-            with np.errstate(divide="ignore"):
-                out[ks] = shift + np.log(np.exp(terms - shift[:, None]).sum(axis=1))
-        else:
-            out[ks] = np.exp(terms) @ values[lo:hi]
-    return out
+        shift = np.where(np.isfinite(peak), peak, 0.0)
+        total = (np.exp(logs - shift[:, None]) * sign_r[lo:hi]).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            log_abs[ks] = shift + np.log(np.abs(total))
+        sign[ks] = np.sign(total)
+    return sign, log_abs
 
 
-def antiwick_radial_eigs(profile, count, order=None, log_scale=False):
+def antiwick_radial_eigs(profile, count, order=None):
     """Eigenvalues of the anti-Wick operator with a radial symbol.
 
     mu_k = int_0^inf R(2t) t^k e^(-t) / k! dt, every k from one node set
-    (`_radial_moments`); `order` reaches only the Legendre panel of compactly
-    supported profiles.  With log_scale=True the natural logs are returned
-    (positive profiles only), exact far below the underflow threshold.
+    (`_radial_moments`); `order` reaches only the Legendre panels of weights
+    with breakpoints.  Values below the underflow threshold read 0.
     """
-    return _radial_moments(profile, 0, 2.0, count, order=order, log_scale=log_scale)
+    sign, log_abs = _radial_moments(profile, 0, 2.0, count, order=order)
+    return sign * np.exp(log_abs)
 
 
-def toeplitz_radial_eigs(zeta, q, b, count, order=None, log_scale=False):
+def toeplitz_radial_eigs(zeta, q, b, count, order=None):
     """Diagonal of the level-q compression of a radial multiplier zeta.
 
     nu_k = (m!/M!) int_0^inf R(2t/b) t^(|k-q|) [L_m^(|k-q|)(t)]^2 e^(-t) dt
     with m = min(k, q), M = max(k, q); for q = 0 this is the plain Gamma-
-    weight moment.  Every k comes from one node set (`_radial_moments`);
-    `order` reaches only the Legendre panel of compactly supported weights.
-    log_scale returns ln nu_k for positive profiles.
+    weight moment.  Returns (sign, log_abs) with nu_k = sign_k exp(log_abs_k),
+    as numpy.linalg.slogdet does: ln |nu_k| stays exact far below the
+    underflow threshold, and nu_k = 0 reads (0, -inf).  Every k comes from
+    one node set (`_radial_moments`); `order` reaches only the Legendre
+    panels of weights with breakpoints.
     """
     if b <= 0:
         raise ValueError("field strength must be positive")
-    return _radial_moments(zeta, q, 2.0 / b, count, order=order, log_scale=log_scale)
+    return _radial_moments(zeta, q, 2.0 / b, count, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +571,8 @@ def birman_schwinger_check(zeta_profile, r, q, b, levels, radial,
     vt = symbols.radial_symbol(omega.profile.with_arg_scale(1.0 / b))
     level_kernel = symbols.radial_symbol(symbols.diag_kernel_profile(q))
 
-    nu = toeplitz_radial_eigs(zeta_profile, r, b, k_hi + k0_max + 2, order=order)
-    nu = np.sort(nu[nu > 0])[::-1]
+    sign, log_nu = toeplitz_radial_eigs(zeta_profile, r, b, k_hi + k0_max + 2, order=order)
+    nu = np.sort(np.exp(log_nu[sign > 0]))[::-1]
     if not len(nu):
         return {"vacuous": True, "epsilon": 0.0, "k0": 0}
 

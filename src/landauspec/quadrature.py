@@ -32,6 +32,17 @@ class QuadratureAccuracyError(RuntimeError):
     """Doubling the order moved the estimate by more than the tolerance."""
 
 
+class RuleOrderError(ValueError):
+    """A rule order outside [1, MAX_ORDER]."""
+
+
+def _check_order(order):
+    order = int(order)
+    if not 1 <= order <= MAX_ORDER:
+        raise RuleOrderError(f"quadrature order {order} is outside [1, {MAX_ORDER}]")
+    return order
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """One-dimensional rule with both classical and envelope-free weights.
@@ -42,13 +53,9 @@ class QuadratureRule:
                  forming either factor, so they are finite at any order)
     """
 
-    kind: str                      # 'gauss_hermite' | 'gauss_laguerre' | 'gauss_legendre'
-    order: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     flat_weights: np.ndarray = field(repr=False)
-    alpha: float = 0.0             # gauss_laguerre weight t^alpha e^(-t)
-    interval: tuple = ()           # gauss_legendre panel (a, b)
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -144,9 +151,7 @@ def _laguerre_nodes(n, alpha):
 @functools.lru_cache(maxsize=256)
 def gauss_hermite(order):
     """Rule for the weight exp(-x^2) on R."""
-    order = int(order)
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}]")
+    order = _check_order(order)
     # H_2m(x) ~ L_m^(-1/2)(x^2) and H_2m+1(x) ~ x L_m^(1/2)(x^2)
     half, odd = divmod(order, 2)
     pos = np.sqrt(_laguerre_nodes(half, 0.5 if odd else -0.5))
@@ -155,16 +160,14 @@ def gauss_hermite(order):
     flat = 0.5 * (flat + flat[::-1])
     with np.errstate(under="ignore"):
         weights = flat * np.exp(-nodes * nodes)
-    return QuadratureRule("gauss_hermite", order, nodes, weights, flat)
+    return QuadratureRule(nodes, weights, flat)
 
 
 @functools.lru_cache(maxsize=4096)
 def gauss_laguerre(order, alpha=0.0):
     """Rule for the weight t^alpha exp(-t) on [0, inf)."""
-    order = int(order)
+    order = _check_order(order)
     alpha = float(alpha)
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}]")
     if alpha <= -1.0:
         raise ValueError("alpha must exceed -1")
     nodes = _laguerre_nodes(order, alpha)
@@ -173,22 +176,19 @@ def gauss_laguerre(order, alpha=0.0):
     # weights are the reliable representation there
     with np.errstate(under="ignore", over="ignore"):
         weights = flat * np.exp(alpha * np.log(nodes) - nodes)
-    return QuadratureRule("gauss_laguerre", order, nodes, weights, flat, alpha=alpha)
+    return QuadratureRule(nodes, weights, flat)
 
 
 @functools.lru_cache(maxsize=256)
 def gauss_legendre_panel(order, a, b):
     """Plain Gauss-Legendre on [a, b]; the sub-rule for jump-supported integrands."""
-    order = int(order)
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}]")
+    order = _check_order(order)
     if not b > a:
         raise ValueError("empty interval")
     x, w = np.polynomial.legendre.leggauss(order)
     nodes = 0.5 * (b - a) * (x + 1.0) + a
     weights = 0.5 * (b - a) * w
-    return QuadratureRule("gauss_legendre", order, nodes, weights, weights.copy(),
-                          interval=(float(a), float(b)))
+    return QuadratureRule(nodes, weights, weights.copy())
 
 
 DEFAULT_ORDER_R2 = 80

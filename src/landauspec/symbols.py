@@ -87,41 +87,41 @@ class RadialProfile:
         out = self.amplitude * base
         return out if np.ndim(out) else float(out)
 
-    def log_value(self, s):
-        """ln R(s) for strictly sign-definite kinds (used by log-space integrals)."""
-        if self.amplitude <= 0:
-            raise UnsupportedProfileError("log form needs a positive amplitude")
+    def log_abs(self, s):
+        """(ln |R(s)|, sign R(s)), for log-space integrals.
+
+        constant, gaussian, power, exp_beta and disk_indicator have closed
+        forms, exact where R underflows; the other kinds, and amplitude 0,
+        take ln |.| of the values.
+        """
         s = np.asarray(s, dtype=float)
         u = self.arg_scale * s
-        la = math.log(self.amplitude)
-        k = self.kind
-        if k == "constant":
-            return la + np.zeros_like(u)
+        k, amp = self.kind, self.amplitude
+        if not amp or k not in ("constant", "gaussian", "power", "exp_beta", "disk_indicator"):
+            values = np.asarray(self(s))
+            with np.errstate(divide="ignore"):
+                return np.log(np.abs(values)), np.sign(values)
         if k == "gaussian":
-            return la - self.rate * u
-        if k == "power":
-            return la - 0.5 * self.gamma * np.log1p(u)
-        if k == "exp_beta":
-            return la - self.gamma * u ** self.beta
-        if k == "disk_indicator":
-            return np.where(u <= self.cutoff, la, -np.inf)
-        raise UnsupportedProfileError(f"no log form for kind {self.kind!r}")
+            base = -self.rate * u
+        elif k == "power":
+            base = -0.5 * self.gamma * np.log1p(u)
+        elif k == "exp_beta":
+            base = -self.gamma * u ** self.beta
+        elif k == "disk_indicator":
+            base = np.where(u <= self.cutoff, 0.0, -np.inf)
+        else:
+            base = np.zeros_like(u)
+        return math.log(abs(amp)) + base, np.where(base > -np.inf, math.copysign(1.0, amp), 0.0)
 
     @property
-    def compact_support(self):
-        return self.kind == "disk_indicator"
-
-    @property
-    def closed_form(self):
-        """Whether R is a formula: neither the tabulated nor the custom kind."""
-        return self.kind not in ("tabulated", "custom")
-
-    @property
-    def support_bound(self):
-        """Support bound in s for compactly supported profiles."""
-        if not self.compact_support:
-            raise UnsupportedProfileError("profile is not compactly supported")
-        return self.cutoff / self.arg_scale
+    def breakpoints(self):
+        """Increasing s > 0 where R may jump or kink, R = 0 past the last; () if
+        R is smooth on [0, inf).  The disk's cutoff, a table's positive nodes."""
+        if self.kind == "disk_indicator":
+            return (self.cutoff / self.arg_scale,)
+        if self.kind == "tabulated":
+            return tuple(g / self.arg_scale for g in self.grid if g > 0)
+        return ()
 
     def with_arg_scale(self, scale):
         """Profile of s -> R(scale * s), folding the scale into parameters."""
@@ -400,7 +400,7 @@ def _radial_gauss_convolution(profile, order=240, n_theta=512, rho_max=9.0):
 
 def _disk_gauss_convolution(profile):
     """Convolution of a disk indicator with the unit Gaussian (exact angular arc)."""
-    c = profile.support_bound
+    c = profile.cutoff / profile.arg_scale
     amp = profile.amplitude
 
     # arc length of {|z0 - w| <= sqrt(c)} on the circle |w| = sqrt(u); the
@@ -679,7 +679,7 @@ def fourier_radial_profile(profile, order=400):
 
         return custom(fhat)
     if k == "disk_indicator":
-        c = profile.support_bound
+        c = profile.cutoff / profile.arg_scale
 
         def fhat(u):
             u = np.atleast_1d(np.asarray(u, dtype=float))

@@ -122,8 +122,22 @@ def test_toeplitz_exponential_residual(tmp_path):
     assert float(rows[5][1]) == pytest.approx(2.0 ** -6.0, rel=1e-10)
 
 
+def test_toeplitz_poly_gauss_logs_past_underflow(tmp_path):
+    # (1 + s) e^(-5 s) at b = 1: nu_k = 11^-(k+1) (1 + (k+1)/11), below the
+    # underflow threshold from k = 311
+    cfg = write_config(tmp_path, "c.json", {
+        "zeta": {"kind": "poly_gauss", "coeffs": [1.0, 0.5], "rate": 5.0}, "b": 1.0,
+        "q": 0, "count": 401})
+    out = tmp_path / "out"
+    assert main(["toeplitz", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "toeplitz.csv")
+    k = np.arange(401)
+    expect = -(k + 1) * math.log(11.0) + np.log1p((k + 1) / 11.0)
+    assert np.abs(np.array([float(r[2]) for r in rows]) - expect).max() < 1e-11
+
+
 def test_toeplitz_negative_amplitude_keeps_signed_values(tmp_path):
-    # no log form: nu_k = -2 / 3^(k+1) is written as is, ln nu_k as NaN
+    # a negative weight: nu_k = -2 / 3^(k+1) is written with its sign, ln nu_k as NaN
     cfg = write_config(tmp_path, "c.json", {
         "zeta": {"kind": "gaussian", "rate": 1.0, "amplitude": -2.0}, "b": 1.0, "count": 3})
     out = tmp_path / "out"
@@ -291,6 +305,25 @@ def test_toeplitz_and_radial_eigs_reject_bad_sizes(tmp_path, capsys, command, ke
     assert f"{key} must be a {what} integer" in capsys.readouterr().err
 
 
+_PAST_MAX_ORDER = [
+    ("radial-eigs", {"profile": {"kind": "gaussian", "rate": 1.0}, "count": 30000}, 15400),
+    ("radial-eigs", {"profile": {"kind": "gaussian", "rate": 1.0}, "count": 4,
+                     "order": 20000}, 20000),
+    ("toeplitz", {"zeta": {"kind": "disk_indicator", "cutoff": 1.0}, "b": 1.0, "count": 4,
+                  "order": 20000}, 20000),
+    ("spectrum", {"b": 1.0, "levels": 1, "radial": 30000, "symbol": {"separable": {"terms": [
+        {"coeff": 1.0, "A": {"kind": "level_kernel", "q": 0},
+         "B": {"kind": "power", "gamma": 3.0}}]}}}, 15400)]
+
+
+@pytest.mark.parametrize("command,payload,order", _PAST_MAX_ORDER)
+def test_rule_order_past_limit_exits_2(tmp_path, capsys, command, payload, order):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(order) in err and "10000" in err and "Traceback" not in err
+
+
 def test_toeplitz_unresolved_grid_exits_2(tmp_path, capsys):
     # the k = 0 integrand of gaussian(1e27) peaks below the log grid
     cfg = write_config(tmp_path, "c.json", {
@@ -436,7 +469,9 @@ _BAD_ASYMPTOTICS = [
     ({"kind": "exp", "beta": 2.0, "gamma": 1.0, "b": 2.0, "k_range": [2]}, "k_range"),
     ({"kind": "exp", "beta": "x", "gamma": 1.0, "b": 2.0, "k_range": [2, 20]}, "float"),
     ({"kind": "compact", "b": 2.0, "capacity": -1.0, "k_range": [2, 20]},
-     "capacity must be positive")]
+     "capacity must be positive"),
+    ({"kind": "exp", "beta": 2.0, "gamma": 1.0, "b": 2.0, "k_range": [10, 5]}, "k_range"),
+    ({"kind": "compact", "b": 2.0, "capacity": 1.0, "k_range": [0, 1]}, "k_range")]
 
 
 @pytest.mark.parametrize("payload,message", _BAD_ASYMPTOTICS)
@@ -592,20 +627,11 @@ def test_mutated_configs_exit_0_or_2(tmp_path_factory, data):
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--order", "40"], ["construct-gaps", "--order", "40"],
     ["toeplitz", "--seed", "1"], ["radial-eigs", "--seed", "1"],
-    ["asymptotics", "--order", "40"], ["verify", "--seed", "1"], ["verify", "--order", "40"]])
+    ["asymptotics", "--order", "40"], ["verify", "--seed", "1"], ["verify", "--order", "40"],
+    ["toeplitz", "--order", "40"], ["radial-eigs", "--order", "40"], ["capacity", "--seed", "1"]])
 def test_flags_that_reach_nothing_are_refused(tmp_path, capsys, argv):
     config = [] if argv[0] == "verify" else ["--config", write_config(tmp_path, "c.json", {})]
     with pytest.raises(SystemExit) as exc:
         main(argv + config)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
-
-
-def test_seed_flag_overrides_and_is_checked_like_the_config_key(tmp_path, capsys):
-    cfg = write_config(tmp_path, "c.json", {"set": _DISK, "j_max": 8, "restarts": 0, "seed": 1})
-    assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--seed", "-1"]) == 2
-    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
-    assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "3"]) == 0
-    prov = json.loads((tmp_path / "o" / "capacity.json").read_text())["provenance"]
-    assert (prov["seed"], prov["capacity_seed"]) == (3, 3) and "order" not in prov

@@ -137,6 +137,20 @@ def test_weyl_radial_eigs_constant():
     assert np.abs(mu - 0.7).max() < 1e-10
 
 
+def test_weyl_radial_eigs_tabulated_mpmath_oracle():
+    # mu_k = (-1)^k int R(u) L_k(2u) e^(-u) du on panels between the table
+    # nodes, where Gauss-Laguerre misses the kinks
+    grid, values = [0.0, 0.5, 1.0, 2.0], [1.0, 0.6, 0.2, 0.0]
+    ks = [0, 3, 9, 40]
+    mu = op.weyl_radial_eigs(sy.tabulated(grid, values), 41)
+    with mp.workdps(30):
+        oracle = [float((-1) ** k * sum(
+            mp.quad(lambda u: (values[i] + (values[i + 1] - values[i]) * (u - a) / (c - a))
+                    * mp.laguerre(k, 0, 2 * u) * mp.exp(-u), [a, c])
+            for i, (a, c) in enumerate(zip(grid, grid[1:])))) for k in ks]
+    assert np.abs(mu[ks] - oracle).max() < 1e-12
+
+
 def test_weyl_radial_eigs_laguerre_mix_moyal_oracle():
     coeffs = [0.4, -0.3, 0.2, 0.1]
     expect = np.array(coeffs + [0.0] * 4) / 2.0
@@ -195,8 +209,8 @@ def test_antiwick_equals_weyl_of_smoothed():
     assert np.abs(aw / w - 1).max() < 1e-8
 
 
-def test_antiwick_log_scale():
-    logs = op.antiwick_radial_eigs(sy.gaussian(1.0), 300, log_scale=True)
+def test_antiwick_deep_moments():
+    logs = np.log(op.antiwick_radial_eigs(sy.gaussian(1.0), 300))
     expect = -(np.arange(300) + 1.0) * math.log(3.0)
     assert np.abs(logs - expect).max() < 1e-10
 
@@ -204,7 +218,7 @@ def test_antiwick_log_scale():
 def test_toeplitz_exponential_weight_exact():
     gam, b = 1.0, 2.0
     mu = gam * (2.0 / b)
-    logs = op.toeplitz_radial_eigs(sy.exp_beta(gam, 1.0), 0, b, 120, log_scale=True)
+    _, logs = op.toeplitz_radial_eigs(sy.exp_beta(gam, 1.0), 0, b, 120)
     expect = -(np.arange(120) + 1.0) * math.log1p(mu)
     assert np.abs(logs - expect).max() < 1e-11
 
@@ -212,7 +226,7 @@ def test_toeplitz_exponential_weight_exact():
 def test_toeplitz_disk_incomplete_gamma_oracle():
     b, R = 2.0, 1.0
     rho = b * R * R / 2.0
-    logs = op.toeplitz_radial_eigs(sy.disk_indicator(R * R), 0, b, 60, log_scale=True)
+    _, logs = op.toeplitz_radial_eigs(sy.disk_indicator(R * R), 0, b, 60)
     oracle = np.array([log_gammainc_lower(k + 1.0, rho) for k in range(60)])
     assert np.abs(logs - oracle).max() < 1e-11
     nu0 = math.exp(logs[0])
@@ -253,10 +267,8 @@ def test_toeplitz_disk_higher_level_mpmath_oracle():
     ks = [0, 1, 3, 5, 10, 29, 30, 50, 80, 119]
     oracle = np.array([_mp_log_compression(lambda t: 1, q, k, [0, rho]) for k in ks])
     zeta = sy.disk_indicator(cutoff)
-    logs = op.toeplitz_radial_eigs(zeta, q, b, count, log_scale=True)[ks]
-    assert np.abs(logs - oracle).max() < 1e-11
-    lin = op.toeplitz_radial_eigs(zeta, q, b, count)[ks]
-    assert np.abs(lin / np.exp(oracle) - 1).max() < 1e-11
+    sign, logs = op.toeplitz_radial_eigs(zeta, q, b, count)
+    assert np.abs(logs[ks] - oracle).max() < 1e-11 and (sign == 1).all()
 
 
 @pytest.mark.parametrize("gam,beta", [(1.0, 0.5), (0.7, 1.5)])
@@ -266,17 +278,42 @@ def test_small_k_moments_of_weights_rough_at_zero(gam, beta):
     ks = [0, 1, 2, 5]
     oracle = _mp_exp_beta_log_moments(gam, beta, 1, 0, ks)
     zeta = sy.exp_beta(gam, beta)
-    for eigs in (lambda **kw: op.toeplitz_radial_eigs(zeta, 0, 2.0, 8, **kw),
-                 lambda **kw: op.antiwick_radial_eigs(zeta.with_arg_scale(0.5), 8, **kw)):
-        assert np.abs(eigs(log_scale=True)[ks] - oracle).max() < 1e-11
-        assert np.abs(eigs()[ks] / np.exp(oracle) - 1).max() < 1e-11
+    _, logs = op.toeplitz_radial_eigs(zeta, 0, 2.0, 8)
+    assert np.abs(logs[ks] - oracle).max() < 1e-11
+    mu = op.antiwick_radial_eigs(zeta.with_arg_scale(0.5), 8)
+    assert np.abs(mu[ks] / np.exp(oracle) - 1).max() < 1e-11
+
+
+@pytest.mark.parametrize("q,ks", [(0, [0, 50, 174, 175, 400]), (2, [0, 2, 60, 400])])
+def test_toeplitz_tabulated_mpmath_oracle(q, ks):
+    # linear between the nodes, 0 past the last: exact on panels between the
+    # table nodes, where the log grid misses the kinks; nu_k underflows from k = 175
+    grid, values = [0.0, 0.5, 1.0, 2.0], [1.0, 0.6, 0.2, 0.0]
+
+    def weight(t):
+        u = 2 * t
+        i = min(int(np.searchsorted(grid, float(u), side="right")) - 1, len(grid) - 2)
+        if u >= grid[-1]:
+            return mp.mpf(0)
+        return values[i] + (values[i + 1] - values[i]) * (u - grid[i]) / (grid[i + 1] - grid[i])
+
+    oracle = np.array([_mp_log_compression(weight, q, k, [0, 0.25, 0.5, 1]) for k in ks])
+    sign, logs = op.toeplitz_radial_eigs(sy.tabulated(grid, values), q, 1.0, 401)
+    assert np.abs(logs[ks] - oracle).max() < 1e-11 and (sign == 1).all()
+
+
+def test_panels_stop_at_the_grid_top():
+    # supports far past every row's integrand: nu_k = 1 for a unit weight
+    for zeta in (sy.disk_indicator(1e13), sy.tabulated([0.0, 1e13], [1.0, 1.0])):
+        sign, logs = op.toeplitz_radial_eigs(zeta, 0, 1.0, 10)
+        assert np.abs(logs).max() < 1e-11 and (sign == 1).all()
 
 
 def test_toeplitz_superexponential_higher_level_mpmath_oracle():
     # exp(-s^2), b = 1, q = 1: the integrand peaks far below t = k
     ks = [0, 1, 2, 50, 199]
     oracle = _mp_exp_beta_log_moments(1.0, 2.0, 2, 1, ks)
-    logs = op.toeplitz_radial_eigs(sy.exp_beta(1.0, 2.0), 1, 1.0, 200, log_scale=True)
+    _, logs = op.toeplitz_radial_eigs(sy.exp_beta(1.0, 2.0), 1, 1.0, 200)
     assert np.abs(logs[ks] - oracle).max() < 1e-11
     assert oracle[-1] == pytest.approx(-634.1413, abs=1e-4)
 
@@ -285,20 +322,22 @@ def test_toeplitz_gaussian_closed_forms_under_strong_decay():
     k = np.arange(300)
     # q = 1, mu = 2a/b = 4: ln(k s^2 - 2ks + k + 1) - (k+2) ln s, s = 1 + mu
     s = 5.0
-    logs = op.toeplitz_radial_eigs(sy.gaussian(2.0), 1, 1.0, 300, log_scale=True)
+    _, logs = op.toeplitz_radial_eigs(sy.gaussian(2.0), 1, 1.0, 300)
     expect = np.log(k * s * s - 2 * k * s + k + 1) - (k + 2) * np.log(s)
     assert np.abs(logs - expect).max() < 1e-11
     # q = 0, a = 20: -(k+1) ln(1 + 2a/b)
-    logs = op.toeplitz_radial_eigs(sy.gaussian(20.0), 0, 1.0, 300, log_scale=True)
+    _, logs = op.toeplitz_radial_eigs(sy.gaussian(20.0), 0, 1.0, 300)
     assert np.abs(logs + (k + 1) * math.log(41.0)).max() < 1e-11
 
 
-def _full_grid_moments(profile, q, scale, count, log_scale=False):
+def _full_grid_moments(profile, q, scale, count, in_logs=False):
     """The moment kernel before windowing: every row on the whole log grid,
-    one Laguerre recurrence per row (reference for `_radial_moments`)."""
+    one Laguerre recurrence per row (reference for `_radial_moments`).
+    Returns nu_k, or with in_logs=True ln nu_k summed in log space (positive
+    profiles only)."""
     t, ln_t, lead = op._log_grid(count + q)
-    if log_scale:
-        lead = lead + profile.log_value(scale * t)
+    if in_logs:
+        lead = lead + profile.log_abs(scale * t)[0]
     else:
         values = np.atleast_1d(profile(scale * t))
     out = np.empty(count)
@@ -310,7 +349,7 @@ def _full_grid_moments(profile, q, scale, count, log_scale=False):
         for row, (a, c) in enumerate(zip(m, d)):
             if a:
                 terms[row] += 2.0 * laguerre_log_abs(int(a), float(c), t)
-        if log_scale:
+        if in_logs:
             peak = terms.max(axis=1)
             shift = np.where(np.isfinite(peak), peak, 0.0)
             with np.errstate(divide="ignore"):
@@ -322,13 +361,16 @@ def _full_grid_moments(profile, q, scale, count, log_scale=False):
 
 _WINDOW_PROFILES = [sy.gaussian(0.4), sy.power(2.0), sy.exp_beta(1.0, 0.5),
                     sy.exp_beta(0.8, 2.0)]
-# linear route only: a negative amplitude, and no log form with a zero
-# stretch, sign changes, a high degree, and a bump narrower than a coarse step
+# signed against the linear sum: a negative amplitude, sign changes, a high
+# degree, and two tables run as custom kinds (a table itself integrates on
+# panels between its nodes), one with a zero stretch and one with a bump
+# narrower than a coarse step
 _LINEAR_PROFILES = [sy.gaussian(0.4, amplitude=-1.5),
-                    sy.tabulated([0, 1, 2, 4, 8, 30], [1.0, 0.5, 0.0, 0.0, 0.3, 0.1]),
+                    sy.custom(sy.tabulated([0, 1, 2, 4, 8, 30], [1.0, 0.5, 0.0, 0.0, 0.3, 0.1])),
                     sy.poly_gauss([1.0, -3.0, 0.5, 0.2], 0.4),
                     sy.diag_kernel_profile(40),
-                    sy.tabulated([0, 1, 2, 49.9, 50, 50.1], [1.0, 0.0, 0.0, 0.0, 1.0, 0.0])]
+                    sy.custom(sy.tabulated([0, 1, 2, 49.9, 50, 50.1],
+                                           [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]))]
 
 
 @pytest.mark.parametrize("q", [0, 1, 3, 40])
@@ -337,40 +379,42 @@ def test_windowed_moments_match_full_grid(q):
     # every row summed over the whole grid.  Past |ln nu| = 512 one unit in
     # the last place is 1.1e-13, so sums that differ in their last bit may
     # round one unit apart.  Where R changes sign, nu is held to 1e-13 of the
-    # moment of |R| (the same as of nu where R keeps its sign).
+    # moment of |R| (the same as of nu where R keeps its sign), plus the
+    # eps |ln nu| |nu| that exp() adds to a value read from its log.
     b = 1.0
     counts = (1, 8, 17, 300)
-    for prof, count, log_scale in itertools.chain(
-            itertools.product(_WINDOW_PROFILES, counts, (True, False)),
-            itertools.product(_LINEAR_PROFILES, counts, (False,))):
-        got = op.toeplitz_radial_eigs(prof, q, b, count, log_scale=log_scale)
-        want = _full_grid_moments(prof, q, 2.0 / b, count, log_scale=log_scale)
-        if log_scale:
-            assert (np.abs(got - want) <= 1e-13 + np.spacing(np.abs(want))).all(), (prof, count)
-        else:
-            size = _full_grid_moments(sy.custom(lambda s: np.abs(prof(s))), q, 2.0 / b, count)
-            assert (np.abs(got - want) <= 1e-13 * size).all(), (prof, count)
+    for prof, count in itertools.product(_WINDOW_PROFILES, counts):
+        sign, got = op.toeplitz_radial_eigs(prof, q, b, count)
+        want = _full_grid_moments(prof, q, 2.0 / b, count, in_logs=True)
+        assert (sign == 1).all(), (prof, count)
+        assert (np.abs(got - want) <= 1e-13 + np.spacing(np.abs(want))).all(), (prof, count)
+    for prof, count in itertools.product(_LINEAR_PROFILES, counts):
+        sign, log_nu = op.toeplitz_radial_eigs(prof, q, b, count)
+        got = sign * np.exp(log_nu)
+        want = _full_grid_moments(prof, q, 2.0 / b, count)
+        size = _full_grid_moments(sy.custom(lambda s: np.abs(prof(s))), q, 2.0 / b, count)
+        cond = np.finfo(float).eps * np.abs(log_nu) * np.abs(got)
+        assert (np.abs(got - want) <= 1e-13 * size + cond).all(), (prof, count)
 
 
 def test_log_grid_truncation_raises():
     # the k = 0 integrand peaks at t = 1/(1 + 2a/b) ~ e^-63.5, below the
     # grid's e^-60
-    for log_scale in (True, False):
-        with pytest.raises(qd.QuadratureAccuracyError, match="log grid"):
-            op.toeplitz_radial_eigs(sy.gaussian(1e27), 0, 1.0, 10, log_scale=log_scale)
+    with pytest.raises(qd.QuadratureAccuracyError, match="log grid"):
+        op.toeplitz_radial_eigs(sy.gaussian(1e27), 0, 1.0, 10)
     # the k = 0 tail falls like t below its peak: at a = 1e8 (peak e^-19.1)
     # it has 40 nats to fall before e^-60
-    logs = op.toeplitz_radial_eigs(sy.gaussian(1e8), 0, 1.0, 10, log_scale=True)
+    _, logs = op.toeplitz_radial_eigs(sy.gaussian(1e8), 0, 1.0, 10)
     assert np.abs(logs + (np.arange(10) + 1) * math.log1p(2e8)).max() < 1e-11
     # a Legendre panel has no grid ends to check
-    assert np.isfinite(op.toeplitz_radial_eigs(
-        sy.disk_indicator(1e-30), 0, 1.0, 10, log_scale=True)).all()
+    assert np.isfinite(op.toeplitz_radial_eigs(sy.disk_indicator(1e-30), 0, 1.0, 10)[1]).all()
 
 
 def test_toeplitz_higher_level_2d_quadrature_oracle():
     zeta = sy.gaussian(0.3)
     b, q = 1.0, 2
-    nu = op.toeplitz_radial_eigs(zeta, q, b, 33)
+    sign, log_nu = op.toeplitz_radial_eigs(zeta, q, b, 33)
+    nu = sign * np.exp(log_nu)
     rule = qd.gauss_hermite(140)
     p = rule.nodes
     fw = rule.flat_weights
@@ -412,7 +456,7 @@ def _exact_gaussian_half_moment(k, q):
 def test_toeplitz_high_level_exact_moments():
     # at q = 250 the plain L_m^d overflows on the moment grid from k ~ 141
     q = 250
-    ln_nu = op.toeplitz_radial_eigs(sy.gaussian(0.5), q, 1.0, 400, log_scale=True)
+    _, ln_nu = op.toeplitz_radial_eigs(sy.gaussian(0.5), q, 1.0, 400)
     assert np.isfinite(ln_nu).all()
     for k in (250, 399):
         assert ln_nu[k] == pytest.approx(math.log(_exact_gaussian_half_moment(k, q)),
@@ -423,9 +467,11 @@ def test_toeplitz_level_shift_identity():
     # <(I + Lap/2b) zeta phi_{k,0}, phi_{k,0}> = <zeta phi_{k,1}, phi_{k,1}>
     for b in (1.0, 2.0):
         zeta = sy.gaussian(0.3)
-        lhs = op.toeplitz_radial_eigs(
+        sign, log_lhs = op.toeplitz_radial_eigs(
             sy.laguerre_laplacian(sy.radial_symbol(zeta), b, 1).profile, 0, b, 21)
-        rhs = op.toeplitz_radial_eigs(zeta, 1, b, 21)
+        lhs = sign * np.exp(log_lhs)
+        sign, log_rhs = op.toeplitz_radial_eigs(zeta, 1, b, 21)
+        rhs = sign * np.exp(log_rhs)
         assert np.abs(lhs / rhs - 1).max() < 1e-7
 
 
@@ -433,7 +479,7 @@ def test_toeplitz_superexponential_vs_dense_grid_oracle():
     # beta = 2: the extra decay moves the peak far below t = k; oracle: brute trapezoid
     zeta = sy.exp_beta(1.0, 2.0)
     b = 2.0
-    logs = op.toeplitz_radial_eigs(zeta, 0, b, 130, log_scale=True)
+    _, logs = op.toeplitz_radial_eigs(zeta, 0, b, 130)
     for k in (0, 7, 40, 129):
         t = np.linspace(1e-9, 80.0, 400_001)
         ln_f = k * np.log(t) - t - t * t

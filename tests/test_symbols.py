@@ -84,18 +84,26 @@ def test_profile_arg_scale_folds_into_parameters():
     e = sy.exp_beta(1.0, 2.0).with_arg_scale(3.0)
     assert e.gamma == pytest.approx(9.0)
     d = sy.disk_indicator(6.0).with_arg_scale(2.0)
-    assert d.support_bound == pytest.approx(3.0)
+    assert d.breakpoints == pytest.approx((3.0,))
     p = sy.power(2.0).with_arg_scale(2.0)
     assert p(np.array([1.0]))[0] == pytest.approx(1.0 / 3.0)
 
 
-def test_profile_log_value():
+def test_profile_log_abs():
     s = np.array([0.1, 1.0, 9.0])
-    for prof in (sy.gaussian(0.4), sy.power(3.0), sy.exp_beta(0.2, 0.7)):
-        assert np.allclose(np.exp(prof.log_value(s)), prof(s), rtol=1e-13)
-    d = sy.disk_indicator(2.0)
-    lv = d.log_value(s)
-    assert lv[0] == 0.0 and lv[2] == -np.inf
+    for prof in (sy.gaussian(0.4), sy.power(3.0), sy.exp_beta(0.2, 0.7),
+                 sy.gaussian(0.4, amplitude=-2.5), sy.constant(-0.3),
+                 sy.poly_gauss([1.0, -1.0], 0.5), sy.tabulated([0.0, 2.0], [1.0, -1.0])):
+        log, sign = prof.log_abs(s)
+        assert np.allclose(sign * np.exp(log), prof(s), rtol=1e-13)
+    d = sy.disk_indicator(2.0, amplitude=-1.0)
+    log, sign = d.log_abs(s)
+    assert log[0] == 0.0 and log[2] == -np.inf and sign.tolist() == [-1.0, -1.0, 0.0]
+    # the closed form stays exact where the values underflow; a zero reads (-inf, 0)
+    assert sy.gaussian(1.0, amplitude=-1.0).log_abs(1e4)[0] == -1e4
+    log, sign = sy.poly_gauss([1.0, -1.0], 0.5).log_abs(s)
+    assert log[1] == -np.inf and sign[1] == 0.0
+    assert sy.gaussian(1.0, amplitude=0.0).log_abs(s)[0].tolist() == [-np.inf] * 3
 
 
 _NAN = float("nan")
