@@ -207,25 +207,14 @@ class ResidualReport:
         return out
 
 
-def compare_series(model, k_range, eigs=None, log_eigs=None):
+def compare_series(model, k_range, log_eigs):
     """Per-k residuals r_k = ln(nu_k) - model(k) and normalized statistics.
 
-    Accepts the eigenvalue sequence either directly or as logs (indexing is
-    k = 0 at the first entry); strictly positive eigenvalues are required on
-    the range when given directly.
+    log_eigs holds ln nu_k with k = 0 at the first entry.
     """
     k_lo, k_hi = k_range
     if k_lo < 1:
         raise ValueError("range must start at k >= 1 (ln k normalization)")
-    if (eigs is None) == (log_eigs is None):
-        raise ValueError("pass exactly one of eigs, log_eigs")
-    if log_eigs is None:
-        eigs = np.asarray(eigs, dtype=float)
-        if np.any(eigs[k_lo:k_hi + 1] <= 0):
-            raise ValueError("nonpositive eigenvalue in range")
-        log_eigs = np.full(len(eigs), -np.inf)
-        pos = eigs > 0
-        log_eigs[pos] = np.log(eigs[pos])
     log_eigs = np.asarray(log_eigs, dtype=float)
     if k_hi >= len(log_eigs):
         raise ValueError("eigenvalue sequence shorter than the range")

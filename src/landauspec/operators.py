@@ -155,34 +155,48 @@ def banded_structure_check(v, n, order=None):
 # radial fast paths: explicit eigenvalue sequences
 
 
-def _panels(profile, scale, order, top=math.inf):
-    """Gauss-Legendre (nodes, weights) in t for R(scale t): one panel of `order`
-    per interval from 0 through R's breakpoints, none past top."""
-    ends = [0.0]
-    for s in profile.breakpoints:
-        ends.append(min(s / scale, top))
-        if ends[-1] == top:
-            break
-    rules = [quadrature.gauss_legendre_panel(order, a, c)
-             for a, c in zip(ends, ends[1:]) if c > a]
-    return (np.concatenate([rule.nodes for rule in rules]),
-            np.concatenate([rule.weights for rule in rules]))
+_PANEL_MIN = 8               # fewest nodes on a panel between breakpoints
+
+
+def _support_rule(profile, scale, order, tail_order, top):
+    """(nodes, weights) in t for int_0^inf R(scale t) f(t) dt, f smooth.
+
+    One Legendre rule of `order` nodes on [0, a], a the last breakpoint /
+    scale below top, split at the breakpoints: each panel keeps the nodes the
+    whole rule puts there, and a breakpoint leaving a panel fewer than 8 is
+    dropped, so a table of any length costs `order` nodes.  Unless R is 0
+    past a, Gauss-Laguerre of tail_order shifted to a covers [a, inf).
+    """
+    ends = [s / scale for s in profile.breakpoints]
+    inside = [t for t in ends if t < top]
+    span = inside[-1] if inside else 0.0
+    cuts = [(0.0, 0)]
+    for t in inside[:-1]:
+        at = round(order * math.acos(1.0 - 2.0 * t / span) / math.pi)
+        if at - cuts[-1][1] >= _PANEL_MIN and order - at >= _PANEL_MIN:
+            cuts.append((t, at))
+    parts = [(rule.nodes, rule.weights) for rule in (
+        quadrature.gauss_legendre_panel(n - m, c, d)
+        for (c, m), (d, n) in zip(cuts, cuts[1:] + [(span, order)]) if d > c)]
+    if not ends or ends[-1] >= top:
+        tail = quadrature.gauss_laguerre(tail_order)
+        parts.append((span + tail.nodes, tail.flat_weights))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _laguerre_sequence(profile, count, order, profile_scale, laguerre_scale, sign):
     """sign^k int_0^inf R(profile_scale y) Lcal_k(laguerre_scale y) dy, k < count.
 
     Lcal_k is the weighted Laguerre function of laguerre_fn_iter (|Lcal_k| <= 1),
-    so one degree sweep serves every k.  R with breakpoints takes `_panels` of
-    order `order` or max(200, count // 2 + 64); otherwise Gauss-Laguerre with
-    flat weights of order `order` or max(400, count // 2 + 400).
+    so one degree sweep serves every k.  `_support_rule` takes panels of
+    `order` or max(200, count // 2 + 64) nodes below laguerre_scale y =
+    4 count + 40 (2 count)^(1/3) + 100, past which every Lcal_k is below
+    e^-45, and Gauss-Laguerre of `order` or max(400, count // 2 + 400).
     """
-    if profile.breakpoints:
-        y, weights = _panels(profile, profile_scale, order or max(200, count // 2 + 64))
-    else:
-        rule = quadrature.gauss_laguerre(order or max(quadrature.DEFAULT_ORDER_HALFLINE,
-                                                      count // 2 + 400))
-        y, weights = rule.nodes, rule.flat_weights
+    top = (4.0 * count + 40.0 * (2.0 * count) ** (1.0 / 3.0) + 100.0) / laguerre_scale
+    y, weights = _support_rule(
+        profile, profile_scale, order or max(200, count // 2 + 64),
+        order or max(quadrature.DEFAULT_ORDER_HALFLINE, count // 2 + 400), top)
     c = weights * np.atleast_1d(profile(profile_scale * y))
     mu = np.empty(count)
     for k, val in enumerate(laguerre_fn_iter(0.0, laguerre_scale * y, count - 1)):
@@ -248,34 +262,35 @@ def _radial_moments(profile, q, scale, count, order=None):
 
     nu_k = (m!/M!) int_0^inf R(scale t) t^d [L_m^d(t)]^2 e^(-t) dt with
     m = min(k, q), M = max(k, q), d = |k - q|, every k on one node set: the
-    log grid, or for R with breakpoints `_panels` of order `order` or
-    max(240, (count + 120) // 2) up to the grid's last node.  A term is
-    ln |integrand| on a node, and a block sums exp(term - peak) sign R, so
-    ln |nu_k| stays exact far below the underflow threshold.  Rows go
-    in blocks of 16, and one Laguerre recurrence serves a block: rows
-    k >= q share m = q, and rows k < q are read off at their own step m.  Row
-    k + q is t^(k+q) e^(-t) times bounded factors, so on the grid it lives on a
-    few hundred of the grid's thousands of nodes.  A coarse pass over every 16th
-    node (and both ends) finds them.  The block's window is the contiguous
-    range where some row is within 60 nats of its own coarse peak, padded by
-    two coarse steps, and the trapezoid sum runs on the window only.  This
+    log grid, or for R with breakpoints `_support_rule` of `order` or
+    max(240, (n + 120) // 2) nodes (panels and tail), n = count + q, with
+    panels below t = n + 10 sqrt(n) + 100, where every row is 45 nats below
+    its peak.  A term is ln |integrand| on a node, and a block sums
+    exp(term - peak) sign R, so ln |nu_k| stays exact far below the underflow
+    threshold.  Rows go in blocks of 16, and one Laguerre recurrence serves a
+    block: rows k >= q share m = q, and rows k < q are read off at their own
+    step m.  Row k + q is t^(k+q) e^(-t) times bounded factors, so on the grid
+    it lives on a few hundred of the grid's thousands of nodes.  A coarse pass
+    over every 16th node (and both ends) finds them: the block's window is
+    the range where some row is within 60 nats of its own coarse peak, padded
+    by two coarse steps, and the trapezoid sum runs on the window only.  This
     takes |R| never to rise by tens of nats between two coarse nodes (38%
-    apart in t).  The other kinds on the grid are formulas, smooth with
-    isolated zeros, so they keep it.  A custom R may hide a narrow bump between
-    coarse nodes, so that kind runs every block on the whole grid.  Row k = q
-    falls only like t below its peak, so its block's window would reach the
-    grid's floor anyway: that block skips the coarse pass and runs on the
-    whole grid.  A row whose integrand is not 36 nats below its peak at both
-    ends of the full grid raises QuadratureAccuracyError; both ends are coarse
-    nodes, so the check sees the same nodes with or without a window.
+    apart in t), which holds for RadialProfile.closed_form kinds; a custom R
+    may hide a narrow bump there, so it runs every block on the whole grid.
+    Row k = q falls only like t below its peak, so its block skips the coarse
+    pass and runs on the whole grid.  A row whose integrand is not 36 nats
+    below its peak at both ends of the full grid raises
+    QuadratureAccuracyError; both ends are coarse nodes, so the check sees
+    the same nodes with or without a window.
     """
-    grid = _log_grid(count + q)         # row k: t^(k+q) e^(-t) times bounded factors
+    size = count + q                    # row k: t^(k+q) e^(-t) times bounded factors
     on_grid = not profile.breakpoints
     if on_grid:
-        t, ln_t, lead = grid
+        t, ln_t, lead = _log_grid(size)
     else:
-        t, weights = _panels(profile, scale, order or max(240, (count + 120) // 2),
-                             top=grid[0][-1])
+        order = order or max(240, (size + 120) // 2)
+        t, weights = _support_rule(profile, scale, order, order,
+                                   size + 10.0 * math.sqrt(size) + 100.0)
         ln_t = np.log(t)
         lead = np.log(weights) - t
     log_r, sign_r = profile.log_abs(scale * t)
@@ -308,7 +323,7 @@ def _radial_moments(profile, q, scale, count, order=None):
     for k0 in range(0, count, _MOMENT_BLOCK):
         ks = np.arange(k0, min(k0 + _MOMENT_BLOCK, count))
         lo, hi, coarse_logs = 0, t.size, None
-        if on_grid and profile.kind != "custom" and not ks[0] <= q <= ks[-1]:
+        if on_grid and profile.closed_form and not ks[0] <= q <= ks[-1]:
             # every 16th node and the last; built per block, since caching it
             # beside the grid fragmented the heap and raised the peak memory of
             # later jobs in the same process
@@ -342,8 +357,8 @@ def antiwick_radial_eigs(profile, count, order=None):
     """Eigenvalues of the anti-Wick operator with a radial symbol.
 
     mu_k = int_0^inf R(2t) t^k e^(-t) / k! dt, every k from one node set
-    (`_radial_moments`); `order` reaches only the Legendre panels of weights
-    with breakpoints.  Values below the underflow threshold read 0.
+    (`_radial_moments`); `order` reaches only weights with breakpoints.
+    Values below the underflow threshold read 0.
     """
     sign, log_abs = _radial_moments(profile, 0, 2.0, count, order=order)
     return sign * np.exp(log_abs)
@@ -357,8 +372,8 @@ def toeplitz_radial_eigs(zeta, q, b, count, order=None):
     weight moment.  Returns (sign, log_abs) with nu_k = sign_k exp(log_abs_k),
     as numpy.linalg.slogdet does: ln |nu_k| stays exact far below the
     underflow threshold, and nu_k = 0 reads (0, -inf).  Every k comes from
-    one node set (`_radial_moments`); `order` reaches only the Legendre
-    panels of weights with breakpoints.
+    one node set (`_radial_moments`); `order` reaches only weights with
+    breakpoints.
     """
     if b <= 0:
         raise ValueError("field strength must be positive")
@@ -466,12 +481,9 @@ def eig_hermitian(H):
     windows = []
     for q in range(levels):
         lo = lam[q - 1] if q >= 1 else -np.inf
-        windows.append({
-            "q": q, "side": "-", "lo": lo, "hi": lam[q],
-            "count": _count_open(eigs, lo, lam[q], tol)})
-        windows.append({
-            "q": q, "side": "+", "lo": lam[q], "hi": lam[q + 1],
-            "count": _count_open(eigs, lam[q], lam[q + 1], tol)})
+        for side, a, c in (("-", lo, lam[q]), ("+", lam[q], lam[q + 1])):
+            windows.append({"q": q, "side": side, "lo": a, "hi": c,
+                            "count": _count_open(eigs, a, c, tol)})
     return SpectrumReport(eigs, b=H.b, levels=levels, cluster_tol=tol, windows=windows)
 
 

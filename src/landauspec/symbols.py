@@ -123,6 +123,11 @@ class RadialProfile:
             return tuple(g / self.arg_scale for g in self.grid if g > 0)
         return ()
 
+    @property
+    def closed_form(self):
+        """Every kind but custom: R is a formula, hiding no bump between samples."""
+        return self.kind != "custom"
+
     def with_arg_scale(self, scale):
         """Profile of s -> R(scale * s), folding the scale into parameters."""
         scale = float(scale)
@@ -400,7 +405,7 @@ def _radial_gauss_convolution(profile, order=240, n_theta=512, rho_max=9.0):
 
 def _disk_gauss_convolution(profile):
     """Convolution of a disk indicator with the unit Gaussian (exact angular arc)."""
-    c = profile.cutoff / profile.arg_scale
+    c = profile.breakpoints[0]
     amp = profile.amplitude
 
     # arc length of {|z0 - w| <= sqrt(c)} on the circle |w| = sqrt(u); the
@@ -679,7 +684,7 @@ def fourier_radial_profile(profile, order=400):
 
         return custom(fhat)
     if k == "disk_indicator":
-        c = profile.cutoff / profile.arg_scale
+        c = profile.breakpoints[0]
 
         def fhat(u):
             u = np.atleast_1d(np.asarray(u, dtype=float))

@@ -302,11 +302,31 @@ def test_toeplitz_tabulated_mpmath_oracle(q, ks):
     assert np.abs(logs[ks] - oracle).max() < 1e-11 and (sign == 1).all()
 
 
-def test_panels_stop_at_the_grid_top():
-    # supports far past every row's integrand: nu_k = 1 for a unit weight
-    for zeta in (sy.disk_indicator(1e13), sy.tabulated([0.0, 1e13], [1.0, 1.0])):
-        sign, logs = op.toeplitz_radial_eigs(zeta, 0, 1.0, 10)
-        assert np.abs(logs).max() < 1e-11 and (sign == 1).all()
+def test_wide_supports_take_a_laguerre_tail():
+    # supports far past every Lcal_k and every row's integrand: a unit weight
+    # gives mu_k = nu_k = 1 (one Legendre panel across [0, 1e6] read mu_k ~ 0)
+    for prof in (sy.disk_indicator(1e6), sy.disk_indicator(1e13),
+                 sy.tabulated([0.0, 1e6], [1.0, 1.0]),
+                 sy.tabulated([0.0, 1.0, 1e6], [1.0, 1.0, 1.0])):
+        for count in (10, 200):
+            assert np.abs(op.weyl_radial_eigs(prof, count) - 1).max() < 1e-12, (prof, count)
+        for count in (10, 401):
+            sign, logs = op.toeplitz_radial_eigs(prof, 0, 1.0, count)
+            assert np.abs(logs).max() < 1e-11 and (sign == 1).all(), (prof, count)
+
+
+def test_long_tables_share_one_node_budget():
+    # 20001 nodes of e^(-s/2): breakpoints closer than 8 of the budget's nodes
+    # are dropped, so the panels cost the budget alone
+    g = np.linspace(0.0, 80.0, 20001)
+    prof = sy.tabulated(g, np.exp(-0.5 * g))
+    for budget in (200, 260):
+        t, w = op._support_rule(prof, 2.0, budget, budget, 5000.0)
+        assert t.size == w.size == budget
+    mu = op.weyl_radial_eigs(prof, 30)
+    assert np.abs(mu - gaussian_weyl_exact(0.5, 1.0, 30)).max() < 1e-6
+    _, logs = op.toeplitz_radial_eigs(prof, 0, 1.0, 20)
+    assert np.abs(logs + (np.arange(20) + 1) * math.log(2.0)).max() < 1e-5
 
 
 def test_toeplitz_superexponential_higher_level_mpmath_oracle():
