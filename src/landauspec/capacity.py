@@ -37,6 +37,7 @@ _SAMPLE_BATCHES = 10_000
 
 # Relative energy gain per gradient step below which Newton steps take over.
 _NEWTON_SWITCH = 1e-4
+_ASCENT_RTOL = 1e-10         # relative gain per step below which an ascent has converged
 
 
 @dataclass(frozen=True)
@@ -405,7 +406,7 @@ def _newton_direction(g, M, free):
     return p
 
 
-def _fekete_ascent(K, w, max_iter, rtol):
+def _fekete_ascent(K, w, max_iter):
     """Gradient ascent polished by damped Newton steps along the boundary.
 
     Returns (w, E, iterations, newton_iterations, converged).  Iterations count
@@ -417,7 +418,7 @@ def _fekete_ascent(K, w, max_iter, rtol):
     """
     pairs = _upper_pairs(len(w))
     hand_over = _NEWTON_SWITCH
-    w, E, its, converged = _ascend(K, w, max_iter, rtol, hand_over)
+    w, E, its, converged = _ascend(K, w, max_iter, _ASCENT_RTOL, hand_over)
     newton_its = 0
     while not converged and its < max_iter:
         E, diff = _pair_kernel(w, pairs)
@@ -441,17 +442,17 @@ def _fekete_ascent(K, w, max_iter, rtol):
                 break
             its += 1
             newton_its += 1
-            done = abs(E2 - E) < rtol * max(1.0, abs(E2))
+            done = abs(E2 - E) < _ASCENT_RTOL * max(1.0, abs(E2))
             w, E, diff = trial, E2, diff2
             if done:
                 return w, E, its, newton_its, True
         if its < max_iter:
-            w, E, n_grad, converged = _ascend(K, w, max_iter - its, rtol, hand_over)
+            w, E, n_grad, converged = _ascend(K, w, max_iter - its, _ASCENT_RTOL, hand_over)
             its += n_grad
     return w, E, its, newton_its, converged
 
 
-def fekete_optimize(K, j, restarts=8, seed=0, max_iter=5000, rtol=1e-10):
+def fekete_optimize(K, j, restarts=8, seed=0, max_iter=5000):
     """Best-found j-point configuration maximizing the pairwise log-energy.
 
     Projected gradient ascent finished by Newton steps along the boundary,
@@ -477,7 +478,7 @@ def fekete_optimize(K, j, restarts=8, seed=0, max_iter=5000, rtol=1e-10):
             if not len(bad):
                 break
             w0[bad] = K.sample(len(bad), rng)
-        w, E, its, newton_its, converged = _fekete_ascent(K, w0, max_iter, rtol)
+        w, E, its, newton_its, converged = _fekete_ascent(K, w0, max_iter)
         order = np.lexsort((w.imag, w.real))
         w = w[order]
         key = (E, tuple((-p.real, -p.imag) for p in w))

@@ -2,7 +2,9 @@
 level-basis Hamiltonian.
 
 A 2-D symbol's Weyl operator is truncated in the Hermite basis by pairing
-the symbol against Wigner pair kernels.  Radial symbols need no pairing:
+the symbol against Wigner pair kernels on a tensor Gauss-Hermite rule whose
+order doubles until two successive matrices agree; this dense route is the
+independent check of the sequences below.  Radial symbols need no pairing:
 their operators are diagonal in the Hermite basis and the eigenvalues reduce
 to half-line Laguerre-type integrals.  The Toeplitz and anti-Wick moments
 are one signed sum in log space for every weight, so their logs stay exact
@@ -78,18 +80,39 @@ def _count_open(eigs, lo, hi, tol):
 # dense matrices in the Hermite basis
 
 
-def _pairing_order(n, order=None):
-    """Tensor Gauss-Hermite order for pairings with n Hermite functions."""
-    return order or max(quadrature.DEFAULT_ORDER_R2, 2 * n + 16)
+_DENSE_MAX_ORDER = 1280      # highest tensor Gauss-Hermite order the doubling reaches
 
 
-def kernel_pair_matrix(v, n, order=None):
-    """Matrix of pairings <v, Psi_{k,l}> for k, l < n, by tensor quadrature.
+def _settled(estimate, order, what):
+    """estimate(order) at doubling orders until two in a row agree; the finer one.
+
+    Agreement is max |difference| <= 1e-9 max(1, max |finer|).  The doubling
+    stops at order 1280: an estimate still moving there, or one that would
+    start past 640, raises QuadratureAccuracyError.
+    """
+    if 2 * order > _DENSE_MAX_ORDER:
+        raise quadrature.QuadratureAccuracyError(
+            f"{what} would start at order {order}; order doubling stops at {_DENSE_MAX_ORDER}")
+    prev = estimate(order)
+    while 2 * order <= _DENSE_MAX_ORDER:
+        order *= 2
+        cur = estimate(order)
+        defect = float(np.abs(cur - prev).max())
+        if defect <= 1e-9 * max(1.0, float(np.abs(cur).max())):
+            return cur
+        prev = cur
+    raise quadrature.QuadratureAccuracyError(
+        f"{what} has not settled by order {order}, where order doubling stops: "
+        f"the last doubling moved it by {defect:.3e}")
+
+
+def _pairing_matrix(v, n, order):
+    """Matrix of pairings <v, Psi_{k,l}> for k, l < n, by tensor quadrature of one order.
 
     One Laguerre recurrence sweep per diagonal supplies all pair-kernel
     values; symbols are real, so only the upper triangle is integrated.
     """
-    rule = quadrature.gauss_hermite(_pairing_order(n, order))
+    rule = quadrature.gauss_hermite(order)
     p = rule.nodes
     fw = rule.flat_weights
     x = p[:, None]
@@ -106,96 +129,60 @@ def kernel_pair_matrix(v, n, order=None):
     return M
 
 
-def weyl_matrix(v, n, order=None, check=False):
+def weyl_matrix(v, n):
     """Truncated Weyl operator of a 2-D symbol in the Hermite basis, (n, n).
 
     Entry (k, l) is <op(v) psi_l, psi_k> = <v, Psi_{k,l}>; Hermitian, as
-    symbols are real.  With check=True the assembly is repeated at double
-    order and a disagreement raises QuadratureAccuracyError.
+    symbols are real.  The tensor Gauss-Hermite order starts at
+    max(80, 2n + 16) and doubles until two successive matrices agree
+    (`_settled`), so a symbol the rule does not resolve raises
+    QuadratureAccuracyError instead of returning a wrong matrix.
     """
     if n < 1:
         raise ValueError("need at least one basis function")
-    order = _pairing_order(n, order)
-    M = kernel_pair_matrix(v, n, order=order)
-    if check:
-        M2 = kernel_pair_matrix(v, n, order=2 * order)
-        defect = np.abs(M2 - M).max()
-        if defect > 1e-9 * max(1.0, np.abs(M2).max()):
-            raise quadrature.QuadratureAccuracyError(
-                f"pairing matrix moved by {defect:.3e} under order doubling")
-        M = M2
-    return M
+    return _settled(lambda order: _pairing_matrix(v, n, order),
+                    max(quadrature.DEFAULT_ORDER_R2, 2 * n + 16), "pairing matrix")
 
 
-def hilbert_schmidt_check(v, n, order=None):
+def hilbert_schmidt_check(v, n):
     """(sum of squared entries of the truncation, scaled squared symbol norm).
 
-    The truncated Frobenius mass converges upward to (2 pi)^(-1) ||v||^2.
+    The truncated Frobenius mass converges upward to (2 pi)^(-1) ||v||^2;
+    the norm doubles its order from 80 as the matrix does.
     """
-    order = _pairing_order(n, order)
-    mat = float(np.sum(np.abs(weyl_matrix(v, n, order=order)) ** 2))
-    sym = float(np.real(quadrature.integrate_r2(
-        lambda x, xi: np.abs(v.evaluate(x, xi)) ** 2, order=order)))
-    return mat, sym / (2.0 * np.pi)
+    mat = float(np.sum(np.abs(weyl_matrix(v, n)) ** 2))
+    sym = _settled(lambda order: quadrature.integrate_r2(
+        lambda x, xi: np.abs(v.evaluate(x, xi)) ** 2, order=order),
+        quadrature.DEFAULT_ORDER_R2, "symbol norm")
+    return mat, float(np.real(sym)) / (2.0 * np.pi)
 
 
-def banded_structure_check(v, n, order=None):
+def banded_structure_check(v, n):
     """(max |entry| inside the declared angular band, max outside)."""
     width = v.bandwidth
-    M = weyl_matrix(v, n, order=order)
+    M = weyl_matrix(v, n)
     k = np.arange(n)
     inside = np.abs(k[:, None] - k[None, :]) <= width
     a = np.abs(M)
-    max_in = float(a[inside].max())
-    max_out = float(a[~inside].max()) if (~inside).any() else 0.0
-    return max_in, max_out
+    return float(a[inside].max()), float(np.where(inside, 0.0, a).max())
 
 
 # ---------------------------------------------------------------------------
 # radial fast paths: explicit eigenvalue sequences
 
 
-_PANEL_MIN = 8               # fewest nodes on a panel between breakpoints
-
-
-def _support_rule(profile, scale, order, tail_order, top):
-    """(nodes, weights) in t for int_0^inf R(scale t) f(t) dt, f smooth.
-
-    One Legendre rule of `order` nodes on [0, a], a the last breakpoint /
-    scale below top, split at the breakpoints: each panel keeps the nodes the
-    whole rule puts there, and a breakpoint leaving a panel fewer than 8 is
-    dropped, so a table of any length costs `order` nodes.  Unless R is 0
-    past a, Gauss-Laguerre of tail_order shifted to a covers [a, inf).
-    """
-    ends = [s / scale for s in profile.breakpoints]
-    inside = [t for t in ends if t < top]
-    span = inside[-1] if inside else 0.0
-    cuts = [(0.0, 0)]
-    for t in inside[:-1]:
-        at = round(order * math.acos(1.0 - 2.0 * t / span) / math.pi)
-        if at - cuts[-1][1] >= _PANEL_MIN and order - at >= _PANEL_MIN:
-            cuts.append((t, at))
-    parts = [(rule.nodes, rule.weights) for rule in (
-        quadrature.gauss_legendre_panel(n - m, c, d)
-        for (c, m), (d, n) in zip(cuts, cuts[1:] + [(span, order)]) if d > c)]
-    if not ends or ends[-1] >= top:
-        tail = quadrature.gauss_laguerre(tail_order)
-        parts.append((span + tail.nodes, tail.flat_weights))
-    return tuple(np.concatenate(part) for part in zip(*parts))
-
-
 def _laguerre_sequence(profile, count, order, profile_scale, laguerre_scale, sign):
     """sign^k int_0^inf R(profile_scale y) Lcal_k(laguerre_scale y) dy, k < count.
 
     Lcal_k is the weighted Laguerre function of laguerre_fn_iter (|Lcal_k| <= 1),
-    so one degree sweep serves every k.  `_support_rule` takes panels of
-    `order` or max(200, count // 2 + 64) nodes below laguerre_scale y =
+    so one degree sweep serves every k.  `quadrature.support_rule` takes
+    panels of `order` or max(200, count // 2 + 64) nodes below laguerre_scale y =
     4 count + 40 (2 count)^(1/3) + 100, past which every Lcal_k is below
     e^-45, and Gauss-Laguerre of `order` or max(400, count // 2 + 400).
     """
     top = (4.0 * count + 40.0 * (2.0 * count) ** (1.0 / 3.0) + 100.0) / laguerre_scale
-    y, weights = _support_rule(
-        profile, profile_scale, order or max(200, count // 2 + 64),
+    y, weights = quadrature.support_rule(
+        [s / profile_scale for s in profile.breakpoints], order or max(200, count // 2 + 64),
         order or max(quadrature.DEFAULT_ORDER_HALFLINE, count // 2 + 400), top)
     c = weights * np.atleast_1d(profile(profile_scale * y))
     mu = np.empty(count)
@@ -262,7 +249,7 @@ def _radial_moments(profile, q, scale, count, order=None):
 
     nu_k = (m!/M!) int_0^inf R(scale t) t^d [L_m^d(t)]^2 e^(-t) dt with
     m = min(k, q), M = max(k, q), d = |k - q|, every k on one node set: the
-    log grid, or for R with breakpoints `_support_rule` of `order` or
+    log grid, or for R with breakpoints `quadrature.support_rule` of `order` or
     max(240, (n + 120) // 2) nodes (panels and tail), n = count + q, with
     panels below t = n + 10 sqrt(n) + 100, where every row is 45 nats below
     its peak.  A term is ln |integrand| on a node, and a block sums
@@ -289,8 +276,8 @@ def _radial_moments(profile, q, scale, count, order=None):
         t, ln_t, lead = _log_grid(size)
     else:
         order = order or max(240, (size + 120) // 2)
-        t, weights = _support_rule(profile, scale, order, order,
-                                   size + 10.0 * math.sqrt(size) + 100.0)
+        t, weights = quadrature.support_rule([s / scale for s in profile.breakpoints],
+                                             order, order, size + 10.0 * math.sqrt(size) + 100.0)
         ln_t = np.log(t)
         lead = np.log(weights) - t
     log_r, sign_r = profile.log_abs(scale * t)
@@ -391,28 +378,28 @@ class SignReport:
     first_negative_index: int = -1
 
 
-def _sign_report(values, tol=None):
+def _sign_report(values):
     values = np.asarray(values)
-    if tol is None:
-        tol = 1e-10 * max(1.0, float(np.abs(values).max()))
+    tol = 1e-10 * max(1.0, float(np.abs(values).max()))
     neg = np.nonzero(values < -tol)[0]
     if neg.size:
         return SignReport(values, False, int(neg[0]))
     return SignReport(values, True)
 
 
-def positivity_laguerre_weyl(profile, count, order=None, tol=None):
+def positivity_laguerre_weyl(profile, count):
     """Nonnegativity of the Weyl operator via its Laguerre coefficients.
 
     The operator is nonnegative exactly when every coefficient
-    c_k = 2 mu_k is nonnegative.
+    c_k = 2 mu_k is nonnegative; a coefficient counts as negative below
+    -1e-10 max(1, max |c|).
     """
-    return _sign_report(2.0 * weyl_radial_eigs(profile, count, order=order), tol=tol)
+    return _sign_report(2.0 * weyl_radial_eigs(profile, count))
 
 
-def positivity_laguerre_antiwick(profile, count, order=None, tol=None):
+def positivity_laguerre_antiwick(profile, count):
     """Nonnegativity of the anti-Wick operator via its Gamma-weight moments."""
-    return _sign_report(antiwick_radial_eigs(profile, count, order=order), tol=tol)
+    return _sign_report(antiwick_radial_eigs(profile, count))
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +545,12 @@ def _gap_shifts(report, q, sign):
     return np.sort(lam[q] - sel)[::-1]
 
 
+_SANDWICH_EPS = tuple(x / 100.0 for x in range(1, 26))   # eps tried, smallest first
+_SANDWICH_K0_MAX = 3         # largest index shift k0 tried
+
+
 def birman_schwinger_check(zeta_profile, r, q, b, levels, radial,
-                           k_range=(5, 30), eps_grid=None, k0_max=3, order=None):
+                           k_range=(5, 30), order=None):
     """Empirical two-sided sandwich between gap eigenvalues and the
     compressed-multiplier spectrum.
 
@@ -573,17 +564,17 @@ def birman_schwinger_check(zeta_profile, r, q, b, levels, radial,
 
         nu_{k+k0} / (1+eps) <= shift_k <= nu_{k-k0} / (1-eps)
 
-    over the k range, nu the level-r compression of zeta (`order` applies to
-    nu only).  Returns a report dict; raises TruncationError when the window
-    is not resolved.
+    over the k range, eps in 0.01 .. 0.25 and k0 <= 3, nu the level-r
+    compression of zeta (`order` applies to nu only).  Returns a report dict;
+    raises TruncationError when the window is not resolved.
     """
-    eps_grid = eps_grid if eps_grid is not None else [x / 100.0 for x in range(1, 26)]
     k_lo, k_hi = k_range
     omega = symbols.laguerre_laplacian(symbols.radial_symbol(zeta_profile), b, r)
     vt = symbols.radial_symbol(omega.profile.with_arg_scale(1.0 / b))
     level_kernel = symbols.radial_symbol(symbols.diag_kernel_profile(q))
 
-    sign, log_nu = toeplitz_radial_eigs(zeta_profile, r, b, k_hi + k0_max + 2, order=order)
+    sign, log_nu = toeplitz_radial_eigs(zeta_profile, r, b, k_hi + _SANDWICH_K0_MAX + 2,
+                                        order=order)
     nu = np.sort(np.exp(log_nu[sign > 0]))[::-1]
     if not len(nu):
         return {"vacuous": True, "epsilon": 0.0, "k0": 0}
@@ -601,8 +592,8 @@ def birman_schwinger_check(zeta_profile, r, q, b, levels, radial,
         shifts[sign] = delta
 
     ks = np.arange(k_lo, k_hi + 1)
-    for k0 in range(k0_max + 1):
-        for eps in eps_grid:
+    for k0 in range(_SANDWICH_K0_MAX + 1):
+        for eps in _SANDWICH_EPS:
             ok = True
             for sign in (+1, -1):
                 d = shifts[sign][ks]
@@ -616,6 +607,6 @@ def birman_schwinger_check(zeta_profile, r, q, b, levels, radial,
                     "vacuous": False, "epsilon": float(eps), "k0": int(k0),
                     "shifts_plus": shifts[+1][: k_hi + 1],
                     "shifts_minus": shifts[-1][: k_hi + 1],
-                    "nu": nu[: k_hi + k0_max + 1],
+                    "nu": nu[: k_hi + _SANDWICH_K0_MAX + 1],
                 }
     raise TruncationError("no (eps, k0) pair satisfied the sandwich on the range")

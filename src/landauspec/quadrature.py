@@ -11,8 +11,9 @@ precision near order 180, but w_i * exp(x_i) (the "flat" weights used to
 integrate functions that carry their own decay) stay O(node spacing) at any
 order.  Rules are cached and safe for concurrent readers.
 
-Integrands with a jump (compactly supported radial profiles) are never fed
-to Gauss-Laguerre; a finite-interval Gauss-Legendre panel is used instead.
+Integrands with a jump or a kink (a disk's or a table's breakpoints) are
+never fed to Gauss-Laguerre: `support_rule` splits one Gauss-Legendre rule
+at them, for the Weyl sequences, moments and Hankel transforms alike.
 """
 
 from __future__ import annotations
@@ -193,23 +194,54 @@ def gauss_legendre_panel(order, a, b):
 
 DEFAULT_ORDER_R2 = 80
 DEFAULT_ORDER_HALFLINE = 400
+_PANEL_MIN = 8               # fewest nodes on a panel between breakpoints
 
 
-def integrate_r2(f, rule=None, order=None):
+def support_rule(breakpoints, order, tail_order, top):
+    """(nodes, weights) for int_0^inf g(t) dt, g smooth between increasing
+    breakpoints t > 0 and 0 past the last (RadialProfile.breakpoints, scaled).
+
+    One Legendre rule of `order` nodes on [0, a], a the last breakpoint below
+    top, split at the breakpoints: each panel keeps the nodes the whole rule
+    puts there, and a breakpoint leaving a panel fewer than 8 is dropped, so
+    a table of any length costs `order` nodes.  Unless g is 0 past a,
+    Gauss-Laguerre of tail_order (flat weights) shifted to a covers [a, inf).
+    A last breakpoint below the smallest normal double (underflowed under
+    scaling) would leave nodes and weights of 0: QuadratureAccuracyError.
+    """
+    if breakpoints and not breakpoints[-1] >= np.finfo(float).tiny:
+        raise QuadratureAccuracyError(
+            f"the support ends at t = {breakpoints[-1]!r}: its breakpoint underflowed on scaling")
+    inside = [t for t in breakpoints if t < top]
+    span = inside[-1] if inside else 0.0
+    cuts = [(0.0, 0)]
+    for t in inside[:-1]:
+        at = round(order * math.acos(1.0 - 2.0 * t / span) / math.pi)
+        if at - cuts[-1][1] >= _PANEL_MIN and order - at >= _PANEL_MIN:
+            cuts.append((t, at))
+    parts = [(rule.nodes, rule.weights) for rule in (
+        gauss_legendre_panel(n - m, c, d)
+        for (c, m), (d, n) in zip(cuts, cuts[1:] + [(span, order)]) if d > c)]
+    if not breakpoints or breakpoints[-1] >= top:
+        tail = gauss_laguerre(tail_order)
+        parts.append((span + tail.nodes, tail.flat_weights))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def integrate_r2(f, order=None):
     """Tensor Gauss-Hermite estimate of the integral of f over R^2.
 
     f(x, xi) must accept broadcasting arrays and carry its own decay;
     the envelope is removed by the flat weights.
     """
-    if rule is None:
-        rule = gauss_hermite(order or DEFAULT_ORDER_R2)
+    rule = gauss_hermite(order or DEFAULT_ORDER_R2)
     x = rule.nodes
     fw = rule.flat_weights
     vals = f(x[:, None], x[None, :])
     return np.einsum("i,j,ij->", fw, fw, vals)
 
 
-def integrate_halfline(f, rule=None, order=None, support=None):
+def integrate_halfline(f, order=None, support=None):
     """Estimate the integral of f over [0, inf).
 
     f carries its own decay.  When `support` is given (compactly supported
@@ -221,6 +253,5 @@ def integrate_halfline(f, rule=None, order=None, support=None):
     if support is not None:
         rule = gauss_legendre_panel(order or DEFAULT_ORDER_HALFLINE, 0.0, float(support))
         return float(np.dot(rule.weights, f(rule.nodes)))
-    if rule is None:
-        rule = gauss_laguerre(order or DEFAULT_ORDER_HALFLINE)
+    rule = gauss_laguerre(order or DEFAULT_ORDER_HALFLINE)
     return float(np.dot(rule.flat_weights, f(rule.nodes)))

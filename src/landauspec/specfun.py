@@ -314,7 +314,11 @@ def _log_gamma_prefactor(a, x):
             - 0.5 * math.log(2.0 * math.pi * a) - tail)
 
 
-def log_gammainc_lower(a, x, tol=1e-17, max_terms=10_000):
+_GAMMAINC_TOL = 1e-17        # relative size of the last series term or fraction step
+_GAMMAINC_TERMS = 10_000     # most terms of either expansion
+
+
+def log_gammainc_lower(a, x):
     """ln P(a, x) for the regularized lower incomplete gamma function.
 
     Series representation for x < a + 1, continued fraction for the upper
@@ -323,7 +327,7 @@ def log_gammainc_lower(a, x, tol=1e-17, max_terms=10_000):
     logarithm (needed for P(k+1, x) with k in the hundreds).  Both branches
     share the prefactor x^a e^(-x) / Gamma(a + 1), taken through Stirling's
     series so it does not cancel when x is near a large a.  Raises
-    ArithmeticError when either expansion is still moving after max_terms
+    ArithmeticError when either expansion is still moving after 10,000 terms
     (x near a with a above about 1e7).
     """
     a = float(a)
@@ -338,19 +342,19 @@ def log_gammainc_lower(a, x, tol=1e-17, max_terms=10_000):
     if x < a + 1.0:
         term = 1.0
         total = 1.0
-        for n in range(1, max_terms):
+        for n in range(1, _GAMMAINC_TERMS):
             term *= x / (a + n)
             total += term
-            if term < tol * total:
+            if term < _GAMMAINC_TOL * total:
                 return log_prefactor + math.log(total)
-        raise ArithmeticError(f"P({a!r}, {x!r}): series unconverged after {max_terms} terms")
+        raise ArithmeticError(f"P({a!r}, {x!r}): series unconverged after {_GAMMAINC_TERMS} terms")
     # continued fraction for Q(a, x), then P = 1 - Q
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, max_terms):
+    for i in range(1, _GAMMAINC_TERMS):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -362,11 +366,11 @@ def log_gammainc_lower(a, x, tol=1e-17, max_terms=10_000):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < _GAMMAINC_TOL:
             break
     else:
         raise ArithmeticError(
-            f"P({a!r}, {x!r}): continued fraction unconverged after {max_terms} terms")
+            f"P({a!r}, {x!r}): continued fraction unconverged after {_GAMMAINC_TERMS} terms")
     log_q = log_prefactor + math.log(a) + math.log(h)    # x^a e^-x / Gamma(a) times h
     q = math.exp(log_q)
     if q >= 1.0:

@@ -1,11 +1,12 @@
 """Phase-space symbols and their transformations.
 
-Covers the radial profile families used as perturbation weights, symbols on
-R^2 and separable symbols on R^4, the linear symplectic change of coordinates
-that straightens the magnetic Hamiltonian into a scaled oscillator, anti-Wick
-to Weyl conversion of radial symbols (Gaussian smoothing), the Laguerre
-polynomial of the Laplacian, super-level-set volumes, and the two-sided
-logarithmic-derivative bounds certifying volume regularity.
+Covers the radial profile families used as perturbation weights, radial and
+angular symbols on R^2 and separable symbols on R^4, the linear symplectic
+change of coordinates that straightens the magnetic Hamiltonian into a
+scaled oscillator, anti-Wick to Weyl conversion of radial symbols (Gaussian
+smoothing), the Laguerre polynomial of the Laplacian, radial Fourier
+transforms (Hankel on the breakpoint rule), super-level-set volumes of
+radial symbols, and the two-sided logarithmic-derivative bounds.
 
 Symbols are immutable after construction; every transform returns a new one.
 """
@@ -221,7 +222,7 @@ def diag_kernel_profile(q, amplitude=1.0):
 
 @dataclass(frozen=True)
 class Symbol2D:
-    """Symbol on phase space R^2: radial, finite angular expansion, or generic.
+    """Symbol on phase space R^2: radial, or a finite angular expansion.
 
     Angular symbols store radial coefficient functions F_k(r) for modes
     k = -K .. K.  Symbols are real-valued: an angular one evaluates to the
@@ -229,33 +230,28 @@ class Symbol2D:
     F_{-k} = conj(F_k).
     """
 
-    structure: str                      # 'radial' | 'angular' | 'generic'
+    structure: str                      # 'radial' | 'angular'
     profile: RadialProfile = None
     modes: tuple = ()                   # ((k, fn), ...) for angular symbols
-    fn: object = field(default=None, repr=False)
 
     def evaluate(self, x, xi):
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
         if self.structure == "radial":
             return self.profile(x * x + xi * xi)
-        if self.structure == "angular":
-            r = np.hypot(x, xi)
-            theta = np.arctan2(xi, x)
-            out = np.zeros(np.broadcast_shapes(x.shape, xi.shape), dtype=complex)
-            for k, fk in self.modes:
-                out = out + fk(r) * np.exp(1j * k * theta)
-            return out.real
-        return self.fn(x, xi)
+        r = np.hypot(x, xi)
+        theta = np.arctan2(xi, x)
+        out = np.zeros(np.broadcast_shapes(x.shape, xi.shape), dtype=complex)
+        for k, fk in self.modes:
+            out = out + fk(r) * np.exp(1j * k * theta)
+        return out.real
 
     @property
     def bandwidth(self):
         """Largest angular mode index (0 for radial symbols)."""
         if self.structure == "radial":
             return 0
-        if self.structure == "angular":
-            return max(abs(k) for k, _ in self.modes)
-        raise ValueError("generic symbols carry no declared bandwidth")
+        return max(abs(k) for k, _ in self.modes)
 
 
 def radial_symbol(profile):
@@ -266,16 +262,6 @@ def angular_symbol(modes):
     """modes: dict or iterable of (k, F_k) with F_k a radial function of r."""
     items = modes.items() if isinstance(modes, dict) else modes
     return Symbol2D("angular", modes=tuple(sorted(items)))
-
-
-def generic_symbol(fn):
-    """A 2-D symbol known only through its evaluator fn(x, xi).
-
-    No CLI config builds one.  It stays as the form of a symbol with no
-    radial or angular structure, which `operators.weyl_matrix` pairs by
-    quadrature and `phase_space_volume` measures by grid counting.
-    """
-    return Symbol2D("generic", fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -369,19 +355,20 @@ def separable_symbol(b, terms):
 # anti-Wick -> Weyl (Gaussian smoothing)
 
 
-def _radial_gauss_convolution(profile, order=240, n_theta=512, rho_max=9.0):
+def _radial_gauss_convolution(profile):
     """Numeric radial convolution with the unit Gaussian, as a custom profile.
 
     (R * G)(s0) = (1/pi) int_0^inf int_0^2pi
                   R(s0 + p^2 - 2 sqrt(s0) p cos t) e^(-p^2) p dt dp,
     radial variable kept as p (the integrand is entire in p, unlike in
-    p^2 where a sqrt kink would slow the rule down); the e^(-p^2) envelope
-    makes the finite panel exact for practical purposes.  Angular average by
-    midpoint (periodic, spectrally accurate).  The smoothing route for
-    profiles with no closed form, and the oracle tests hold the closed forms
-    against.
+    p^2 where a sqrt kink would slow the rule down), by 200 Gauss-Legendre
+    nodes on [0, 9]; the e^(-p^2) envelope makes the finite panel exact for
+    practical purposes.  Angular average by 512 midpoints (periodic,
+    spectrally accurate).  The smoothing route for profiles with no closed
+    form, and the oracle tests hold the closed forms against.
     """
-    rule = quadrature.gauss_legendre_panel(order, 0.0, rho_max)
+    n_theta = 512
+    rule = quadrature.gauss_legendre_panel(200, 0.0, 9.0)
     rho = rule.nodes
     weights = rule.weights * np.exp(-rho * rho) * rho * (2.0 / n_theta)
     theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
@@ -437,7 +424,7 @@ def _disk_gauss_convolution(profile):
     return custom(smoothed)
 
 
-def antiwick_to_weyl(F, order=200):
+def antiwick_to_weyl(F):
     """Convolution with the unit Gaussian: the Weyl symbol of the anti-Wick operator.
 
     Radial symbols only; any other structure raises UnsupportedProfileError.
@@ -449,25 +436,19 @@ def antiwick_to_weyl(F, order=200):
     """
     if F.structure != "radial":
         raise UnsupportedProfileError("only radial symbols are supported")
-    return radial_symbol(_smooth_profile(F.profile, order=order))
-
-
-def _smooth_profile(profile, order=200):
-    k = profile.kind
-    if k == "constant":
-        return profile
+    profile, k = F.profile, F.profile.kind
     if k == "gaussian":
         a = profile.rate * profile.arg_scale
-        return gaussian(a / (1.0 + a), amplitude=profile.amplitude / (1.0 + a))
-    if k == "laguerre_mix" and profile.arg_scale == 1.0:
+        profile = gaussian(a / (1.0 + a), amplitude=profile.amplitude / (1.0 + a))
+    elif k == "laguerre_mix" and profile.arg_scale == 1.0:
         # each (-1)^j L_j(2s) e^-s component smooths to s^j e^(-s/2) / (2^(j+1) j!)
-        coeffs = np.zeros(len(profile.coeffs))
-        for j, c in enumerate(profile.coeffs):
-            coeffs[j] = c / (2.0 ** (j + 1) * math.factorial(j))
-        return poly_gauss(coeffs, 0.5, amplitude=profile.amplitude)
-    if k == "disk_indicator":
-        return _disk_gauss_convolution(profile)
-    return _radial_gauss_convolution(profile, order=order)
+        coeffs = [c / (2.0 ** (j + 1) * math.factorial(j)) for j, c in enumerate(profile.coeffs)]
+        profile = poly_gauss(coeffs, 0.5, amplitude=profile.amplitude)
+    elif k == "disk_indicator":
+        profile = _disk_gauss_convolution(profile)
+    elif k != "constant":
+        profile = _radial_gauss_convolution(profile)
+    return radial_symbol(profile)
 
 
 # ---------------------------------------------------------------------------
@@ -581,77 +562,67 @@ def _bisect(profile, lam, sign, lo, hi, tol=1e-12):
 _VOLUME_SEARCH_CAP = 1e12   # largest s the doubling search for the set's edge reaches
 
 
-def phase_space_volume(F, lam, sign=+1, s_max=None, extent=8.0, cells=512):
+def phase_space_volume(F, lam, sign=+1):
     """(2 pi)^(-1) * Lebesgue measure of the super-level set {sign F > lam}.
 
-    Radial symbols: the set is a union of annuli; closed forms for the
-    monotone kinds, monotone-segment bisection otherwise, on [0, s_max].
-    Without s_max the edge is found by doubling s from 1; a profile whose
-    |R| still exceeds lam past s = 1e12 raises ValueError.  Generic symbols:
-    cell counting on a square grid of the given extent.
+    Radial symbols only (any other structure raises UnsupportedProfileError):
+    the set is a union of annuli; closed forms for the monotone kinds,
+    monotone-segment bisection otherwise, on [0, 2 s], s the first power of
+    two (from 1) with |R| <= lam at 8 samples on [0.8 s, s].  A profile whose
+    |R| still exceeds lam past s = 1e12 raises ValueError.
     """
     if lam <= 0:
         raise ValueError("level must be positive")
+    if F.structure != "radial":
+        raise UnsupportedProfileError("only radial symbols are supported")
     sign = 1.0 if sign > 0 else -1.0
-    if F.structure == "radial":
-        prof = F.profile
-        amp = prof.amplitude
-        k = prof.kind
-        if k in ("constant", "gaussian", "power", "exp_beta", "disk_indicator"):
-            eff = sign * amp
-            if k == "constant":
-                return math.inf if eff > lam else 0.0
-            if eff <= lam:
-                return 0.0
-            scale = prof.arg_scale
-            if k == "gaussian":
-                s_star = math.log(eff / lam) / (prof.rate * scale)
-            elif k == "power":
-                s_star = ((eff / lam) ** (2.0 / prof.gamma) - 1.0) / scale
-            elif k == "exp_beta":
-                s_star = (math.log(eff / lam) / prof.gamma) ** (1.0 / prof.beta) / scale
-            else:  # disk_indicator
-                s_star = prof.cutoff / scale
-            return 0.5 * s_star
-        if s_max is None:
-            s_max = 1.0
-            while np.max(np.abs(np.atleast_1d(prof(
-                    np.linspace(0.8 * s_max, s_max, 8))))) > lam:
-                if s_max >= _VOLUME_SEARCH_CAP:
-                    raise ValueError(
-                        f"|R| still exceeds the level {lam!r} at s = {s_max:g}; the search "
-                        f"for the edge of the super-level set stops at s = {_VOLUME_SEARCH_CAP:g}")
-                s_max *= 2.0
-            s_max *= 2.0
-        return 0.5 * _level_crossing(prof, lam, sign, s_max)
-    # generic: grid counting
-    h = 2.0 * extent / cells
-    g = -extent + h * (np.arange(cells) + 0.5)
-    vals = sign * np.real(F.evaluate(g[:, None], g[None, :]))
-    return float(np.count_nonzero(vals > lam)) * h * h / (2.0 * np.pi)
+    prof = F.profile
+    k = prof.kind
+    if k in ("constant", "gaussian", "power", "exp_beta", "disk_indicator"):
+        eff = sign * prof.amplitude
+        if k == "constant":
+            return math.inf if eff > lam else 0.0
+        if eff <= lam:
+            return 0.0
+        scale = prof.arg_scale
+        if k == "gaussian":
+            s_star = math.log(eff / lam) / (prof.rate * scale)
+        elif k == "power":
+            s_star = ((eff / lam) ** (2.0 / prof.gamma) - 1.0) / scale
+        elif k == "exp_beta":
+            s_star = (math.log(eff / lam) / prof.gamma) ** (1.0 / prof.beta) / scale
+        else:  # disk_indicator
+            s_star = prof.cutoff / scale
+        return 0.5 * s_star
+    s_max = 1.0
+    while np.max(np.abs(np.atleast_1d(prof(np.linspace(0.8 * s_max, s_max, 8))))) > lam:
+        if s_max >= _VOLUME_SEARCH_CAP:
+            raise ValueError(
+                f"|R| still exceeds the level {lam!r} at s = {s_max:g}; the search "
+                f"for the edge of the super-level set stops at s = {_VOLUME_SEARCH_CAP:g}")
+        s_max *= 2.0
+    return 0.5 * _level_crossing(prof, lam, sign, 2.0 * s_max)
 
 
-def condition_C_estimate(volume, lam_range, npts=50):
+def condition_C_estimate(volume, lam_range):
     """Empirical two-sided bounds on -lambda f'(lambda) / f(lambda).
 
     volume: evaluator lambda -> f(lambda), positive and non-increasing on the
-    range.  Returns (min, max) of the negative logarithmic derivative over a
-    log-spaced grid (centered differences in ln lambda).  Raises on
+    range.  Returns (min, max) of the negative logarithmic derivative over 50
+    log-spaced levels (centered differences in ln lambda).  Raises on
     non-monotone input.
     """
     lo, hi = lam_range
     if not 0 < lo < hi:
         raise ValueError("need 0 < lam_lo < lam_hi")
-    lam = np.exp(np.linspace(math.log(lo), math.log(hi), npts))
+    lam = np.exp(np.linspace(math.log(lo), math.log(hi), 50))
     f = np.array([float(volume(l)) for l in lam])
     if np.any(f <= 0):
         raise ValueError("volume must be positive on the range")
     if np.any(f[1:] > f[:-1] * (1.0 + 1e-12)):
         raise ValueError("volume is not non-increasing on the range")
-    ln_lam = np.log(lam)
-    ln_f = np.log(f)
-    d = (ln_f[2:] - ln_f[:-2]) / (ln_lam[2:] - ln_lam[:-2])
-    neg = -d
+    ln_lam, ln_f = np.log(lam), np.log(f)
+    neg = -(ln_f[2:] - ln_f[:-2]) / (ln_lam[2:] - ln_lam[:-2])
     return float(neg.min() + 0.0), float(neg.max() + 0.0)
 
 
@@ -662,14 +633,16 @@ def condition_C_estimate(volume, lam_range, npts=50):
 _HANKEL_BLOCK = 32          # rows per (points x nodes) block of Bessel values
 
 
-def fourier_radial_profile(profile, order=400):
+def fourier_radial_profile(profile):
     """Radial profile of the 2-D unitary Fourier transform of a radial symbol.
 
     Closed forms for Gaussian, Laguerre-mix, and disk profiles (the last
     through J_1); otherwise the Hankel transform Rhat(u) =
-    (1/2) int_0^inf R(s) J_0(sqrt(u s)) ds by order-`order` Gauss-Laguerre
-    (requires integrable decay), with J_0 from specfun.bessel_j evaluated in
-    blocks of 32 points so the temporaries stay small.
+    (1/2) int_0^inf R(s) J_0(sqrt(u s)) ds on `quadrature.support_rule` of
+    400 nodes: Gauss-Laguerre (R must decay integrably) for a profile
+    without breakpoints, and one Legendre rule split at the breakpoints of a
+    table, so its jumps and kinks fall between panels.  J_0 comes from
+    specfun.bessel_j in blocks of 32 points so the temporaries stay small.
     """
     k = profile.kind
     amp = profile.amplitude
@@ -695,9 +668,8 @@ def fourier_radial_profile(profile, order=400):
             return out
 
         return custom(fhat)
-    rule = quadrature.gauss_laguerre(order)
-    s_nodes = rule.nodes
-    half_weighted = 0.5 * rule.flat_weights * np.atleast_1d(profile(s_nodes))
+    s_nodes, weights = quadrature.support_rule(profile.breakpoints, 400, 400, math.inf)
+    half_weighted = 0.5 * weights * np.atleast_1d(profile(s_nodes))
 
     def fhat(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))

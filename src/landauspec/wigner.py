@@ -84,15 +84,15 @@ def wigner_diag(k, x, xi):
     return np.real(wigner_eval(k, k, x, xi))
 
 
-def wigner_numeric(u, v, x, xi, order=120):
+def wigner_numeric(u, v, x, xi):
     """Brute-force Wigner transform of a function pair by quadrature.
 
     Centered substitution x' = 2 tau matches the Gaussian envelope of
     Hermite-class inputs; the oscillation e^(2 i tau xi) is resolved by the
-    rule order (default 120 covers |xi| <= 6 comfortably).  Serves as the
-    independent oracle for wigner_eval.
+    120-node Gauss-Hermite rule, which covers |xi| <= 6 comfortably.  Serves
+    as the independent oracle for wigner_eval.
     """
-    rule = quadrature.gauss_hermite(order)
+    rule = quadrature.gauss_hermite(120)
     tau = rule.nodes
     fw = rule.flat_weights
     x = np.asarray(x, dtype=float)
@@ -127,25 +127,25 @@ def husimi_diag(k, x, xi):
     return out if out.ndim else float(out)
 
 
-def husimi_numeric(k, x, xi, order=None):
-    """Direct convolution of the unit Gaussian with Psi_k (oracle for husimi_diag)."""
+def husimi_numeric(k, x, xi):
+    """Convolution of the unit Gaussian with Psi_k at order 80 + 2k (oracle for husimi_diag)."""
     def smoothed(px, pxi):
         gauss = np.exp(-((x - px) ** 2 + (xi - pxi) ** 2)) / np.pi
         return gauss * wigner_diag(k, px, pxi)
 
-    return float(quadrature.integrate_r2(smoothed, order=order or (80 + 2 * k)))
+    return float(quadrature.integrate_r2(smoothed, order=80 + 2 * k))
 
 
-def wigner_fourier_check(k, w, order=None):
+def wigner_fourier_check(k, w):
     """(lhs, rhs) for the Fourier-halving identity of the diagonal kernel.
 
-    lhs: unitary 2-D Fourier transform of Psi_k at w, by quadrature;
+    lhs: unitary 2-D Fourier transform of Psi_k at w, by quadrature (order 96 + 2k);
     rhs: ((-1)^k / 2) Psi_k(w / 2).  They agree for every k.
     """
     w = np.asarray(w, dtype=float)
     lhs = quadrature.integrate_r2(
         lambda px, pxi: wigner_diag(k, px, pxi) * np.exp(-1j * (w[0] * px + w[1] * pxi)),
-        order=order or (96 + 2 * k)) / (2.0 * np.pi)
+        order=96 + 2 * k) / (2.0 * np.pi)
     sign = -1.0 if k % 2 else 1.0
     rhs = 0.5 * sign * wigner_diag(k, w[0] / 2.0, w[1] / 2.0)
     return float(np.real(lhs)), float(rhs)

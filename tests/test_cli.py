@@ -1,7 +1,9 @@
+import argparse
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import landauspec
-from landauspec import capacity, operators, verify
+from landauspec import capacity, cli, operators, verify
 from landauspec.cli import main
 from test_asymptotics import taylor_oracle
 
@@ -330,6 +332,58 @@ def test_toeplitz_unresolved_grid_exits_2(tmp_path, capsys):
         "zeta": {"kind": "gaussian", "rate": 1e27}, "b": 1.0, "count": 4})
     assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "log grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("toeplitz", {"zeta": {"kind": "disk_indicator", "cutoff": 5e-324}, "b": 1.0, "count": 4}),
+    ("toeplitz", {"zeta": {"kind": "disk_indicator", "cutoff": 1e-323}, "b": 1.0, "count": 4}),
+    ("radial-eigs", {"profile": {"kind": "disk_indicator", "cutoff": 5e-324}, "count": 4})])
+def test_underflowing_cutoff_exits_2(tmp_path, capsys, command, payload):
+    # cutoff / scale rounds to 0 (no interval left) or to a subnormal number
+    # (nodes and weights of 0, which read nu_0 as NaN)
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "underflowed" in err and "Traceback" not in err
+
+
+def _readme_config_rows():
+    """Cells of the rows of the README's config-key tables, header and rule rows dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Config keys", 1)[1].split("\n### ", 1)[0]
+    rows = [[c.strip() for c in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    return [r for r in rows if r[0] not in ("command", "block") and set(r[0]) != {"-"}]
+
+
+def _ticked(cell):
+    return re.findall(r"`([^`]+)`", cell)
+
+
+def _schema_keys(spec):
+    if isinstance(spec, cli.Kinds):
+        return {"kind"}.union(*(_schema_keys(obj) for obj in spec.table.values()))
+    return set(spec.fields)
+
+
+def test_readme_config_table_matches_schema():
+    # a key added to or removed from a command or a profile kind must reach the table
+    commands, kinds, current = {}, {}, None
+    for row in _readme_config_rows():
+        if len(row) == 4:                       # command | key | type and range | default
+            current = _ticked(row[0])[0] if row[0] else current
+            commands.setdefault(current, set()).update(_ticked(row[1]))
+        elif _ticked(row[0]):                   # profile kind | its keys
+            kinds[_ticked(row[0])[0]] = set(_ticked(row[1]))
+        elif row[0] == "profile":
+            assert {"kind", "amplitude"} <= set(_ticked(row[1]))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(commands) == set(sub.choices) - {"verify"}
+    for command, keys in commands.items():
+        assert keys == _schema_keys(getattr(cli, command.upper().replace("-", "_"))), command
+    assert kinds == {kind: set(obj.fields) - {"amplitude"}
+                     for kind, obj in cli.PROFILE.table.items()}
 
 
 def test_import_loads_no_scipy():

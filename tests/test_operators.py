@@ -78,9 +78,22 @@ def test_weyl_matrix_kernel_integral_oracle():
 
 
 def test_weyl_matrix_doubling_check_flags_bad_symbol():
-    wild = sy.generic_symbol(lambda x, xi: np.cos(60.0 * np.asarray(x)))
-    with pytest.raises(qd.QuadratureAccuracyError):
-        op.weyl_matrix(wild, 6, order=24, check=True)
+    # cos(60 s) neither decays nor is resolved by any order up to the cap
+    wild = sy.radial_symbol(sy.custom(lambda s: np.cos(60.0 * s)))
+    with pytest.raises(qd.QuadratureAccuracyError, match="not settled by order 1280"):
+        op.weyl_matrix(wild, 2)
+    # n = 400 would start at order 816, past the last order that can be doubled
+    with pytest.raises(qd.QuadratureAccuracyError, match="would start at order 816"):
+        op.weyl_matrix(sy.radial_symbol(sy.gaussian(1.0)), 400)
+
+
+@pytest.mark.parametrize("prof", [sy.exp_beta(0.8, 2.0), sy.power(3.0)],
+                         ids=["exp_beta", "power"])
+def test_weyl_matrix_default_diagonal_matches_radial_eigs(prof):
+    # at order max(80, 2n + 16) alone the diagonal was off by 1.0e-6 (exp_beta)
+    # and 5.4e-8 (power); the doubling goes on until two orders agree
+    M = op.weyl_matrix(sy.radial_symbol(prof), 10)
+    assert np.abs(np.real(np.diag(M)) - op.weyl_radial_eigs(prof, 10)).max() < 1e-10
 
 
 def test_hilbert_schmidt_identity():
@@ -192,6 +205,21 @@ def test_weyl_radial_eigs_fourier_route():
     mu2 = op.weyl_radial_eigs_fourier(
         sy.fourier_radial_profile(sy.custom(lambda s: mix(s))), 10)
     assert np.abs(mu2 - mu1).max() < 1e-8
+
+
+def test_weyl_radial_eigs_fourier_route_tabulated():
+    # the Hankel transform of a table integrates between its nodes: on one
+    # Gauss-Laguerre rule the jump at s = 3 put mu_w_fourier off by up to 2.1e-3
+    from scipy.integrate import quad
+    from scipy.special import eval_laguerre
+    grid, values = [0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.1]
+    tab = sy.tabulated(grid, values)
+    oracle = [(-1) ** k * sum(
+        quad(lambda u: np.interp(u, grid, values) * eval_laguerre(k, 2 * u) * np.exp(-u),
+             a, c, epsabs=1e-14)[0] for a, c in zip(grid, grid[1:])) for k in range(4)]
+    muf = op.weyl_radial_eigs_fourier(sy.fourier_radial_profile(tab), 64)
+    assert np.abs(muf[:4] - oracle).max() < 1e-10
+    assert np.abs(muf - op.weyl_radial_eigs(tab, 64)).max() < 1e-10
 
 
 def test_antiwick_radial_eigs_gamma_oracle():
@@ -321,7 +349,7 @@ def test_long_tables_share_one_node_budget():
     g = np.linspace(0.0, 80.0, 20001)
     prof = sy.tabulated(g, np.exp(-0.5 * g))
     for budget in (200, 260):
-        t, w = op._support_rule(prof, 2.0, budget, budget, 5000.0)
+        t, w = qd.support_rule([s / 2.0 for s in prof.breakpoints], budget, budget, 5000.0)
         assert t.size == w.size == budget
     mu = op.weyl_radial_eigs(prof, 30)
     assert np.abs(mu - gaussian_weyl_exact(0.5, 1.0, 30)).max() < 1e-6
@@ -545,7 +573,7 @@ def test_assemble_phase_invariance():
     # spectra with and without the i^(k-l) phases coincide: conjugation by
     # the diagonal unitary diag(i^k)
     vprof = sy.laguerre_mix([0.5, 0.3, -0.2], amplitude=0.4)
-    M = op.kernel_pair_matrix(sy.radial_symbol(vprof), 10)
+    M = op.weyl_matrix(sy.radial_symbol(vprof), 10)
     ph = np.array([1, 1j, -1, -1j])[np.arange(10) % 4]
     conj = ph[:, None] * M * np.conj(ph)[None, :]
     e1 = np.linalg.eigvalsh(M)
@@ -563,10 +591,9 @@ def test_assemble_scaling_monotonicity():
     assert np.abs(np.sort(lam3 - np.sort(lev)) - 3.0 * np.sort(lam1 - np.sort(lev))).max() < 1e-9
 
 
-def _dense_hv(V, Q, K, sign, order=None):
+def _dense_hv(V, Q, K, sign):
     """Dense level-basis H from Kronecker products of the 2-D pairing matrices."""
-    M = sum(c * np.kron(op.kernel_pair_matrix(A, Q, order=order),
-                        op.kernel_pair_matrix(B, K, order=order)) for c, A, B in V.terms)
+    M = sum(c * np.kron(op.weyl_matrix(A, Q), op.weyl_matrix(B, K)) for c, A, B in V.terms)
     return np.diag(np.repeat(op.landau_levels(V.b, Q), K)).astype(complex) + sign * M
 
 
@@ -581,13 +608,12 @@ def _dense_hv(V, Q, K, sign, order=None):
 ], ids=["gaussian", "power", "exp_beta", "laguerre_mix", "poly_gauss", "constant",
         "level_kernel"])
 def test_radial_diagonal_matches_dense_pairings(profile):
-    # order 200: the default 80-node pairing is off by 1e-6 for exp_beta(0.8, 2)
     Q, K = 4, 10
     V = sy.separable_symbol(1.3, [
         (1.7, sy.radial_symbol(profile), sy.radial_symbol(profile)),
         (-0.4, sy.radial_symbol(sy.gaussian(0.3)), sy.radial_symbol(profile))])
     H = op.assemble_hv(V, Q, K, sign=-1)
-    dense = _dense_hv(V, Q, K, -1, order=200)
+    dense = _dense_hv(V, Q, K, -1)
     assert np.abs(np.diag(H.diagonal.ravel()) - dense).max() < 1e-11
     # the trust radius reads the boundary couplings of the dense matrix
     M0 = np.abs(dense - np.diag(np.repeat(op.landau_levels(1.3, Q), K))).reshape(Q, K, Q, K)
@@ -693,16 +719,17 @@ def test_birman_schwinger_level_shifted_fixture():
 
 
 def test_birman_schwinger_matches_numeric_smoothing():
-    # the anti-Wick sequence of vt against the dense pairing of the smoothed v
-    zeta, r, q, b, levels, radial, order = sy.gaussian(0.25), 1, 0, 1.0, 2, 24, 32
+    # the anti-Wick sequence of vt against the Weyl sequence of v, smoothed
+    # numerically by the polar sum (radial-diagonal against dense pairings is
+    # test_radial_diagonal_matches_dense_pairings)
+    zeta, r, q, b, levels, radial = sy.gaussian(0.25), 1, 0, 1.0, 2, 24
     res = op.birman_schwinger_check(zeta, r=r, q=q, b=b, levels=levels, radial=radial,
-                                    k_range=(4, 10), order=order)
+                                    k_range=(4, 10))
     omega = sy.laguerre_laplacian(sy.radial_symbol(zeta), b, r)
     v = sy.antiwick_to_weyl(sy.radial_symbol(omega.profile.with_arg_scale(1.0 / b)))
+    assert v.profile.kind == "custom"           # the numeric smoothing route
     V = sy.separable_symbol(b, [(2 * np.pi, sy.radial_symbol(sy.diag_kernel_profile(q)), v)])
     for sign, key in ((+1, "shifts_plus"), (-1, "shifts_minus")):
-        H = _dense_hv(V, levels, radial, sign, order=order)
-        rep = op.SpectrumReport(np.linalg.eigvalsh(H), b=b, levels=levels,
-                                cluster_tol=1e-10 * np.linalg.norm(H))
+        rep = op.eig_hermitian(op.assemble_hv(V, levels, radial, sign=sign))
         ref = op._gap_shifts(rep, q, sign)[:11]
         assert np.abs(res[key] / ref - 1).max() < 1e-9

@@ -147,7 +147,7 @@ def test_log_gammainc_lower_large_a():
 
 
 def test_log_gammainc_lower_unconverged_raises():
-    # a = 1e8 near x = a needs far more than max_terms series terms: no silent
+    # a = 1e8 near x = a needs far more than the 10,000 series terms allowed: no silent
     # truncated value (it used to return -1.075 against ln 0.5 = -0.693)
     with pytest.raises(ArithmeticError, match="unconverged"):
         sf.log_gammainc_lower(1e8, 1e8 - 1)

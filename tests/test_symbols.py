@@ -295,10 +295,10 @@ def test_phase_space_volume_negative_side():
     assert sy.phase_space_volume(v, 1.0, sign=+1) == 0.0
 
 
-def test_phase_space_volume_generic_grid():
-    v = sy.generic_symbol(lambda x, xi: np.exp(-(np.asarray(x)**2 + np.asarray(xi)**2)))
-    got = sy.phase_space_volume(v, 0.5, extent=4.0, cells=801)
-    assert got == pytest.approx(math.log(2.0) / 2, rel=2e-2)
+def test_phase_space_volume_refuses_angular_symbols():
+    v = sy.angular_symbol({0: lambda r: np.exp(-r * r)})
+    with pytest.raises(sy.UnsupportedProfileError, match="only radial"):
+        sy.phase_space_volume(v, 0.5)
 
 
 def test_condition_c_estimate():
