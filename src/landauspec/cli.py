@@ -9,40 +9,13 @@ Subcommands
     construct-gaps  symbol with prescribed gap eigenvalue counts
     verify          run the identity suites
 
-Outputs are deterministic given the config: JSON is key-sorted, CSV
-carries 17 significant digits, and every file embeds the config hash.
-Every command but verify takes --config and --out; toeplitz writes nu_k
-with its sign and ln nu_k, NaN where nu_k <= 0.  Exit codes: 0 success,
-1 assertion/verification failure, 2 config error (a rule order past
-quadrature.MAX_ORDER included).
-
-Config schema (JSON; README.md has it as a table).  Unknown keys, booleans
-where numbers belong and non-finite numbers are rejected; an optional key
-that is absent or null takes the default after "=".
-    radial-eigs     profile, count int>0, order int>0 = none
-    spectrum        b float>0, symbol, levels int>0, radial int>0,
-                    sign "+"|"-"|"plus"|"minus" = "+"
-    toeplitz        zeta profile, b float>0, count int>=0, q int>=0 = 0,
-                    order int>0 = none, model = none
-    capacity        set, j_max int>=8, restarts int>=0 = 8, seed int>=0 = 0
-    asymptotics     kind "exp" with beta, gamma, b float>0 | kind "compact"
-                    with b, capacity float>0; both with k_range [int, int]
-                    holding some k >= 2
-    construct-gaps  b float>0, multiplicities [int>=0], level_scales [float],
-                    index_scales [float], verify bool = false, levels int>0 =
-                    len(multiplicities) + 1, radial int>0 = max(multiplicities + [4]) + 8
-profile  {"kind": K, <keys of K>, "amplitude": float = 1} with K and its keys
-         gaussian rate, power gamma, disk_indicator cutoff, exp_beta gamma beta
-         (all float>0), constant value float, laguerre_mix coeffs, poly_gauss
-         coeffs rate>0 (coeffs non-empty [float]), tabulated grid values
-         ([float], grid increasing), level_kernel q int>=0
-symbol   {"separable": {"frame": "lab"|"kappa_pulled" = "lab",
-                        "terms": [{"coeff": float, "A": profile, "B": profile}]}}
-         (terms are always the pulled-back factors; frame is checked but has no effect)
-model    {"kind": "exp"} | {"kind": "compact", "capacity": float>0}
-set      {"kind": "disk", "center": [float, float] = [0, 0], "radius": float>0} |
-         segment a, b [float, float] | polygon vertices [[float, float], ...] |
-         union members [set, ...]
+Every command but verify takes --config and --out; its config keys are the
+schema of its COMMANDS entry below, which README.md ("Config keys") lists as
+a table.  Outputs are deterministic given the config: JSON is key-sorted,
+CSV carries 17 significant digits, and each command's <command>.json embeds
+the config hash.  toeplitz writes nu_k with its sign and ln nu_k, NaN where
+nu_k <= 0.  Exit codes: 0 success, 1 assertion/verification failure, 2
+config error (a rule order past quadrature.MAX_ORDER included).
 """
 
 from __future__ import annotations
@@ -51,7 +24,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -213,26 +185,12 @@ SET = Kinds({
 SET.table["union"] = Obj({"members": List(SET)}, lambda s: capacity.set_union(s["members"]))
 K_RANGE = List(Int(), length=2)
 
-RADIAL_EIGS = Obj({"profile": PROFILE, "count": Int(1), "order": (Int(1), None)})
-SPECTRUM = Obj({"b": POSITIVE, "symbol": SYMBOL, "levels": Int(1), "radial": Int(1),
-                "sign": (OneOf({"+": +1, "-": -1, "plus": +1, "minus": -1}), +1)})
-TOEPLITZ = Obj({"zeta": PROFILE, "b": POSITIVE, "count": Int(0), "q": (Int(0), 0),
-                "order": (Int(1), None), "model": (MODEL, None)})
-CAPACITY = Obj({"set": SET, "j_max": Int(1), "restarts": (Int(0), 8), "seed": (Int(0), 0)})
-ASYMPTOTICS = Kinds({
-    "exp": Obj({"beta": POSITIVE, "gamma": POSITIVE, "b": POSITIVE, "k_range": K_RANGE}),
-    "compact": Obj({"b": POSITIVE, "capacity": POSITIVE, "k_range": K_RANGE}),
-})
-CONSTRUCT_GAPS = Obj({
-    "b": POSITIVE, "multiplicities": List(Int(0)), "level_scales": List(FLOAT),
-    "index_scales": List(FLOAT), "verify": (BOOL, False),
-    "levels": (Int(1), None), "radial": (Int(1), None)})
 
 
-def _load_config(args, spec):
-    """Read args.config and walk it with spec."""
+def _load_config(path, spec):
+    """Read the config at path and walk it with spec; (checked config, sha256 of its text)."""
     try:
-        text = Path(args.config).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
@@ -243,10 +201,6 @@ def _load_config(args, spec):
         raise ConfigError("config root must be an object")
     digest = hashlib.sha256(text.encode()).hexdigest()
     return spec.walk(cfg, ""), digest
-
-
-def _provenance(digest, **extra):
-    return {"tool": "landauspec", "version": __version__, "config_sha256": digest, **extra}
 
 
 def _write_csv(path, header, rows):
@@ -268,60 +222,43 @@ def _json_default(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     raise TypeError(f"not serializable: {type(obj)}")
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: compute(cfg) -> ({csv name: (header, rows)}, JSON payload, provenance extras)
 
 
-def cmd_radial_eigs(args):
-    cfg, digest = _load_config(args, RADIAL_EIGS)
+def _radial_eigs(cfg):
     profile, count, order = cfg["profile"], cfg["count"], cfg["order"]
     mu_w = operators.weyl_radial_eigs(profile, count, order=order)
     mu_aw = operators.antiwick_radial_eigs(profile, count, order=order)
-    try:
-        fhat = symbols.fourier_radial_profile(profile)
-        mu_wf = operators.weyl_radial_eigs_fourier(fhat, count, order=order)
-    except symbols.UnsupportedProfileError:
-        mu_wf = np.full(count, np.nan)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "radial_eigs.csv", ["k", "mu_w", "mu_aw", "mu_w_fourier"],
-               [(k, mu_w[k], mu_aw[k], mu_wf[k]) for k in range(count)])
-    _write_json(out / "radial_eigs.json", {
-        "provenance": _provenance(digest, command="radial-eigs", count=count)})
-    return 0
+    mu_wf = operators.weyl_radial_eigs_fourier(symbols.fourier_radial_profile(profile), count,
+                                               order=order)
+    return ({"radial_eigs.csv": (["k", "mu_w", "mu_aw", "mu_w_fourier"],
+                                 zip(range(count), mu_w, mu_aw, mu_wf))},
+            {}, {"count": count})
 
 
-def cmd_spectrum(args):
-    cfg, digest = _load_config(args, SPECTRUM)
-    b, sign, levels, radial = cfg["b"], cfg["sign"], cfg["levels"], cfg["radial"]
-    block = cfg["symbol"]["separable"]
-    V = _built("symbol", symbols.separable_symbol, b, block["terms"])
+def _level_spectrum(V, b, levels, radial, sign):
+    """Eigenvalue report of the level-basis H_V, and its trust radius and warning."""
     H = operators.assemble_hv(V, levels, radial, sign=sign)
-    rep = operators.eig_hermitian(H)
     trust = H.trust_radius
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "eigenvalues.csv", ["index", "eigenvalue"],
-               list(enumerate(rep.eigenvalues)))
-    _write_json(out / "spectrum.json", {
-        "eigenvalues": rep.eigenvalues,
-        "windows": rep.windows,
-        "cluster_tol": rep.cluster_tol,
-        "trust_radius": trust,
-        "trust_warning": bool(trust > 0.5 * b),
-        "provenance": _provenance(digest, command="spectrum", sign=sign,
-                                  levels=levels, radial=radial),
-    })
-    return 0
+    return operators.eig_hermitian(H), {"trust_radius": trust,
+                                        "trust_warning": bool(trust > 0.5 * b)}
 
 
-def cmd_toeplitz(args):
-    cfg, digest = _load_config(args, TOEPLITZ)
+def _spectrum(cfg):
+    b, sign, levels, radial = cfg["b"], cfg["sign"], cfg["levels"], cfg["radial"]
+    V = _built("symbol", symbols.separable_symbol, b, cfg["symbol"]["separable"]["terms"])
+    rep, trust = _level_spectrum(V, b, levels, radial, sign)
+    return ({"eigenvalues.csv": (["index", "eigenvalue"], enumerate(rep.eigenvalues))},
+            {"eigenvalues": rep.eigenvalues, "windows": rep.windows,
+             "cluster_tol": rep.cluster_tol, **trust},
+            {"sign": sign, "levels": levels, "radial": radial})
+
+
+def _toeplitz(cfg):
     zeta, b, q, count, order = cfg["zeta"], cfg["b"], cfg["q"], cfg["count"], cfg["order"]
     model = cfg["model"]
     if model is not None and model["kind"] == "exp":
@@ -332,52 +269,34 @@ def cmd_toeplitz(args):
     with np.errstate(under="ignore"):
         nu = sign * np.exp(log_abs)
     ln_nu = np.where(sign > 0, log_abs, np.nan)
-    rows = []
-    for k in range(count):
-        pred = res = r_k = r_lnk = math.nan
-        if model is not None and k >= 2:
-            pred = float(model.predict_log(k))
-            res = ln_nu[k] - pred
-            r_k = res / k
-            r_lnk = res / math.log(k)
-        rows.append((k, nu[k], ln_nu[k], pred, res, r_k, r_lnk))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "toeplitz.csv",
-               ["k", "nu_k", "ln_nu_k", "model_prediction", "residual",
-                "residual_over_k", "residual_over_ln_k"], rows)
-    _write_json(out / "toeplitz.json", {
-        "provenance": _provenance(digest, command="toeplitz", q=q, count=count)})
-    return 0
+    # prediction, residual, residual / k, residual / ln k: from k = 2, where ln k > 0
+    fits = np.full((4, count), np.nan)
+    if model is not None and count > 2:
+        ks = np.arange(2, count)
+        pred = model.predict_log(ks)
+        res = ln_nu[2:] - pred
+        fits[:, 2:] = pred, res, res / ks, res / np.log(ks)
+    return ({"toeplitz.csv": (["k", "nu_k", "ln_nu_k", "model_prediction", "residual",
+                               "residual_over_k", "residual_over_ln_k"],
+                              zip(range(count), nu, ln_nu, *fits))},
+            {}, {"q": q, "count": count})
 
 
-def cmd_capacity(args):
-    cfg, digest = _load_config(args, CAPACITY)
+def _capacity(cfg):
     restarts, seed = cfg["restarts"], cfg["seed"]
     # every ValueError of the estimate is about its input: j_max below 8, a
     # degenerate set, a polygon too thin for its seeded starts to sample
     est = _built("capacity", capacity.capacity_estimate, cfg["set"], cfg["j_max"],
                  restarts, seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "capacity.json", {
-        "estimate": est.estimate,
-        "lower_cert": est.lower_cert,
-        "j_max": est.j_max,
-        "per_j": [{
-            "j": r.j, "log_energy": r.log_energy, "delta_j": r.delta_j,
-            "iterations": r.iterations, "newton_iterations": r.newton_iterations,
-            "converged": r.converged,
-            "points": [[p.real, p.imag] for p in r.points],
-        } for r in est.per_j],
-        "provenance": _provenance(digest, command="capacity",
-                                  restarts=restarts, capacity_seed=seed),
-    })
-    return 0
+    per_j = [{"j": r.j, "log_energy": r.log_energy, "delta_j": r.delta_j,
+              "iterations": r.iterations, "newton_iterations": r.newton_iterations,
+              "converged": r.converged, "points": [[p.real, p.imag] for p in r.points]}
+             for r in est.per_j]
+    return ({}, {"estimate": est.estimate, "lower_cert": est.lower_cert, "j_max": est.j_max,
+                 "per_j": per_j}, {"restarts": restarts, "capacity_seed": seed})
 
 
-def cmd_asymptotics(args):
-    cfg, digest = _load_config(args, ASYMPTOTICS)
+def _asymptotics(cfg):
     k_lo, k_hi = cfg["k_range"]
     ks = np.arange(max(2, k_lo), k_hi + 1)
     if not ks.size:
@@ -390,46 +309,63 @@ def cmd_asymptotics(args):
     else:
         model = _built("asymptotics", asymptotics.compact_model, cfg["b"], cfg["capacity"])
         meta = {"b": model.b, "capacity": model.capacity}
-    pred = model.predict_log(ks)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "asymptotics.csv", ["k", "prediction_log"],
-               list(zip(ks.tolist(), pred)))
-    _write_json(out / "asymptotics.json", {
-        "model": meta,
-        "provenance": _provenance(digest, command="asymptotics"),
-    })
-    return 0
+    return ({"asymptotics.csv": (["k", "prediction_log"],
+                                 zip(ks.tolist(), model.predict_log(ks)))},
+            {"model": meta}, {})
 
 
-def cmd_construct_gaps(args):
-    cfg, digest = _load_config(args, CONSTRUCT_GAPS)
+def _construct_gaps(cfg):
     b, mult = cfg["b"], cfg["multiplicities"]
     V, predictions = _built("construct-gaps", operators.prescribed_gap_symbol,
                             b, mult, cfg["level_scales"], cfg["index_scales"])
-    payload = {
-        "b": b,
-        "multiplicities": mult,
-        "predicted": [{"q": q, "k": k, "eigenvalue": val} for q, k, val in predictions],
-        "terms": len(V.terms),
-        "provenance": _provenance(digest, command="construct-gaps"),
-    }
+    payload = {"b": b, "multiplicities": mult, "terms": len(V.terms), "predicted": [
+        {"q": q, "k": k, "eigenvalue": val} for q, k, val in predictions]}
     Q = cfg["levels"] or len(mult) + 1
     Kr = cfg["radial"] or max(mult + [4]) + 8
     if cfg["verify"]:
         if Q < len(mult):
             raise ConfigError("levels must be at least len(multiplicities)")
-        H = operators.assemble_hv(V, Q, Kr, sign=-1)
-        rep = operators.eig_hermitian(H)
-        trust = H.trust_radius
+        rep, trust = _level_spectrum(V, b, Q, Kr, -1)
         payload["gap_counts"] = [rep.gap_count(q, "-") for q in range(len(mult))]
         payload["eigenvalue_errors"] = [
             float(np.abs(rep.eigenvalues - val).min()) for _, _, val in predictions]
-        payload["trust_radius"] = trust
-        payload["trust_warning"] = bool(trust > 0.5 * b)
+        payload.update(trust)
+    return {}, payload, {}
+
+
+COMMANDS = {
+    "radial-eigs": (Obj({"profile": PROFILE, "count": Int(1), "order": (Int(1), None)}),
+                    _radial_eigs),
+    "spectrum": (Obj({"b": POSITIVE, "symbol": SYMBOL, "levels": Int(1), "radial": Int(1),
+                      "sign": (OneOf({"+": +1, "-": -1, "plus": +1, "minus": -1}), +1)}),
+                 _spectrum),
+    "toeplitz": (Obj({"zeta": PROFILE, "b": POSITIVE, "count": Int(0), "q": (Int(0), 0),
+                      "order": (Int(1), None), "model": (MODEL, None)}), _toeplitz),
+    "capacity": (Obj({"set": SET, "j_max": Int(1), "restarts": (Int(0), 8),
+                      "seed": (Int(0), 0)}), _capacity),
+    "asymptotics": (Kinds({
+        "exp": Obj({"beta": POSITIVE, "gamma": POSITIVE, "b": POSITIVE, "k_range": K_RANGE}),
+        "compact": Obj({"b": POSITIVE, "capacity": POSITIVE, "k_range": K_RANGE}),
+    }), _asymptotics),
+    "construct-gaps": (Obj({
+        "b": POSITIVE, "multiplicities": List(Int(0)), "level_scales": List(FLOAT),
+        "index_scales": List(FLOAT), "verify": (BOOL, False),
+        "levels": (Int(1), None), "radial": (Int(1), None)}), _construct_gaps),
+}
+
+
+def _run(args):
+    """Load the config, compute, and write every file of one COMMANDS entry to --out."""
+    schema, compute = COMMANDS[args.command]
+    cfg, digest = _load_config(args.config, schema)
+    tables, payload, extra = compute(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "construct_gaps.json", payload)
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
+    payload["provenance"] = {"tool": "landauspec", "version": __version__,
+                             "config_sha256": digest, "command": args.command, **extra}
+    _write_json(out / f"{args.command.replace('-', '_')}.json", payload)
     return 0
 
 
@@ -459,13 +395,11 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    for name, fn in [("radial-eigs", cmd_radial_eigs), ("spectrum", cmd_spectrum),
-                     ("toeplitz", cmd_toeplitz), ("capacity", cmd_capacity),
-                     ("asymptotics", cmd_asymptotics), ("construct-gaps", cmd_construct_gaps)]:
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=_run)
 
     sp = sub.add_parser("verify")
     sp.add_argument("--filter", default=None, help="run only matching suites")

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import quadrature, symbols, wigner
 from .specfun import laguerre_fn_iter, laguerre_log_abs
-from .wigner import wigner_pair_diagonal_sweep
 
 
 class TruncationError(RuntimeError):
@@ -109,8 +108,9 @@ def _settled(estimate, order, what):
 def _pairing_matrix(v, n, order):
     """Matrix of pairings <v, Psi_{k,l}> for k, l < n, by tensor quadrature of one order.
 
-    One Laguerre recurrence sweep per diagonal supplies all pair-kernel
-    values; symbols are real, so only the upper triangle is integrated.
+    One Laguerre recurrence sweep per diagonal supplies the real radial
+    factors of its pair kernels, and the weights take the diagonal's phase
+    once; symbols are real, so only the upper triangle is integrated.
     """
     rule = quadrature.gauss_hermite(order)
     p = rule.nodes
@@ -120,9 +120,13 @@ def _pairing_matrix(v, n, order):
     weighted = np.asarray(v.evaluate(x, xi)) * fw[:, None] * fw[None, :]
     M = np.zeros((n, n), dtype=complex)
     for d in range(n):
-        # <v, Psi_{k,l}> pairs v with conj(Psi_{k,l}) = Psi_{l,k}; val = Psi_{m+d, m}
-        for m, val in wigner_pair_diagonal_sweep(n - d, x, xi, d):
-            M[m, m + d] = np.einsum("ij,ij->", weighted, val)
+        # <v, Psi_{k,l}> pairs v with conj(Psi_{k,l}) = Psi_{l,k}, and Psi_{m+d, m}
+        # is c_m ell times the phase: two real dots per m against the phased weights
+        phased = weighted * wigner.pair_phase(x, xi, d)
+        re, im = (np.ascontiguousarray(part).ravel() for part in (phased.real, phased.imag))
+        for m, c, ell in wigner.pair_radial_sweep(n - d, x, xi, d):
+            ell = ell.ravel()
+            M[m, m + d] = c * complex(re @ ell, im @ ell)
         if d:
             idx = np.arange(n - d)
             M[idx + d, idx] = np.conj(M[idx, idx + d])
@@ -199,11 +203,9 @@ def weyl_radial_eigs(profile, count, order=None):
     sum_j c_j (-1)^j L_j(2s) e^(-s) (arg_scale 1) needs no quadrature: by
     orthogonality mu_k = amplitude c_k / 2, and 0 past the last coefficient.
     """
-    if profile.kind == "laguerre_mix" and profile.arg_scale == 1.0:
-        mu = np.zeros(count)
-        cs = profile.coeffs[:count]
-        mu[:len(cs)] = 0.5 * profile.amplitude * np.array(cs)
-        return mu
+    if profile.laguerre_coeffs is not None:
+        cs = 0.5 * profile.amplitude * np.array(profile.laguerre_coeffs[:count])
+        return np.pad(cs, (0, count - cs.size))
     return _laguerre_sequence(profile, count, order, 1.0, 2.0, -1.0)
 
 

@@ -180,15 +180,54 @@ def gauss_laguerre(order, alpha=0.0):
     return QuadratureRule(nodes, weights, flat)
 
 
+def _legendre_half(n):
+    """(eps = 1 - x, weight) of the Gauss-Legendre nodes x >= 0 on [-1, 1], outermost
+    first (for odd n the last is x = 0).  Newton's method in theta, x = cos theta,
+    from Tricomi's estimates, on the recurrence in P_j and D_j = P_j - P_(j-1),
+    (j + 1) D_(j+1) = j D_j - (2j + 1) eps P_j: no step rounds x, so nodes near
+    the ends keep eps = 2 sin^2(theta/2) to full relative precision.  Weights
+    are the Christoffel function 1 / sum_(j<n) (j + 1/2) P_j(x)^2.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    theta = math.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0)
+    theta += (n - 1.0) / (8.0 * n ** 3) / np.tan(theta)
+
+    def sweep(theta):
+        """(P_n, P_(n-1), sum_(j<n) (j + 1/2) P_j^2, eps) at x = cos theta."""
+        eps = 2.0 * np.sin(0.5 * theta) ** 2
+        p, d, total = np.ones_like(eps), np.zeros_like(eps), np.full_like(eps, 0.5)
+        for j in range(1, n):
+            d = ((j - 1) * d - (2 * j - 1) * eps * p) / j
+            p = p + d
+            total += (j + 0.5) * p * p
+        return p + (n - 1) * d / n - (2 * n - 1) * eps * p / n, p, total, eps
+
+    for _ in range(_NEWTON_MAX_ITER):
+        p_n, p_m, _, eps = sweep(theta)
+        # d P_n(cos theta) / d theta = -n (P_(n-1) - x P_n) / sin theta
+        step = p_n * np.sin(theta) / (n * (p_m - (p_n - eps * p_n)))
+        theta += step
+        if np.all(np.abs(step) < 1e-10 * theta):
+            break
+    else:
+        raise ArithmeticError(f"Newton iteration for the zeros of P_{n} did not converge")
+    _, _, total, eps = sweep(theta)
+    if n % 2:
+        eps[-1] = 1.0               # the middle node x = 0
+    return eps, 1.0 / total
+
+
 @functools.lru_cache(maxsize=256)
 def gauss_legendre_panel(order, a, b):
-    """Plain Gauss-Legendre on [a, b]; the sub-rule for jump-supported integrands."""
+    """Gauss-Legendre on [a, b], each node placed from its end's eps (`_legendre_half`)."""
     order = _check_order(order)
     if not b > a:
         raise ValueError("empty interval")
-    x, w = np.polynomial.legendre.leggauss(order)
-    nodes = 0.5 * (b - a) * (x + 1.0) + a
-    weights = 0.5 * (b - a) * w
+    eps, w = _legendre_half(order)
+    h = 0.5 * (b - a)
+    inner = order // 2              # the right half; an odd order's middle node is eps[-1]
+    nodes = np.concatenate((a + h * eps, (b - h * eps[:inner])[::-1]))
+    weights = h * np.concatenate((w, w[:inner][::-1]))
     return QuadratureRule(nodes, weights, weights.copy())
 
 

@@ -125,6 +125,14 @@ class RadialProfile:
         return ()
 
     @property
+    def laguerre_coeffs(self):
+        """The c_j of R(s) = amplitude sum_j c_j (-1)^j L_j(2s) e^(-s), the series of
+        the diagonal Wigner kernels: a Laguerre mix at arg_scale 1; else None."""
+        if self.kind == "laguerre_mix" and self.arg_scale == 1.0:
+            return self.coeffs
+        return None
+
+    @property
     def closed_form(self):
         """Every kind but custom: R is a formula, hiding no bump between samples."""
         return self.kind != "custom"
@@ -440,9 +448,10 @@ def antiwick_to_weyl(F):
     if k == "gaussian":
         a = profile.rate * profile.arg_scale
         profile = gaussian(a / (1.0 + a), amplitude=profile.amplitude / (1.0 + a))
-    elif k == "laguerre_mix" and profile.arg_scale == 1.0:
+    elif profile.laguerre_coeffs is not None:
         # each (-1)^j L_j(2s) e^-s component smooths to s^j e^(-s/2) / (2^(j+1) j!)
-        coeffs = [c / (2.0 ** (j + 1) * math.factorial(j)) for j, c in enumerate(profile.coeffs)]
+        coeffs = [c / (2.0 ** (j + 1) * math.factorial(j))
+                  for j, c in enumerate(profile.laguerre_coeffs)]
         profile = poly_gauss(coeffs, 0.5, amplitude=profile.amplitude)
     elif k == "disk_indicator":
         profile = _disk_gauss_convolution(profile)
@@ -649,9 +658,8 @@ def fourier_radial_profile(profile):
     if k == "gaussian":
         a = profile.rate * profile.arg_scale
         return gaussian(1.0 / (4.0 * a), amplitude=amp / (2.0 * a))
-    if k == "laguerre_mix" and profile.arg_scale == 1.0:
-        cs = profile.coeffs
-
+    cs = profile.laguerre_coeffs
+    if cs is not None:
         def fhat(u):
             return 0.5 * amp * _laguerre_series(cs, 1.0, 0.5 * np.asarray(u, dtype=float))
 

@@ -3,10 +3,11 @@
 W(u, v)(x, xi) = (2 pi)^(-1) int e^(i x' xi) u(x - x'/2) conj(v(x + x'/2)) dx'
 
 For the Hermite basis the pair kernels have a Laguerre-Gaussian closed form
-with angular factor e^(-i (k - l) theta), built only by
-wigner_pair_diagonal_sweep from one rescaled Laguerre sweep per diagonal;
-the diagonal kernels are real.  The inner product convention throughout the
-package is linear in the first factor and conjugate-linear in the second.
+with angular factor e^(-i (k - l) theta): `pair_phase` owns that factor and
+`pair_radial_sweep` the real radial one, from one rescaled Laguerre sweep per
+diagonal; the diagonal kernels are real.  The inner product convention
+throughout the package is linear in the first factor and conjugate-linear in
+the second.
 """
 
 from __future__ import annotations
@@ -41,28 +42,39 @@ def fault_active(name):
     return name in _ACTIVE_FAULTS
 
 
-def wigner_pair_diagonal_sweep(n, x, xi, d):
-    """Yield (m, Psi_{m+d, m}) on the grid for m = 0 .. n-1 from one Laguerre sweep.
+def pair_phase(x, xi, d):
+    """e^(-i d theta), theta = arctan2(xi, x): the angular factor of Psi_{m+d, m} (1 at d = 0)."""
+    if not d:
+        return 1.0
+    theta = np.arctan2(xi, x)
+    if fault_active("pair_phase_sign"):
+        theta = -theta
+    return np.exp(-1j * d * theta)
 
-        Psi_{m+d, m} = (1/pi) (-1)^m e^(-i d theta) ell_m^(d)(2(x^2+xi^2)),
 
-    ell the orthonormal weighted Laguerre function of laguerre_fn_iter, whose
-    scaling keeps indices in the thousands finite.  The phase orientation is
-    pinned to the transform definition (checked against wigner_numeric);
-    Psi_{m, m+d} is the conjugate, and the d = 0 values are real.
+def pair_radial_sweep(n, x, xi, d):
+    """Yield (m, (-1)^m / pi, ell_m^(d)(2(x^2+xi^2))), m < n, from one Laguerre sweep:
+    Psi_{m+d, m} is their product with pair_phase.  ell is the orthonormal
+    weighted Laguerre function of laguerre_fn_iter, finite for m in the thousands.
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     s = x * x + xi * xi
-    phase = 1.0
-    if d:
-        theta = np.arctan2(xi, x)
-        if fault_active("pair_phase_sign"):
-            theta = -theta
-        phase = np.exp(-1j * d * theta)
     for m, val in enumerate(laguerre_fn_iter(float(d), 2.0 * s, n - 1)):
-        sign = -1.0 if m % 2 else 1.0
-        yield m, (sign / np.pi) * val * phase
+        yield m, (-1.0 if m % 2 else 1.0) / np.pi, val
+
+
+def wigner_pair_diagonal_sweep(n, x, xi, d):
+    """Yield (m, Psi_{m+d, m}) on the grid for m = 0 .. n-1 from one Laguerre sweep.
+
+        Psi_{m+d, m} = (1/pi) (-1)^m e^(-i d theta) ell_m^(d)(2(x^2+xi^2)).
+
+    The phase orientation is pinned to the transform definition (checked
+    against wigner_numeric); Psi_{m, m+d} is the conjugate.
+    """
+    phase = pair_phase(x, xi, d)
+    for m, c, val in pair_radial_sweep(n, x, xi, d):
+        yield m, c * val * phase
 
 
 def wigner_eval(k, l, x, xi):

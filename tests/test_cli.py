@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -190,6 +191,45 @@ _RERUN_CONFIGS = {
 }
 
 
+# one config per command: the rerun configs and a small capacity run
+_CONTRACT_CONFIGS = {**_RERUN_CONFIGS, "capacity": {
+    "set": {"kind": "disk", "radius": 1.0}, "j_max": 8, "restarts": 0}}
+
+
+def test_every_config_command_has_a_contract_config():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [*cli.COMMANDS, "verify"]
+    assert set(_CONTRACT_CONFIGS) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(_CONTRACT_CONFIGS))
+def test_outputs_follow_the_readme_contract(tmp_path, command):
+    # CSV: \r\n line ends and 17 significant digits; JSON: key-sorted, indent 2,
+    # a final newline; <command>.json carries the provenance block
+    cfg = write_config(tmp_path, "c.json", _CONTRACT_CONFIGS[command])
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    json_name = command.replace("-", "_") + ".json"
+    assert json_name in {p.name for p in out.iterdir()}
+    for path in out.iterdir():
+        raw = path.read_bytes()
+        if path.suffix == ".csv":
+            lines = raw.split(b"\r\n")
+            assert lines[-1] == b"" and all(b"\n" not in line for line in lines), path.name
+            for line in lines[1:-1]:
+                for cell in line.decode().split(","):
+                    assert cell == format(float(cell), ".17g"), (path.name, cell)
+        else:
+            data = json.loads(raw)
+            assert raw.decode() == json.dumps(data, sort_keys=True, indent=2) + "\n", path.name
+    prov = json.loads((out / json_name).read_bytes())["provenance"]
+    digest = hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
+    assert {k: prov[k] for k in ("tool", "version", "config_sha256", "command")} == {
+        "tool": "landauspec", "version": landauspec.__version__,
+        "config_sha256": digest, "command": command}
+
+
 @pytest.mark.parametrize("command", list(_RERUN_CONFIGS))
 def test_rerun_is_byte_identical(tmp_path, command):
     cfg = write_config(tmp_path, "c.json", _RERUN_CONFIGS[command])
@@ -377,11 +417,9 @@ def test_readme_config_table_matches_schema():
             kinds[_ticked(row[0])[0]] = set(_ticked(row[1]))
         elif row[0] == "profile":
             assert {"kind", "amplitude"} <= set(_ticked(row[1]))
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert set(commands) == set(sub.choices) - {"verify"}
+    assert set(commands) == set(cli.COMMANDS)
     for command, keys in commands.items():
-        assert keys == _schema_keys(getattr(cli, command.upper().replace("-", "_"))), command
+        assert keys == _schema_keys(cli.COMMANDS[command][0]), command
     assert kinds == {kind: set(obj.fields) - {"amplitude"}
                      for kind, obj in cli.PROFILE.table.items()}
 

@@ -40,6 +40,18 @@ def test_weyl_matrix_rank_one_projection():
     assert np.abs(eigs[:-1]).max() < 1e-9
 
 
+def test_pair_phase_fault_reaches_the_dense_pairing():
+    # the pairing takes its phase from wigner.pair_phase, the planted fault's hook;
+    # an angular symbol odd in theta, v = -2 xi e^(-s), reads the flipped phase
+    from landauspec import wigner
+    v = sy.angular_symbol({1: lambda r: 1j * r * np.exp(-r * r),
+                           -1: lambda r: -1j * r * np.exp(-r * r)})
+    clean = op.weyl_matrix(v, 6)
+    with wigner.inject_fault("pair_phase_sign"):
+        faulty = op.weyl_matrix(v, 6)
+    assert np.abs(clean - faulty).max() > 0.1
+
+
 def test_weyl_matrix_radial_is_diagonal():
     for prof in (sy.gaussian(0.3), sy.laguerre_mix([0.5, 0.2, -0.1])):
         M = op.weyl_matrix(sy.radial_symbol(prof), 14)
@@ -259,6 +271,15 @@ def test_toeplitz_disk_incomplete_gamma_oracle():
     assert np.abs(logs - oracle).max() < 1e-11
     nu0 = math.exp(logs[0])
     assert nu0 == pytest.approx(1 - math.exp(-1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("cutoff", [50.0, 400.0, 1400.0])
+def test_toeplitz_disk_past_the_rows_reach_incomplete_gamma_oracle(cutoff):
+    # a support inside the rows' reach puts the mass of rows k = 0 and 400 at
+    # the ends of the Legendre panel; its end weights must be exact there
+    _, logs = op.toeplitz_radial_eigs(sy.disk_indicator(cutoff), 0, 1.0, 401)
+    oracle = np.array([log_gammainc_lower(k + 1.0, cutoff / 2.0) for k in range(401)])
+    assert np.abs(logs - oracle).max() < 1e-12
 
 
 def _mp_laguerre(m, d, t):

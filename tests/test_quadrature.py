@@ -188,6 +188,43 @@ def test_integrate_halfline_indicator_subrule():
         assert val == pytest.approx(1.0 - math.exp(-c), rel=1e-12)
 
 
+def _mp_legendre_weight(order, x):
+    # Newton on the three-term recurrence at 40 digits from x, then the
+    # weight 2 (1 - x^2) / (n P_(n-1)(x))^2 at that zero of P_n
+    import mpmath as mp
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        for _ in range(4):
+            prev, cur = mp.mpf(1), x
+            for j in range(1, order):
+                prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+            x -= cur * (1 - x * x) / (order * (prev - x * cur))
+        prev, cur = mp.mpf(1), x
+        for j in range(1, order - 1):
+            prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+        return float(2 * (1 - x * x) / (order * cur) ** 2)
+
+
+@pytest.mark.parametrize("order", [260, 1040])
+def test_gauss_legendre_end_weights_against_mpmath(order):
+    # a disk's moment panel puts its outermost rows' mass on the end nodes,
+    # so the end weights must hold to 1e-12 like the middle ones
+    rule = qd.gauss_legendre_panel(order, -1.0, 1.0)
+    for i in (0, 1, order // 2, order - 2, order - 1):
+        ref = _mp_legendre_weight(order, rule.nodes[i])
+        assert rule.weights[i] == pytest.approx(ref, rel=1e-12, abs=0.0), i
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 8, 9, 100, 261])
+def test_gauss_legendre_polynomial_exactness(order):
+    rule = qd.gauss_legendre_panel(order, 0.0, 2.0)
+    assert np.all(np.diff(rule.nodes) > 0)
+    for deg in range(0, 2 * order, max(1, order // 4)):
+        # int_0^2 t^deg dt
+        val = float(np.dot(rule.weights, rule.nodes ** deg))
+        assert val == pytest.approx(2.0 ** (deg + 1) / (deg + 1), rel=1e-13), deg
+
+
 def test_doubling_convergence():
     # |I_2n - I_n| decreases monotonically for a smooth fixture
     def estimate(n):
