@@ -14,14 +14,14 @@ schema of its COMMANDS entry below, which README.md ("Config keys") lists as
 a table.  Outputs are deterministic given the config: JSON is key-sorted,
 CSV carries 17 significant digits, and each command's <command>.json embeds
 the config hash.  toeplitz writes nu_k with its sign and ln nu_k, NaN where
-nu_k <= 0.  Exit codes: 0 success, 1 assertion/verification failure, 2
-config error (a rule order past quadrature.MAX_ORDER included).
+nu_k <= 0.  Exit codes: 0 success, 1 verification failure, 2 config error
+(an unreadable config, an unusable --out, an order past quadrature.MAX_ORDER).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import hashlib
 import json
 import sys
@@ -186,12 +186,11 @@ SET.table["union"] = Obj({"members": List(SET)}, lambda s: capacity.set_union(s[
 K_RANGE = List(Int(), length=2)
 
 
-
 def _load_config(path, spec):
     """Read the config at path and walk it with spec; (checked config, sha256 of its text)."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text)
@@ -204,11 +203,10 @@ def _load_config(path, spec):
 
 
 def _write_csv(path, header, rows):
+    r"""The header, then a line of "%.17g" cells per row; commas, \r\n line ends, no quoting."""
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([format(v, ".17g") for v in row])
+        fh.write(",".join(header) + "\r\n" + "".join(line % tuple(row) for row in rows))
 
 
 def _write_json(path, payload):
@@ -218,10 +216,8 @@ def _write_json(path, payload):
 
 
 def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    if isinstance(obj, (np.ndarray, np.floating, np.integer)):
+        return obj.tolist()     # a numpy scalar's tolist() is its item()
     raise TypeError(f"not serializable: {type(obj)}")
 
 
@@ -354,13 +350,21 @@ COMMANDS = {
 }
 
 
+def _out_dir(path):
+    """Make the --out directory; an --out that cannot be one is a config error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+    return Path(path)
+
+
 def _run(args):
     """Load the config, compute, and write every file of one COMMANDS entry to --out."""
     schema, compute = COMMANDS[args.command]
     cfg, digest = _load_config(args.config, schema)
     tables, payload, extra = compute(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     for name, (header, rows) in tables.items():
         _write_csv(out / name, header, rows)
     payload["provenance"] = {"tool": "landauspec", "version": __version__,
@@ -371,17 +375,14 @@ def _run(args):
 
 def cmd_verify(args):
     _built("--filter", verify.select_suites, args.filter)
+    out = _out_dir(args.out) if args.out else None
     results = verify.run_suites(name_filter=args.filter, fault=args.inject_fault)
     width = max(len(r["suite"]) for r in results)
-    failed = []
     for r in results:
         status = "pass" if r["passed"] else "FAIL"
         print(f"{r['suite']:<{width}}  {status}  error={r['error']:.3e}  tol={r['tolerance']:.0e}")
-        if not r["passed"]:
-            failed.append(r["suite"])
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    failed = [r["suite"] for r in results if not r["passed"]]
+    if out:
         _write_json(out / "verify.json", {"results": results})
     if failed:
         print(f"failed identities: {', '.join(failed)}", file=sys.stderr)
@@ -389,6 +390,7 @@ def cmd_verify(args):
     return 0
 
 
+@functools.cache     # built on first use, not at import, then kept for the process
 def build_parser():
     p = argparse.ArgumentParser(prog="landauspec", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -414,11 +416,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, quadrature.RuleOrderError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except quadrature.QuadratureAccuracyError as exc:
-        print(f"accuracy error: {exc}", file=sys.stderr)
+    except (ConfigError, quadrature.RuleOrderError, quadrature.QuadratureAccuracyError) as exc:
+        kind = "accuracy" if isinstance(exc, quadrature.QuadratureAccuracyError) else "config"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -75,6 +75,81 @@ def test_malformed_config_exits_2(tmp_path):
     assert main(["radial-eigs", "--config", missing, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv,out", [
+    (["toeplitz", "--config", "c.json"], "afile"),
+    (["toeplitz", "--config", "c.json"], "afile/sub"),
+    (["verify", "--filter", "toeplitz"], "afile")],
+    ids=["toeplitz-file", "toeplitz-under-file", "verify-file"])
+def test_unusable_out_exits_2(tmp_path, monkeypatch, capsys, argv, out):
+    # an --out that is a file, or lies under one, is refused with a message
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, "c.json", {"zeta": _GAUSS, "b": 1.0, "count": 4})
+    (tmp_path / "afile").write_text("kept")
+    assert main(argv + ["--out", out]) == 2
+    assert "config error: cannot write output:" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "kept"
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    assert main(["toeplitz", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: cannot read config:" in capsys.readouterr().err
+
+
+def _reference_csv(path, header, rows):
+    """The CSV writer the CLI used before its one-string writer: csv.writer, 17 digits."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([format(v, ".17g") for v in row])
+
+
+@pytest.mark.parametrize("rows", [
+    [(math.nan, math.inf, -math.inf), (-0.0, 5e-324, 1.7976931348623157e308),
+     (0.1, -2.5e-300, 1 / 3)],
+    [(7, np.int64(-3), np.float64(2.0 / 3.0)), (10**20, np.int64(0), np.float64(-1e-310))],
+    []], ids=["edge-floats", "int-kinds", "no-rows"])
+def test_write_csv_matches_csv_writer_bytes(tmp_path, rows):
+    header = ["k", "a", "b"]
+    cli._write_csv(tmp_path / "new.csv", header, iter(rows))
+    _reference_csv(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_reused_parser_leaks_no_flags_between_runs(tmp_path, monkeypatch):
+    # four runs in one process share the cached parser; each must see only its own
+    # flags and write what a fresh `python -m landauspec.cli` writes
+    runs = [["verify", "--filter", "moyal"],
+            ["toeplitz", "--config", "t.json", "--out", "t"],
+            ["radial-eigs", "--config", "r.json"],
+            ["verify", "--filter", "moyal", "--out", "r"]]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    for root in (here, fresh):
+        root.mkdir()
+        write_config(root, "t.json", {"zeta": _GAUSS, "b": 1.0, "q": 1, "count": 12})
+        write_config(root, "r.json", {"profile": _GAUSS, "count": 8})
+    monkeypatch.chdir(here)
+    written = []
+    for argv in runs:
+        before = set(_tree(here))
+        assert main(argv) == 0
+        written.append(sorted(set(_tree(here)) - before))
+    assert written == [[], ["t/toeplitz.csv", "t/toeplitz.json"],
+                       ["out/radial_eigs.csv", "out/radial_eigs.json"], ["r/verify.json"]]
+    src = str(Path(landauspec.__file__).resolve().parents[1])
+    for argv in runs:
+        subprocess.run([sys.executable, "-m", "landauspec.cli", *argv], cwd=fresh, check=True,
+                       env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+    assert _tree(here) == _tree(fresh)
+
+
 def test_spectrum_zero_symbol(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "b": 1.5, "levels": 3, "radial": 4, "sign": "+",
@@ -157,6 +232,9 @@ def test_toeplitz_empty_range(tmp_path):
     assert main(["toeplitz", "--config", cfg, "--out", str(out)]) == 0
     header, rows = read_csv(out / "toeplitz.csv")
     assert rows == [] and header[0] == "k"
+    # a header-only file, as csv.writer wrote it
+    _reference_csv(tmp_path / "ref.csv", header, [])
+    assert (out / "toeplitz.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_capacity_command_and_determinism(tmp_path):
@@ -432,6 +510,17 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_import_builds_nothing_and_loads_no_csv():
+    # a cold process pays only for what it uses: the parser is built on first use,
+    # and the CSV writer needs no csv module
+    src = str(Path(landauspec.__file__).resolve().parents[1])
+    code = ("import sys, landauspec.cli as cli; "
+            "print('csv' in sys.modules, cli.build_parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["False", "0"]
 
 
 _GAUSS = {"kind": "gaussian", "rate": 0.5}
