@@ -178,10 +178,9 @@ def exp_model(beta, mu):
 def exp_model_from_profile(profile, b):
     """Exponential-decay model with mu derived from the weight parameters."""
     if profile.kind == "gaussian":
-        gamma, beta = profile.rate * profile.arg_scale, 1.0
+        gamma, beta = profile.rate, 1.0
     elif profile.kind == "exp_beta":
-        gamma = profile.gamma * profile.arg_scale ** profile.beta
-        beta = profile.beta
+        gamma, beta = profile.gamma, profile.beta
     else:
         raise symbols.UnsupportedProfileError(
             f"no exponential model for profile kind {profile.kind!r}")

@@ -200,7 +200,7 @@ def weyl_radial_eigs(profile, count, order=None):
 
     mu_k = ((-1)^k / 2) int_0^inf R(t/2) L_k(t) e^(-t/2) dt, evaluated in the
     weighted form (-1)^k int R(u) Lcal_k(2u) du.  A Laguerre-mix profile
-    sum_j c_j (-1)^j L_j(2s) e^(-s) (arg_scale 1) needs no quadrature: by
+    sum_j c_j (-1)^j L_j(2s) e^(-s) needs no quadrature: by
     orthogonality mu_k = amplitude c_k / 2, and 0 past the last coefficient.
     """
     if profile.laguerre_coeffs is not None:
@@ -328,7 +328,7 @@ def _radial_moments(profile, q, scale, count, order=None):
         if on_grid:
             edges = logs if coarse_logs is None else coarse_logs
             ends = np.maximum(edges[:, 0], edges[:, -1])
-            short = np.isfinite(peak) & (ends > peak - _LOG_GRID_MARGIN)
+            short = np.isfinite(peak) & (peak - ends < _LOG_GRID_MARGIN)
             if short.any():
                 i = int(np.argmax(short))
                 raise quadrature.QuadratureAccuracyError(
@@ -430,19 +430,10 @@ def assemble_hv(V, levels, radial, sign=+1):
             raise symbols.UnsupportedProfileError(
                 f"term {i} has a {A.structure} x {B.structure} factor pair; "
                 "the level basis takes radial factors only")
-    return _diagonal_hv(V.b, _radial_couplings(V.terms, Q, K), sign)
-
-
-def _radial_couplings(terms, levels, radial, b_eigs=weyl_radial_eigs):
-    """Level-basis diagonal sum c mu_q(A) mu_k(B) of radial (x) radial terms.
-
-    Returns the (levels, radial) grid; row q holds level q.  The A-side
-    sequence is the Weyl one; b_eigs(profile, count) gives the B side.
-    """
-    G = np.zeros((levels, radial))
-    for c, A, B in terms:
-        G += c * np.outer(weyl_radial_eigs(A.profile, levels), b_eigs(B.profile, radial))
-    return G
+    G = np.zeros((Q, K))                # row q holds level q
+    for c, A, B in V.terms:
+        G += c * np.outer(weyl_radial_eigs(A.profile, Q), weyl_radial_eigs(B.profile, K))
+    return _diagonal_hv(V.b, G, sign)
 
 
 def _diagonal_hv(b, G, sign):
@@ -464,7 +455,10 @@ def eig_hermitian(H):
     Degenerate eigenvalues cluster within 1e-10 of the diagonal's 2-norm.
     """
     eigs = np.sort(H.diagonal, axis=None)
-    tol = 1e-10 * float(np.linalg.norm(H.diagonal))
+    # the norm of the diagonal over a power of two near its largest entry: exact
+    # scaling, and the squares cannot overflow past |entry| ~ 1.3e154
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(H.diagonal).max()))[1])
+    tol = 1e-10 * scale * float(np.linalg.norm(H.diagonal / scale))
     levels = H.diagonal.shape[0]
     lam = landau_levels(H.b, levels + 1)
     windows = []
@@ -557,10 +551,12 @@ def birman_schwinger_check(zeta_profile, r, q, b, levels, radial,
     compressed-multiplier spectrum.
 
     Builds the standard fixture from a nonnegative radial weight zeta:
-    omega = L_r(-Laplacian/2b) zeta, swap-and-scale to vt, Gaussian-smooth to
-    v, and couple the level-q kernel to v.  The level-basis H(+/-V) is
-    diagonal; its entries come from the anti-Wick sequence of vt, which
-    equals the Weyl sequence of v, so no numeric smoothing is done.  Extracts
+    omega = L_r(-Laplacian/2b) zeta, dilate to vt(s) = omega(s/b),
+    Gaussian-smooth to v, and couple the level-q kernel to v.  The
+    level-basis H(+/-V) is diagonal; its entries come from the anti-Wick
+    sequence of vt, which equals the Weyl sequence of v, so no numeric
+    smoothing is done.  That sequence, int omega(2t/b) t^k e^(-t) / k! dt,
+    is the level-0 compression of omega (`toeplitz_radial_eigs`).  Extracts
     the shifts around level q from both signs of one diagonal, and finds the
     smallest (eps, k0) with
 
@@ -572,8 +568,6 @@ def birman_schwinger_check(zeta_profile, r, q, b, levels, radial,
     """
     k_lo, k_hi = k_range
     omega = symbols.laguerre_laplacian(symbols.radial_symbol(zeta_profile), b, r)
-    vt = symbols.radial_symbol(omega.profile.with_arg_scale(1.0 / b))
-    level_kernel = symbols.radial_symbol(symbols.diag_kernel_profile(q))
 
     sign, log_nu = toeplitz_radial_eigs(zeta_profile, r, b, k_hi + _SANDWICH_K0_MAX + 2,
                                         order=order)
@@ -582,8 +576,9 @@ def birman_schwinger_check(zeta_profile, r, q, b, levels, radial,
         return {"vacuous": True, "epsilon": 0.0, "k0": 0}
 
     # the Weyl eigenvalues of the smoothed symbol are the anti-Wick ones of vt
-    G = _radial_couplings([(2.0 * np.pi, level_kernel, vt)], levels, radial,
-                          b_eigs=antiwick_radial_eigs)
+    mu_sign, mu_log = toeplitz_radial_eigs(omega.profile, 0, b, radial)
+    G = 2.0 * np.pi * np.outer(weyl_radial_eigs(symbols.diag_kernel_profile(q), levels),
+                               mu_sign * np.exp(mu_log))
     shifts = {}
     for sign in (+1, -1):
         rep = eig_hermitian(_diagonal_hv(b, G, sign))

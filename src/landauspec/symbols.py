@@ -14,7 +14,7 @@ Symbols are immutable after construction; every transform returns a new one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,8 +34,9 @@ class UnsupportedProfileError(ValueError):
 class RadialProfile:
     """A radial function of phase space, R(s) with s the squared radius.
 
-    amplitude scales the value, arg_scale the argument: the evaluator is
-    amplitude * base(arg_scale * s).  Kinds:
+    The evaluator is amplitude * base(s).  A profile carries no dilation:
+    an integral of R(c t) takes the scale c as its own argument, as
+    `operators.toeplitz_radial_eigs` does with c = 2/b.  Kinds:
 
       constant                    1
       gaussian(rate)              exp(-rate s)
@@ -50,7 +51,6 @@ class RadialProfile:
 
     kind: str
     amplitude: float = 1.0
-    arg_scale: float = 1.0
     rate: float = 0.0
     gamma: float = 0.0
     beta: float = 1.0
@@ -61,8 +61,7 @@ class RadialProfile:
     fn: object = field(default=None, repr=False)
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        u = self.arg_scale * s
+        u = np.asarray(s, dtype=float)
         k = self.kind
         if k == "constant":
             base = np.ones_like(u)
@@ -73,7 +72,8 @@ class RadialProfile:
         elif k == "disk_indicator":
             base = (u <= self.cutoff).astype(float)
         elif k == "exp_beta":
-            base = np.exp(-self.gamma * u ** self.beta)
+            with np.errstate(over="ignore"):    # gamma u^beta past the double range: R = 0
+                base = np.exp(-self.gamma * u ** self.beta)
         elif k == "laguerre_mix":
             base = _laguerre_series(self.coeffs, -1.0, 2.0 * u)
         elif k == "poly_gauss":
@@ -95,11 +95,10 @@ class RadialProfile:
         forms, exact where R underflows; the other kinds, and amplitude 0,
         take ln |.| of the values.
         """
-        s = np.asarray(s, dtype=float)
-        u = self.arg_scale * s
+        u = np.asarray(s, dtype=float)
         k, amp = self.kind, self.amplitude
         if not amp or k not in ("constant", "gaussian", "power", "exp_beta", "disk_indicator"):
-            values = np.asarray(self(s))
+            values = np.asarray(self(u))
             with np.errstate(divide="ignore"):
                 return np.log(np.abs(values)), np.sign(values)
         if k == "gaussian":
@@ -107,7 +106,8 @@ class RadialProfile:
         elif k == "power":
             base = -0.5 * self.gamma * np.log1p(u)
         elif k == "exp_beta":
-            base = -self.gamma * u ** self.beta
+            with np.errstate(over="ignore"):    # gamma u^beta past the double range: -inf
+                base = -self.gamma * u ** self.beta
         elif k == "disk_indicator":
             base = np.where(u <= self.cutoff, 0.0, -np.inf)
         else:
@@ -119,16 +119,16 @@ class RadialProfile:
         """Increasing s > 0 where R may jump or kink, R = 0 past the last; () if
         R is smooth on [0, inf).  The disk's cutoff, a table's positive nodes."""
         if self.kind == "disk_indicator":
-            return (self.cutoff / self.arg_scale,)
+            return (self.cutoff,)
         if self.kind == "tabulated":
-            return tuple(g / self.arg_scale for g in self.grid if g > 0)
+            return tuple(g for g in self.grid if g > 0)
         return ()
 
     @property
     def laguerre_coeffs(self):
         """The c_j of R(s) = amplitude sum_j c_j (-1)^j L_j(2s) e^(-s), the series of
-        the diagonal Wigner kernels: a Laguerre mix at arg_scale 1; else None."""
-        if self.kind == "laguerre_mix" and self.arg_scale == 1.0:
+        the diagonal Wigner kernels: a Laguerre mix; else None."""
+        if self.kind == "laguerre_mix":
             return self.coeffs
         return None
 
@@ -136,19 +136,6 @@ class RadialProfile:
     def closed_form(self):
         """Every kind but custom: R is a formula, hiding no bump between samples."""
         return self.kind != "custom"
-
-    def with_arg_scale(self, scale):
-        """Profile of s -> R(scale * s), folding the scale into parameters."""
-        scale = float(scale)
-        if self.kind == "gaussian":
-            return replace(self, rate=self.rate * scale)
-        if self.kind == "exp_beta":
-            return replace(self, gamma=self.gamma * scale ** self.beta)
-        if self.kind == "disk_indicator":
-            return replace(self, cutoff=self.cutoff / scale)
-        if self.kind == "constant":
-            return self
-        return replace(self, arg_scale=self.arg_scale * scale)
 
 
 def _laguerre_series(coeffs, sign, x):
@@ -446,7 +433,7 @@ def antiwick_to_weyl(F):
         raise UnsupportedProfileError("only radial symbols are supported")
     profile, k = F.profile, F.profile.kind
     if k == "gaussian":
-        a = profile.rate * profile.arg_scale
+        a = profile.rate
         profile = gaussian(a / (1.0 + a), amplitude=profile.amplitude / (1.0 + a))
     elif profile.laguerre_coeffs is not None:
         # each (-1)^j L_j(2s) e^-s component smooths to s^j e^(-s/2) / (2^(j+1) j!)
@@ -494,13 +481,11 @@ def laguerre_laplacian(zeta, b, r):
         return zeta
     if prof.kind == "gaussian":
         coeffs = (prof.amplitude,)
-        rate = prof.rate * prof.arg_scale
+        rate = prof.rate
     elif prof.kind == "poly_gauss":
-        scale = prof.arg_scale
-        coeffs = tuple(prof.amplitude * c * scale ** j for j, c in enumerate(prof.coeffs))
-        rate = prof.rate * scale
+        coeffs = tuple(prof.amplitude * c for c in prof.coeffs)
+        rate = prof.rate
     elif prof.kind == "laguerre_mix":
-        scale = prof.arg_scale
         P = np.polynomial.polynomial
         acc = np.zeros(1)
         for j, c in enumerate(prof.coeffs):
@@ -509,8 +494,8 @@ def laguerre_laplacian(zeta, b, r):
                 lj = np.array([math.comb(j, i) * (-2.0) ** i / math.factorial(i)
                                for i in range(j + 1)])
                 acc = P.polyadd(acc, (-1.0) ** j * c * lj)
-        coeffs = tuple(prof.amplitude * c * scale ** j for j, c in enumerate(acc))
-        rate = scale
+        coeffs = tuple(prof.amplitude * c for c in acc)
+        rate = 1.0
     else:
         raise UnsupportedProfileError(
             f"no closed-form Laplacian for profile kind {prof.kind!r}")
@@ -593,15 +578,14 @@ def phase_space_volume(F, lam, sign=+1):
             return math.inf if eff > lam else 0.0
         if eff <= lam:
             return 0.0
-        scale = prof.arg_scale
         if k == "gaussian":
-            s_star = math.log(eff / lam) / (prof.rate * scale)
+            s_star = math.log(eff / lam) / prof.rate
         elif k == "power":
-            s_star = ((eff / lam) ** (2.0 / prof.gamma) - 1.0) / scale
+            s_star = (eff / lam) ** (2.0 / prof.gamma) - 1.0
         elif k == "exp_beta":
-            s_star = (math.log(eff / lam) / prof.gamma) ** (1.0 / prof.beta) / scale
+            s_star = (math.log(eff / lam) / prof.gamma) ** (1.0 / prof.beta)
         else:  # disk_indicator
-            s_star = prof.cutoff / scale
+            s_star = prof.cutoff
         return 0.5 * s_star
     s_max = 1.0
     while np.max(np.abs(np.atleast_1d(prof(np.linspace(0.8 * s_max, s_max, 8))))) > lam:
@@ -656,7 +640,7 @@ def fourier_radial_profile(profile):
     k = profile.kind
     amp = profile.amplitude
     if k == "gaussian":
-        a = profile.rate * profile.arg_scale
+        a = profile.rate
         return gaussian(1.0 / (4.0 * a), amplitude=amp / (2.0 * a))
     cs = profile.laguerre_coeffs
     if cs is not None:

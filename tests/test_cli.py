@@ -20,6 +20,10 @@ from landauspec.cli import main
 from test_asymptotics import taylor_oracle
 
 
+# the interpreter for CLI subprocesses, under the suite's filter from pyproject.toml
+_PYTHON = (sys.executable, "-W", "error::RuntimeWarning")
+
+
 def write_config(tmp_path, name, payload):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
@@ -145,7 +149,7 @@ def test_reused_parser_leaks_no_flags_between_runs(tmp_path, monkeypatch):
                        ["out/radial_eigs.csv", "out/radial_eigs.json"], ["r/verify.json"]]
     src = str(Path(landauspec.__file__).resolve().parents[1])
     for argv in runs:
-        subprocess.run([sys.executable, "-m", "landauspec.cli", *argv], cwd=fresh, check=True,
+        subprocess.run([*_PYTHON, "-m", "landauspec.cli", *argv], cwd=fresh, check=True,
                        env=dict(os.environ, PYTHONPATH=src), capture_output=True)
     assert _tree(here) == _tree(fresh)
 
@@ -452,6 +456,35 @@ def test_toeplitz_unresolved_grid_exits_2(tmp_path, capsys):
     assert "log grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("zeta,b", [
+    ({"kind": "gaussian", "rate": 1e44}, 1.0),
+    ({"kind": "gaussian", "rate": 1e300}, 1.0),
+    ({"kind": "power", "gamma": 1e300}, 1.0),
+    ({"kind": "gaussian", "rate": 1.0}, 1e-300)])
+def test_toeplitz_peak_far_below_the_log_grid_exits_2(tmp_path, capsys, zeta, b):
+    # ln |integrand| near -1e18 and beyond: the 36-nat margin must not be lost
+    # to rounding at that magnitude (gaussian(1e44) read ln nu_0 = -1.75e18)
+    cfg = write_config(tmp_path, "c.json", {"zeta": zeta, "b": b, "count": 4})
+    assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "log grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("b", [1e100, 1e160])
+def test_spectrum_cluster_tol_past_the_square_overflow(tmp_path, b):
+    # one eigenvalue b/2 below level 0: the diagonal's 2-norm must not overflow
+    # at |entry| ~ 1e160, where it read Infinity and counted 0 below the level
+    kernel = {"kind": "level_kernel", "q": 0}
+    cfg = write_config(tmp_path, "c.json", {
+        "b": b, "levels": 1, "radial": 1, "sign": "-", "symbol": {"separable": {
+            "terms": [{"coeff": 2 * math.pi ** 2 * b, "A": kernel, "B": kernel}]}}})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    data = json.loads((out / "spectrum.json").read_text())
+    assert data["eigenvalues"] == [pytest.approx(0.5 * b, rel=1e-14)]
+    assert data["cluster_tol"] == pytest.approx(0.5e-10 * b, rel=1e-14)
+    assert [w["count"] for w in data["windows"]] == [1, 0]
+
+
 @pytest.mark.parametrize("command,payload", [
     ("toeplitz", {"zeta": {"kind": "disk_indicator", "cutoff": 5e-324}, "b": 1.0, "count": 4}),
     ("toeplitz", {"zeta": {"kind": "disk_indicator", "cutoff": 1e-323}, "b": 1.0, "count": 4}),
@@ -559,7 +592,7 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         "    codes.append(main([command, '--config', cfg, '--out', f'out{i}']))\n"
         "codes.append(main(['verify']))\n"
         "print(json.dumps(codes))\n")
-    done = subprocess.run([sys.executable, "-c", code, json.dumps(_NO_SCIPY_RUNS)],
+    done = subprocess.run([*_PYTHON, "-c", code, json.dumps(_NO_SCIPY_RUNS)],
                           env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -625,7 +658,7 @@ def test_capacity_polygon_without_room_exits_2(tmp_path, vertices, message):
         "set": {"kind": "polygon", "vertices": vertices}, "j_max": 8, "restarts": 1})
     src = str(Path(landauspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "landauspec.cli", "capacity", "--config", cfg,
+    proc = subprocess.run([*_PYTHON, "-m", "landauspec.cli", "capacity", "--config", cfg,
                            "--out", str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=20)
     assert proc.returncode == 2

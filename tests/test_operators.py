@@ -329,7 +329,7 @@ def test_small_k_moments_of_weights_rough_at_zero(gam, beta):
     zeta = sy.exp_beta(gam, beta)
     _, logs = op.toeplitz_radial_eigs(zeta, 0, 2.0, 8)
     assert np.abs(logs[ks] - oracle).max() < 1e-11
-    mu = op.antiwick_radial_eigs(zeta.with_arg_scale(0.5), 8)
+    mu = op.antiwick_radial_eigs(sy.exp_beta(gam * 0.5 ** beta, beta), 8)
     assert np.abs(mu[ks] / np.exp(oracle) - 1).max() < 1e-11
 
 
@@ -747,10 +747,26 @@ def test_birman_schwinger_matches_numeric_smoothing():
     res = op.birman_schwinger_check(zeta, r=r, q=q, b=b, levels=levels, radial=radial,
                                     k_range=(4, 10))
     omega = sy.laguerre_laplacian(sy.radial_symbol(zeta), b, r)
-    v = sy.antiwick_to_weyl(sy.radial_symbol(omega.profile.with_arg_scale(1.0 / b)))
+    v = sy.antiwick_to_weyl(omega)              # vt(s) = omega(s / b) is omega at b = 1
     assert v.profile.kind == "custom"           # the numeric smoothing route
     V = sy.separable_symbol(b, [(2 * np.pi, sy.radial_symbol(sy.diag_kernel_profile(q)), v)])
     for sign, key in ((+1, "shifts_plus"), (-1, "shifts_minus")):
         rep = op.eig_hermitian(op.assemble_hv(V, levels, radial, sign=sign))
         ref = op._gap_shifts(rep, q, sign)[:11]
         assert np.abs(res[key] / ref - 1).max() < 1e-9
+
+
+@pytest.mark.parametrize("b", [0.8, 1.25, 3.0])
+@pytest.mark.parametrize("r", [0, 1])
+def test_sandwich_sequence_is_the_level0_compression(r, b):
+    # the anti-Wick sequence of vt(s) = omega(s / b), with the dilation folded
+    # into the parameters by hand, is the level-0 Toeplitz sequence of omega
+    rate, n = 0.25, 40
+    omega = sy.laguerre_laplacian(sy.radial_symbol(sy.gaussian(rate)), b, r).profile
+    if r == 0:
+        vt = sy.gaussian(rate / b)
+    else:
+        vt = sy.poly_gauss([c * b ** -j for j, c in enumerate(omega.coeffs)], rate / b)
+    sign, log_nu = op.toeplitz_radial_eigs(omega, 0, b, n)
+    mu = op.antiwick_radial_eigs(vt, n)
+    assert np.abs(sign * np.exp(log_nu) / mu - 1).max() < 1e-13

@@ -78,15 +78,15 @@ def test_empty_laguerre_mix_keeps_the_input_shape():
     assert fhat(u).shape == (2, 3) and not fhat(u).any()
 
 
-def test_profile_arg_scale_folds_into_parameters():
-    g = sy.gaussian(0.7).with_arg_scale(2.0)
-    assert g.kind == "gaussian" and g.rate == pytest.approx(1.4)
-    e = sy.exp_beta(1.0, 2.0).with_arg_scale(3.0)
-    assert e.gamma == pytest.approx(9.0)
-    d = sy.disk_indicator(6.0).with_arg_scale(2.0)
-    assert d.breakpoints == pytest.approx((3.0,))
-    p = sy.power(2.0).with_arg_scale(2.0)
-    assert p(np.array([1.0]))[0] == pytest.approx(1.0 / 3.0)
+def test_exp_beta_past_the_double_range_reads_zero_quietly():
+    # gamma s^beta overflows to inf at s = 1e3: R = 0 and ln |R| = -inf, with no
+    # RuntimeWarning (the suite turns one into an error)
+    prof = sy.exp_beta(1e300, 5.0)
+    s = np.array([0.0, 1.0, 1e3])
+    assert prof(s).tolist() == [1.0, 0.0, 0.0]
+    assert prof(1e3) == 0.0
+    log, sign = prof.log_abs(s)
+    assert log.tolist() == [0.0, -1e300, -np.inf] and sign.tolist() == [1.0, 1.0, 0.0]
 
 
 def test_profile_log_abs():
