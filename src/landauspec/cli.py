@@ -11,7 +11,7 @@ Subcommands
 
 Every command but verify takes --config and --out; its config keys are the
 schema of its COMMANDS entry below, which README.md ("Config keys") lists as
-a table.  Outputs are deterministic given the config: JSON is key-sorted,
+a table.  Outputs are deterministic given the config: strict JSON, key-sorted,
 CSV carries 17 significant digits, and each command's <command>.json embeds
 the config hash.  toeplitz writes nu_k with its sign and ln nu_k, NaN where
 nu_k <= 0.  Exit codes: 0 success, 1 verification failure, 2 config error
@@ -24,6 +24,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -169,8 +170,7 @@ PROFILE = Kinds({
     "tabulated": _profile(symbols.tabulated, grid=List(FLOAT), values=List(FLOAT)),
     "level_kernel": _profile(symbols.diag_kernel_profile, q=Int(0)),
 })
-TERM = Obj({"coeff": FLOAT, "A": PROFILE, "B": PROFILE},
-           lambda t: (t["coeff"], symbols.radial_symbol(t["A"]), symbols.radial_symbol(t["B"])))
+TERM = Obj({"coeff": FLOAT, "A": PROFILE, "B": PROFILE}, lambda t: (t["coeff"], t["A"], t["B"]))
 SYMBOL = Obj({"separable": Obj({
     "terms": List(TERM), "frame": (OneOf({"lab": "lab", "kappa_pulled": "kappa_pulled"}), "lab")})})
 MODEL = Kinds({"exp": Obj({}), "compact": Obj({"capacity": POSITIVE})})
@@ -210,15 +210,23 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, payload):
+    """Strict JSON: key-sorted, indent 2, a final newline, NaN and infinity as null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(_plain(payload), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.ndarray, np.floating, np.integer)):
-        return obj.tolist()     # a numpy scalar's tolist() is its item()
-    raise TypeError(f"not serializable: {type(obj)}")
+def _plain(value):
+    """value with numpy data as Python lists and numbers, non-finite floats as None."""
+    if isinstance(value, float):        # numpy's float64 too, which json writes alike
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _plain(value.tolist())   # a numpy scalar's tolist() is its item()
+    return value
 
 
 # ---------------------------------------------------------------------------

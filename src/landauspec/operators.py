@@ -53,11 +53,15 @@ class SpectrumReport:
     cluster_tol: float = 0.0
     windows: list = field(default_factory=list)   # dicts: q, side, lo, hi, count
 
-    def gap_count(self, q, side):
+    def window(self, q, side):
+        """The window dict of level q on side "-" (below it) or "+" (above it)."""
         for w in self.windows:
             if w["q"] == q and w["side"] == side:
-                return w["count"]
+                return w
         raise KeyError(f"no window for level {q} side {side!r}")
+
+    def gap_count(self, q, side):
+        return self.window(q, side)["count"]
 
     def clusters(self):
         """(value, multiplicity) pairs, grouping eigenvalues within cluster_tol."""
@@ -71,8 +75,9 @@ class SpectrumReport:
         return out
 
 
-def _count_open(eigs, lo, hi, tol):
-    return int(np.count_nonzero((eigs > lo + tol) & (eigs < hi - tol)))
+def _open_window(eigs, lo, hi, tol):
+    """The eigenvalues in (lo + tol, hi - tol)."""
+    return eigs[(eigs > lo + tol) & (eigs < hi - tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +141,7 @@ def _pairing_matrix(v, n, order):
 def weyl_matrix(v, n):
     """Truncated Weyl operator of a 2-D symbol in the Hermite basis, (n, n).
 
+    v is a radial profile or an angular symbol (anything with evaluate(x, xi)).
     Entry (k, l) is <op(v) psi_l, psi_k> = <v, Psi_{k,l}>; Hermitian, as
     symbols are real.  The tensor Gauss-Hermite order starts at
     max(80, 2n + 16) and doubles until two successive matrices agree
@@ -328,11 +334,13 @@ def _radial_moments(profile, q, scale, count, order=None):
         if on_grid:
             edges = logs if coarse_logs is None else coarse_logs
             ends = np.maximum(edges[:, 0], edges[:, -1])
-            short = np.isfinite(peak) & (peak - ends < _LOG_GRID_MARGIN)
+            # a row that is 0 on every node (peak -inf) has no margin to check
+            below = np.where(np.isfinite(peak), peak, np.inf) - ends
+            short = below < _LOG_GRID_MARGIN
             if short.any():
                 i = int(np.argmax(short))
                 raise quadrature.QuadratureAccuracyError(
-                    f"moment k = {ks[i]}: integrand only {peak[i] - ends[i]:.1f} nats below "
+                    f"moment k = {ks[i]}: integrand only {below[i]:.1f} nats below "
                     f"its peak at an end of the log grid (needs {_LOG_GRID_MARGIN:g})")
         shift = np.where(np.isfinite(peak), peak, 0.0)
         total = (np.exp(logs - shift[:, None]) * sign_r[lo:hi]).sum(axis=1)
@@ -415,24 +423,20 @@ def landau_levels(b, q_count):
 def assemble_hv(V, levels, radial, sign=+1):
     """Truncated level-basis H = diag(Landau levels) + sign * op(V), V separable.
 
-    Every factor of every term must be radial: both pairing matrices of a
-    term are then diagonal, so H is diagonal with entries
+    Every factor of a separable symbol is a radial profile
+    (`symbols.separable_symbol` refuses any other): both pairing matrices of
+    a term are diagonal, so H is diagonal with entries
     lam_q + sign * sum c mu_q(A) mu_k(B), mu the 1-D Weyl sequences (default
-    rules).  A term with another factor raises UnsupportedProfileError.
+    rules).
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     Q, K = int(levels), int(radial)
     if Q < 1 or K < 1:
         raise ValueError("levels and radial must be positive")
-    for i, (_, A, B) in enumerate(V.terms):
-        if not A.structure == B.structure == "radial":
-            raise symbols.UnsupportedProfileError(
-                f"term {i} has a {A.structure} x {B.structure} factor pair; "
-                "the level basis takes radial factors only")
     G = np.zeros((Q, K))                # row q holds level q
     for c, A, B in V.terms:
-        G += c * np.outer(weyl_radial_eigs(A.profile, Q), weyl_radial_eigs(B.profile, K))
+        G += c * np.outer(weyl_radial_eigs(A, Q), weyl_radial_eigs(B, K))
     return _diagonal_hv(V.b, G, sign)
 
 
@@ -466,7 +470,7 @@ def eig_hermitian(H):
         lo = lam[q - 1] if q >= 1 else -np.inf
         for side, a, c in (("-", lo, lam[q]), ("+", lam[q], lam[q + 1])):
             windows.append({"q": q, "side": side, "lo": a, "hi": c,
-                            "count": _count_open(eigs, a, c, tol)})
+                            "count": len(_open_window(eigs, a, c, tol))})
     return SpectrumReport(eigs, b=H.b, levels=levels, cluster_tol=tol, windows=windows)
 
 
@@ -514,10 +518,10 @@ def prescribed_gap_symbol(b, multiplicities, level_scales, index_scales):
     lam = landau_levels(b, len(multiplicities))
     four_pi_sq = (2.0 * np.pi) ** 2
     for q in active:
-        A = symbols.radial_symbol(symbols.diag_kernel_profile(q))
+        A = symbols.diag_kernel_profile(q)
         for k in range(multiplicities[q]):
             C = level_scales[q] * index_scales[k]
-            B = symbols.radial_symbol(symbols.diag_kernel_profile(k))
+            B = symbols.diag_kernel_profile(k)
             terms.append((four_pi_sq * C, A, B))
             predictions.append((q, k, lam[q] - C))
     return symbols.separable_symbol(b, terms), predictions
@@ -528,17 +532,12 @@ def prescribed_gap_symbol(b, multiplicities, level_scales, index_scales):
 
 
 def _gap_shifts(report, q, sign):
-    """Distances of the level-q gap eigenvalues from the level, non-increasing."""
-    lam = landau_levels(report.b, report.levels + 1)
-    eigs = report.eigenvalues
-    tol = report.cluster_tol
-    if sign > 0:
-        lo, hi = lam[q], lam[q + 1]
-        sel = eigs[(eigs > lo + tol) & (eigs < hi - tol)]
-        return np.sort(sel - lam[q])[::-1]
-    lo = lam[q - 1] if q >= 1 else -np.inf
-    sel = eigs[(eigs > lo + tol) & (eigs < lam[q] - tol)]
-    return np.sort(lam[q] - sel)[::-1]
+    """Distances of the level-q gap eigenvalues from the level, non-increasing:
+    the eigenvalues inside the report's (q, "+") window for sign > 0, else
+    its (q, "-") window."""
+    w = report.window(q, "+" if sign > 0 else "-")
+    sel = _open_window(report.eigenvalues, w["lo"], w["hi"], report.cluster_tol)
+    return np.sort(sel - w["lo"] if sign > 0 else w["hi"] - sel)[::-1]
 
 
 _SANDWICH_EPS = tuple(x / 100.0 for x in range(1, 26))   # eps tried, smallest first
@@ -567,7 +566,7 @@ def birman_schwinger_check(zeta_profile, r, q, b, levels, radial,
     raises TruncationError when the window is not resolved.
     """
     k_lo, k_hi = k_range
-    omega = symbols.laguerre_laplacian(symbols.radial_symbol(zeta_profile), b, r)
+    omega = symbols.laguerre_laplacian(zeta_profile, b, r)
 
     sign, log_nu = toeplitz_radial_eigs(zeta_profile, r, b, k_hi + _SANDWICH_K0_MAX + 2,
                                         order=order)
@@ -576,7 +575,7 @@ def birman_schwinger_check(zeta_profile, r, q, b, levels, radial,
         return {"vacuous": True, "epsilon": 0.0, "k0": 0}
 
     # the Weyl eigenvalues of the smoothed symbol are the anti-Wick ones of vt
-    mu_sign, mu_log = toeplitz_radial_eigs(omega.profile, 0, b, radial)
+    mu_sign, mu_log = toeplitz_radial_eigs(omega, 0, b, radial)
     G = 2.0 * np.pi * np.outer(weyl_radial_eigs(symbols.diag_kernel_profile(q), levels),
                                mu_sign * np.exp(mu_log))
     shifts = {}

@@ -1,12 +1,14 @@
 """Phase-space symbols and their transformations.
 
-Covers the radial profile families used as perturbation weights, radial and
-angular symbols on R^2 and separable symbols on R^4, the linear symplectic
-change of coordinates that straightens the magnetic Hamiltonian into a
-scaled oscillator, anti-Wick to Weyl conversion of radial symbols (Gaussian
-smoothing), the Laguerre polynomial of the Laplacian, radial Fourier
-transforms (Hankel on the breakpoint rule), super-level-set volumes of
-radial symbols, and the two-sided logarithmic-derivative bounds.
+A radial symbol R(x^2 + xi^2) on R^2 is its RadialProfile: the profile
+evaluates on phase space itself, and every radial transform takes and
+returns one.  Covers the profile families used as perturbation weights,
+angular expansions on R^2, separable symbols on R^4 with radial factors,
+the linear symplectic change of coordinates that straightens the magnetic
+Hamiltonian into a scaled oscillator, anti-Wick to Weyl conversion
+(Gaussian smoothing), the Laguerre polynomial of the Laplacian, radial
+Fourier transforms (Hankel on the breakpoint rule), super-level-set volumes,
+and the two-sided logarithmic-derivative bounds.
 
 Symbols are immutable after construction; every transform returns a new one.
 """
@@ -49,6 +51,8 @@ class RadialProfile:
       custom(fn)                  arbitrary evaluator
     """
 
+    bandwidth = 0               # angular modes of R(x^2 + xi^2): only 0 (not a field)
+
     kind: str
     amplitude: float = 1.0
     rate: float = 0.0
@@ -87,6 +91,11 @@ class RadialProfile:
             raise UnsupportedProfileError(f"unknown profile kind {k!r}")
         out = self.amplitude * base
         return out if np.ndim(out) else float(out)
+
+    def evaluate(self, x, xi):
+        """The profile as a symbol on R^2: R(x^2 + xi^2)."""
+        x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+        return self(x * x + xi * xi)
 
     def log_abs(self, s):
         """(ln |R(s)|, sign R(s)), for log-space integrals.
@@ -216,24 +225,19 @@ def diag_kernel_profile(q, amplitude=1.0):
 
 
 @dataclass(frozen=True)
-class Symbol2D:
-    """Symbol on phase space R^2: radial, or a finite angular expansion.
+class AngularSymbol:
+    """Symbol on phase space R^2 as a finite angular expansion.
 
-    Angular symbols store radial coefficient functions F_k(r) for modes
-    k = -K .. K.  Symbols are real-valued: an angular one evaluates to the
-    real part of its expansion, which is the expansion itself when
-    F_{-k} = conj(F_k).
+    Stores radial coefficient functions F_k(r) for modes k = -K .. K.
+    Symbols are real-valued: it evaluates to the real part of its
+    expansion, which is the expansion itself when F_{-k} = conj(F_k).
+    (A radial symbol is its RadialProfile.)
     """
 
-    structure: str                      # 'radial' | 'angular'
-    profile: RadialProfile = None
-    modes: tuple = ()                   # ((k, fn), ...) for angular symbols
+    modes: tuple                        # ((k, F_k), ...)
 
     def evaluate(self, x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        if self.structure == "radial":
-            return self.profile(x * x + xi * xi)
+        x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
         r = np.hypot(x, xi)
         theta = np.arctan2(xi, x)
         out = np.zeros(np.broadcast_shapes(x.shape, xi.shape), dtype=complex)
@@ -243,20 +247,14 @@ class Symbol2D:
 
     @property
     def bandwidth(self):
-        """Largest angular mode index (0 for radial symbols)."""
-        if self.structure == "radial":
-            return 0
+        """Largest angular mode index."""
         return max(abs(k) for k, _ in self.modes)
-
-
-def radial_symbol(profile):
-    return Symbol2D("radial", profile=profile)
 
 
 def angular_symbol(modes):
     """modes: dict or iterable of (k, F_k) with F_k a radial function of r."""
     items = modes.items() if isinstance(modes, dict) else modes
-    return Symbol2D("angular", modes=tuple(sorted(items)))
+    return AngularSymbol(tuple(sorted(items)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +314,14 @@ def landau_symbol_check(b, p):
 class Symbol4D:
     """Separable symbol on R^4, tied to a field strength b.
 
-    Terms (c, A, B) mean that the *pulled-back* symbol is sum c A(x, xi)
-    B(y, eta) exactly; the lab-frame symbol is that composed with the inverse
-    frame map, so the pullback costs no quadrature.
+    Terms (c, A, B), A and B radial profiles, mean that the *pulled-back*
+    symbol is sum c A(x^2 + xi^2) B(y^2 + eta^2) exactly; the lab-frame
+    symbol is that composed with the inverse frame map, so the pullback
+    costs no quadrature.
     """
 
     b: float
-    terms: tuple = ()                   # ((coeff, Symbol2D, Symbol2D), ...)
+    terms: tuple = ()                   # ((coeff, RadialProfile, RadialProfile), ...)
 
     def evaluate_pulled(self, x, y, xi, eta):
         """The symbol composed with the frame map (entries live here).
@@ -330,20 +329,24 @@ class Symbol4D:
         The level-basis routes pair the factors and never call this; it is
         the pointwise definition that tests check the stored terms against.
         """
-        out = None
+        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(xi), np.shape(eta)))
         for c, A, B in self.terms:
-            val = c * A.evaluate(x, xi) * B.evaluate(y, eta)
-            out = val if out is None else out + val
-        if out is None:
-            out = np.zeros(np.broadcast_shapes(
-                np.shape(x), np.shape(y), np.shape(xi), np.shape(eta)))
+            out = out + c * A.evaluate(x, xi) * B.evaluate(y, eta)
         return out
 
 
 def separable_symbol(b, terms):
+    """Symbol4D of (c, A, B) terms; a factor that is no RadialProfile raises
+    UnsupportedProfileError naming its term."""
     if not 0 < b < math.inf:
         raise ValueError(f"field strength must be finite and positive, got {b!r}")
-    return Symbol4D(float(b), terms=tuple((float(c), A, B) for c, A, B in terms))
+    terms = tuple((float(c), A, B) for c, A, B in terms)
+    for i, (_, A, B) in enumerate(terms):
+        for F in (A, B):
+            if not isinstance(F, RadialProfile):
+                raise UnsupportedProfileError(f"term {i} has a factor of type {type(F).__name__}; "
+                                              "separable terms take radial profiles only")
+    return Symbol4D(float(b), terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +422,17 @@ def _disk_gauss_convolution(profile):
     return custom(smoothed)
 
 
-def antiwick_to_weyl(F):
-    """Convolution with the unit Gaussian: the Weyl symbol of the anti-Wick operator.
+def antiwick_to_weyl(profile):
+    """Convolution with the unit Gaussian: the Weyl symbol of the anti-Wick
+    operator with radial symbol `profile`, as a profile.
 
-    Radial symbols only; any other structure raises UnsupportedProfileError.
     Gaussian profiles convolve in closed form, Laguerre mixes smooth to
     polynomial-times-Gaussian profiles, compactly supported disks use the
     exact angular arc; every other profile is smoothed by polar quadrature.
     Nonnegative symbols stay nonnegative (positive kernel), and mass is
     preserved for integrable ones.
     """
-    if F.structure != "radial":
-        raise UnsupportedProfileError("only radial symbols are supported")
-    profile, k = F.profile, F.profile.kind
+    k = profile.kind
     if k == "gaussian":
         a = profile.rate
         profile = gaussian(a / (1.0 + a), amplitude=profile.amplitude / (1.0 + a))
@@ -444,7 +445,7 @@ def antiwick_to_weyl(F):
         profile = _disk_gauss_convolution(profile)
     elif k != "constant":
         profile = _radial_gauss_convolution(profile)
-    return radial_symbol(profile)
+    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -462,23 +463,20 @@ def _poly_gauss_laplacian(coeffs, rate):
     return q
 
 
-def laguerre_laplacian(zeta, b, r):
-    """Apply L_r(-Laplacian / 2b) to a closed-form radial symbol, r <= 4.
+def laguerre_laplacian(prof, b, r):
+    """Apply L_r(-Laplacian / 2b) to a closed-form radial profile, r <= 4.
 
     Supported profile kinds: constant, gaussian, poly_gauss, laguerre_mix
-    (expanded to polynomial-times-Gaussian).  r = 0 is the identity.
+    (expanded to polynomial-times-Gaussian); the result is a profile.
+    r = 0 is the identity, and so is any r on a constant.
     """
     if b <= 0:
         raise ValueError("field strength must be positive")
     if r < 0 or r > 4:
         raise ValueError("r must lie in 0..4")
-    if r == 0:
-        return zeta
-    if zeta.structure != "radial":
-        raise UnsupportedProfileError("only radial symbols are supported")
-    prof = zeta.profile
-    if prof.kind == "constant":
-        return zeta
+    if r == 0 or prof.kind == "constant":
+        return prof
+    P = np.polynomial.polynomial
     if prof.kind == "gaussian":
         coeffs = (prof.amplitude,)
         rate = prof.rate
@@ -486,7 +484,6 @@ def laguerre_laplacian(zeta, b, r):
         coeffs = tuple(prof.amplitude * c for c in prof.coeffs)
         rate = prof.rate
     elif prof.kind == "laguerre_mix":
-        P = np.polynomial.polynomial
         acc = np.zeros(1)
         for j, c in enumerate(prof.coeffs):
             if c:
@@ -500,7 +497,6 @@ def laguerre_laplacian(zeta, b, r):
         raise UnsupportedProfileError(
             f"no closed-form Laplacian for profile kind {prof.kind!r}")
 
-    P = np.polynomial.polynomial
     # L_r(-Delta/2b) = sum_j C(r,j)/j! (2b)^-j Delta^j
     total = np.zeros(1)
     term = np.asarray(coeffs, dtype=float)
@@ -508,7 +504,7 @@ def laguerre_laplacian(zeta, b, r):
     for j in range(1, r + 1):
         term = _poly_gauss_laplacian(term, rate)
         total = P.polyadd(total, math.comb(r, j) / math.factorial(j) * (2.0 * b) ** (-j) * term)
-    return radial_symbol(poly_gauss(total, rate))
+    return poly_gauss(total, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -556,21 +552,18 @@ def _bisect(profile, lam, sign, lo, hi, tol=1e-12):
 _VOLUME_SEARCH_CAP = 1e12   # largest s the doubling search for the set's edge reaches
 
 
-def phase_space_volume(F, lam, sign=+1):
-    """(2 pi)^(-1) * Lebesgue measure of the super-level set {sign F > lam}.
+def phase_space_volume(prof, lam, sign=+1):
+    """(2 pi)^(-1) * Lebesgue measure of the super-level set {sign R > lam}.
 
-    Radial symbols only (any other structure raises UnsupportedProfileError):
-    the set is a union of annuli; closed forms for the monotone kinds,
-    monotone-segment bisection otherwise, on [0, 2 s], s the first power of
-    two (from 1) with |R| <= lam at 8 samples on [0.8 s, s].  A profile whose
-    |R| still exceeds lam past s = 1e12 raises ValueError.
+    For the radial symbol R(x^2 + xi^2) the set is a union of annuli, so the
+    volume is half the measure of {s: sign R(s) > lam}: closed forms for the
+    monotone kinds, monotone-segment bisection otherwise, on [0, 2 s], s the
+    first power of two (from 1) with |R| <= lam at 8 samples on [0.8 s, s].
+    A profile whose |R| still exceeds lam past s = 1e12 raises ValueError.
     """
     if lam <= 0:
         raise ValueError("level must be positive")
-    if F.structure != "radial":
-        raise UnsupportedProfileError("only radial symbols are supported")
     sign = 1.0 if sign > 0 else -1.0
-    prof = F.profile
     k = prof.kind
     if k in ("constant", "gaussian", "power", "exp_beta", "disk_indicator"):
         eff = sign * prof.amplitude

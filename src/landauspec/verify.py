@@ -83,7 +83,7 @@ def _suite_symplectic_frame():
 
 
 def _suite_hilbert_schmidt():
-    v = symbols.radial_symbol(symbols.gaussian(0.5, amplitude=1.3))
+    v = symbols.gaussian(0.5, amplitude=1.3)
     mat, sym = operators.hilbert_schmidt_check(v, 48)
     return abs(mat - sym) / abs(sym), 1e-6
 
@@ -93,8 +93,8 @@ def _suite_laplacian_level_shift():
     zeta = symbols.gaussian(0.3)
     for b in (1.0, 2.0):
         sign1, shifted = operators.toeplitz_radial_eigs(zeta, 1, b, 13)
-        dzeta = symbols.laguerre_laplacian(symbols.radial_symbol(zeta), b, 1)
-        sign0, moved = operators.toeplitz_radial_eigs(dzeta.profile, 0, b, 13)
+        dzeta = symbols.laguerre_laplacian(zeta, b, 1)
+        sign0, moved = operators.toeplitz_radial_eigs(dzeta, 0, b, 13)
         err = max(err, float(np.abs(sign0 * sign1 * np.exp(moved - shifted) - 1.0).max()))
     return err, 1e-7
 
@@ -126,7 +126,7 @@ def _suite_banded():
 
 
 def _suite_radial_diagonal():
-    M = operators.weyl_matrix(symbols.radial_symbol(symbols.gaussian(0.4)), 16)
+    M = operators.weyl_matrix(symbols.gaussian(0.4), 16)
     d = np.abs(np.diag(M)).max()
     off = np.abs(M - np.diag(np.diag(M))).max()
     return off / d, 1e-9
@@ -146,9 +146,8 @@ def _suite_positivity_antiwick():
     rep = operators.positivity_laguerre_antiwick(
         symbols.custom(lambda s: 1.0 - s), 6)
     ok2 = (not rep.all_nonneg) and rep.first_negative_index == 0
-    smooth = symbols.antiwick_to_weyl(
-        symbols.radial_symbol(symbols.disk_indicator(1.5)))
-    ok3 = operators.positivity_laguerre_weyl(smooth.profile, 12).all_nonneg
+    smooth = symbols.antiwick_to_weyl(symbols.disk_indicator(1.5))
+    ok3 = operators.positivity_laguerre_weyl(smooth, 12).all_nonneg
     return 0.0 if (ok1 and ok2 and ok3) else 1.0, 0.5
 
 

@@ -109,7 +109,7 @@ def test_criterion_06_radial_diagonalization():
     details = []
 
     for prof in (gauss, mix):
-        T = op.weyl_matrix(sy.radial_symbol(prof), 33)
+        T = op.weyl_matrix(prof, 33)
         diag = np.real(np.diag(T))
         off = np.abs(T - np.diag(np.diag(T))).max()
         ratio = off / np.abs(diag).max()
@@ -124,7 +124,7 @@ def test_criterion_06_radial_diagonalization():
 
     a = 0.1
     aw = op.antiwick_radial_eigs(sy.gaussian(a), 65)
-    wconv = op.weyl_radial_eigs(sy.antiwick_to_weyl(sy.radial_symbol(sy.gaussian(a))).profile, 65)
+    wconv = op.weyl_radial_eigs(sy.antiwick_to_weyl(sy.gaussian(a)), 65)
     rel_aw = np.abs(aw / wconv - 1).max()
     ok &= rel_aw < 1e-8
     dt = time.time() - t0
@@ -133,10 +133,10 @@ def test_criterion_06_radial_diagonalization():
 
 
 def test_criterion_07_rank_one_and_hilbert_schmidt():
-    v = sy.radial_symbol(sy.gaussian(1.0, amplitude=2.0))   # 2 pi Psi_0
+    v = sy.gaussian(1.0, amplitude=2.0)   # 2 pi Psi_0
     eigs = np.linalg.eigvalsh(op.weyl_matrix(v, 16))
     err = max(abs(eigs[-1] - 1.0), float(np.abs(eigs[:-1]).max()))
-    mat, symn = op.hilbert_schmidt_check(sy.radial_symbol(sy.gaussian(0.5, amplitude=1.1)), 64)
+    mat, symn = op.hilbert_schmidt_check(sy.gaussian(0.5, amplitude=1.1), 64)
     hs = abs(mat - symn) / symn
     _report(7, err < 1e-9 and hs < 1e-6,
             f"projection spectrum err {err:.2e}; Frobenius-vs-symbol norm {hs:.2e} at N=64")
@@ -148,7 +148,7 @@ def test_criterion_08_laplacian_level_shift():
     for b in (1.0, 2.0):
         zeta = sy.gaussian(0.3)
         sign, log_lhs = op.toeplitz_radial_eigs(
-            sy.laguerre_laplacian(sy.radial_symbol(zeta), b, 1).profile, 0, b, 21)
+            sy.laguerre_laplacian(zeta, b, 1), 0, b, 21)
         lhs = sign * np.exp(log_lhs)
         sign, log_rhs = op.toeplitz_radial_eigs(zeta, 1, b, 21)
         rhs = sign * np.exp(log_rhs)
@@ -236,8 +236,8 @@ def test_criterion_12_exponential_weight_asymptotics():
 
 def test_criterion_13_counting_function_vs_volume():
     t0 = time.time()
-    v = sy.radial_symbol(sy.power(2.0))
-    mu = op.weyl_radial_eigs(v.profile, 5000)
+    v = sy.power(2.0)
+    mu = op.weyl_radial_eigs(v, 5000)
     worst = 0.0
     for lam in np.exp(np.linspace(math.log(1e-3), math.log(1e-2), 9)):
         count = int(np.sum(mu > lam))

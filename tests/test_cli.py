@@ -273,9 +273,17 @@ _RERUN_CONFIGS = {
 }
 
 
-# one config per command: the rerun configs and a small capacity run
+# one config per command: the rerun configs and a small capacity run on a
+# union, whose lower_cert is NaN in memory and null on disk
 _CONTRACT_CONFIGS = {**_RERUN_CONFIGS, "capacity": {
-    "set": {"kind": "disk", "radius": 1.0}, "j_max": 8, "restarts": 0}}
+    "set": {"kind": "union", "members": [
+        {"kind": "disk", "center": [-2.0, 0.0], "radius": 0.5},
+        {"kind": "disk", "center": [2.0, 0.0], "radius": 0.5}]},
+    "j_max": 8, "restarts": 0}}
+
+
+def _strict_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 def test_every_config_command_has_a_contract_config():
@@ -287,8 +295,9 @@ def test_every_config_command_has_a_contract_config():
 
 @pytest.mark.parametrize("command", list(_CONTRACT_CONFIGS))
 def test_outputs_follow_the_readme_contract(tmp_path, command):
-    # CSV: \r\n line ends and 17 significant digits; JSON: key-sorted, indent 2,
-    # a final newline; <command>.json carries the provenance block
+    # CSV: \r\n line ends and 17 significant digits; JSON: strict (no NaN or
+    # Infinity), key-sorted, indent 2, a final newline; <command>.json carries
+    # the provenance block
     cfg = write_config(tmp_path, "c.json", _CONTRACT_CONFIGS[command])
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 0
@@ -303,7 +312,7 @@ def test_outputs_follow_the_readme_contract(tmp_path, command):
                 for cell in line.decode().split(","):
                     assert cell == format(float(cell), ".17g"), (path.name, cell)
         else:
-            data = json.loads(raw)
+            data = json.loads(raw, parse_constant=_strict_constant)
             assert raw.decode() == json.dumps(data, sort_keys=True, indent=2) + "\n", path.name
     prov = json.loads((out / json_name).read_bytes())["provenance"]
     digest = hashlib.sha256(Path(cfg).read_bytes()).hexdigest()

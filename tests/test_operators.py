@@ -23,13 +23,13 @@ def gaussian_weyl_exact(a, amp, count):
 
 
 def test_weyl_matrix_constant_is_identity():
-    M = op.weyl_matrix(sy.radial_symbol(sy.constant(2.5)), 8)
+    M = op.weyl_matrix(sy.constant(2.5), 8)
     assert np.abs(M - 2.5 * np.eye(8)).max() < 1e-10
 
 
 def test_weyl_matrix_rank_one_projection():
     # 2 pi Psi_0 is the symbol of the projection onto the ground state
-    v = sy.radial_symbol(sy.gaussian(1.0, amplitude=2.0))
+    v = sy.gaussian(1.0, amplitude=2.0)
     M = op.weyl_matrix(v, 10)
     assert M[0, 0].real == pytest.approx(1.0, abs=1e-9)
     off = M.copy()
@@ -54,11 +54,20 @@ def test_pair_phase_fault_reaches_the_dense_pairing():
 
 def test_weyl_matrix_radial_is_diagonal():
     for prof in (sy.gaussian(0.3), sy.laguerre_mix([0.5, 0.2, -0.1])):
-        M = op.weyl_matrix(sy.radial_symbol(prof), 14)
+        M = op.weyl_matrix(prof, 14)
         d = np.abs(np.diag(M)).max()
         off = np.abs(M - np.diag(np.diag(M))).max()
         assert off < 1e-9 * d
         assert np.abs(M - M.conj().T).max() < 1e-10 * np.linalg.norm(M)
+
+
+def test_weyl_matrix_of_a_profile_is_its_one_mode_angular_symbol():
+    # a profile evaluates on R^2 as R(x^2 + xi^2): the dense route reads it as
+    # it reads the same Gaussian written as an angular expansion
+    gauss = sy.gaussian(0.6)
+    M = op.weyl_matrix(gauss, 12)
+    A = op.weyl_matrix(sy.angular_symbol({0: lambda r: gauss(r * r)}), 12)
+    assert np.abs(M - A).max() < 1e-12
 
 
 def test_weyl_matrix_kernel_integral_oracle():
@@ -91,12 +100,12 @@ def test_weyl_matrix_kernel_integral_oracle():
 
 def test_weyl_matrix_doubling_check_flags_bad_symbol():
     # cos(60 s) neither decays nor is resolved by any order up to the cap
-    wild = sy.radial_symbol(sy.custom(lambda s: np.cos(60.0 * s)))
+    wild = sy.custom(lambda s: np.cos(60.0 * s))
     with pytest.raises(qd.QuadratureAccuracyError, match="not settled by order 1280"):
         op.weyl_matrix(wild, 2)
     # n = 400 would start at order 816, past the last order that can be doubled
     with pytest.raises(qd.QuadratureAccuracyError, match="would start at order 816"):
-        op.weyl_matrix(sy.radial_symbol(sy.gaussian(1.0)), 400)
+        op.weyl_matrix(sy.gaussian(1.0), 400)
 
 
 @pytest.mark.parametrize("prof", [sy.exp_beta(0.8, 2.0), sy.power(3.0)],
@@ -104,26 +113,26 @@ def test_weyl_matrix_doubling_check_flags_bad_symbol():
 def test_weyl_matrix_default_diagonal_matches_radial_eigs(prof):
     # at order max(80, 2n + 16) alone the diagonal was off by 1.0e-6 (exp_beta)
     # and 5.4e-8 (power); the doubling goes on until two orders agree
-    M = op.weyl_matrix(sy.radial_symbol(prof), 10)
+    M = op.weyl_matrix(prof, 10)
     assert np.abs(np.real(np.diag(M)) - op.weyl_radial_eigs(prof, 10)).max() < 1e-10
 
 
 def test_hilbert_schmidt_identity():
     # F = 2 pi Psi_0: squared Frobenius mass 1 equals (2 pi)^-1 ||F||^2
-    v = sy.radial_symbol(sy.gaussian(1.0, amplitude=2.0))
+    v = sy.gaussian(1.0, amplitude=2.0)
     mat, sym = op.hilbert_schmidt_check(v, 12)
     assert mat == pytest.approx(1.0, abs=1e-9)
     assert sym == pytest.approx(1.0, abs=1e-9)
-    z = sy.radial_symbol(sy.constant(0.0))
+    z = sy.constant(0.0)
     assert op.hilbert_schmidt_check(z, 6) == (0.0, 0.0)
-    g = sy.radial_symbol(sy.gaussian(0.5, amplitude=1.2))
+    g = sy.gaussian(0.5, amplitude=1.2)
     mat, sym = op.hilbert_schmidt_check(g, 64)
     assert mat == pytest.approx(sym, rel=1e-6)
     assert mat <= sym * (1 + 1e-9)   # truncation converges upward
 
 
 def test_banded_structure():
-    radial = sy.radial_symbol(sy.gaussian(0.4))
+    radial = sy.gaussian(0.4)
     max_in, max_out = op.banded_structure_check(radial, 10)
     assert max_out < 1e-9 * max_in
     cos_sym = sy.angular_symbol({1: lambda r: 0.5 * r * np.exp(-r**2),
@@ -199,7 +208,7 @@ def test_weyl_radial_eigs_high_level_kernel(q):
 def test_weyl_radial_eigs_matches_matrix_diagonal():
     prof = sy.gaussian(0.15)
     mu = op.weyl_radial_eigs(prof, 33)
-    diag = np.real(np.diag(op.weyl_matrix(sy.radial_symbol(prof), 33)))
+    diag = np.real(np.diag(op.weyl_matrix(prof, 33)))
     assert np.abs(diag / mu - 1).max() < 1e-8
 
 
@@ -244,8 +253,8 @@ def test_antiwick_radial_eigs_gamma_oracle():
 def test_antiwick_equals_weyl_of_smoothed():
     a = 0.1
     aw = op.antiwick_radial_eigs(sy.gaussian(a), 65)
-    smoothed = sy.antiwick_to_weyl(sy.radial_symbol(sy.gaussian(a)))
-    w = op.weyl_radial_eigs(smoothed.profile, 65)
+    smoothed = sy.antiwick_to_weyl(sy.gaussian(a))
+    w = op.weyl_radial_eigs(smoothed, 65)
     assert np.abs(aw / w - 1).max() < 1e-8
 
 
@@ -479,6 +488,15 @@ def test_log_grid_truncation_raises():
     assert np.isfinite(op.toeplitz_radial_eigs(sy.disk_indicator(1e-30), 0, 1.0, 10)[1]).all()
 
 
+@pytest.mark.parametrize("q", [0, 2])
+def test_zero_weight_moments_are_zero_without_warning(q):
+    # every row is 0 at every node (peak -inf): no margin to check, no
+    # RuntimeWarning (the suite turns one into an error), nu_k = 0
+    sign, logs = op.toeplitz_radial_eigs(sy.constant(0.0), q, 1.0, 4)
+    assert (sign == 0).all() and (logs == -np.inf).all()
+    assert (op.antiwick_radial_eigs(sy.gaussian(1.0, amplitude=0.0), 4) == 0).all()
+
+
 def test_toeplitz_higher_level_2d_quadrature_oracle():
     zeta = sy.gaussian(0.3)
     b, q = 1.0, 2
@@ -537,7 +555,7 @@ def test_toeplitz_level_shift_identity():
     for b in (1.0, 2.0):
         zeta = sy.gaussian(0.3)
         sign, log_lhs = op.toeplitz_radial_eigs(
-            sy.laguerre_laplacian(sy.radial_symbol(zeta), b, 1).profile, 0, b, 21)
+            sy.laguerre_laplacian(zeta, b, 1), 0, b, 21)
         lhs = sign * np.exp(log_lhs)
         sign, log_rhs = op.toeplitz_radial_eigs(zeta, 1, b, 21)
         rhs = sign * np.exp(log_rhs)
@@ -578,8 +596,8 @@ def test_assemble_single_level_block_matches_weyl_matrix():
     vprof = sy.gaussian(0.5, amplitude=0.6)
     q0, Q, K, b = 1, 3, 8, 1.0
     V = sy.separable_symbol(b, [(2 * np.pi,
-                                 sy.radial_symbol(sy.diag_kernel_profile(q0)),
-                                 sy.radial_symbol(vprof))])
+                                 sy.diag_kernel_profile(q0),
+                                 vprof)])
     H = op.assemble_hv(V, Q, K, sign=+1).diagonal
     lam = op.landau_levels(b, Q)
     for q in range(Q):
@@ -594,7 +612,7 @@ def test_assemble_phase_invariance():
     # spectra with and without the i^(k-l) phases coincide: conjugation by
     # the diagonal unitary diag(i^k)
     vprof = sy.laguerre_mix([0.5, 0.3, -0.2], amplitude=0.4)
-    M = op.weyl_matrix(sy.radial_symbol(vprof), 10)
+    M = op.weyl_matrix(vprof, 10)
     ph = np.array([1, 1j, -1, -1j])[np.arange(10) % 4]
     conj = ph[:, None] * M * np.conj(ph)[None, :]
     e1 = np.linalg.eigvalsh(M)
@@ -631,8 +649,8 @@ def _dense_hv(V, Q, K, sign):
 def test_radial_diagonal_matches_dense_pairings(profile):
     Q, K = 4, 10
     V = sy.separable_symbol(1.3, [
-        (1.7, sy.radial_symbol(profile), sy.radial_symbol(profile)),
-        (-0.4, sy.radial_symbol(sy.gaussian(0.3)), sy.radial_symbol(profile))])
+        (1.7, profile, profile),
+        (-0.4, sy.gaussian(0.3), profile)])
     H = op.assemble_hv(V, Q, K, sign=-1)
     dense = _dense_hv(V, Q, K, -1)
     assert np.abs(np.diag(H.diagonal.ravel()) - dense).max() < 1e-11
@@ -641,17 +659,6 @@ def test_radial_diagonal_matches_dense_pairings(profile):
     boundary = max(M0[:, K - 1].max(), M0[:, :, :, K - 1].max(),
                    M0[Q - 1].max(), M0[:, :, Q - 1].max())
     assert H.trust_radius == pytest.approx(10 * boundary, rel=1e-9, abs=1e-10)
-
-
-def test_assemble_refuses_non_radial_factor():
-    # the same Gaussian written as a one-mode angular symbol, in the second term
-    gauss = sy.gaussian(0.6, amplitude=0.5)
-    A = sy.radial_symbol(sy.diag_kernel_profile(0))
-    V = sy.separable_symbol(1.0, [
-        (2 * np.pi, A, sy.radial_symbol(gauss)),
-        (2 * np.pi, A, sy.angular_symbol({0: lambda r: gauss(r * r)}))])
-    with pytest.raises(sy.UnsupportedProfileError, match="term 1 has a radial x angular"):
-        op.assemble_hv(V, 2, 4, sign=+1)
 
 
 def test_gap_counts_recountable():
@@ -675,8 +682,8 @@ def test_positivity_weyl():
     assert not flipped.all_nonneg and flipped.first_negative_index == 1
     assert flipped.coefficients[1] == pytest.approx(-2.0, rel=1e-9)
     # anti-Wick of a nonnegative profile is nonnegative after smoothing
-    smooth = sy.antiwick_to_weyl(sy.radial_symbol(sy.disk_indicator(1.0)))
-    assert op.positivity_laguerre_weyl(smooth.profile, 10).all_nonneg
+    smooth = sy.antiwick_to_weyl(sy.disk_indicator(1.0))
+    assert op.positivity_laguerre_weyl(smooth, 10).all_nonneg
 
 
 def test_positivity_antiwick():
@@ -746,10 +753,10 @@ def test_birman_schwinger_matches_numeric_smoothing():
     zeta, r, q, b, levels, radial = sy.gaussian(0.25), 1, 0, 1.0, 2, 24
     res = op.birman_schwinger_check(zeta, r=r, q=q, b=b, levels=levels, radial=radial,
                                     k_range=(4, 10))
-    omega = sy.laguerre_laplacian(sy.radial_symbol(zeta), b, r)
+    omega = sy.laguerre_laplacian(zeta, b, r)
     v = sy.antiwick_to_weyl(omega)              # vt(s) = omega(s / b) is omega at b = 1
-    assert v.profile.kind == "custom"           # the numeric smoothing route
-    V = sy.separable_symbol(b, [(2 * np.pi, sy.radial_symbol(sy.diag_kernel_profile(q)), v)])
+    assert v.kind == "custom"           # the numeric smoothing route
+    V = sy.separable_symbol(b, [(2 * np.pi, sy.diag_kernel_profile(q), v)])
     for sign, key in ((+1, "shifts_plus"), (-1, "shifts_minus")):
         rep = op.eig_hermitian(op.assemble_hv(V, levels, radial, sign=sign))
         ref = op._gap_shifts(rep, q, sign)[:11]
@@ -762,7 +769,7 @@ def test_sandwich_sequence_is_the_level0_compression(r, b):
     # the anti-Wick sequence of vt(s) = omega(s / b), with the dilation folded
     # into the parameters by hand, is the level-0 Toeplitz sequence of omega
     rate, n = 0.25, 40
-    omega = sy.laguerre_laplacian(sy.radial_symbol(sy.gaussian(rate)), b, r).profile
+    omega = sy.laguerre_laplacian(sy.gaussian(rate), b, r)
     if r == 0:
         vt = sy.gaussian(rate / b)
     else:

@@ -139,14 +139,24 @@ def test_separable_symbol_refuses_bad_field_strength(b):
 def test_separable_pullback_is_exact():
     # separable symbols store the pulled factors, so the pulled-back symbol
     # is A (x) B to machine precision
-    A = sy.radial_symbol(sy.gaussian(0.6, amplitude=1.3))
-    B = sy.radial_symbol(sy.laguerre_mix([0.2, -0.4, 0.3]))
+    A = sy.gaussian(0.6, amplitude=1.3)
+    B = sy.laguerre_mix([0.2, -0.4, 0.3])
     V = sy.separable_symbol(2.0, [(0.9, A, B)])
     rng = np.random.default_rng(5)
     for _ in range(25):
         x, y, xi, eta = rng.normal(size=4)
-        stored = 0.9 * float(A.profile(x * x + xi * xi)) * float(B.profile(y * y + eta * eta))
+        stored = 0.9 * float(A(x * x + xi * xi)) * float(B(y * y + eta * eta))
         assert V.evaluate_pulled(x, y, xi, eta) == pytest.approx(stored, rel=1e-15)
+
+
+def test_separable_symbol_refuses_non_radial_factor():
+    # the same Gaussian written as a one-mode angular symbol, in the second term
+    gauss = sy.gaussian(0.6, amplitude=0.5)
+    A = sy.diag_kernel_profile(0)
+    with pytest.raises(sy.UnsupportedProfileError, match="term 1 has a factor of type AngularSymbol"):
+        sy.separable_symbol(1.0, [
+            (2 * np.pi, A, gauss),
+            (2 * np.pi, A, sy.angular_symbol({0: lambda r: gauss(r * r)}))])
 
 
 # ---------------------------------------------------------------------------
@@ -154,47 +164,41 @@ def test_separable_pullback_is_exact():
 
 
 def test_antiwick_gaussian_closed_form():
-    F = sy.radial_symbol(sy.gaussian(1.0, amplitude=1 / np.pi))
+    F = sy.gaussian(1.0, amplitude=1 / np.pi)
     G = sy.antiwick_to_weyl(F)
     s = np.array([0.0, 1.0, 4.0])
-    assert np.abs(G.profile(s) - np.exp(-0.5 * s) / (2 * np.pi)).max() < 1e-15
+    assert np.abs(G(s) - np.exp(-0.5 * s) / (2 * np.pi)).max() < 1e-15
     # numeric convolution oracle
     num = sy._radial_gauss_convolution(sy.gaussian(1.0, amplitude=1 / np.pi))
-    assert np.abs(num(s) - G.profile(s)).max() < 1e-10
+    assert np.abs(num(s) - G(s)).max() < 1e-10
 
 
 def test_antiwick_constant():
-    G = sy.antiwick_to_weyl(sy.radial_symbol(sy.constant(1.0)))
-    assert float(G.profile(5.0)) == 1.0
-
-
-def test_antiwick_rejects_non_radial_symbols():
-    F = sy.angular_symbol({0: lambda r: np.exp(-r * r)})
-    with pytest.raises(sy.UnsupportedProfileError):
-        sy.antiwick_to_weyl(F)
+    G = sy.antiwick_to_weyl(sy.constant(1.0))
+    assert float(G(5.0)) == 1.0
 
 
 def test_antiwick_disk_mass_and_positivity():
     c = 2.0
-    F = sy.radial_symbol(sy.disk_indicator(c))
+    F = sy.disk_indicator(c)
     G = sy.antiwick_to_weyl(F)
     mass0 = math.pi * c
-    mass1 = math.pi * qd.integrate_halfline(lambda t: np.atleast_1d(G.profile(t)),
+    mass1 = math.pi * qd.integrate_halfline(lambda t: np.atleast_1d(G(t)),
                                             order=600)
     assert mass1 == pytest.approx(mass0, rel=1e-8)
     s = np.linspace(0, 12, 50)
-    assert np.all(np.atleast_1d(G.profile(s)) >= 0.0)
+    assert np.all(np.atleast_1d(G(s)) >= 0.0)
 
 
 def test_antiwick_mass_preserved_generic_profile():
     prof = sy.exp_beta(0.8, 1.5)
-    G = sy.antiwick_to_weyl(sy.radial_symbol(prof))
+    G = sy.antiwick_to_weyl(prof)
     # the profile's half-power makes its derivative singular at 0; integrate
     # the mass oracle in r (t = r^2) where the integrand is smooth
     r_rule = qd.gauss_legendre_panel(400, 0.0, 12.0)
     mass0 = math.pi * float(np.dot(r_rule.weights,
                                    prof(r_rule.nodes**2) * 2.0 * r_rule.nodes))
-    mass1 = math.pi * qd.integrate_halfline(lambda t: np.atleast_1d(G.profile(t)),
+    mass1 = math.pi * qd.integrate_halfline(lambda t: np.atleast_1d(G(t)),
                                             order=400)
     assert mass1 == pytest.approx(mass0, rel=1e-8)
 
@@ -205,40 +209,40 @@ def test_antiwick_mass_preserved_generic_profile():
 
 def test_laguerre_laplacian_gaussian():
     a, b = 0.5, 1.0
-    z = sy.radial_symbol(sy.gaussian(a))
+    z = sy.gaussian(a)
     dz = sy.laguerre_laplacian(z, b, 1)
     s = np.linspace(0, 5, 21)
     expect = (1 + (2 * a / b) * (a * s - 1)) * np.exp(-a * s)
-    assert np.abs(dz.profile(s) - expect).max() < 1e-13
+    assert np.abs(dz(s) - expect).max() < 1e-13
 
 
 def test_laguerre_laplacian_identity_and_constant():
-    z = sy.radial_symbol(sy.gaussian(0.4))
+    z = sy.gaussian(0.4)
     assert sy.laguerre_laplacian(z, 1.0, 0) is z
-    c = sy.radial_symbol(sy.constant(2.0))
-    assert float(sy.laguerre_laplacian(c, 1.0, 1).profile(3.0)) == 2.0
+    c = sy.constant(2.0)
+    assert float(sy.laguerre_laplacian(c, 1.0, 1)(3.0)) == 2.0
 
 
 def test_laguerre_laplacian_finite_difference_oracle():
     # radial Laplacian of f(x, y) = g(x^2 + y^2) by 5-point stencil
     a, b, r = 0.3, 2.0, 1
-    z = sy.radial_symbol(sy.gaussian(a))
+    z = sy.gaussian(a)
     dz = sy.laguerre_laplacian(z, b, r)
     h = 1e-4
     for (x, y) in [(0.5, 0.2), (1.0, -0.7), (0.1, 1.3)]:
         def g(xx, yy):
-            return float(z.profile(xx * xx + yy * yy))
+            return float(z(xx * xx + yy * yy))
         lap = (g(x + h, y) + g(x - h, y) + g(x, y + h) + g(x, y - h) - 4 * g(x, y)) / h**2
         expect = g(x, y) + lap / (2 * b)
-        got = float(dz.profile(x * x + y * y))
+        got = float(dz(x * x + y * y))
         assert got == pytest.approx(expect, rel=1e-6)
 
 
 def test_laguerre_laplacian_unsupported():
     with pytest.raises(sy.UnsupportedProfileError):
-        sy.laguerre_laplacian(sy.radial_symbol(sy.power(2.0)), 1.0, 1)
+        sy.laguerre_laplacian(sy.power(2.0), 1.0, 1)
     with pytest.raises(ValueError):
-        sy.laguerre_laplacian(sy.radial_symbol(sy.gaussian(1.0)), 1.0, 5)
+        sy.laguerre_laplacian(sy.gaussian(1.0), 1.0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +251,22 @@ def test_laguerre_laplacian_unsupported():
 
 def test_phase_space_volume_closed_forms():
     gamma = 2.0
-    v = sy.radial_symbol(sy.power(gamma))
+    v = sy.power(gamma)
     lam = 1e-2
     assert sy.phase_space_volume(v, lam) == pytest.approx(
         (lam ** (-2 / gamma) - 1) / 2, rel=1e-12)
     assert sy.phase_space_volume(v, 2.0) == 0.0
-    disk = sy.radial_symbol(sy.disk_indicator(3.0, amplitude=2.0))
+    disk = sy.disk_indicator(3.0, amplitude=2.0)
     assert sy.phase_space_volume(disk, 1.0) == pytest.approx(1.5)
     assert sy.phase_space_volume(disk, 2.5) == 0.0
-    g = sy.radial_symbol(sy.gaussian(0.5))
+    g = sy.gaussian(0.5)
     assert sy.phase_space_volume(g, 0.1) == pytest.approx(math.log(10) / 1.0, rel=1e-12)
 
 
 def test_phase_space_volume_counting_prediction():
     # the counting-function prediction for power(2): zero above the maximum,
     # decreasing in the level
-    v = sy.radial_symbol(sy.power(2.0))
+    v = sy.power(2.0)
     assert sy.phase_space_volume(v, 1e-2) == pytest.approx(49.5)
     assert sy.phase_space_volume(v, 2.0) == 0.0
     vals = [sy.phase_space_volume(v, lam) for lam in np.linspace(1e-3, 1e-2, 9)]
@@ -272,8 +276,8 @@ def test_phase_space_volume_counting_prediction():
 def test_phase_space_volume_numeric_segments():
     # custom profile handled by scan + bisection; oracle: gaussian closed form
     prof = sy.custom(sy.gaussian(0.5))
-    v = sy.radial_symbol(prof)
-    ref = sy.phase_space_volume(sy.radial_symbol(sy.gaussian(0.5)), 0.2)
+    v = prof
+    ref = sy.phase_space_volume(sy.gaussian(0.5), 0.2)
     assert sy.phase_space_volume(v, 0.2) == pytest.approx(ref, rel=1e-9)
 
 
@@ -286,19 +290,13 @@ def test_phase_space_volume_search_cap_raises(prof):
     # |R| > lam out to the search cap: the doubling search must say so
     # instead of returning half the cap as the volume
     with pytest.raises(ValueError, match=r"level 0\.5.*1e\+12"):
-        sy.phase_space_volume(sy.radial_symbol(prof), 0.5)
+        sy.phase_space_volume(prof, 0.5)
 
 
 def test_phase_space_volume_negative_side():
-    v = sy.radial_symbol(sy.gaussian(1.0, amplitude=-2.0))
+    v = sy.gaussian(1.0, amplitude=-2.0)
     assert sy.phase_space_volume(v, 1.0, sign=-1) == pytest.approx(math.log(2.0) / 2, rel=1e-12)
     assert sy.phase_space_volume(v, 1.0, sign=+1) == 0.0
-
-
-def test_phase_space_volume_refuses_angular_symbols():
-    v = sy.angular_symbol({0: lambda r: np.exp(-r * r)})
-    with pytest.raises(sy.UnsupportedProfileError, match="only radial"):
-        sy.phase_space_volume(v, 0.5)
 
 
 def test_condition_c_estimate():
