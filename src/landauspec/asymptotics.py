@@ -33,10 +33,17 @@ from . import symbols
 
 
 def mu_from_weight(gamma, beta, b):
-    """The decay constant mu = gamma (2/b)^beta; the only place it is formed."""
+    """The decay constant mu = gamma (2/b)^beta, a normal double; the only place it is formed."""
     if gamma <= 0 or beta <= 0 or b <= 0:
         raise ValueError("gamma, beta, b must be positive")
-    return gamma * (2.0 / b) ** beta
+    try:
+        mu = gamma * (2.0 / b) ** beta
+    except OverflowError:               # float ** raises where * and / give inf
+        mu = math.inf
+    if not np.finfo(float).tiny <= mu < math.inf:   # else (beta mu)^(-1/beta) may overflow
+        raise ValueError(f"mu = gamma (2/b)^beta is {mu!r} at gamma={gamma!r}, beta={beta!r}, "
+                         f"b={b!r}, outside the normal doubles")
+    return mu
 
 
 def predict_compact(k, b, cap):
@@ -161,6 +168,8 @@ def compact_model(b, cap):
     b, cap = float(b), float(cap)
     if not (b > 0 and cap > 0):       # the law reads cap^2, so a sign would be lost
         raise ValueError(f"b and capacity must be positive, got b={b!r}, capacity={cap!r}")
+    if not 0 < b * cap * cap / 2.0 < math.inf:     # predict_compact takes its log
+        raise ValueError(f"b capacity^2/2 is {b * cap * cap / 2!r}, not a finite positive double")
     return AsymptoticModel("compact", b=b, capacity=cap)
 
 

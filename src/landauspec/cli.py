@@ -246,6 +246,8 @@ def _radial_eigs(cfg):
 
 def _level_spectrum(V, b, levels, radial, sign):
     """Eigenvalue report of the level-basis H_V, and its trust radius and warning."""
+    if not math.isfinite(b * (2.0 * levels + 1.0)):    # the top of the gap windows
+        raise ConfigError(f"b: the top Landau level b (2 levels + 1) overflows at b={b!r}")
     H = operators.assemble_hv(V, levels, radial, sign=sign)
     trust = H.trust_radius
     return operators.eig_hermitian(H), {"trust_radius": trust,

@@ -459,9 +459,9 @@ def eig_hermitian(H):
     Degenerate eigenvalues cluster within 1e-10 of the diagonal's 2-norm.
     """
     eigs = np.sort(H.diagonal, axis=None)
-    # the norm of the diagonal over a power of two near its largest entry: exact
-    # scaling, and the squares cannot overflow past |entry| ~ 1.3e154
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(H.diagonal).max()))[1])
+    # the norm of the diagonal over the power of two at or below its largest entry: exact
+    # scaling, finite up to the largest double, and no square overflows past |entry| ~ 1.3e154
+    scale = math.ldexp(0.5, math.frexp(float(np.abs(H.diagonal).max()))[1])
     tol = 1e-10 * scale * float(np.linalg.norm(H.diagonal / scale))
     levels = H.diagonal.shape[0]
     lam = landau_levels(H.b, levels + 1)

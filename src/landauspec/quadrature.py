@@ -279,18 +279,3 @@ def integrate_r2(f, order=None):
     vals = f(x[:, None], x[None, :])
     return np.einsum("i,j,ij->", fw, fw, vals)
 
-
-def integrate_halfline(f, order=None, support=None):
-    """Estimate the integral of f over [0, inf).
-
-    f carries its own decay.  When `support` is given (compactly supported
-    integrand vanishing beyond it) a Gauss-Legendre panel on [0, support]
-    replaces Gauss-Laguerre, which would otherwise lose all accuracy at
-    the jump.  The radial routes build their own rules; tests keep this as
-    the independent half-line oracle.
-    """
-    if support is not None:
-        rule = gauss_legendre_panel(order or DEFAULT_ORDER_HALFLINE, 0.0, float(support))
-        return float(np.dot(rule.weights, f(rule.nodes)))
-    rule = gauss_laguerre(order or DEFAULT_ORDER_HALFLINE)
-    return float(np.dot(rule.flat_weights, f(rule.nodes)))

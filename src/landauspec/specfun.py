@@ -77,23 +77,6 @@ def hermite_fn(q, x):
     return val
 
 
-def laguerre(q, nu, xi):
-    """Generalized Laguerre polynomial L_q^(nu)(xi) by three-term recurrence.
-
-    Unscaled, so it overflows at large degree; no runtime path calls it, and
-    tests keep it as the plain-recurrence oracle for laguerre_log_abs.
-    """
-    if q < 0:
-        raise ValueError("degree must be nonnegative")
-    xi = np.asarray(xi, dtype=float)
-    l_prev = np.zeros_like(xi)
-    l_cur = np.ones_like(xi)
-    for j in range(q):
-        l_next = ((2.0 * j + nu + 1.0 - xi) * l_cur - (j + nu) * l_prev) / (j + 1.0)
-        l_prev, l_cur = l_cur, l_next
-    return l_cur if l_cur.ndim else float(l_cur)
-
-
 def laguerre_fn_iter(alpha, u, m_max):
     """Yield the orthonormal weighted Laguerre functions ell_m^(alpha)(u), m <= m_max.
 

@@ -6,9 +6,10 @@ returns one.  Covers the profile families used as perturbation weights,
 angular expansions on R^2, separable symbols on R^4 with radial factors,
 the linear symplectic change of coordinates that straightens the magnetic
 Hamiltonian into a scaled oscillator, anti-Wick to Weyl conversion
-(Gaussian smoothing), the Laguerre polynomial of the Laplacian, radial
-Fourier transforms (Hankel on the breakpoint rule), super-level-set volumes,
-and the two-sided logarithmic-derivative bounds.
+(Gaussian smoothing: closed forms and the disk's exact arc), the Laguerre
+polynomial of the Laplacian, radial Fourier transforms (Hankel on the
+breakpoint rule), super-level-set volumes, and the two-sided
+logarithmic-derivative bounds.
 
 Symbols are immutable after construction; every transform returns a new one.
 """
@@ -317,22 +318,11 @@ class Symbol4D:
     Terms (c, A, B), A and B radial profiles, mean that the *pulled-back*
     symbol is sum c A(x^2 + xi^2) B(y^2 + eta^2) exactly; the lab-frame
     symbol is that composed with the inverse frame map, so the pullback
-    costs no quadrature.
+    costs no quadrature; the level-basis routes pair the factors directly.
     """
 
     b: float
     terms: tuple = ()                   # ((coeff, RadialProfile, RadialProfile), ...)
-
-    def evaluate_pulled(self, x, y, xi, eta):
-        """The symbol composed with the frame map (entries live here).
-
-        The level-basis routes pair the factors and never call this; it is
-        the pointwise definition that tests check the stored terms against.
-        """
-        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(xi), np.shape(eta)))
-        for c, A, B in self.terms:
-            out = out + c * A.evaluate(x, xi) * B.evaluate(y, eta)
-        return out
 
 
 def separable_symbol(b, terms):
@@ -351,41 +341,6 @@ def separable_symbol(b, terms):
 
 # ---------------------------------------------------------------------------
 # anti-Wick -> Weyl (Gaussian smoothing)
-
-
-def _radial_gauss_convolution(profile):
-    """Numeric radial convolution with the unit Gaussian, as a custom profile.
-
-    (R * G)(s0) = (1/pi) int_0^inf int_0^2pi
-                  R(s0 + p^2 - 2 sqrt(s0) p cos t) e^(-p^2) p dt dp,
-    radial variable kept as p (the integrand is entire in p, unlike in
-    p^2 where a sqrt kink would slow the rule down), by 200 Gauss-Legendre
-    nodes on [0, 9]; the e^(-p^2) envelope makes the finite panel exact for
-    practical purposes.  Angular average by 512 midpoints (periodic,
-    spectrally accurate).  The smoothing route for profiles with no closed
-    form, and the oracle tests hold the closed forms against.
-    """
-    n_theta = 512
-    rule = quadrature.gauss_legendre_panel(200, 0.0, 9.0)
-    rho = rule.nodes
-    weights = rule.weights * np.exp(-rho * rho) * rho * (2.0 / n_theta)
-    theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    cos_t = np.cos(theta)
-
-    def smoothed(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        flat = s.ravel()
-        out = np.empty_like(flat)
-        chunk = max(1, int(2e6 / (len(rho) * n_theta)))
-        for lo in range(0, len(flat), chunk):
-            s0 = flat[lo:lo + chunk, None, None]
-            args = s0 + rho[None, :, None] ** 2 \
-                - 2.0 * np.sqrt(s0) * rho[None, :, None] * cos_t
-            vals = profile(args).sum(axis=2)
-            out[lo:lo + chunk] = vals @ weights
-        return out.reshape(s.shape)
-
-    return custom(smoothed)
 
 
 def _disk_gauss_convolution(profile):
@@ -427,8 +382,8 @@ def antiwick_to_weyl(profile):
     operator with radial symbol `profile`, as a profile.
 
     Gaussian profiles convolve in closed form, Laguerre mixes smooth to
-    polynomial-times-Gaussian profiles, compactly supported disks use the
-    exact angular arc; every other profile is smoothed by polar quadrature.
+    polynomial-times-Gaussian profiles, a constant is unchanged, and disks
+    use the exact angular arc; any other kind raises UnsupportedProfileError.
     Nonnegative symbols stay nonnegative (positive kernel), and mass is
     preserved for integrable ones.
     """
@@ -444,7 +399,7 @@ def antiwick_to_weyl(profile):
     elif k == "disk_indicator":
         profile = _disk_gauss_convolution(profile)
     elif k != "constant":
-        profile = _radial_gauss_convolution(profile)
+        raise UnsupportedProfileError(f"no closed-form smoothing for profile kind {k!r}")
     return profile
 
 

@@ -64,28 +64,18 @@ def pair_radial_sweep(n, x, xi, d):
         yield m, (-1.0 if m % 2 else 1.0) / np.pi, val
 
 
-def wigner_pair_diagonal_sweep(n, x, xi, d):
-    """Yield (m, Psi_{m+d, m}) on the grid for m = 0 .. n-1 from one Laguerre sweep.
-
-        Psi_{m+d, m} = (1/pi) (-1)^m e^(-i d theta) ell_m^(d)(2(x^2+xi^2)).
-
-    The phase orientation is pinned to the transform definition (checked
-    against wigner_numeric); Psi_{m, m+d} is the conjugate.
-    """
-    phase = pair_phase(x, xi, d)
-    for m, c, val in pair_radial_sweep(n, x, xi, d):
-        yield m, c * val * phase
-
-
 def wigner_eval(k, l, x, xi):
     """Pair kernel Psi_{k,l}(x, xi), the Wigner transform of (psi_k, psi_l).
 
-    Step min(k, l) of the |k - l| diagonal sweep, conjugated when k < l.
+    Psi_{m+d, m} = (1/pi) (-1)^m e^(-i d theta) ell_m^(d)(2(x^2+xi^2)): the last
+    step of the d = |k - l| pair_radial_sweep times pair_phase, whose orientation
+    is pinned to the transform (checked against wigner_numeric); conjugated when k < l.
     """
     if k < 0 or l < 0:
         raise ValueError("indices must be nonnegative")
-    for _, val in wigner_pair_diagonal_sweep(min(k, l) + 1, x, xi, abs(k - l)):
+    for _, c, val in pair_radial_sweep(min(k, l) + 1, x, xi, abs(k - l)):
         pass
+    val = c * val * pair_phase(x, xi, abs(k - l))
     return val if k >= l else np.conj(val)
 
 

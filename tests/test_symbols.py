@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from landauspec import quadrature as qd
 from landauspec import symbols as sy
+from reference_routes import integrate_halfline, radial_gauss_convolution
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,8 @@ def test_separable_pullback_is_exact():
     for _ in range(25):
         x, y, xi, eta = rng.normal(size=4)
         stored = 0.9 * float(A(x * x + xi * xi)) * float(B(y * y + eta * eta))
-        assert V.evaluate_pulled(x, y, xi, eta) == pytest.approx(stored, rel=1e-15)
+        pulled = sum(c * A.evaluate(x, xi) * B.evaluate(y, eta) for c, A, B in V.terms)
+        assert pulled == pytest.approx(stored, rel=1e-15)
 
 
 def test_separable_symbol_refuses_non_radial_factor():
@@ -169,7 +171,7 @@ def test_antiwick_gaussian_closed_form():
     s = np.array([0.0, 1.0, 4.0])
     assert np.abs(G(s) - np.exp(-0.5 * s) / (2 * np.pi)).max() < 1e-15
     # numeric convolution oracle
-    num = sy._radial_gauss_convolution(sy.gaussian(1.0, amplitude=1 / np.pi))
+    num = radial_gauss_convolution(sy.gaussian(1.0, amplitude=1 / np.pi))
     assert np.abs(num(s) - G(s)).max() < 1e-10
 
 
@@ -178,13 +180,22 @@ def test_antiwick_constant():
     assert float(G(5.0)) == 1.0
 
 
+@pytest.mark.parametrize("prof", [
+    sy.exp_beta(0.8, 1.5), sy.power(3.0), sy.poly_gauss([1.0, 0.5], 0.7),
+    sy.tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]), sy.custom(lambda s: np.exp(-s))],
+    ids=lambda p: p.kind)
+def test_antiwick_refuses_kinds_without_closed_form(prof):
+    # only the closed forms and the disk arc smooth; the polar sum is a test oracle
+    with pytest.raises(sy.UnsupportedProfileError, match=repr(prof.kind)):
+        sy.antiwick_to_weyl(prof)
+
+
 def test_antiwick_disk_mass_and_positivity():
     c = 2.0
     F = sy.disk_indicator(c)
     G = sy.antiwick_to_weyl(F)
     mass0 = math.pi * c
-    mass1 = math.pi * qd.integrate_halfline(lambda t: np.atleast_1d(G(t)),
-                                            order=600)
+    mass1 = math.pi * integrate_halfline(lambda t: np.atleast_1d(G(t)), order=600)
     assert mass1 == pytest.approx(mass0, rel=1e-8)
     s = np.linspace(0, 12, 50)
     assert np.all(np.atleast_1d(G(s)) >= 0.0)
@@ -192,14 +203,13 @@ def test_antiwick_disk_mass_and_positivity():
 
 def test_antiwick_mass_preserved_generic_profile():
     prof = sy.exp_beta(0.8, 1.5)
-    G = sy.antiwick_to_weyl(prof)
+    G = radial_gauss_convolution(prof)
     # the profile's half-power makes its derivative singular at 0; integrate
     # the mass oracle in r (t = r^2) where the integrand is smooth
     r_rule = qd.gauss_legendre_panel(400, 0.0, 12.0)
     mass0 = math.pi * float(np.dot(r_rule.weights,
                                    prof(r_rule.nodes**2) * 2.0 * r_rule.nodes))
-    mass1 = math.pi * qd.integrate_halfline(lambda t: np.atleast_1d(G(t)),
-                                            order=400)
+    mass1 = math.pi * integrate_halfline(lambda t: np.atleast_1d(G(t)), order=400)
     assert mass1 == pytest.approx(mass0, rel=1e-8)
 
 

@@ -87,7 +87,9 @@ def test_pair_sweep_matches_eval():
     x = np.linspace(-2, 2, 5)[:, None]
     xi = np.linspace(-1, 1, 5)[None, :]
     for d in (0, 1, 3):
-        for m, val in wg.wigner_pair_diagonal_sweep(4, x, xi, d):
+        phase = wg.pair_phase(x, xi, d)
+        for m, c, radial in wg.pair_radial_sweep(4, x, xi, d):
+            val = c * radial * phase
             assert np.abs(val - wg.wigner_eval(m + d, m, x, xi)).max() < 1e-14
             assert np.abs(np.conj(val) - wg.wigner_eval(m, m + d, x, xi)).max() < 1e-14
 
