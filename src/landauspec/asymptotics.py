@@ -121,23 +121,25 @@ def coeffs_g(beta, mu):
     return _envelope_coeffs(s0, 1.0 / beta, -s0, j_max, beta, "g")
 
 
-def predict_exp(k, beta, mu, coeffs=None):
-    """Leading terms of ln(nu_k) for the exponential weight family."""
+def predict_exp(k, beta, mu, coeffs):
+    """Leading terms of ln(nu_k) for the exponential weight family.
+
+    coeffs are coeffs_f(beta, mu) for beta < 1, coeffs_g(beta, mu) for
+    beta > 1; beta = 1 reads none.
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
     k = np.asarray(k, dtype=float)
     if beta == 1.0:
         return -math.log1p(mu) * k
     if beta < 1.0:
-        f = coeffs if coeffs is not None else coeffs_f(beta, mu)
         out = np.zeros_like(k)
-        for j, fj in enumerate(f, start=1):
+        for j, fj in enumerate(coeffs, start=1):
             out -= fj * k ** ((beta - 1.0) * j + 1.0)
         return out
-    g = coeffs if coeffs is not None else coeffs_g(beta, mu)
     out = (-(beta - 1.0) / beta) * k * np.log(k) \
         + ((beta - 1.0 - math.log(mu * beta)) / beta) * k
-    for j, gj in enumerate(g, start=1):
+    for j, gj in enumerate(coeffs, start=1):
         out -= gj * k ** ((1.0 / beta - 1.0) * j + 1.0)
     return out
 
@@ -160,8 +162,7 @@ class AsymptoticModel:
     def predict_log(self, k):
         if self.kind == "compact":
             return predict_compact(k, self.b, self.capacity)
-        return predict_exp(k, self.beta, self.mu,
-                           coeffs=np.asarray(self.coeffs) if self.coeffs else None)
+        return predict_exp(k, self.beta, self.mu, self.coeffs)
 
 
 def compact_model(b, cap):

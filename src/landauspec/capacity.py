@@ -9,17 +9,17 @@ the transfinite-diameter quotient delta_j; the classical two-sided bound
 into a point estimate (left inequality, exact for disks) and a certified
 lower bound (right inequality).
 
-Each start is optimized in two phases.  Projected gradient ascent with step
-halving runs until the relative energy gain per step falls below 1e-4 with
-every point on the boundary of K.  Damped Newton steps then polish the
-configuration in arc-length coordinates along the boundary: the reduced
-Hessian of the energy, with its eigenvalues replaced by their moduli (floored
-at 1e-9 of the largest), gives the step, which is halved until the energy
-rises and mapped back onto K by projection.  Segment endpoints and polygon
-vertices stay pinned during those steps.  A point off the boundary, or a
-Newton step that no halving makes gain, hands back to the gradient ascent.
-Multi-start picks the best result; everything is deterministic given
-(seed, restarts).
+Each start is optimized by one ascent loop of two kinds of step, both
+projected onto K and halved until the energy rises.  Gradient steps run
+until the relative energy gain of one falls below 1e-4 with every point on
+the boundary of K.  Damped Newton steps then polish the configuration in
+arc-length coordinates along the boundary: the reduced Hessian of the
+energy, with its eigenvalues replaced by their moduli (floored at 1e-9 of
+the largest), gives the step.  Segment endpoints and polygon vertices stay
+pinned during those steps.  A point off the boundary hands back to gradient
+steps; every point pinned, or a Newton step that no halving makes gain,
+hands back for good.  Multi-start picks the best result; everything is
+deterministic given (seed, restarts).
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ import numpy as np
 # for any polygon filling more than about 1/40000 of its bounding box.
 _SAMPLE_BATCHES = 10_000
 
-# Relative energy gain per gradient step below which Newton steps take over.
-_NEWTON_SWITCH = 1e-4
+_NEWTON_SWITCH = 1e-4        # relative gain per gradient step below which Newton steps start
 _ASCENT_RTOL = 1e-10         # relative gain per step below which an ascent has converged
+_MAX_ITER = 5000             # steps of one ascent, both phases together
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,13 @@ class CompactSet:
     def __post_init__(self):
         if not np.isfinite([self.center, self.radius, self.a, self.b, *self.vertices]).all():
             raise ValueError("set coordinates must be finite")
+        # outside these extents the ascent's squared distances or their inverses overflow
+        if not self.degenerate():        # degenerate sets are refused below or by the ascent
+            x0, x1, y0, y1 = self.bounding_box()
+            extent = self.radius if self.kind == "disk" else max(x1 - x0, y1 - y0)
+            if not 1e-150 <= extent <= 1e150:
+                raise ValueError(f"{self.kind} of extent {extent:.6g} lies outside "
+                                 "[1e-150, 1e150]")
         # sample() draws polygon points by rejection, which never ends on zero area
         if self.kind == "polygon" and not _has_area(self.vertices):
             raise ValueError("polygon has zero area (collinear or fewer than three "
@@ -75,7 +82,7 @@ class CompactSet:
         if self.kind == "segment":
             return self.a == self.b
         if self.kind == "polygon":
-            return False                 # zero area is refused on construction
+            return len(self.vertices) < 3    # zero area is refused on construction
         return not self.members          # degenerate members are refused on construction
 
     def bounding_box(self):
@@ -311,7 +318,7 @@ class FeketeResult:
     delta_j: float
     restart: int = 0
     iterations: int = 0          # both phases of the ascent
-    converged: bool = False      # False when the ascent stopped at max_iter
+    converged: bool = False      # False when the ascent stopped at _MAX_ITER
     newton_iterations: int = 0   # the Newton steps among the iterations
 
 
@@ -339,39 +346,16 @@ def _upper_pairs(n):
     return i * n + k
 
 
-def _ascend(K, w, max_iter, rtol, hand_over=0.0):
-    """Projected gradient ascent with step halving; returns (w, E, iterations, converged).
-
-    Converged means the relative energy gain fell below rtol or 60 halvings
-    found no gain.  Otherwise the ascent ran out of its max_iter iterations,
-    or (with hand_over > 0) the gain fell below hand_over with every point on
-    the boundary of K, where Newton steps can take over.
-    """
-    pairs = _upper_pairs(len(w))
-    E, diff = _pair_kernel(w, pairs)
-    x0, x1 = K.bounding_box()[:2]
-    step = 0.1 * max(1.0, abs(x1 - x0))
-    for it in range(max_iter):
-        g = 1.0 / np.conj(diff)
-        np.fill_diagonal(g, 0.0)
-        g = g.sum(axis=1)
-        for _ in range(60):
-            trial = K.project(w + step * g)
-            E2, diff2 = _pair_kernel(trial, pairs)
-            if E2 > E:
-                break
-            step *= 0.5
-        else:
-            return w, E, it + 1, True
-        done = abs(E2 - E) < rtol * max(1.0, abs(E2))
-        small = abs(E2 - E) < hand_over * max(1.0, abs(E2))
-        w, E, diff = trial, E2, diff2
-        step *= 1.3
-        if done:
-            return w, E, it + 1, True
-        if small and K.boundary_frame(w)[3].all():
-            return w, E, it + 1, False
-    return w, E, max_iter, False
+def _line_search(K, pairs, w, E, direction, scale, tries):
+    """(trial, E2, diff2, scale) of the first trial K.project(w + scale * direction) whose
+    energy E2 exceeds E, halving scale up to `tries` times; None when none does."""
+    for _ in range(tries):
+        trial = K.project(w + scale * direction)
+        E2, diff2 = _pair_kernel(trial, pairs)
+        if E2 > E:
+            return trial, E2, diff2, scale
+        scale *= 0.5
+    return None
 
 
 def _tangent_system(diff, t, kappa, n):
@@ -406,53 +390,56 @@ def _newton_direction(g, M, free):
     return p
 
 
-def _fekete_ascent(K, w, max_iter):
+def _fekete_ascent(K, w):
     """Gradient ascent polished by damped Newton steps along the boundary.
 
     Returns (w, E, iterations, newton_iterations, converged).  Iterations count
-    both phases and max_iter caps their total; converged as in _ascend, the
-    Newton steps stopping on the same relative-gain rule.  A point off the
-    boundary hands back to the gradient ascent, which returns once every point
-    is on it again; a Newton step that 30 halvings cannot make gain hands back
-    for good.
+    the steps of both kinds, at most _MAX_ITER; converged means a step gained
+    less than _ASCENT_RTOL, or 60 halvings of a gradient step found no gain
+    (an iteration too).  Newton steps take over once a gradient step gains
+    less than _NEWTON_SWITCH with every point on the boundary, and hand back
+    when a point is off it, for good when every point is pinned or 30
+    halvings find no gain; each hand-back restarts the gradient step size.
     """
     pairs = _upper_pairs(len(w))
-    hand_over = _NEWTON_SWITCH
-    w, E, its, converged = _ascend(K, w, max_iter, _ASCENT_RTOL, hand_over)
-    newton_its = 0
-    while not converged and its < max_iter:
-        E, diff = _pair_kernel(w, pairs)
-        while its < max_iter:
+    E, diff = _pair_kernel(w, pairs)
+    x0, x1 = K.bounding_box()[:2]
+    first_step = step = 0.1 * max(1.0, abs(x1 - x0))
+    switch, newton = _NEWTON_SWITCH, False
+    its = newton_its = 0
+    while its < _MAX_ITER:
+        if newton:
             t, kappa, n, on = K.boundary_frame(w)
             free = t != 0
-            if not on.all():
-                break
-            if not free.any():           # every point pinned: nothing to polish
-                hand_over = 0.0
-                break
-            p = _newton_direction(*_tangent_system(diff, t, kappa, n), free) * t
-            for _ in range(30):
-                trial = K.project(w + p)
-                E2, diff2 = _pair_kernel(trial, pairs)
-                if E2 > E:
-                    break
-                p *= 0.5
-            else:
-                hand_over = 0.0
-                break
-            its += 1
+            found = None
+            if on.all() and free.any():
+                p = _newton_direction(*_tangent_system(diff, t, kappa, n), free) * t
+                found = _line_search(K, pairs, w, E, p, 1.0, 30)
+            if found is None:            # back to gradient steps, for good unless off K
+                if on.all():
+                    switch = 0.0
+                newton, step = False, first_step
+                continue
             newton_its += 1
-            done = abs(E2 - E) < _ASCENT_RTOL * max(1.0, abs(E2))
-            w, E, diff = trial, E2, diff2
-            if done:
-                return w, E, its, newton_its, True
-        if its < max_iter:
-            w, E, n_grad, converged = _ascend(K, w, max_iter - its, _ASCENT_RTOL, hand_over)
-            its += n_grad
-    return w, E, its, newton_its, converged
+        else:
+            g = 1.0 / np.conj(diff)
+            np.fill_diagonal(g, 0.0)
+            found = _line_search(K, pairs, w, E, g.sum(axis=1), step, 60)
+            if found is None:
+                return w, E, its + 1, newton_its, True
+        its += 1
+        w, E2, diff, scale = found
+        gain, size = abs(E2 - E), max(1.0, abs(E2))
+        E = E2
+        if gain < _ASCENT_RTOL * size:
+            return w, E, its, newton_its, True
+        if not newton:
+            step = scale * 1.3
+            newton = gain < switch * size and K.boundary_frame(w)[3].all()
+    return w, E, its, newton_its, False
 
 
-def fekete_optimize(K, j, restarts=8, seed=0, max_iter=5000):
+def fekete_optimize(K, j, restarts=8, seed=0):
     """Best-found j-point configuration maximizing the pairwise log-energy.
 
     Projected gradient ascent finished by Newton steps along the boundary,
@@ -478,7 +465,7 @@ def fekete_optimize(K, j, restarts=8, seed=0, max_iter=5000):
             if not len(bad):
                 break
             w0[bad] = K.sample(len(bad), rng)
-        w, E, its, newton_its, converged = _fekete_ascent(K, w0, max_iter)
+        w, E, its, newton_its, converged = _fekete_ascent(K, w0)
         order = np.lexsort((w.imag, w.real))
         w = w[order]
         key = (E, tuple((-p.real, -p.imag) for p in w))
@@ -496,8 +483,6 @@ class CapacityEstimate:
     lower_cert: float            # nan when the set is not connected
     j_max: int
     per_j: tuple                 # FeketeResult per j in the schedule
-    seed: int
-    restarts: int
 
 
 def _j_schedule(j_max):
@@ -529,4 +514,4 @@ def capacity_estimate(K, j_max, restarts=8, seed=0):
         cert = estimate * (4.0 * math.exp(-1.0) * math.log(jj) + 4.0) ** (-1.0 / (jj - 1))
     else:
         cert = math.nan
-    return CapacityEstimate(estimate, cert, top.j, tuple(results), int(seed), int(restarts))
+    return CapacityEstimate(estimate, cert, top.j, tuple(results))

@@ -485,8 +485,12 @@ def prescribed_gap_symbol(b, multiplicities, level_scales, index_scales):
     multiplicities[q] eigenvalues are planted below level q at
     lam_q - level_scales[q] * index_scales[k]; level_scales must be strictly
     decreasing (and < 2b except at level 0), index_scales strictly
-    decreasing within (0, 1).  Returns (symbol, predictions) with
-    predictions a list of (q, k, eigenvalue).
+    decreasing within (0, 1).  Eigenvalue (q, k) is the term
+    (C, laguerre_mix([0]*q + [2]), laguerre_mix([0]*k + [2])) with
+    C = level_scales[q] * index_scales[k]: the factors' Weyl sequences are the
+    unit vectors e_q and e_k, so the term moves the diagonal entry (q, k) by
+    exactly C.  Returns (symbol, predictions) with predictions a list of
+    (q, k, eigenvalue).
     """
     if b <= 0:
         raise ValueError("field strength must be positive")
@@ -516,13 +520,12 @@ def prescribed_gap_symbol(b, multiplicities, level_scales, index_scales):
     terms = []
     predictions = []
     lam = landau_levels(b, len(multiplicities))
-    four_pi_sq = (2.0 * np.pi) ** 2
     for q in active:
-        A = symbols.diag_kernel_profile(q)
+        A = symbols.laguerre_mix([0.0] * q + [2.0])
         for k in range(multiplicities[q]):
             C = level_scales[q] * index_scales[k]
-            B = symbols.diag_kernel_profile(k)
-            terms.append((four_pi_sq * C, A, B))
+            B = symbols.laguerre_mix([0.0] * k + [2.0])
+            terms.append((C, A, B))
             predictions.append((q, k, lam[q] - C))
     return symbols.separable_symbol(b, terms), predictions
 

@@ -267,13 +267,13 @@ def support_rule(breakpoints, order, tail_order, top):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def integrate_r2(f, order=None):
+def integrate_r2(f, order):
     """Tensor Gauss-Hermite estimate of the integral of f over R^2.
 
     f(x, xi) must accept broadcasting arrays and carry its own decay;
     the envelope is removed by the flat weights.
     """
-    rule = gauss_hermite(order or DEFAULT_ORDER_R2)
+    rule = gauss_hermite(order)
     x = rule.nodes
     fw = rule.flat_weights
     vals = f(x[:, None], x[None, :])

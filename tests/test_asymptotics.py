@@ -93,15 +93,16 @@ def test_coeffs_raise_past_the_bound_and_on_overflow():
 
 def test_predict_exp_branches():
     k = np.array([4.0, 25.0])
-    assert np.allclose(asy.predict_exp(k, 1.0, 1.0), -k * math.log(2.0))
+    assert np.allclose(asy.predict_exp(k, 1.0, 1.0, ()), -k * math.log(2.0))
     # beta = 1/2: single term -mu sqrt(k)
-    assert np.allclose(asy.predict_exp(k, 0.5, 1.3), -1.3 * np.sqrt(k), atol=1e-7)
+    assert np.allclose(asy.predict_exp(k, 0.5, 1.3, asy.coeffs_f(0.5, 1.3)), -1.3 * np.sqrt(k),
+                       atol=1e-7)
     # beta = 2: -(1/2) k ln k + ((1 - ln 2)/2) k - g1 sqrt(k)
     g1 = 2.0 ** -0.5
     expect = -0.5 * k * np.log(k) + 0.5 * (1 - math.log(2.0)) * k - g1 * np.sqrt(k)
-    assert np.allclose(asy.predict_exp(k, 2.0, 1.0), expect, atol=1e-7)
+    assert np.allclose(asy.predict_exp(k, 2.0, 1.0, asy.coeffs_g(2.0, 1.0)), expect, atol=1e-7)
     with pytest.raises(ValueError):
-        asy.predict_exp(5, -1.0, 1.0)
+        asy.predict_exp(5, -1.0, 1.0, ())
 
 
 def test_exp_model_from_profile():

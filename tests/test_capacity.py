@@ -164,18 +164,21 @@ def test_pair_kernel_matches_pair_sum_and_gradient():
         assert cap._pair_kernel(w, _upper_pairs(4))[0] == -np.inf
 
 
-def test_ascent_follows_reference_gradient():
+def test_ascent_follows_reference_gradient(monkeypatch):
     # a few ascent iterations with the per-pair energy and the explicit gradient
     # must land on the same points as the ascent on the fused pair kernel
+    # (gradient steps only: no gain is small enough to hand over to Newton steps)
+    monkeypatch.setattr(cap, "_NEWTON_SWITCH", 0.0)
+    monkeypatch.setattr(cap, "_MAX_ITER", 4)
     rng = np.random.default_rng(5)
     sets = [cap.disk(0.3j, 1.0), cap.polygon([0, 1.0, 1.0 + 1.0j, 1.0j]),
             cap.set_union([cap.disk(-2.0, 0.5), cap.disk(2.0, 0.5)])]
     for n in (2, 3, 9, 24, 40):
         for K in sets:
             w0 = K.sample(n, rng)
-            w, E, its, _ = cap._ascend(K, w0, 4, 0.0)
+            w, E, its, newton_its, _ = cap._fekete_ascent(K, w0)
             w_ref, E_ref = _reference_ascend(K, w0, 4)
-            assert its == 4
+            assert (its, newton_its) == (4, 0)
             assert np.array_equal(w, w_ref) and E == E_ref
 
 
@@ -221,24 +224,46 @@ def test_polygon_project_and_membership_match_per_edge_loops(vertices):
     assert K.membership(v).all() and K.membership(0.5 * (v + np.roll(v, -1))).all()
 
 
-@pytest.mark.parametrize("K,j,iterations,log_energy,gradient_only", [
-    (cap.segment(-1.0, 1.0), 16, 37, -55.11557961053518, -55.115579679641236),
-    (cap.polygon([0, 1.0, 1.0 + 1.0j, 1.0j]), 12, 15, -18.759551303146022, -18.759551311232027),
-    (cap.set_union([cap.disk(-2.0, 0.5), cap.disk(2.0, 0.5)]), 11, 17, 34.2752291868156,
+@pytest.mark.parametrize("K,j,iterations,newton_iterations,log_energy,gradient_only", [
+    (cap.segment(-1.0, 1.0), 16, 37, 3, -55.11557961053518, -55.115579679641236),
+    (cap.polygon([0, 1.0, 1.0 + 1.0j, 1.0j]), 12, 15, 4, -18.759551303146022, -18.759551311232027),
+    (cap.set_union([cap.disk(-2.0, 0.5), cap.disk(2.0, 0.5)]), 11, 17, 6, 34.2752291868156,
      34.27522890301398)],
     ids=["segment", "square", "two-disks"])
-def test_fekete_iterates_pinned(K, j, iterations, log_energy, gradient_only):
+def test_fekete_iterates_pinned(K, j, iterations, newton_iterations, log_energy, gradient_only):
     # iteration counts and energies of the two-phase ascent; gradient_only is the
     # energy the projected-gradient ascent alone reached, which the Newton polish
     # must not lose
     r = cap.fekete_optimize(K, j, restarts=1, seed=1)
-    assert r.iterations == iterations and r.converged
+    assert (r.iterations, r.newton_iterations, r.converged) == (iterations, newton_iterations, True)
     assert r.log_energy == pytest.approx(log_energy, rel=1e-12, abs=0)
     assert r.log_energy >= gradient_only
 
 
-def test_ascent_reports_max_iter_as_not_converged():
-    r = cap.fekete_optimize(cap.segment(-1.0, 1.0), 16, restarts=1, seed=1, max_iter=3)
+_COMB = [0, 4.0, 4.0 + 2.0j, 3.5 + 2.0j, 3.5 + 0.5j, 2.5 + 0.5j, 2.5 + 2.0j, 1.5 + 2.0j,
+         1.5 + 0.5j, 0.5 + 0.5j, 0.5 + 2.0j, 2.0j]
+
+
+@pytest.mark.parametrize("vertices,j,seed,restart,iterations,newton_iterations,log_energy", [
+    ([0, 1.0, 0.5 + 0.9j], 2, 1, 1, 9, 6, 0.029134454063360796),
+    ([0, 1.0, 1.0 + 1.0j, 1.0j], 2, 3, 0, 9, 0, 0.34657359028071477),
+    (_COMB, 12, 1, 1, 25, 7, 52.54217903900956)],
+    ids=["triangle-all-pinned", "square-all-pinned", "comb-off-boundary"])
+def test_ascent_hand_backs_pinned(vertices, j, seed, restart, iterations, newton_iterations,
+                                  log_energy):
+    # the Newton steps of the boundary start (restart 1) hand back to gradient steps:
+    # on the triangle and the square once both points sit on vertices, every point
+    # pinned; on the comb once a step leaves a point off the boundary.  The
+    # triangle's and the comb's reported configurations come from that start.
+    r = cap.fekete_optimize(cap.polygon(vertices), j, restarts=1, seed=seed)
+    assert (r.restart, r.iterations, r.newton_iterations, r.converged) == \
+        (restart, iterations, newton_iterations, True)
+    assert r.log_energy == pytest.approx(log_energy, rel=1e-12, abs=0)
+
+
+def test_ascent_reports_max_iter_as_not_converged(monkeypatch):
+    monkeypatch.setattr(cap, "_MAX_ITER", 3)
+    r = cap.fekete_optimize(cap.segment(-1.0, 1.0), 16, restarts=1, seed=1)
     assert r.iterations == 3 and not r.converged
 
 

@@ -495,11 +495,14 @@ def test_spectrum_cluster_tol_past_the_square_overflow(tmp_path, b):
 
 
 # b (2 levels + 1), the top of the level ladder, just inside the double range
-# (with the largest diagonal entry above 2^1023) and past it
+# (with the largest diagonal entry above 2^1023) and past it; the last inside
+# config's planted term was once formed as 4 pi^2 level_scale, which overflowed
 _LADDER_INSIDE = [
     ("spectrum", {"b": 8.46e305, "levels": 100, "radial": 4,
                   "symbol": {"separable": {"terms": []}}}),
     ("construct-gaps", {"b": 3.2e307, "multiplicities": [1], "level_scales": [4e306],
+                        "index_scales": [0.5], "verify": True}),
+    ("construct-gaps", {"b": 3.2e307, "multiplicities": [1], "level_scales": [3e307],
                         "index_scales": [0.5], "verify": True})]
 _LADDER_PAST = [
     ("spectrum", {"b": 1e308, "levels": 1, "radial": 1, "symbol": {"separable": {"terms": []}}}),
@@ -671,6 +674,17 @@ def test_verify_command(tmp_path, capsys):
         assert [r["suite"] for r in verify.run_suites(fault=fault) if not r["passed"]] == [suite]
 
 
+def _scaled_set(kind, s):
+    """The unit-size disk, segment, square or equilateral triangle scaled by s."""
+    if kind == "disk":
+        return {"kind": "disk", "center": [0.3 * s, -0.2 * s], "radius": s}
+    if kind == "segment":
+        return {"kind": "segment", "a": [0.0, 0.0], "b": [s, 0.0]}
+    if kind == "square":
+        return {"kind": "polygon", "vertices": [[0.0, 0.0], [s, 0.0], [s, s], [0.0, s]]}
+    return {"kind": "polygon", "vertices": [[0.0, 0.0], [s, 0.0], [0.5 * s, math.sqrt(0.75) * s]]}
+
+
 _DISK = {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0}
 _BAD_CAPACITY = [
     ({"set": _DISK, "j_max": 3}, "j_max must be at least 8"),
@@ -687,7 +701,24 @@ _BAD_CAPACITY = [
     ({"set": {"kind": "union", "members": [_DISK, {"kind": "segment", "a": [5, 5], "b": [5, 5]}]},
       "j_max": 8}, "union member 1 is a degenerate segment"),
     ({"set": {"kind": "union", "members": [{"kind": "disk", "center": [5, 0], "radius": 0}, _DISK]},
-      "j_max": 8}, "union member 0 is a degenerate disk")]
+      "j_max": 8}, "union member 0 is a degenerate disk"),
+    # extents past [1e-150, 1e150]: these wrote null estimates, warned or read a wrong one
+    ({"set": {"kind": "segment", "a": [-1.7e308, 0.0], "b": [1.7e308, 0.0]}, "j_max": 8},
+     "set: segment of extent inf lies outside"),
+    ({"set": _scaled_set("disk", 1e-160), "j_max": 8}, "set: disk of extent 1e-160 lies outside"),
+    ({"set": _scaled_set("segment", 1e-160), "j_max": 8},
+     "set: segment of extent 1e-160 lies outside"),
+    ({"set": _scaled_set("square", 1e-160), "j_max": 8},
+     "set: polygon of extent 1e-160 lies outside"),
+    ({"set": _scaled_set("segment", 1e154), "j_max": 8},
+     "set: segment of extent 1e+154 lies outside"),
+    ({"set": _scaled_set("square", 1e154), "j_max": 8},
+     "set: polygon of extent 1e+154 lies outside"),
+    ({"set": {"kind": "disk", "radius": 1e-170}, "j_max": 8},
+     "set: disk of extent 1e-170 lies outside"),
+    ({"set": {"kind": "union", "members": [_DISK, {"kind": "disk", "center": [1e151, 0.0],
+                                                   "radius": 1.0}]}, "j_max": 8},
+     "set: union of extent 1e+151 lies outside")]
 
 
 @pytest.mark.parametrize("payload,message", _BAD_CAPACITY)
@@ -711,6 +742,25 @@ def test_capacity_polygon_without_room_exits_2(tmp_path, vertices, message):
                           env=env, capture_output=True, text=True, timeout=20)
     assert proc.returncode == 2
     assert message in proc.stderr
+
+
+# capacities of the unit-size sets: radius, length / 4, Gamma(1/4)^2 / (4 pi^(3/2)) and
+# sqrt(3) Gamma(1/3)^3 / (8 pi^2) times the side
+_UNIT_CAPACITY = {"disk": 1.0, "segment": 0.25,
+                  "square": math.gamma(0.25) ** 2 / (4 * math.pi ** 1.5),
+                  "triangle": math.sqrt(3) * math.gamma(1 / 3) ** 3 / (8 * math.pi ** 2)}
+
+
+@pytest.mark.parametrize("kind", list(_UNIT_CAPACITY))
+@pytest.mark.parametrize("s", [1e-150, 1e150])
+def test_capacity_at_the_ends_of_the_extent_range(tmp_path, kind, s):
+    # the ascent's squared distances and curvature terms stay inside the double range
+    cfg = write_config(tmp_path, "c.json", {"set": _scaled_set(kind, s), "j_max": 40,
+                                            "restarts": 1, "seed": 1})
+    out = tmp_path / "out"
+    assert main(["capacity", "--config", cfg, "--out", str(out)]) == 0
+    data = json.loads((out / "capacity.json").read_text())
+    assert data["estimate"] / s == pytest.approx(_UNIT_CAPACITY[kind], rel=0.1)
 
 
 def test_capacity_reports_iterations_and_convergence(tmp_path):

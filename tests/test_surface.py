@@ -1,10 +1,13 @@
-"""The library's public surface is what its own code reaches.
+"""The library's surface is what its own code reaches.
 
 Every public function, class and method of src/landauspec must be named
 somewhere in src/ outside its own definition, or be listed below with the
-caller outside src/ that keeps it.  Test-only routes live in
-tests/reference_routes.py instead.  The check is by name (ast), so a name
-that some other code also uses counts as referenced.
+caller outside src/ that keeps it.  Every private one (a module-level
+_function or _Class, or a _method that is not a dunder) must be named in
+src/ outside its definition, with no exceptions: a private helper that only
+a test calls is dead code.  Test-only routes live in tests/reference_routes.py
+instead.  The check is by name (ast), so a name that some other code also
+uses counts as referenced.
 """
 
 import ast
@@ -28,15 +31,19 @@ ENTRY_POINTS = {
 }
 
 
-def _public_definitions(tree):
-    """(qualified name, node) of the module's public functions, classes and methods."""
+def _definitions(tree, private):
+    """(qualified name, node) of the module's public, or private, functions, classes
+    and methods; dunder methods are neither."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_") == private:
             yield node.name, node
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{node.name}.{item.name}", item
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                        and item.name.startswith("_") == private):
+                    yield f"{node.name}.{item.name}", item
 
 
 def _names(tree):
@@ -52,14 +59,22 @@ def _names(tree):
     return out
 
 
-def test_every_public_name_is_reached_from_src_or_listed():
+def _unreached(private):
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     everywhere = sum((_names(tree) for tree in trees.values()), Counter())
     # a name is reached when src/ uses it more often than its own definition does
-    unreached = [f"{module}.{qualname}"
-                 for module, tree in trees.items()
-                 for qualname, node in _public_definitions(tree)
-                 if everywhere[node.name] == _names(node)[node.name]]
+    return [f"{module}.{qualname}"
+            for module, tree in trees.items()
+            for qualname, node in _definitions(tree, private)
+            if everywhere[node.name] == _names(node)[node.name]]
+
+
+def test_every_public_name_is_reached_from_src_or_listed():
+    unreached = _unreached(private=False)
     assert sorted(set(unreached) - set(ENTRY_POINTS)) == []
     # an entry that src/ now reaches, or that is gone, leaves the list
     assert sorted(set(ENTRY_POINTS) - set(unreached)) == []
+
+
+def test_every_private_name_is_reached_from_src():
+    assert _unreached(private=True) == []
