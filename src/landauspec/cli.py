@@ -235,12 +235,16 @@ def _plain(value):
 
 def _radial_eigs(cfg):
     profile, count, order = cfg["profile"], cfg["count"], cfg["order"]
-    mu_w = operators.weyl_radial_eigs(profile, count, order=order)
-    mu_aw = operators.antiwick_radial_eigs(profile, count, order=order)
-    mu_wf = operators.weyl_radial_eigs_fourier(symbols.fourier_radial_profile(profile), count,
-                                               order=order)
+    # a profile near the top of the double range overflows the quadrature sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        profile_hat = _built("profile", symbols.fourier_radial_profile, profile)
+        columns = (operators.weyl_radial_eigs(profile, count, order=order),
+                   operators.antiwick_radial_eigs(profile, count, order=order),
+                   operators.weyl_radial_eigs_fourier(profile_hat, count, order=order))
+    if not all(np.isfinite(col).all() for col in columns):
+        raise ConfigError("profile: an eigenvalue sum leaves the double range")
     return ({"radial_eigs.csv": (["k", "mu_w", "mu_aw", "mu_w_fourier"],
-                                 zip(range(count), mu_w, mu_aw, mu_wf))},
+                                 zip(range(count), *columns))},
             {}, {"count": count})
 
 

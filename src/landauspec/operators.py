@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature, symbols, wigner
-from .specfun import laguerre_fn_iter, laguerre_log_abs
+from .specfun import laguerre_fn_iter, laguerre_fn_sq_log
 
 
 class TruncationError(RuntimeError):
@@ -110,31 +110,39 @@ def _settled(estimate, order, what):
         f"the last doubling moved it by {defect:.3e}")
 
 
+_PAIRING_BLOCK = 1 << 17     # most tensor-rule nodes per row block of a pairing matrix
+
+
 def _pairing_matrix(v, n, order):
     """Matrix of pairings <v, Psi_{k,l}> for k, l < n, by tensor quadrature of one order.
 
-    One Laguerre recurrence sweep per diagonal supplies the real radial
-    factors of its pair kernels, and the weights take the diagonal's phase
-    once; symbols are real, so only the upper triangle is integrated.
+    The rule runs in blocks of rows of x, at most 2^17 nodes each, so the
+    symbol values, phases and sweeps of the order-1280 grid are never held
+    at once.  In a block, one Laguerre recurrence sweep per diagonal supplies
+    the real radial factors of its pair kernels, and the weights take the
+    diagonal's phase once; symbols are real, so only the upper triangle is
+    integrated.
     """
     rule = quadrature.gauss_hermite(order)
     p = rule.nodes
     fw = rule.flat_weights
-    x = p[:, None]
     xi = p[None, :]
-    weighted = np.asarray(v.evaluate(x, xi)) * fw[:, None] * fw[None, :]
     M = np.zeros((n, n), dtype=complex)
-    for d in range(n):
-        # <v, Psi_{k,l}> pairs v with conj(Psi_{k,l}) = Psi_{l,k}, and Psi_{m+d, m}
-        # is c_m ell times the phase: two real dots per m against the phased weights
-        phased = weighted * wigner.pair_phase(x, xi, d)
-        re, im = (np.ascontiguousarray(part).ravel() for part in (phased.real, phased.imag))
-        for m, c, ell in wigner.pair_radial_sweep(n - d, x, xi, d):
-            ell = ell.ravel()
-            M[m, m + d] = c * complex(re @ ell, im @ ell)
-        if d:
-            idx = np.arange(n - d)
-            M[idx + d, idx] = np.conj(M[idx, idx + d])
+    rows = max(1, _PAIRING_BLOCK // order)
+    for r in range(0, order, rows):
+        x = p[r:r + rows, None]
+        weighted = np.asarray(v.evaluate(x, xi)) * fw[r:r + rows, None] * fw[None, :]
+        for d in range(n):
+            # <v, Psi_{k,l}> pairs v with conj(Psi_{k,l}) = Psi_{l,k}, and Psi_{m+d, m}
+            # is c_m ell times the phase: two real dots per m against the phased weights
+            phased = weighted * wigner.pair_phase(x, xi, d)
+            re, im = (np.ascontiguousarray(part).ravel() for part in (phased.real, phased.imag))
+            for m, c, ell in wigner.pair_radial_sweep(n - d, x, xi, d):
+                ell = ell.ravel()
+                M[m, m + d] += c * complex(re @ ell, im @ ell)
+    for d in range(1, n):
+        idx = np.arange(n - d)
+        M[idx + d, idx] = np.conj(M[idx, idx + d])
     return M
 
 
@@ -255,28 +263,28 @@ def _log_grid(size):
 def _radial_moments(profile, q, scale, count, order=None):
     """(sign, ln |nu_k|), k < count, of the level-q compression of R(scale t).
 
-    nu_k = (m!/M!) int_0^inf R(scale t) t^d [L_m^d(t)]^2 e^(-t) dt with
-    m = min(k, q), M = max(k, q), d = |k - q|, every k on one node set: the
-    log grid, or for R with breakpoints `quadrature.support_rule` of `order` or
-    max(240, (n + 120) // 2) nodes (panels and tail), n = count + q, with
-    panels below t = n + 10 sqrt(n) + 100, where every row is 45 nats below
-    its peak.  A term is ln |integrand| on a node, and a block sums
-    exp(term - peak) sign R, so ln |nu_k| stays exact far below the underflow
-    threshold.  Rows go in blocks of 16, and one Laguerre recurrence serves a
-    block: rows k >= q share m = q, and rows k < q are read off at their own
-    step m.  Row k + q is t^(k+q) e^(-t) times bounded factors, so on the grid
-    it lives on a few hundred of the grid's thousands of nodes.  A coarse pass
+    nu_k = int_0^inf R(scale t) ell_m^(d)(t)^2 dt, m = min(k, q), d = |k - q|,
+    every k on one node set: the log grid, or for R with breakpoints
+    `quadrature.support_rule` of `order` or max(240, (n + 120) // 2) nodes
+    (panels and tail), n = count + q, with panels below t = n + 10 sqrt(n)
+    + 100, where every row is 45 nats below its peak.  A term is
+    ln |integrand| on a node, starting from d ln t - t - ln d! + ln (weight |R|),
+    and a block sums exp(term - peak) sign R, so ln |nu_k| stays exact far
+    below the underflow threshold.  Rows go in blocks of 16, and one
+    `specfun.laguerre_fn_sq_log` sweep takes a block from ell_0 to ell_m:
+    rows k >= q share m = q, and rows k < q are read off at their own step.
+    Row k + q is t^(k+q) e^(-t) times bounded factors, so on the grid it
+    lives on a few hundred of the grid's thousands of nodes.  A coarse pass
     over every 16th node (and both ends) finds them: the block's window is
     the range where some row is within 60 nats of its own coarse peak, padded
     by two coarse steps, and the trapezoid sum runs on the window only.  This
     takes |R| never to rise by tens of nats between two coarse nodes (38%
     apart in t), which holds for RadialProfile.closed_form kinds; a custom R
-    may hide a narrow bump there, so it runs every block on the whole grid.
-    Row k = q falls only like t below its peak, so its block skips the coarse
-    pass and runs on the whole grid.  A row whose integrand is not 36 nats
-    below its peak at both ends of the full grid raises
-    QuadratureAccuracyError; both ends are coarse nodes, so the check sees
-    the same nodes with or without a window.
+    may hide a narrow bump there, so it runs every block on the whole grid,
+    as does the block of row k = q, which falls only like t below its peak.
+    A row whose integrand is not 36 nats below its peak at both ends of the
+    full grid raises QuadratureAccuracyError; both ends are coarse nodes, so
+    the check sees the same nodes with or without a window.
     """
     size = count + q                    # row k: t^(k+q) e^(-t) times bounded factors
     on_grid = not profile.breakpoints
@@ -290,46 +298,41 @@ def _radial_moments(profile, q, scale, count, order=None):
         lead = np.log(weights) - t
     log_r, sign_r = profile.log_abs(scale * t)
     lead = lead + log_r
-    # ln n! for n <= max(k, q), read off as ln(m!/M!) with M = m + d
-    ln_fact = np.array([math.lgamma(n + 1.0) for n in range(max(count, q + 1))])
     # the planted fault of `verify --inject-fault moment_window` clips the window
     drop = 5.0 if wigner.fault_active("moment_window") else _WINDOW_DROP
 
-    def row_logs(ks, nodes):
-        """ln |integrand| of the rows on nodes."""
+    def row_logs(ks, ln_d_fact, nodes):
+        """ln |integrand| of the rows on nodes, from ln (weight |R| ell_0^(d)(t)^2)."""
         m, d = np.minimum(ks, q)[:, None], np.abs(ks - q)[:, None]
         x = t[nodes]
-        logs = d * ln_t[nodes] + lead[nodes] + (ln_fact[m] - ln_fact[m + d])
+        logs = d * ln_t[nodes] + lead[nodes] - ln_d_fact
         if q:
-            # one recurrence serves the rows (row k = 0 has m = 0 and needs none).
-            # On a wide window it takes a few rows at a time: larger buffers are
-            # returned to the system when freed and page-fault again on the next
-            # step.  A lone row (the whole-grid block) passes plain numbers: as
-            # (1, 1) arrays it pays the per-row read-off and small-array
-            # arithmetic on every step, which made (q, count) = (3, 8) 25% slower.
+            # one sweep serves the rows (row k = 0 has m = 0 and needs none), a
+            # few at a time on a wide window: larger buffers are returned to the
+            # system when freed and page-fault again on the next step
             step = max(1, _PASS_SIZE // x.size)
             for r in range(int(ks[0] == 0), ks.size, step):
                 part = slice(r, r + step)
-                deg, nu = (int(m[r, 0]), float(d[r, 0])) if step == 1 else (m[part], d[part])
-                logs[part] += 2.0 * laguerre_log_abs(deg, nu, x)
+                logs[part] = laguerre_fn_sq_log(m[part], d[part], x, logs[part])
         return logs
 
     sign, log_abs = np.empty(count), np.empty(count)
     for k0 in range(0, count, _MOMENT_BLOCK):
         ks = np.arange(k0, min(k0 + _MOMENT_BLOCK, count))
+        ln_d_fact = np.array([math.lgamma(abs(k - q) + 1.0) for k in ks.tolist()])[:, None]
         lo, hi, coarse_logs = 0, t.size, None
         if on_grid and profile.closed_form and not ks[0] <= q <= ks[-1]:
             # every 16th node and the last; built per block, since caching it
             # beside the grid fragmented the heap and raised the peak memory of
             # later jobs in the same process
             coarse = np.append(np.arange(0, t.size - 1, _COARSE_STRIDE), t.size - 1)
-            coarse_logs = row_logs(ks, coarse)
+            coarse_logs = row_logs(ks, ln_d_fact, coarse)
             keep = coarse_logs >= coarse_logs.max(axis=1)[:, None] - drop
             near = np.flatnonzero(keep.any(axis=0))
             if near.size:
                 lo = coarse[max(near[0] - _WINDOW_PAD, 0)]
                 hi = coarse[min(near[-1] + _WINDOW_PAD, coarse.size - 1)] + 1
-        logs = row_logs(ks, slice(lo, hi))
+        logs = row_logs(ks, ln_d_fact, slice(lo, hi))
         peak = logs.max(axis=1)
         if on_grid:
             edges = logs if coarse_logs is None else coarse_logs
@@ -364,9 +367,10 @@ def antiwick_radial_eigs(profile, count, order=None):
 def toeplitz_radial_eigs(zeta, q, b, count, order=None):
     """Diagonal of the level-q compression of a radial multiplier zeta.
 
-    nu_k = (m!/M!) int_0^inf R(2t/b) t^(|k-q|) [L_m^(|k-q|)(t)]^2 e^(-t) dt
-    with m = min(k, q), M = max(k, q); for q = 0 this is the plain Gamma-
-    weight moment.  Returns (sign, log_abs) with nu_k = sign_k exp(log_abs_k),
+    nu_k = int_0^inf R(2t/b) ell_m^(d)(t)^2 dt with m = min(k, q), d = |k - q|
+    and ell the orthonormal Laguerre functions, so a constant R = c reads
+    nu_k = c; for q = 0 this is the plain Gamma-weight moment
+    int R(2t/b) t^k e^(-t) / k! dt.  Returns (sign, log_abs) with nu_k = sign_k exp(log_abs_k),
     as numpy.linalg.slogdet does: ln |nu_k| stays exact far below the
     underflow threshold, and nu_k = 0 reads (0, -inf).  Every k comes from
     one node set (`_radial_moments`); `order` reaches only weights with
@@ -565,8 +569,10 @@ def birman_schwinger_check(zeta_profile, r, q, b, levels, radial,
         nu_{k+k0} / (1+eps) <= shift_k <= nu_{k-k0} / (1-eps)
 
     over the k range, eps in 0.01 .. 0.25 and k0 <= 3, nu the level-r
-    compression of zeta (`order` applies to nu only).  Returns a report dict;
-    raises TruncationError when the window is not resolved.
+    compression of zeta.  `order` reaches only nu, and only for a zeta with
+    breakpoints (`toeplitz_radial_eigs`); a smooth zeta, such as a gaussian,
+    ignores it.  Returns a report dict; raises TruncationError when the
+    window is not resolved.
     """
     k_lo, k_hi = k_range
     omega = symbols.laguerre_laplacian(zeta_profile, b, r)

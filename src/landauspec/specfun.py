@@ -1,17 +1,14 @@
 """Stable Hermite/Laguerre evaluation, Bessel functions and incomplete gammas.
 
-Every kernel in this package is built from Hermite functions
-
-    psi_q(x) = H_q(x) exp(-x^2/2) / (sqrt(pi) 2^q q!)^(1/2)
-
-and (generalized) Laguerre polynomials L_q^(nu).  Degrees run into the
-thousands, so sweeps carry mantissa/exponent pairs: laguerre_fn_iter, the one
-weighted-Laguerre evaluator, serves every Wigner kernel, Laguerre-mix profile
-and Weyl sequence, and laguerre_log_abs gives ln |L_m^(nu)| for the moment
-integrals.  All factorial arithmetic is done in log space.  The Bessel
-functions J_0 and J_1 behind the radial Hankel transforms are evaluated here
-too, from tabulated Chebyshev series below x = 25 and the Hankel asymptotic
-expansion above.
+Every kernel in this package is built from the orthonormal Hermite functions
+psi_q(x) = H_q(x) e^(-x^2/2) / (sqrt(pi) 2^q q!)^(1/2) and Laguerre functions
+ell_m^(alpha)(u) = sqrt(m!/Gamma(m+alpha+1)) u^(alpha/2) L_m^(alpha)(u) e^(-u/2),
+swept to degrees in the thousands by one recurrence on mantissa/exponent
+pairs (`_sweep`) and read off as values (hermite_fn_iter, laguerre_fn_iter)
+or as logs (laguerre_fn_sq_log, for the moment integrals).  All factorial
+arithmetic is done in log space.  J_0 and J_1 behind the radial Hankel
+transforms come from tabulated Chebyshev series below x = 25 and the Hankel
+asymptotic expansion above.
 """
 
 from __future__ import annotations
@@ -21,51 +18,53 @@ import math
 import numpy as np
 
 
-# mantissas outside [1e-120, 1e120] get renormalized during scaled sweeps;
-# fixed power-of-ten factors keep the rescale itself away from subnormals
-_RESCALE_HI = 1e120
-_RESCALE_LO = 1e-120
-_RESCALE_FACTOR = 1e120
-_LOG_RESCALE = math.log(_RESCALE_FACTOR)
+# every 16 steps a sweep rescales mantissas outside [1e-120, 1e120] by 1e120
+_RESCALE = 1e120
+_SWEEP_CHECK = 16
 
 
-def _renormalize(m_cur, m_prev, ls):
-    am = np.abs(m_cur)
-    big = am > _RESCALE_HI
-    if big.any():
-        m_cur[big] /= _RESCALE_FACTOR
-        m_prev[big] /= _RESCALE_FACTOR
-        ls[big] += _LOG_RESCALE
-    small = (am < _RESCALE_LO) & (am > 0)
-    if small.any():
-        m_cur[small] *= _RESCALE_FACTOR
-        m_prev[small] *= _RESCALE_FACTOR
-        ls[small] -= _LOG_RESCALE
+def _sweep(x, ls, diag, off):
+    """Yield (mantissa, ls) with f_j = mantissa exp(ls), for j = 0 .. len(off).
+
+    f runs off_j f_(j+1) = (diag_j - x) f_j - off_(j-1) f_(j-1) from
+    f_0 = exp(ls), f_(-1) = 0; ls has the result's shape and is updated in
+    place, and both buffers are reused by the next step.  A step grows the
+    larger of a mantissa pair by at most (|x - diag_j| + |off_(j-1)|) / |off_j|,
+    below 2^(1/2) |x| + 1 for Hermite and u + 2 alpha + 4 for Laguerre: while
+    that is below 1e11, 16 steps take a pair of at most 1e120 to at most 1e296.
+    """
+    ls = np.asarray(ls, dtype=float)
+    prev, cur, nxt = np.empty(ls.shape), np.ones(ls.shape), np.empty(ls.shape)
+    yield cur, ls
+    for j, a in enumerate(off):
+        np.subtract(diag[j], x, out=nxt)
+        if j:                                 # at j = 0, cur = 1 and prev = 0
+            nxt *= cur
+            prev *= off[j - 1]
+            nxt -= prev
+        nxt /= a
+        prev, cur, nxt = cur, nxt, prev
+        if j % _SWEEP_CHECK == _SWEEP_CHECK - 1:
+            am = np.abs(cur)
+            for mask, factor in ((am > _RESCALE, 1.0 / _RESCALE),
+                                 ((am < 1.0 / _RESCALE) & (am > 0), _RESCALE)):
+                if mask.any():
+                    cur[mask] *= factor
+                    prev[mask] *= factor
+                    ls[mask] -= math.log(factor)
+        yield cur, ls
 
 
 def hermite_fn_iter(x, q_max):
     """Yield psi_0(x), ..., psi_{q_max}(x) for the orthonormal Hermite functions.
 
-    Runs the weighted recurrence
-
-        psi_{q+1} = x sqrt(2/(q+1)) psi_q - sqrt(q/(q+1)) psi_{q-1}
-
-    in mantissa/exponent form so degrees up to 1e4 survive the region where
-    psi_q is far below the underflow threshold before re-entering O(1) range.
+    sqrt((q+1)/2) psi_{q+1} = x psi_q - sqrt(q/2) psi_{q-1} in `_sweep`, so
+    degrees up to 1e4 survive where psi_q is far below the underflow threshold.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    if scalar:
-        x = x.reshape(1)
-    ls = -0.5 * x * x - 0.25 * np.log(np.pi)
-    m_prev = np.zeros_like(x)
-    m_cur = np.ones_like(x)
-    yield float(m_cur[0] * np.exp(ls[0])) if scalar else m_cur * np.exp(ls)
-    for q in range(q_max):
-        m_next = x * math.sqrt(2.0 / (q + 1)) * m_cur - math.sqrt(q / (q + 1.0)) * m_prev
-        m_prev, m_cur = m_cur, m_next
-        _renormalize(m_cur, m_prev, ls)
-        yield float(m_cur[0] * np.exp(ls[0])) if scalar else m_cur * np.exp(ls)
+    off = -np.sqrt(0.5 * np.arange(1.0, q_max + 1.0))
+    for mant, ls in _sweep(x, -0.5 * x * x - 0.25 * np.log(np.pi), np.zeros(q_max), off):
+        yield mant * np.exp(ls)
 
 
 def hermite_fn(q, x):
@@ -77,83 +76,52 @@ def hermite_fn(q, x):
     return val
 
 
+def _laguerre_sweep(alpha, u, ls, steps):
+    """`_sweep` of exp(ls) ell_m^(alpha)(u) / ell_0^(alpha)(u), m <= steps; alpha
+    broadcasts against u.  sqrt((m+1)(m+alpha+1)) ell_(m+1)
+    = (2m+alpha+1 - u) ell_m - sqrt(m(m+alpha)) ell_(m-1)."""
+    j = np.arange(1.0, steps + 1.0).reshape((-1,) + (1,) * np.ndim(alpha))   # j = m + 1
+    j_alpha = j + alpha
+    return _sweep(u, ls, j_alpha + (j - 1.0), np.sqrt(j * j_alpha))
+
+
 def laguerre_fn_iter(alpha, u, m_max):
     """Yield the orthonormal weighted Laguerre functions ell_m^(alpha)(u), m <= m_max.
 
-    ell_m^(alpha)(u) = sqrt(m! / Gamma(m+alpha+1)) u^(alpha/2) L_m^(alpha)(u) e^(-u/2),
-    an orthonormal family in L^2(0, inf) (L_m(u) e^(-u/2) at alpha = 0).
-    Mantissa/exponent scaling keeps the sweep alive where the seed underflows
-    (u past about 1490, large alpha); a sum over m costs m_max steps.
+    L_m(u) e^(-u/2) at alpha = 0.  The sweep starts from ell_0 = u^(alpha/2)
+    e^(-u/2) / Gamma(alpha+1)^(1/2) in log form, so it survives where that
+    underflows (u past about 1490, large alpha).
     """
     u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    if scalar:
-        u = u.reshape(1)
-    # seed log: alpha*ln(u) is 0 at u=0 when alpha=0 (limit), -inf when alpha>0
-    with np.errstate(divide="ignore"):
-        log_u = np.where(u > 0, np.log(np.where(u > 0, u, 1.0)), -np.inf)
-    alpha_log_u = alpha * log_u if alpha != 0 else np.zeros_like(u)
+    with np.errstate(divide="ignore"):     # alpha ln u: -inf at u = 0, read as 0 at alpha = 0
+        alpha_log_u = alpha * np.log(u) if alpha else 0.0
     ls = 0.5 * (alpha_log_u - u - math.lgamma(alpha + 1.0))
-    m_prev = np.zeros_like(u)
-    m_cur = np.ones_like(u)
-    yield float(m_cur[0] * np.exp(ls[0])) if scalar else m_cur * np.exp(ls)
-    for m in range(m_max):
-        c1 = math.sqrt((m + 1.0) * (m + 1.0 + alpha))
-        c0 = math.sqrt(m * (m + alpha)) if m > 0 else 0.0
-        m_next = ((2.0 * m + alpha + 1.0 - u) * m_cur - c0 * m_prev) / c1
-        m_prev, m_cur = m_cur, m_next
-        _renormalize(m_cur, m_prev, ls)
-        yield float(m_cur[0] * np.exp(ls[0])) if scalar else m_cur * np.exp(ls)
+    for mant, scale in _laguerre_sweep(alpha, u, ls, m_max):
+        yield mant * np.exp(scale)
 
 
-_LOG_SWEEP_CHECK = 16        # recurrence steps between renormalizations
+def laguerre_fn_sq_log(m, alpha, u, seed):
+    """ln (f ell_m^(alpha)(u)^2) from seed = ln (f ell_0^(alpha)(u)^2), any factor f > 0.
 
-
-def laguerre_log_abs(m, nu, x):
-    """ln |L_m^(nu)(x)| from the three-term recurrence with rescaled mantissas.
-
-    A step grows a value by at most (|2j + nu + 1 - x| + j + nu) / (j + 1), so
-    16 steps stay below 1e100 while x + 2 nu < 1e7: renormalizing every 16
-    steps keeps the mantissas finite where the plain L_m^(nu)(x) overflows.
-    An exact zero gives -inf.
-
-    One recurrence serves a block of orders: nu may be an array broadcasting
-    against x, e.g. shape (R, 1) against x of shape (N,), giving (R, N); m may
-    then be an integer array of shape (R, 1), and row r is read off at its own
-    step m_r.  Every row is bit-identical to the scalar call with its m and nu.
+    Exact far below the underflow threshold; an exact zero gives -inf.  One
+    sweep serves a block of orders: alpha of shape (R, 1) against u of shape
+    (N,) and a seed of shape (R, N), with m an integer or an (R, 1) array
+    whose row r is read off at its own step m_r; each row is bit-identical
+    to the scalar call with its m and alpha.
     """
-    x = np.asarray(x, dtype=float)
     m = np.asarray(m)
-    # one shared degree (the rows k >= q of a moment block) needs no per-row
-    # read-off, which made a q = 1, count 300 moment call 10% slower
-    if m.ndim and (m == m.flat[0]).all():
+    if m.ndim and (m == m.flat[0]).all():   # one shared degree needs no per-row read-off
         m = m.flat[0]
-    shape = np.broadcast(m, nu, x).shape
-    steps = int(m.max(initial=0))
-    l_prev, l_cur, l_next = np.zeros(shape), np.ones(shape), np.empty(shape)
-    # no rescale before step 16, so a short scalar sweep needs no exponent array
-    ls = np.zeros(shape) if steps >= _LOG_SWEEP_CHECK or m.ndim else 0.0
-    if m.ndim:      # row r is read off after step m_r; degree 0 gives ln 1
-        stops = {int(s): (m == s).ravel() for s in np.unique(m)}
-        out = np.zeros(shape)
+    stops = {int(s): (m == s).ravel() for s in np.unique(m)} if m.ndim else {}
+    out = np.empty(np.shape(seed)) if m.ndim else None
     with np.errstate(divide="ignore"):
-        for j in range(steps):
-            # l_next = ((2j + nu + 1 - x) l_cur - (j + nu) l_prev) / (j + 1) in
-            # three rotating buffers, operation for operation as written
-            np.subtract(2.0 * j + nu + 1.0, x, out=l_next)
-            l_next *= l_cur
-            l_prev *= j + nu
-            l_next -= l_prev
-            l_next /= j + 1.0
-            l_prev, l_cur, l_next = l_cur, l_next, l_prev
-            if j % _LOG_SWEEP_CHECK == _LOG_SWEEP_CHECK - 1:
-                _renormalize(l_cur, l_prev, ls)
-            if m.ndim and j + 1 in stops:
-                rows = stops[j + 1]
-                out[rows] = np.log(np.abs(l_cur[rows])) + ls[rows]
-        if not m.ndim:
-            out = np.log(np.abs(l_cur))
+        for j, (mant, ls) in enumerate(_laguerre_sweep(alpha, u, 0.5 * seed, int(m.max()))):
+            if j in stops:
+                out[stops[j]] = np.log(np.abs(mant[stops[j]])) + ls[stops[j]]
+        if not m.ndim:          # the finished sweep's last buffer becomes the result
+            out = np.log(np.abs(mant, out=mant), out=mant)
             out += ls
+    out *= 2.0
     return out
 
 

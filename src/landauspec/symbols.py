@@ -589,7 +589,11 @@ def fourier_radial_profile(profile):
     amp = profile.amplitude
     if k == "gaussian":
         a = profile.rate
-        return gaussian(1.0 / (4.0 * a), amplitude=amp / (2.0 * a))
+        rate, amp_hat = 1.0 / (4.0 * a), amp / (2.0 * a)
+        if not (math.isfinite(rate) and math.isfinite(amp_hat)):
+            raise ValueError(f"the Fourier dual of gaussian({a!r}), of rate 1/(4 rate) and "
+                             f"amplitude amplitude/(2 rate), leaves the double range")
+        return gaussian(rate, amplitude=amp_hat)
     cs = profile.laguerre_coeffs
     if cs is not None:
         def fhat(u):

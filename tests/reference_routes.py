@@ -63,7 +63,8 @@ def integrate_halfline(f, order=400, support=None):
 def laguerre(q, nu, xi):
     """Generalized Laguerre polynomial L_q^(nu)(xi) by the plain three-term
     recurrence: unscaled, so it overflows at large degree.  The oracle for
-    `specfun.laguerre_log_abs`.
+    the log read-off `specfun.laguerre_fn_sq_log`, whose ell_m^(nu)(xi)^2 is
+    m! Gamma(nu + 1) / Gamma(m + nu + 1) L_m^(nu)(xi)^2 ell_0^(nu)(xi)^2.
     """
     if q < 0:
         raise ValueError("degree must be nonnegative")

@@ -825,6 +825,7 @@ _TOEPLITZ = {"zeta": {"kind": "gaussian", "rate": 1.0}, "b": 1.0, "count": 4}
 _SPECTRUM = {"b": 1.0, "levels": 2, "radial": 3, "sign": "-", "symbol": {"separable": {
     "frame": "lab", "terms": [{"coeff": 1.0, "A": _GAUSS, "B": _GAUSS}]}}}
 _GAPS = {"b": 1.0, "multiplicities": [1], "level_scales": [0.8], "index_scales": [0.5]}
+_RADIAL = {"profile": _GAUSS, "count": 4}
 _TERM0 = ("symbol", "separable", "terms", 0)
 
 
@@ -866,6 +867,12 @@ _ESCAPES = [
     ("construct-gaps", _GAPS, ("multiplicities",), [1.7], "multiplicities[0]"),
     ("toeplitz", _TOEPLITZ, ("order",), "x", "order must be a positive integer"),
     ("spectrum", _SPECTRUM, ("order",), "x", "unknown keys ['order']"),
+    # columns that overflowed to NaN or infinity with exit 0: weights times the
+    # constant, the Fourier dual's infinite rate, the Laguerre series' sum
+    ("radial-eigs", _RADIAL, ("profile",), {"kind": "constant", "value": -1.7e308}, "profile: "),
+    ("radial-eigs", _RADIAL, ("profile",), {"kind": "gaussian", "rate": 5e-324}, "profile: "),
+    ("radial-eigs", _RADIAL, ("profile",), {"kind": "laguerre_mix", "coeffs": [1e308, 1e308]},
+     "profile: "),
 ]
 
 

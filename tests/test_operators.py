@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +13,7 @@ from scipy.special import gammaln
 from landauspec import operators as op
 from landauspec import quadrature as qd
 from landauspec import symbols as sy
-from landauspec.specfun import hermite_fn, laguerre_log_abs, log_gammainc_lower
+from landauspec.specfun import hermite_fn, laguerre_fn_sq_log, log_gammainc_lower
 from reference_routes import laguerre, radial_gauss_convolution
 
 
@@ -107,6 +111,25 @@ def test_weyl_matrix_doubling_check_flags_bad_symbol():
     # n = 400 would start at order 816, past the last order that can be doubled
     with pytest.raises(qd.QuadratureAccuracyError, match="would start at order 816"):
         op.weyl_matrix(sy.gaussian(1.0), 400)
+
+
+def test_unsettled_pairing_matrix_stays_below_100_mb():
+    # the tensor rule runs in row blocks, so an order-1280 grid of symbol
+    # values, phases and sweep values (about 245 MB) is never held at once.
+    # A process's ru_maxrss also counts the image of the process that spawned
+    # it, so a bare interpreter spawns this one.
+    code = ("import resource, numpy as np\n"
+            "from landauspec import operators, quadrature, symbols\n"
+            "try:\n"
+            "    operators.weyl_matrix(symbols.custom(lambda s: np.cos(60.0 * s)), 2)\n"
+            "except quadrature.QuadratureAccuracyError:\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    launch = ("import subprocess, sys; print(subprocess.run([sys.executable, '-c', sys.argv[1]], "
+              "check=True, capture_output=True, text=True).stdout)")
+    src = str(Path(op.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", launch, code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert 0 < int(out) < 100 * 1024        # ru_maxrss in KiB
 
 
 @pytest.mark.parametrize("prof", [sy.exp_beta(0.8, 2.0), sy.power(3.0)],
@@ -397,6 +420,20 @@ def test_toeplitz_superexponential_higher_level_mpmath_oracle():
     assert oracle[-1] == pytest.approx(-634.1413, abs=1e-4)
 
 
+@pytest.mark.parametrize("q", [0, 1, 3, 40])
+@pytest.mark.parametrize("b", [0.5, 2.0])
+def test_constant_weight_reads_its_value_at_every_index(q, b):
+    # int ell_m^(d)(t)^2 dt = 1, so a constant c reads nu_k = c: a square root
+    # or factorial dropped from the sweep or its seed would show at every k
+    sign, logs = op.toeplitz_radial_eigs(sy.constant(0.7), q, b, 300)
+    assert (sign == 1.0).all()
+    assert np.abs(logs - math.log(0.7)).max() < 1e-12
+
+
+def test_constant_weight_antiwick_reads_its_value():
+    assert np.abs(op.antiwick_radial_eigs(sy.constant(0.7), 300) - 0.7).max() < 1e-12
+
+
 def test_toeplitz_gaussian_closed_forms_under_strong_decay():
     k = np.arange(300)
     # q = 1, mu = 2a/b = 4: ln(k s^2 - 2ks + k + 1) - (k+2) ln s, s = 1 + mu
@@ -411,7 +448,7 @@ def test_toeplitz_gaussian_closed_forms_under_strong_decay():
 
 def _full_grid_moments(profile, q, scale, count, in_logs=False):
     """The moment kernel before windowing: every row on the whole log grid,
-    one Laguerre recurrence per row (reference for `_radial_moments`).
+    one Laguerre sweep per row (reference for `_radial_moments`).
     Returns nu_k, or with in_logs=True ln nu_k summed in log space (positive
     profiles only)."""
     t, ln_t, lead = op._log_grid(count + q)
@@ -423,11 +460,11 @@ def _full_grid_moments(profile, q, scale, count, in_logs=False):
     for k0 in range(0, count, 16):
         ks = np.arange(k0, min(k0 + 16, count))
         m, d = np.minimum(ks, q), np.abs(ks - q)
-        norm = [math.lgamma(a + 1.0) - math.lgamma(a + c + 1.0) for a, c in zip(m, d)]
-        terms = d[:, None] * ln_t + lead + np.array(norm)[:, None]
+        # ln (weight ell_0^(d)(t)^2), then the sweep to ell_m^(d)
+        terms = d[:, None] * ln_t + lead - np.array([math.lgamma(c + 1.0) for c in d])[:, None]
         for row, (a, c) in enumerate(zip(m, d)):
             if a:
-                terms[row] += 2.0 * laguerre_log_abs(int(a), float(c), t)
+                terms[row] = laguerre_fn_sq_log(int(a), float(c), t, terms[row])
         if in_logs:
             peak = terms.max(axis=1)
             shift = np.where(np.isfinite(peak), peak, 0.0)

@@ -5,9 +5,10 @@ somewhere in src/ outside its own definition, or be listed below with the
 caller outside src/ that keeps it.  Every private one (a module-level
 _function or _Class, or a _method that is not a dunder) must be named in
 src/ outside its definition, with no exceptions: a private helper that only
-a test calls is dead code.  Test-only routes live in tests/reference_routes.py
-instead.  The check is by name (ast), so a name that some other code also
-uses counts as referenced.
+a test calls is dead code.  Every module-level constant must be read in src/
+outside its own assignment, so a tuning constant outlives no code path.
+Test-only routes live in tests/reference_routes.py instead.  The check is by
+name (ast), so a name that some other code also uses counts as referenced.
 """
 
 import ast
@@ -78,3 +79,30 @@ def test_every_public_name_is_reached_from_src_or_listed():
 
 def test_every_private_name_is_reached_from_src():
     assert _unreached(private=True) == []
+
+
+def _constants(tree):
+    """(name, node) of every name a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        yield name.id, node
+
+
+def _reads(tree):
+    """Count of every identifier or attribute that tree reads."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load))
+
+
+def test_every_module_constant_is_read_in_src():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    everywhere = sum((_reads(tree) for tree in trees.values()), Counter())
+    unread = [f"{module}.{name}" for module, tree in trees.items()
+              for name, node in _constants(tree) if everywhere[name] == _reads(node)[name]]
+    # __all__ is read by `from landauspec import *`, not by src/
+    assert unread == ["__init__.__all__"]
