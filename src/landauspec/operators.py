@@ -313,7 +313,8 @@ def _radial_moments(profile, q, scale, count, order=None):
             step = max(1, _PASS_SIZE // x.size)
             for r in range(int(ks[0] == 0), ks.size, step):
                 part = slice(r, r + step)
-                logs[part] = laguerre_fn_sq_log(m[part], d[part], x, logs[part])
+                deg = q if ks[r] >= q else m[part]      # rows k >= q share m = q
+                logs[part] = laguerre_fn_sq_log(deg, d[part], x, logs[part])
         return logs
 
     sign, log_abs = np.empty(count), np.empty(count)

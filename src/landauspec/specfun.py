@@ -5,8 +5,10 @@ psi_q(x) = H_q(x) e^(-x^2/2) / (sqrt(pi) 2^q q!)^(1/2) and Laguerre functions
 ell_m^(alpha)(u) = sqrt(m!/Gamma(m+alpha+1)) u^(alpha/2) L_m^(alpha)(u) e^(-u/2),
 swept to degrees in the thousands by one recurrence on mantissa/exponent
 pairs (`_sweep`) and read off as values (hermite_fn_iter, laguerre_fn_iter)
-or as logs (laguerre_fn_sq_log, for the moment integrals).  All factorial
-arithmetic is done in log space.  J_0 and J_1 behind the radial Hankel
+or as logs (laguerre_fn_sq_log, for the moment integrals).  The Laguerre
+sweep carries L_m^(alpha) ell_0 by the plain recurrence, and the read-offs
+apply the factor (m! Gamma(alpha+1) / Gamma(m+alpha+1))^(1/2) in log space,
+as all factorial arithmetic is done.  J_0 and J_1 behind the radial Hankel
 transforms come from tabulated Chebyshev series below x = 25 and the Hankel
 asymptotic expansion above.
 """
@@ -18,33 +20,38 @@ import math
 import numpy as np
 
 
-# every 16 steps a sweep rescales mantissas outside [1e-120, 1e120] by 1e120
+# a sweep rescales mantissas outside [1e-120, 1e120] by 1e120, every 16 steps
+# while a step grows a value by less than 1e11 and on every step past that
 _RESCALE = 1e120
 _SWEEP_CHECK = 16
+_SWEEP_REACH = 1e11
 
 
-def _sweep(x, ls, diag, off):
+def _sweep(x, ls, diag, off, low, reach):
     """Yield (mantissa, ls) with f_j = mantissa exp(ls), for j = 0 .. len(off).
 
-    f runs off_j f_(j+1) = (diag_j - x) f_j - off_(j-1) f_(j-1) from
+    f runs off_j f_(j+1) = (diag_j - x) f_j - low_j f_(j-1) from
     f_0 = exp(ls), f_(-1) = 0; ls has the result's shape and is updated in
     place, and both buffers are reused by the next step.  A step grows the
-    larger of a mantissa pair by at most (|x - diag_j| + |off_(j-1)|) / |off_j|,
-    below 2^(1/2) |x| + 1 for Hermite and u + 2 alpha + 4 for Laguerre: while
-    that is below 1e11, 16 steps take a pair of at most 1e120 to at most 1e296.
+    larger of a mantissa pair by at most (|x - diag_j| + |low_j|) / |off_j|,
+    which the caller bounds by reach.  While reach < 1e11, 16 steps take a
+    pair of at most 1e120 to at most 1e296, and the sweep rescales every 16
+    steps; past that it rescales on every step, which holds the pair finite
+    while reach <= 1e120.
     """
     ls = np.asarray(ls, dtype=float)
+    every = _SWEEP_CHECK if reach < _SWEEP_REACH else 1
     prev, cur, nxt = np.empty(ls.shape), np.ones(ls.shape), np.empty(ls.shape)
     yield cur, ls
     for j, a in enumerate(off):
         np.subtract(diag[j], x, out=nxt)
         if j:                                 # at j = 0, cur = 1 and prev = 0
             nxt *= cur
-            prev *= off[j - 1]
+            prev *= low[j]
             nxt -= prev
         nxt /= a
         prev, cur, nxt = cur, nxt, prev
-        if j % _SWEEP_CHECK == _SWEEP_CHECK - 1:
+        if j % every == every - 1:
             am = np.abs(cur)
             for mask, factor in ((am > _RESCALE, 1.0 / _RESCALE),
                                  ((am < 1.0 / _RESCALE) & (am > 0), _RESCALE)):
@@ -58,12 +65,15 @@ def _sweep(x, ls, diag, off):
 def hermite_fn_iter(x, q_max):
     """Yield psi_0(x), ..., psi_{q_max}(x) for the orthonormal Hermite functions.
 
-    sqrt((q+1)/2) psi_{q+1} = x psi_q - sqrt(q/2) psi_{q-1} in `_sweep`, so
-    degrees up to 1e4 survive where psi_q is far below the underflow threshold.
+    sqrt((q+1)/2) psi_{q+1} = x psi_q - sqrt(q/2) psi_{q-1} in `_sweep`, a step
+    growing a value by at most sqrt(2) |x| + 1, so degrees up to 1e4 survive
+    where psi_q is far below the underflow threshold.
     """
     x = np.asarray(x, dtype=float)
-    off = -np.sqrt(0.5 * np.arange(1.0, q_max + 1.0))
-    for mant, ls in _sweep(x, -0.5 * x * x - 0.25 * np.log(np.pi), np.zeros(q_max), off):
+    root = -np.sqrt(0.5 * np.arange(q_max + 1.0))
+    reach = math.sqrt(2.0) * np.abs(x).max(initial=0.0) + 1.0
+    for mant, ls in _sweep(x, -0.5 * x * x - 0.25 * np.log(np.pi), np.zeros(q_max),
+                           root[1:], root[:-1], reach):
         yield mant * np.exp(ls)
 
 
@@ -77,12 +87,20 @@ def hermite_fn(q, x):
 
 
 def _laguerre_sweep(alpha, u, ls, steps):
-    """`_sweep` of exp(ls) ell_m^(alpha)(u) / ell_0^(alpha)(u), m <= steps; alpha
-    broadcasts against u.  sqrt((m+1)(m+alpha+1)) ell_(m+1)
-    = (2m+alpha+1 - u) ell_m - sqrt(m(m+alpha)) ell_(m-1)."""
+    """(`_sweep` of exp(ls) L_m^(alpha)(u), ln c_m^2) for m <= steps, where
+    ell_m^(alpha) = c_m L_m^(alpha) ell_0^(alpha) and c_m^2 = m! Gamma(alpha+1)
+    / Gamma(m+alpha+1); alpha broadcasts against u.  The sweep runs the plain
+    recurrence (m+1) L_(m+1) = (2m+alpha+1 - u) L_m - (m+alpha) L_(m-1), a
+    step growing a value by at most |u| + 2|alpha| + 3 (a one-step sweep has
+    no use for that bound).
+    """
     j = np.arange(1.0, steps + 1.0).reshape((-1,) + (1,) * np.ndim(alpha))   # j = m + 1
     j_alpha = j + alpha
-    return _sweep(u, ls, j_alpha + (j - 1.0), np.sqrt(j * j_alpha))
+    ln_c2 = np.zeros((steps + 1,) + np.shape(alpha))
+    np.add.accumulate(np.log(j / j_alpha), axis=0, out=ln_c2[1:])
+    low = j_alpha - 1.0
+    reach = np.abs(u).max(initial=0.0) + 2.0 * np.abs(alpha).max() + 3.0 if steps > 1 else 0.0
+    return _sweep(u, ls, j + low, j, low, reach), ln_c2
 
 
 def laguerre_fn_iter(alpha, u, m_max):
@@ -96,8 +114,9 @@ def laguerre_fn_iter(alpha, u, m_max):
     with np.errstate(divide="ignore"):     # alpha ln u: -inf at u = 0, read as 0 at alpha = 0
         alpha_log_u = alpha * np.log(u) if alpha else 0.0
     ls = 0.5 * (alpha_log_u - u - math.lgamma(alpha + 1.0))
-    for mant, scale in _laguerre_sweep(alpha, u, ls, m_max):
-        yield mant * np.exp(scale)
+    sweep, ln_c2 = _laguerre_sweep(alpha, u, ls, m_max)
+    for (mant, scale), ln_c in zip(sweep, 0.5 * ln_c2):
+        yield mant * np.exp(scale + ln_c if alpha else scale)
 
 
 def laguerre_fn_sq_log(m, alpha, u, seed):
@@ -107,21 +126,23 @@ def laguerre_fn_sq_log(m, alpha, u, seed):
     sweep serves a block of orders: alpha of shape (R, 1) against u of shape
     (N,) and a seed of shape (R, N), with m an integer or an (R, 1) array
     whose row r is read off at its own step m_r; each row is bit-identical
-    to the scalar call with its m and alpha.
+    to the scalar call with its m and alpha while |u| + 2 |alpha| < 1e11.
     """
     m = np.asarray(m)
     if m.ndim and (m == m.flat[0]).all():   # one shared degree needs no per-row read-off
         m = m.flat[0]
     stops = {int(s): (m == s).ravel() for s in np.unique(m)} if m.ndim else {}
     out = np.empty(np.shape(seed)) if m.ndim else None
+    sweep, ln_c2 = _laguerre_sweep(alpha, u, 0.5 * seed, int(m.max()))
     with np.errstate(divide="ignore"):
-        for j, (mant, ls) in enumerate(_laguerre_sweep(alpha, u, 0.5 * seed, int(m.max()))):
+        for j, (mant, ls) in enumerate(sweep):
             if j in stops:
                 out[stops[j]] = np.log(np.abs(mant[stops[j]])) + ls[stops[j]]
         if not m.ndim:          # the finished sweep's last buffer becomes the result
             out = np.log(np.abs(mant, out=mant), out=mant)
             out += ls
     out *= 2.0
+    out += np.take_along_axis(ln_c2, m[None], axis=0)[0] if m.ndim else ln_c2[m]
     return out
 
 

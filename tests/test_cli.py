@@ -229,6 +229,22 @@ def test_toeplitz_negative_amplitude_keeps_signed_values(tmp_path):
     assert all(math.isnan(float(r[2])) for r in rows)
 
 
+@pytest.mark.parametrize("b, code", [(1e-18, 2), (1e-100, 0)])
+def test_toeplitz_laguerre_mix_at_tiny_b(tmp_path, capsys, b, code):
+    # zeta(2t/b) sweeps 19 Laguerre steps at u = 4t/b, up to 3e103 on the grid,
+    # where 16 steps between rescales would overflow.  At b = 1e-18 the weight
+    # sits at the floor of the log grid; at 1e-100 it is 0 on every node.
+    cfg = write_config(tmp_path, "c.json", {
+        "zeta": {"kind": "laguerre_mix", "coeffs": [1.0] * 20}, "b": b, "count": 5})
+    out = tmp_path / "out"
+    assert main(["toeplitz", "--config", cfg, "--out", str(out)]) == code
+    if code:
+        assert "accuracy error: moment k = 0" in capsys.readouterr().err
+    else:
+        _, rows = read_csv(out / "toeplitz.csv")
+        assert [float(r[1]) for r in rows] == [0.0] * 5
+
+
 def test_toeplitz_empty_range(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "zeta": {"kind": "gaussian", "rate": 1.0}, "b": 1.0, "count": 0})
