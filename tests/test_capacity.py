@@ -142,31 +142,24 @@ def _reference_ascend(K, w, max_iter):
     return w, E
 
 
-def _upper_pairs(n):
-    i, k = np.triu_indices(n, 1)
-    return i * n + k
-
-
 def test_pair_kernel_matches_pair_sum_and_gradient():
     # the energy is summed in the per-pair order, so it is bit-identical
     rng = np.random.default_rng(11)
     for n in range(2, 41):
         w = rng.normal(size=n) + 1j * rng.normal(size=n)
-        E, diff = cap._pair_kernel(w, _upper_pairs(n))
-        assert E == _reference_energy(w)
-        g = 1.0 / np.conj(diff)
-        np.fill_diagonal(g, 0.0)
+        assert cap._energy(w, cap._upper_pairs(n)) == _reference_energy(w)
+        g = np.conj(cap._inverse_differences(w).sum(axis=1))
         ref = _reference_gradient(w)
-        assert np.abs(g.sum(axis=1) - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
     w = np.array([0.0, 1.0, 1j, 1.0])             # coincident points: -inf, no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cap._pair_kernel(w, _upper_pairs(4))[0] == -np.inf
+        assert cap._energy(w, cap._upper_pairs(4)) == -np.inf
 
 
 def test_ascent_follows_reference_gradient(monkeypatch):
     # a few ascent iterations with the per-pair energy and the explicit gradient
-    # must land on the same points as the ascent on the fused pair kernel
+    # must land on the same points as the ascent on the pair energy and inverse differences
     # (gradient steps only: no gain is small enough to hand over to Newton steps)
     monkeypatch.setattr(cap, "_NEWTON_SWITCH", 0.0)
     monkeypatch.setattr(cap, "_MAX_ITER", 4)
@@ -176,7 +169,7 @@ def test_ascent_follows_reference_gradient(monkeypatch):
     for n in (2, 3, 9, 24, 40):
         for K in sets:
             w0 = K.sample(n, rng)
-            w, E, its, newton_its, _ = cap._fekete_ascent(K, w0)
+            w, E, its, newton_its, _ = cap._ascend(K, [w0])[0]
             w_ref, E_ref = _reference_ascend(K, w0, 4)
             assert (its, newton_its) == (4, 0)
             assert np.array_equal(w, w_ref) and E == E_ref
@@ -311,6 +304,59 @@ def test_boundary_frame_geometry():
     assert np.allclose(n[:2], [1.0, -1.0])
 
 
+def _same_bits(a, b):
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(map(np.asarray, a), map(np.asarray, b)))
+
+
+_SQUARE = [0, 1.0, 1.0 + 1.0j, 1.0j]
+
+
+@pytest.mark.parametrize("K", [
+    cap.disk(0.3 - 0.2j, 1.2), cap.segment(-1.0 - 0.5j, 1.0 + 0.5j), cap.polygon(_SQUARE),
+    cap.polygon(_SQUARE[::-1]), cap.polygon([0.2 - 0.1j, 1.7 - 0.1j, 0.95 + 1.199j]),
+    cap.set_union([cap.disk(-2.0, 0.5), cap.polygon([1.0, 2.0, 2.0 + 1.0j, 1.0 + 1.0j])])],
+    ids=["disk", "segment", "square-ccw", "square-cw", "triangle", "union"])
+def test_frame_from_projection_is_boundary_frame_of_projection(K):
+    # the frames a projection reads off its own search are those a second search finds
+    rng = np.random.default_rng(17)
+    x0, x1, y0, y1 = K.bounding_box()
+    mid, size = complex(x0 + x1, y0 + y1) / 2, max(x1 - x0, y1 - y0)
+    corners = np.array([*K.vertices, K.a, K.b, *(m.center for m in K.members)])
+    w = np.concatenate([
+        mid + size * (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300)),
+        (corners[:, None] + 10.0 ** rng.uniform(-14, -6, (len(corners), 12))
+         * np.exp(2j * np.pi * rng.uniform(size=(len(corners), 12)))).reshape(-1),
+        mid + 0.2 * size * rng.normal(size=40)])        # near the middle: a union's gap
+    p, frame = K._project(w)
+    assert _same_bits(frame(slice(None)), K.boundary_frame(p))
+    assert _same_bits(frame(slice(100, 160)), K.boundary_frame(p[100:160]))
+
+
+@pytest.mark.parametrize("K", [cap.polygon([0, 1.5, 1.5 + 1.5j, 1.5j]),
+                               cap.set_union([cap.disk(-2.0, 0.5), cap.disk(2.0, 0.5)])],
+                         ids=["square", "two-disks"])
+def test_ascent_searches_once_per_projection(K, monkeypatch):
+    # the boundary frames of the ascent come from the projections' own nearest-edge or
+    # nearest-member searches: one search per projection, plus one per sampling batch
+    counts = {"searches": 0, "projections": 0, "samples": 0}
+
+    def count(name, key, of=None):
+        method = getattr(cap.CompactSet, name)
+
+        def counted(self, *args, **kwargs):
+            counts[key] += of is None or self is of
+            return method(self, *args, **kwargs)
+        monkeypatch.setattr(cap.CompactSet, name, counted)
+    count("_polygon_nearest", "searches")
+    count("_nearest_member", "searches")
+    count("_project", "projections", K)
+    count("membership", "samples", K)
+    cap.capacity_estimate(K, 16, restarts=1, seed=1)
+    assert counts["projections"] > 0
+    assert counts["searches"] == counts["projections"] + counts["samples"]
+
+
 def _arc_move(w, frame, s):
     """Points moved by arc lengths s along the boundary: turned about the centre of
     curvature where kappa > 0, along the tangent on edges."""
@@ -320,22 +366,27 @@ def _arc_move(w, frame, s):
 
 
 def _tangent_gradient(K, w):
-    E, diff = cap._pair_kernel(w, _upper_pairs(len(w)))
+    E = cap._energy(w, cap._upper_pairs(len(w)))
     frame = K.boundary_frame(w)
-    return E, frame, cap._tangent_system(diff, *frame[:3])
+    return E, frame, cap._tangent_system(cap._inverse_differences(w), *frame[:3])
 
 
 _ARC = 0.4 + 0.1j + 1.3 * np.exp(1j * np.linspace(0.2, 1.6, 6))
 
 
-@pytest.mark.parametrize("K,w", [
-    (cap.disk(0.4 + 0.1j, 1.3), _ARC),
-    (cap.polygon([0, 2.0, 1.0 + 1.5j]), np.array([0.0, 0.7, 1.3, 1.6 + 0.6j, 0.4 + 0.6j])),
-    (cap.segment(-1.0 - 0.5j, 1.0 + 0.5j), np.array([-1.0 - 0.5j, -0.4 - 0.2j, 0.2 + 0.1j, 0.8 + 0.4j])),
+@pytest.mark.parametrize("K,w,route", [
+    (cap.disk(0.4 + 0.1j, 1.3), _ARC, "eigen"),                     # the rotation null mode
+    # the same null mode, but -M rounds to a matrix with a Cholesky factor
+    (cap.disk(0.4 + 0.1j, 1.3), 0.4 + 0.1j + 1.3 * np.exp(1j * np.linspace(0.2, 1.6, 4)), "eigen"),
+    (cap.polygon([0, 2.0, 1.0 + 1.5j]), np.array([0.0, 0.7, 1.3, 1.6 + 0.6j, 0.4 + 0.6j]),
+     "eigen"),                                                       # indefinite
+    (cap.segment(-1.0 - 0.5j, 1.0 + 0.5j), np.array([-1.0 - 0.5j, -0.4 - 0.2j, 0.2 + 0.1j, 0.8 + 0.4j]),
+     "cholesky"),
     (cap.set_union([cap.disk(-2.0, 0.5), cap.disk(2.0, 1.0)]),
-     np.array([-2.0 + 0.5j, -2.5, 3.0, 2.0 - 1.0j, 2.0 + np.exp(2.0j)]))],
-    ids=["disk-arc", "polygon-edges", "segment-interior", "union-members"])
-def test_tangent_hessian_matches_central_differences(K, w):
+     np.array([-2.0 + 0.5j, -2.5, 3.0, 2.0 - 1.0j, 2.0 + np.exp(2.0j)]), "cholesky")],
+    ids=["disk-arc", "disk-arc-factorable", "polygon-edges", "segment-interior",
+         "union-members"])
+def test_tangent_hessian_matches_central_differences(K, w, route, monkeypatch):
     # the exact gradient and Hessian of E along the boundary, in arc length per point,
     # against central differences of E and of the tangent gradient
     E, frame, (g, M) = _tangent_gradient(K, w)
@@ -355,11 +406,17 @@ def test_tangent_hessian_matches_central_differences(K, w):
     pinned = frame[0] == 0
     assert not g[pinned].any()
     # the modified Newton step solves A p = g on the free points, A being -M with its
-    # eigenvalues replaced by max(|lam|, 1e-9 max|lam|), so it climbs: g . p > 0
+    # eigenvalues replaced by max(|lam|, 1e-9 max|lam|), so it climbs: g . p > 0; it
+    # comes from an eigensystem only where some eigenvalue is not well above that floor
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
     p = cap._newton_direction(g, M, ~pinned)
+    monkeypatch.undo()
+    assert ("eigen" if calls else "cholesky") == route
     lam, V = np.linalg.eigh(-M[np.ix_(free, free)])
     a = np.maximum(np.abs(lam), 1e-9 * np.abs(lam).max())
     assert np.abs(V @ (a * (V.T @ p[free])) - g[free]).max() <= 1e-12 * np.abs(g).max()
+    assert np.abs(p[free] - V @ ((V.T @ g[free]) / a)).max() <= 1e-12 * np.abs(p).max()
     assert not p[pinned].any() and g @ p > 0
 
 

@@ -732,9 +732,16 @@ _BAD_CAPACITY = [
      "set: polygon of extent 1e+154 lies outside"),
     ({"set": {"kind": "disk", "radius": 1e-170}, "j_max": 8},
      "set: disk of extent 1e-170 lies outside"),
+    # (the far member is large enough to pass its own coordinate range below)
     ({"set": {"kind": "union", "members": [_DISK, {"kind": "disk", "center": [1e151, 0.0],
-                                                   "radius": 1.0}]}, "j_max": 8},
-     "set: union of extent 1e+151 lies outside")]
+                                                   "radius": 1e144}]}, "j_max": 8},
+     "set: union of extent 1e+151 lies outside"),
+    # coordinates past 1e8 times the extent: this disk read 1.1136 for a capacity of 2
+    ({"set": {"kind": "disk", "center": [1.7e308, 0.0], "radius": 2.0}, "j_max": 8},
+     "set: disk reaches 1.7e+308 from the origin, more than 1e8 times its extent 2"),
+    ({"set": {"kind": "union", "members": [_DISK, {"kind": "segment", "a": [1e9, 0.0],
+                                                   "b": [1e9, 1.0]}]}, "j_max": 8},
+     "set.members[1]: segment reaches 1e+09 from the origin")]
 
 
 @pytest.mark.parametrize("payload,message", _BAD_CAPACITY)

@@ -29,6 +29,8 @@ ENTRY_POINTS = {
     "specfun.log_gammainc_lower": "acceptance criterion 11: the compact-support oracle",
     "operators.birman_schwinger_check": "acceptance criterion 15 and the benchmark's "
                                         "sandwich jobs",
+    "capacity.CompactSet.project": "the projection tests and the benchmark's projection "
+                                   "counter; the ascent calls CompactSet._project",
 }
 
 
