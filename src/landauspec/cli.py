@@ -210,10 +210,13 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, payload):
-    """Strict JSON: key-sorted, indent 2, a final newline, NaN and infinity as null."""
+    """Strict JSON: key-sorted, indent 2, a final newline, NaN and infinity as null.
+
+    One string and one write: json.dump would write each of the encoder's
+    many small chunks through the file object."""
+    text = json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(_plain(payload), fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _plain(value):

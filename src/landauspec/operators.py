@@ -231,8 +231,9 @@ def weyl_radial_eigs_fourier(profile_hat, count, order=None):
 _LOG_GRID_STEP = 0.02
 _LOG_GRID_FLOOR = -60.0
 _LOG_GRID_MARGIN = 36.0      # nats the grid ends must lie below each row's peak
-_MOMENT_BLOCK = 16           # rows per (rows x nodes) block
+_MOMENT_BLOCK = 16           # most rows per (rows x nodes) block
 _COARSE_STRIDE = 16          # grid nodes per coarse-pass node
+_COARSE_SIZE = 1 << 14       # most (rows x nodes) elements per chunk of the coarse pass
 _WINDOW_DROP = 60.0          # nats below a row's coarse peak that its block's window keeps
 _WINDOW_PAD = 2              # coarse steps added to each side of a window
 _PASS_SIZE = 4096            # most (rows x nodes) elements per recurrence buffer
@@ -246,9 +247,10 @@ def _log_grid(size):
     u in [-60, ln(size + 60) + 2.5] with step h = 0.02 and weights h t.  Degree
     n peaks with width n^(-1/2) in u, and the rule errs by about
     exp(-2 pi^2 / (n h^2)), so past size ~ 940 h shrinks to hold (size + 60) h^2
-    at 0.4.  Each row needs only a few hundred of the nodes: `_radial_moments`
-    reads every 16th node (and the last) in a coarse pass to place a window per
-    block of rows, then sums over the window with one recurrence per block.
+    at 0.4.  Each row but one needs only a few hundred of the nodes:
+    `_radial_moments` reads every 16th node (and the last) in a coarse pass to
+    place a window per block of rows, then sums over the window with one
+    recurrence per block.
     """
     h = min(_LOG_GRID_STEP, math.sqrt(0.4 / (size + 60.0)))
     top = math.log(size + 60.0) + 2.5
@@ -258,6 +260,22 @@ def _log_grid(size):
     for a in (t, u, lead):
         a.setflags(write=False)
     return t, u, lead
+
+
+def _row_blocks(q, count):
+    """Row ranges (k0, k1) of `_radial_moments`: row q alone, then blocks of 1, 2,
+    4 and 8 rows and from there of 16 on each side of it, within [0, count)."""
+    mid = min(q, count)
+    blocks = [(q, q + 1)] if q < count else []
+    lo, width = mid + 1, 1
+    while lo < count:
+        blocks.append((lo, min(lo + width, count)))
+        lo, width = lo + width, min(2 * width, _MOMENT_BLOCK)
+    hi, width = mid, 1
+    while hi > 0:
+        blocks.append((max(hi - width, 0), hi))
+        hi, width = hi - width, min(2 * width, _MOMENT_BLOCK)
+    return blocks
 
 
 def _radial_moments(profile, q, scale, count, order=None):
@@ -270,21 +288,25 @@ def _radial_moments(profile, q, scale, count, order=None):
     + 100, where every row is 45 nats below its peak.  A term is
     ln |integrand| on a node, starting from d ln t - t - ln d! + ln (weight |R|),
     and a block sums exp(term - peak) sign R, so ln |nu_k| stays exact far
-    below the underflow threshold.  Rows go in blocks of 16, and one
+    below the underflow threshold.  Row q goes alone, and the other rows in
+    blocks of 1, 2, 4, 8 and then 16 on each side of it (`_row_blocks`); one
     `specfun.laguerre_fn_sq_log` sweep takes a block from ell_0 to ell_m:
     rows k >= q share m = q, and rows k < q are read off at their own step.
-    Row k + q is t^(k+q) e^(-t) times bounded factors, so on the grid it
-    lives on a few hundred of the grid's thousands of nodes.  A coarse pass
-    over every 16th node (and both ends) finds them: the block's window is
-    the range where some row is within 60 nats of its own coarse peak, padded
-    by two coarse steps, and the trapezoid sum runs on the window only.  This
-    takes |R| never to rise by tens of nats between two coarse nodes (38%
-    apart in t), which holds for RadialProfile.closed_form kinds; a custom R
-    may hide a narrow bump there, so it runs every block on the whole grid,
-    as does the block of row k = q, which falls only like t below its peak.
-    A row whose integrand is not 36 nats below its peak at both ends of the
-    full grid raises QuadratureAccuracyError; both ends are coarse nodes, so
-    the check sees the same nodes with or without a window.
+    Row k is t^(d+1) times bounded factors toward t = 0 in u = ln t, and
+    t^(k+q) e^(-t) beyond, so on the grid a row k != q lives on a few
+    hundred of the grid's thousands of nodes.  A coarse pass over every 16th
+    node (and both ends), once per call, finds them: a block's window is the
+    range where some row is within 60 nats of its own coarse peak, padded by
+    two coarse steps, and the trapezoid sum runs on the window only.  Blocks
+    grow away from row q because the rows nearest it fall slowest toward
+    t = 0 and would widen a shared window.  This takes |R| never to rise by
+    tens of nats between two coarse nodes (38% apart in t), which holds for
+    RadialProfile.closed_form kinds; a custom R may hide a narrow bump there,
+    so it runs every block on the whole grid, as does row q, which falls only
+    like t.  A row whose integrand is not 36 nats below its peak at both
+    ends of the full grid, or is NaN there or at its peak, raises
+    QuadratureAccuracyError; both ends are coarse nodes, so the check sees
+    the same nodes with or without a window.
     """
     size = count + q                    # row k: t^(k+q) e^(-t) times bounded factors
     on_grid = not profile.breakpoints
@@ -296,62 +318,85 @@ def _radial_moments(profile, q, scale, count, order=None):
                                              order, order, size + 10.0 * math.sqrt(size) + 100.0)
         ln_t = np.log(t)
         lead = np.log(weights) - t
-    log_r, sign_r = profile.log_abs(scale * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an R that leaves the double range reads inf or NaN: the margin check refuses it
+        log_r, sign_r = profile.log_abs(scale * t)
     lead = lead + log_r
     # the planted fault of `verify --inject-fault moment_window` clips the window
     drop = 5.0 if wigner.fault_active("moment_window") else _WINDOW_DROP
+    ks = np.arange(count)
+    m_all, d_all = np.minimum(ks, q)[:, None], np.abs(ks - q)[:, None]
+    ln_d_fact = np.array([math.lgamma(abs(k - q) + 1.0) for k in range(count)])[:, None]
 
-    def row_logs(ks, ln_d_fact, nodes):
-        """ln |integrand| of the rows on nodes, from ln (weight |R| ell_0^(d)(t)^2)."""
-        m, d = np.minimum(ks, q)[:, None], np.abs(ks - q)[:, None]
-        x = t[nodes]
-        logs = d * ln_t[nodes] + lead[nodes] - ln_d_fact
+    def row_logs(k0, k1, nodes):
+        """ln |integrand| of rows k0 .. k1 - 1 on nodes, from ln (weight |R| ell_0^(d)(t)^2)."""
+        d = d_all[k0:k1]
+        logs = d * ln_t[nodes] + lead[nodes] - ln_d_fact[k0:k1]
         if q:
             # one sweep serves the rows (row k = 0 has m = 0 and needs none), a
             # few at a time on a wide window: larger buffers are returned to the
             # system when freed and page-fault again on the next step
+            x = t[nodes]
             step = max(1, _PASS_SIZE // x.size)
-            for r in range(int(ks[0] == 0), ks.size, step):
+            for r in range(int(k0 == 0), k1 - k0, step):
                 part = slice(r, r + step)
-                deg = q if ks[r] >= q else m[part]      # rows k >= q share m = q
+                # rows k >= q share m = q
+                deg = q if k0 + r >= q else m_all[k0:k1][part]
                 logs[part] = laguerre_fn_sq_log(deg, d[part], x, logs[part])
         return logs
 
-    sign, log_abs = np.empty(count), np.empty(count)
-    for k0 in range(0, count, _MOMENT_BLOCK):
-        ks = np.arange(k0, min(k0 + _MOMENT_BLOCK, count))
-        ln_d_fact = np.array([math.lgamma(abs(k - q) + 1.0) for k in ks.tolist()])[:, None]
-        lo, hi, coarse_logs = 0, t.size, None
-        if on_grid and profile.closed_form and not ks[0] <= q <= ks[-1]:
-            # every 16th node and the last; built per block, since caching it
-            # beside the grid fragmented the heap and raised the peak memory of
-            # later jobs in the same process
-            coarse = np.append(np.arange(0, t.size - 1, _COARSE_STRIDE), t.size - 1)
-            coarse_logs = row_logs(ks, ln_d_fact, coarse)
-            keep = coarse_logs >= coarse_logs.max(axis=1)[:, None] - drop
-            near = np.flatnonzero(keep.any(axis=0))
-            if near.size:
-                lo = coarse[max(near[0] - _WINDOW_PAD, 0)]
-                hi = coarse[min(near[-1] + _WINDOW_PAD, coarse.size - 1)] + 1
-        logs = row_logs(ks, ln_d_fact, slice(lo, hi))
-        peak = logs.max(axis=1)
-        if on_grid:
-            edges = logs if coarse_logs is None else coarse_logs
-            ends = np.maximum(edges[:, 0], edges[:, -1])
-            # a row that is 0 on every node (peak -inf) has no margin to check
-            below = np.where(np.isfinite(peak), peak, np.inf) - ends
-            short = below < _LOG_GRID_MARGIN
-            if short.any():
-                i = int(np.argmax(short))
-                raise quadrature.QuadratureAccuracyError(
-                    f"moment k = {ks[i]}: integrand only {below[i]:.1f} nats below "
-                    f"its peak at an end of the log grid (needs {_LOG_GRID_MARGIN:g})")
-        shift = np.where(np.isfinite(peak), peak, 0.0)
-        total = (np.exp(logs - shift[:, None]) * sign_r[lo:hi]).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            log_abs[ks] = shift + np.log(np.abs(total))
-        sign[ks] = np.sign(total)
-    return sign, log_abs
+    windowed = on_grid and profile.closed_form
+    ends = np.empty(count)
+    if windowed:
+        # per row, on every 16th node and the last: the first and last node
+        # within `drop` nats of its peak there (none: past the ends), and its
+        # larger end.  Small chunks of rows keep the peak memory at count 6400
+        # below that of 16-row blocks; caching the coarse pass beside the grid
+        # fragmented the heap and raised the peak memory of later jobs in the
+        # same process
+        coarse = np.append(np.arange(0, t.size - 1, _COARSE_STRIDE), t.size - 1)
+        first, last = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
+        rows = max(1, _COARSE_SIZE // coarse.size)
+        for k0 in range(0, count, rows):
+            k1 = min(k0 + rows, count)
+            logs = row_logs(k0, k1, coarse)
+            keep = logs >= logs.max(axis=1)[:, None] - drop
+            some = keep.any(axis=1)
+            first[k0:k1] = np.where(some, keep.argmax(axis=1), coarse.size)
+            last[k0:k1] = np.where(some, coarse.size - 1 - keep[:, ::-1].argmax(axis=1), -1)
+            ends[k0:k1] = np.maximum(logs[:, 0], logs[:, -1])
+
+    peak, total = np.empty(count), np.empty(count)
+    for k0, k1 in _row_blocks(q, count):
+        lo, hi = 0, t.size
+        if windowed and k0 != q:
+            near_lo, near_hi = first[k0:k1].min(), last[k0:k1].max()
+            if near_lo <= near_hi:
+                lo = coarse[max(near_lo - _WINDOW_PAD, 0)]
+                hi = coarse[min(near_hi + _WINDOW_PAD, coarse.size - 1)] + 1
+        logs = row_logs(k0, k1, slice(lo, hi))
+        top = peak[k0:k1] = logs.max(axis=1)
+        if not windowed:
+            ends[k0:k1] = np.maximum(logs[:, 0], logs[:, -1])
+        logs -= np.where(np.isfinite(top), top, 0.0)[:, None]
+        # a row with an infinite or NaN peak sums to inf or NaN here and fails below
+        with np.errstate(over="ignore", invalid="ignore"):
+            total[k0:k1] = np.exp(logs, out=logs) @ sign_r[lo:hi]
+    if on_grid:
+        # a row that is 0 on every node (peak -inf) has no margin to check;
+        # a peak of +inf or NaN, or a NaN end, fails the check
+        below = np.where(peak == -np.inf, np.inf, np.where(peak < np.inf, peak, np.nan)) - ends
+        short = ~(below >= _LOG_GRID_MARGIN)
+        if short.any():
+            k = int(np.argmax(short))
+            raise quadrature.QuadratureAccuracyError(
+                f"moment k = {k}: integrand only {below[k]:.1f} nats below its peak "
+                f"at an end of the log grid (needs {_LOG_GRID_MARGIN:g})"
+                if below[k] == below[k] else
+                f"moment k = {k}: integrand not finite at its peak or at an end "
+                f"of the log grid")
+    with np.errstate(divide="ignore"):
+        return np.sign(total), np.where(np.isfinite(peak), peak, 0.0) + np.log(np.abs(total))
 
 
 def antiwick_radial_eigs(profile, count, order=None):

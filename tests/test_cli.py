@@ -485,10 +485,17 @@ def test_toeplitz_unresolved_grid_exits_2(tmp_path, capsys):
     ({"kind": "gaussian", "rate": 1e44}, 1.0),
     ({"kind": "gaussian", "rate": 1e300}, 1.0),
     ({"kind": "power", "gamma": 1e300}, 1.0),
-    ({"kind": "gaussian", "rate": 1.0}, 1e-300)])
+    ({"kind": "gaussian", "rate": 1.0}, 1e-300),
+    ({"kind": "laguerre_mix", "coeffs": [0.1 * (j + 1) for j in range(20)]}, 1e-130),
+    ({"kind": "poly_gauss", "coeffs": [1.0, 2.0, 3.0], "rate": 0.5}, 1e-300),
+    ({"kind": "laguerre_mix", "coeffs": [1.0, 2.0]}, 5e-324),
+    ({"kind": "constant", "value": 1.7e308, "amplitude": 1e150}, 1.0)])
 def test_toeplitz_peak_far_below_the_log_grid_exits_2(tmp_path, capsys, zeta, b):
     # ln |integrand| near -1e18 and beyond: the 36-nat margin must not be lost
-    # to rounding at that magnitude (gaussian(1e44) read ln nu_0 = -1.75e18)
+    # to rounding at that magnitude (gaussian(1e44) read ln nu_0 = -1.75e18).
+    # From the 20-coefficient mix on, R(2t/b) or its amplitude overflows to an
+    # infinite or NaN ln |R|: two wrote NaN for every nu_k and exited 0 when
+    # a NaN peak passed the margin check, the others raised a RuntimeWarning
     cfg = write_config(tmp_path, "c.json", {"zeta": zeta, "b": b, "count": 4})
     assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "log grid" in capsys.readouterr().err
@@ -675,6 +682,26 @@ def test_construct_gaps_invalid_scales(tmp_path):
     assert main(["construct-gaps", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command,config", [
+    ("capacity", {"set": {"kind": "union", "members": [
+        {"kind": "disk", "center": [-2.0, 0.0], "radius": 0.5},
+        {"kind": "disk", "center": [2.0, 0.0], "radius": 0.5}]}, "j_max": 12, "restarts": 1}),
+    ("spectrum", {"b": 1.0, "levels": 3, "radial": 8, "sign": "-", "symbol": {"separable": {
+        "terms": [{"coeff": 0.5, "A": {"kind": "gaussian", "rate": 0.5},
+                   "B": {"kind": "gaussian", "rate": 0.7}}]}}})])
+def test_write_json_bytes_match_json_dump(tmp_path, command, config):
+    # one json.dumps and one write give the bytes the streaming json.dump gave
+    schema, compute = cli.COMMANDS[command]
+    payload = compute(schema.walk(config, ""))[1]
+    payload["provenance"] = {"tool": "landauspec", "command": command}
+    cli._write_json(tmp_path / "got.json", payload)
+    with open(tmp_path / "want.json", "w") as fh:
+        json.dump(cli._plain(payload), fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
+    got = (tmp_path / "got.json").read_bytes()
+    assert got == (tmp_path / "want.json").read_bytes()
+
+
 def test_verify_command(tmp_path, capsys):
     assert main(["verify", "--filter", "symplectic"]) == 0
     assert "pass" in capsys.readouterr().out
@@ -684,10 +711,11 @@ def test_verify_command(tmp_path, capsys):
     assert main(["verify", "--filter", "toeplitz-closed-form",
                  "--inject-fault", "moment_window"]) == 1
     assert main(["verify", "--filter", "no-such-suite"]) == 2
-    # each planted fault turns exactly its own layer's suite red
-    for fault, suite in (("pair_phase_sign", "wigner-closed-form"),
-                         ("moment_window", "toeplitz-closed-form")):
-        assert [r["suite"] for r in verify.run_suites(fault=fault) if not r["passed"]] == [suite]
+    # each planted fault turns exactly the suites of its own layer red: the
+    # clipped moment window reaches the Laplacian shift's low rows as well
+    for fault, suites in (("pair_phase_sign", ["wigner-closed-form"]),
+                          ("moment_window", ["laplacian-level-shift", "toeplitz-closed-form"])):
+        assert [r["suite"] for r in verify.run_suites(fault=fault) if not r["passed"]] == suites
 
 
 def _scaled_set(kind, s):

@@ -420,14 +420,53 @@ def test_toeplitz_superexponential_higher_level_mpmath_oracle():
     assert oracle[-1] == pytest.approx(-634.1413, abs=1e-4)
 
 
-@pytest.mark.parametrize("q", [0, 1, 3, 40])
+@pytest.mark.parametrize("q", [0, 1, 3, 16, 17, 40])
 @pytest.mark.parametrize("b", [0.5, 2.0])
 def test_constant_weight_reads_its_value_at_every_index(q, b):
     # int ell_m^(d)(t)^2 dt = 1, so a constant c reads nu_k = c: a square root
-    # or factorial dropped from the sweep or its seed would show at every k
-    sign, logs = op.toeplitz_radial_eigs(sy.constant(0.7), q, b, 300)
-    assert (sign == 1.0).all()
-    assert np.abs(logs - math.log(0.7)).max() < 1e-12
+    # or factorial dropped from the sweep or its seed would show at every k.
+    # Row q goes alone and blocks of 1, 2, 4, 8 and then 16 rows on each side
+    # of it: the counts end inside, at and past each block boundary, and
+    # q = 40 lies past the last row of all but count 300
+    for count in (1, 2, 15, 17, 33, 300):
+        sign, logs = op.toeplitz_radial_eigs(sy.constant(0.7), q, b, count)
+        assert (sign == 1.0).all(), count
+        assert np.abs(logs - math.log(0.7)).max() < 1e-12, count
+
+
+def test_row_blocks_tile_the_rows():
+    for q, count in itertools.product((0, 1, 3, 16, 17, 40), (1, 2, 15, 17, 33, 300)):
+        blocks = op._row_blocks(q, count)
+        rows = [k for k0, k1 in blocks for k in range(k0, k1)]
+        assert sorted(rows) == list(range(count)), (q, count)
+        assert all(k1 - k0 <= 16 for k0, k1 in blocks)
+        assert ((q, q + 1) in blocks) == (q < count)
+
+
+class _ExpCounter:
+    """numpy, with the number of values passed to np.exp counted."""
+
+    def __init__(self):
+        self.values = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.values += np.size(x)
+        return np.exp(x, *args, **kwargs)
+
+
+@pytest.mark.parametrize("q,count,most", [(0, 64, 35_000), (1, 15, 20_000)])
+def test_moment_kernel_work(monkeypatch, q, count, most):
+    # only row q runs on the whole log grid (3368 nodes here); the block of 16
+    # that held it used to, 68,016 and 50,145 exponentials for these two calls
+    args = (sy.gaussian(0.25), q, 1.0, count)
+    op.toeplitz_radial_eigs(*args)          # the grid is built (and cached) outside the count
+    counter = _ExpCounter()
+    monkeypatch.setattr(op, "np", counter)
+    op.toeplitz_radial_eigs(*args)
+    assert counter.values <= most
 
 
 def test_constant_weight_antiwick_reads_its_value():
