@@ -515,7 +515,7 @@ def _ascend(K, starts):
     """
     x0, x1 = K.bounding_box()[:2]
     first_step = 0.1 * max(1.0, abs(x1 - x0))
-    runs = [_ascent(K, w, first_step) for w in starts]
+    runs = [_ascent(w, first_step) for w in starts]
     results, replies, pairs = [None] * len(runs), [None] * len(runs), {}
     # equal sizes side by side; asks keeps this order as ascents finish
     asks, live = {}, sorted(range(len(runs)), key=lambda i: len(starts[i]))
@@ -553,7 +553,7 @@ def _frame_row(frame, at, n, r):
     return frame(slice(at + r * n, at + (r + 1) * n))
 
 
-def _ascent(K, w, first_step):
+def _ascent(w, first_step):
     """Generator: gradient ascent from w polished by damped Newton steps along the boundary.
 
     It yields its trial configurations (see _line_search) and returns

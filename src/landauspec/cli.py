@@ -15,7 +15,7 @@ a table.  Outputs are deterministic given the config: strict JSON, key-sorted,
 CSV carries 17 significant digits, and each command's <command>.json embeds
 the config hash.  toeplitz writes nu_k with its sign and ln nu_k, NaN where
 nu_k <= 0.  Exit codes: 0 success, 1 verification failure, 2 config error
-(an unreadable config, an unusable --out, an order past quadrature.MAX_ORDER).
+(an unreadable config, an unusable --out, a count too large for quadrature.MAX_ORDER).
 """
 
 from __future__ import annotations
@@ -237,13 +237,13 @@ def _plain(value):
 
 
 def _radial_eigs(cfg):
-    profile, count, order = cfg["profile"], cfg["count"], cfg["order"]
+    profile, count = cfg["profile"], cfg["count"]
     # a profile near the top of the double range overflows the quadrature sums
     with np.errstate(over="ignore", invalid="ignore"):
         profile_hat = _built("profile", symbols.fourier_radial_profile, profile)
-        columns = (operators.weyl_radial_eigs(profile, count, order=order),
-                   operators.antiwick_radial_eigs(profile, count, order=order),
-                   operators.weyl_radial_eigs_fourier(profile_hat, count, order=order))
+        columns = (operators.weyl_radial_eigs(profile, count),
+                   operators.antiwick_radial_eigs(profile, count),
+                   operators.weyl_radial_eigs_fourier(profile_hat, count))
     if not all(np.isfinite(col).all() for col in columns):
         raise ConfigError("profile: an eigenvalue sum leaves the double range")
     return ({"radial_eigs.csv": (["k", "mu_w", "mu_aw", "mu_w_fourier"],
@@ -255,7 +255,10 @@ def _level_spectrum(V, b, levels, radial, sign):
     """Eigenvalue report of the level-basis H_V, and its trust radius and warning."""
     if not math.isfinite(b * (2.0 * levels + 1.0)):    # the top of the gap windows
         raise ConfigError(f"b: the top Landau level b (2 levels + 1) overflows at b={b!r}")
-    H = operators.assemble_hv(V, levels, radial, sign=sign)
+    with np.errstate(over="ignore", invalid="ignore"):     # overflow is refused below
+        H = operators.assemble_hv(V, levels, radial, sign=sign)
+    if not np.isfinite(H.diagonal).all():
+        raise ConfigError("symbol: a level-basis diagonal entry leaves the double range")
     trust = H.trust_radius
     return operators.eig_hermitian(H), {"trust_radius": trust,
                                         "trust_warning": bool(trust > 0.5 * b)}
@@ -272,13 +275,13 @@ def _spectrum(cfg):
 
 
 def _toeplitz(cfg):
-    zeta, b, q, count, order = cfg["zeta"], cfg["b"], cfg["q"], cfg["count"], cfg["order"]
+    zeta, b, q, count = cfg["zeta"], cfg["b"], cfg["q"], cfg["count"]
     model = cfg["model"]
     if model is not None and model["kind"] == "exp":
         model = _built("model", asymptotics.exp_model_from_profile, zeta, b)
     elif model is not None:
         model = _built("model", asymptotics.compact_model, b, model["capacity"])
-    sign, log_abs = operators.toeplitz_radial_eigs(zeta, q, b, count, order=order)
+    sign, log_abs = operators.toeplitz_radial_eigs(zeta, q, b, count)
     with np.errstate(under="ignore"):
         nu = sign * np.exp(log_abs)
     ln_nu = np.where(sign > 0, log_abs, np.nan)
@@ -347,13 +350,12 @@ def _construct_gaps(cfg):
 
 
 COMMANDS = {
-    "radial-eigs": (Obj({"profile": PROFILE, "count": Int(1), "order": (Int(1), None)}),
-                    _radial_eigs),
+    "radial-eigs": (Obj({"profile": PROFILE, "count": Int(1)}), _radial_eigs),
     "spectrum": (Obj({"b": POSITIVE, "symbol": SYMBOL, "levels": Int(1), "radial": Int(1),
                       "sign": (OneOf({"+": +1, "-": -1, "plus": +1, "minus": -1}), +1)}),
                  _spectrum),
     "toeplitz": (Obj({"zeta": PROFILE, "b": POSITIVE, "count": Int(0), "q": (Int(0), 0),
-                      "order": (Int(1), None), "model": (MODEL, None)}), _toeplitz),
+                      "model": (MODEL, None)}), _toeplitz),
     "capacity": (Obj({"set": SET, "j_max": Int(1), "restarts": (Int(0), 8),
                       "seed": (Int(0), 0)}), _capacity),
     "asymptotics": (Kinds({

@@ -189,19 +189,19 @@ def banded_structure_check(v, n):
 # radial fast paths: explicit eigenvalue sequences
 
 
-def _laguerre_sequence(profile, count, order, profile_scale, laguerre_scale, sign):
+def _laguerre_sequence(profile, count, profile_scale, laguerre_scale, sign):
     """sign^k int_0^inf R(profile_scale y) Lcal_k(laguerre_scale y) dy, k < count.
 
     Lcal_k is the weighted Laguerre function of laguerre_fn_iter (|Lcal_k| <= 1),
-    so one degree sweep serves every k.  `quadrature.support_rule` takes
-    panels of `order` or max(200, count // 2 + 64) nodes below laguerre_scale y =
-    4 count + 40 (2 count)^(1/3) + 100, past which every Lcal_k is below
-    e^-45, and Gauss-Laguerre of `order` or max(400, count // 2 + 400).
+    so one degree sweep serves every k.  `quadrature.support_rule` takes panels
+    of max(200, count // 2 + 64) nodes below laguerre_scale y = 4 count + 40
+    (2 count)^(1/3) + 100, where every Lcal_k is below e^-45, and a tail of
+    count // 2 + 400.
     """
     top = (4.0 * count + 40.0 * (2.0 * count) ** (1.0 / 3.0) + 100.0) / laguerre_scale
     y, weights = quadrature.support_rule(
-        [s / profile_scale for s in profile.breakpoints], order or max(200, count // 2 + 64),
-        order or max(quadrature.DEFAULT_ORDER_HALFLINE, count // 2 + 400), top)
+        [s / profile_scale for s in profile.breakpoints], max(200, count // 2 + 64),
+        count // 2 + 400, top)
     c = weights * np.atleast_1d(profile(profile_scale * y))
     mu = np.empty(count)
     for k, val in enumerate(laguerre_fn_iter(0.0, laguerre_scale * y, count - 1)):
@@ -209,7 +209,7 @@ def _laguerre_sequence(profile, count, order, profile_scale, laguerre_scale, sig
     return mu
 
 
-def weyl_radial_eigs(profile, count, order=None):
+def weyl_radial_eigs(profile, count):
     """Eigenvalues mu_k, k < count, of the Weyl operator with a radial symbol.
 
     mu_k = ((-1)^k / 2) int_0^inf R(t/2) L_k(t) e^(-t/2) dt, evaluated in the
@@ -220,12 +220,12 @@ def weyl_radial_eigs(profile, count, order=None):
     if profile.laguerre_coeffs is not None:
         cs = 0.5 * profile.amplitude * np.array(profile.laguerre_coeffs[:count])
         return np.pad(cs, (0, count - cs.size))
-    return _laguerre_sequence(profile, count, order, 1.0, 2.0, -1.0)
+    return _laguerre_sequence(profile, count, 1.0, 2.0, -1.0)
 
 
-def weyl_radial_eigs_fourier(profile_hat, count, order=None):
+def weyl_radial_eigs_fourier(profile_hat, count):
     """Same eigenvalues from the Fourier side: mu_k = int Rhat(2t) Lcal_k(t) dt."""
-    return _laguerre_sequence(profile_hat, count, order, 2.0, 1.0, 1.0)
+    return _laguerre_sequence(profile_hat, count, 2.0, 1.0, 1.0)
 
 
 _LOG_GRID_STEP = 0.02
@@ -243,14 +243,10 @@ _PASS_SIZE = 4096            # most (rows x nodes) elements per recurrence buffe
 def _log_grid(size):
     """Trapezoid nodes in u = ln t: (t, ln t, ln(weight) - t), read-only and shared.
 
-    Serves t^n e^(-t) times slowly varying factors, n < size, on
-    u in [-60, ln(size + 60) + 2.5] with step h = 0.02 and weights h t.  Degree
-    n peaks with width n^(-1/2) in u, and the rule errs by about
-    exp(-2 pi^2 / (n h^2)), so past size ~ 940 h shrinks to hold (size + 60) h^2
-    at 0.4.  Each row but one needs only a few hundred of the nodes:
-    `_radial_moments` reads every 16th node (and the last) in a coarse pass to
-    place a window per block of rows, then sums over the window with one
-    recurrence per block.
+    Serves t^n e^(-t) times slowly varying factors, n < size, on u in
+    [-60, ln(size + 60) + 2.5] with step h = 0.02 and weights h t.  Degree n
+    peaks with width n^(-1/2) in u, and the rule errs by about
+    exp(-2 pi^2 / (n h^2)), so past size ~ 940 h shrinks to hold (size + 60) h^2 at 0.4.
     """
     h = min(_LOG_GRID_STEP, math.sqrt(0.4 / (size + 60.0)))
     top = math.log(size + 60.0) + 2.5
@@ -278,42 +274,39 @@ def _row_blocks(q, count):
     return blocks
 
 
-def _radial_moments(profile, q, scale, count, order=None):
+def _radial_moments(profile, q, scale, count):
     """(sign, ln |nu_k|), k < count, of the level-q compression of R(scale t).
 
     nu_k = int_0^inf R(scale t) ell_m^(d)(t)^2 dt, m = min(k, q), d = |k - q|,
     every k on one node set: the log grid, or for R with breakpoints
-    `quadrature.support_rule` of `order` or max(240, (n + 120) // 2) nodes
-    (panels and tail), n = count + q, with panels below t = n + 10 sqrt(n)
-    + 100, where every row is 45 nats below its peak.  A term is
-    ln |integrand| on a node, starting from d ln t - t - ln d! + ln (weight |R|),
-    and a block sums exp(term - peak) sign R, so ln |nu_k| stays exact far
-    below the underflow threshold.  Row q goes alone, and the other rows in
-    blocks of 1, 2, 4, 8 and then 16 on each side of it (`_row_blocks`); one
-    `specfun.laguerre_fn_sq_log` sweep takes a block from ell_0 to ell_m:
-    rows k >= q share m = q, and rows k < q are read off at their own step.
-    Row k is t^(d+1) times bounded factors toward t = 0 in u = ln t, and
-    t^(k+q) e^(-t) beyond, so on the grid a row k != q lives on a few
-    hundred of the grid's thousands of nodes.  A coarse pass over every 16th
-    node (and both ends), once per call, finds them: a block's window is the
-    range where some row is within 60 nats of its own coarse peak, padded by
-    two coarse steps, and the trapezoid sum runs on the window only.  Blocks
-    grow away from row q because the rows nearest it fall slowest toward
-    t = 0 and would widen a shared window.  This takes |R| never to rise by
-    tens of nats between two coarse nodes (38% apart in t), which holds for
-    RadialProfile.closed_form kinds; a custom R may hide a narrow bump there,
-    so it runs every block on the whole grid, as does row q, which falls only
-    like t.  A row whose integrand is not 36 nats below its peak at both
-    ends of the full grid, or is NaN there or at its peak, raises
-    QuadratureAccuracyError; both ends are coarse nodes, so the check sees
-    the same nodes with or without a window.
+    `quadrature.support_rule` of max(240, (n + 120) // 2) nodes, n = count + q,
+    its panels ending at t = n + 10 sqrt(n) + 100, where every row is 45 nats
+    below its peak.  A term is ln |integrand| on a node, from d ln t - t -
+    ln d! + ln (weight |R|), and a block sums exp(term - peak) sign R, so
+    ln |nu_k| stays exact far below the underflow threshold.  Row q goes
+    alone, the others in blocks of 1, 2, 4, 8, then 16 on each side of it
+    (`_row_blocks`), one `specfun.laguerre_fn_sq_log` sweep per block: rows
+    k >= q share m = q, rows k < q are read off at their own step.  Row k != q
+    (t^(d+1) toward t = 0, t^(k+q) e^(-t) beyond) lives on a few hundred of
+    the grid's nodes: a coarse pass over every 16th node and both ends places
+    each block's window where some row is within 60 nats of its coarse peak,
+    padded by two coarse steps.  Blocks grow away from row q, whose
+    neighbours fall slowest toward t = 0 and would widen a shared window.
+    Windows take |R| never to rise by tens of nats between coarse nodes (38%
+    apart in t), as RadialProfile.closed_form kinds do; a custom R, and row
+    q, which falls only like t, run on the whole grid.  A row whose integrand
+    is not 36 nats below its peak at both grid ends (coarse nodes, so windows
+    change nothing there), is NaN there or at its peak, or is 0 on every node
+    (R underflowed; an R that vanishes reads 0) raises QuadratureAccuracyError.
     """
+    if profile.vanishes:                # R = 0: nu_k = 0, with no peak to place
+        return np.zeros(count), np.full(count, -np.inf)
     size = count + q                    # row k: t^(k+q) e^(-t) times bounded factors
     on_grid = not profile.breakpoints
     if on_grid:
         t, ln_t, lead = _log_grid(size)
     else:
-        order = order or max(240, (size + 120) // 2)
+        order = max(240, (size + 120) // 2)
         t, weights = quadrature.support_rule([s / scale for s in profile.breakpoints],
                                              order, order, size + 10.0 * math.sqrt(size) + 100.0)
         ln_t = np.log(t)
@@ -383,9 +376,9 @@ def _radial_moments(profile, q, scale, count, order=None):
         with np.errstate(over="ignore", invalid="ignore"):
             total[k0:k1] = np.exp(logs, out=logs) @ sign_r[lo:hi]
     if on_grid:
-        # a row that is 0 on every node (peak -inf) has no margin to check;
-        # a peak of +inf or NaN, or a NaN end, fails the check
-        below = np.where(peak == -np.inf, np.inf, np.where(peak < np.inf, peak, np.nan)) - ends
+        # a peak that is not finite (-inf: the weight underflowed on every node)
+        # or a NaN end fails the check
+        below = np.where(np.isfinite(peak), peak, np.nan) - ends
         short = ~(below >= _LOG_GRID_MARGIN)
         if short.any():
             k = int(np.argmax(short))
@@ -399,18 +392,14 @@ def _radial_moments(profile, q, scale, count, order=None):
         return np.sign(total), np.where(np.isfinite(peak), peak, 0.0) + np.log(np.abs(total))
 
 
-def antiwick_radial_eigs(profile, count, order=None):
-    """Eigenvalues of the anti-Wick operator with a radial symbol.
-
-    mu_k = int_0^inf R(2t) t^k e^(-t) / k! dt, every k from one node set
-    (`_radial_moments`); `order` reaches only weights with breakpoints.
-    Values below the underflow threshold read 0.
-    """
-    sign, log_abs = _radial_moments(profile, 0, 2.0, count, order=order)
+def antiwick_radial_eigs(profile, count):
+    """Eigenvalues mu_k = int_0^inf R(2t) t^k e^(-t) / k! dt of the anti-Wick operator
+    with a radial symbol, from `_radial_moments`; below the underflow threshold 0."""
+    sign, log_abs = _radial_moments(profile, 0, 2.0, count)
     return sign * np.exp(log_abs)
 
 
-def toeplitz_radial_eigs(zeta, q, b, count, order=None):
+def toeplitz_radial_eigs(zeta, q, b, count):
     """Diagonal of the level-q compression of a radial multiplier zeta.
 
     nu_k = int_0^inf R(2t/b) ell_m^(d)(t)^2 dt with m = min(k, q), d = |k - q|
@@ -419,12 +408,11 @@ def toeplitz_radial_eigs(zeta, q, b, count, order=None):
     int R(2t/b) t^k e^(-t) / k! dt.  Returns (sign, log_abs) with nu_k = sign_k exp(log_abs_k),
     as numpy.linalg.slogdet does: ln |nu_k| stays exact far below the
     underflow threshold, and nu_k = 0 reads (0, -inf).  Every k comes from
-    one node set (`_radial_moments`); `order` reaches only weights with
-    breakpoints.
+    one node set (`_radial_moments`).
     """
     if b <= 0:
         raise ValueError("field strength must be positive")
-    return _radial_moments(zeta, q, 2.0 / b, count, order=order)
+    return _radial_moments(zeta, q, 2.0 / b, count)
 
 
 # ---------------------------------------------------------------------------
@@ -603,28 +591,24 @@ def birman_schwinger_check(zeta_profile, r, q, b, levels, radial,
     compressed-multiplier spectrum.
 
     Builds the standard fixture from a nonnegative radial weight zeta:
-    omega = L_r(-Laplacian/2b) zeta, dilate to vt(s) = omega(s/b),
-    Gaussian-smooth to v, and couple the level-q kernel to v.  The
-    level-basis H(+/-V) is diagonal; its entries come from the anti-Wick
-    sequence of vt, which equals the Weyl sequence of v, so no numeric
-    smoothing is done.  That sequence, int omega(2t/b) t^k e^(-t) / k! dt,
-    is the level-0 compression of omega (`toeplitz_radial_eigs`).  Extracts
-    the shifts around level q from both signs of one diagonal, and finds the
+    omega = L_r(-Laplacian/2b) zeta, dilate to vt(s) = omega(s/b), Gaussian-smooth
+    to v, and couple the level-q kernel to v.  The level-basis H(+/-V) is
+    diagonal, from the anti-Wick sequence of vt, which equals the Weyl sequence
+    of v, so no numeric smoothing is done: it is int omega(2t/b) t^k e^(-t) / k! dt,
+    the level-0 compression of omega (`toeplitz_radial_eigs`).  Extracts the
+    shifts around level q from both signs of one diagonal, and finds the
     smallest (eps, k0) with
 
         nu_{k+k0} / (1+eps) <= shift_k <= nu_{k-k0} / (1-eps)
 
     over the k range, eps in 0.01 .. 0.25 and k0 <= 3, nu the level-r
-    compression of zeta.  `order` reaches only nu, and only for a zeta with
-    breakpoints (`toeplitz_radial_eigs`); a smooth zeta, such as a gaussian,
-    ignores it.  Returns a report dict; raises TruncationError when the
-    window is not resolved.
+    compression of zeta; `order` is unused (the benchmark's sandwich jobs pass
+    it).  Returns a report dict; raises TruncationError for an unresolved window.
     """
     k_lo, k_hi = k_range
     omega = symbols.laguerre_laplacian(zeta_profile, b, r)
 
-    sign, log_nu = toeplitz_radial_eigs(zeta_profile, r, b, k_hi + _SANDWICH_K0_MAX + 2,
-                                        order=order)
+    sign, log_nu = toeplitz_radial_eigs(zeta_profile, r, b, k_hi + _SANDWICH_K0_MAX + 2)
     nu = np.sort(np.exp(log_nu[sign > 0]))[::-1]
     if not len(nu):
         return {"vacuous": True, "epsilon": 0.0, "k0": 0}

@@ -180,9 +180,10 @@ def gauss_laguerre(order, alpha=0.0):
     return QuadratureRule(nodes, weights, flat)
 
 
+@functools.lru_cache(maxsize=256)
 def _legendre_half(n):
-    """(eps = 1 - x, weight) of the Gauss-Legendre nodes x >= 0 on [-1, 1], outermost
-    first (for odd n the last is x = 0).  Newton's method in theta, x = cos theta,
+    """(eps = 1 - x, weight), read-only, of the Gauss-Legendre nodes x >= 0 on [-1, 1],
+    outermost first (for odd n the last is x = 0).  Newton's method in theta, x = cos theta,
     from Tricomi's estimates, on the recurrence in P_j and D_j = P_j - P_(j-1),
     (j + 1) D_(j+1) = j D_j - (2j + 1) eps P_j: no step rounds x, so nodes near
     the ends keep eps = 2 sin^2(theta/2) to full relative precision.  Weights
@@ -214,7 +215,10 @@ def _legendre_half(n):
     _, _, total, eps = sweep(theta)
     if n % 2:
         eps[-1] = 1.0               # the middle node x = 0
-    return eps, 1.0 / total
+    weights = 1.0 / total
+    for a in (eps, weights):
+        a.setflags(write=False)
+    return eps, weights
 
 
 @functools.lru_cache(maxsize=256)
@@ -232,7 +236,6 @@ def gauss_legendre_panel(order, a, b):
 
 
 DEFAULT_ORDER_R2 = 80
-DEFAULT_ORDER_HALFLINE = 400
 _PANEL_MIN = 8               # fewest nodes on a panel between breakpoints
 
 
@@ -240,22 +243,27 @@ def support_rule(breakpoints, order, tail_order, top):
     """(nodes, weights) for int_0^inf g(t) dt, g smooth between increasing
     breakpoints t > 0 and 0 past the last (RadialProfile.breakpoints, scaled).
 
-    One Legendre rule of `order` nodes on [0, a], a the last breakpoint below
-    top, split at the breakpoints: each panel keeps the nodes the whole rule
-    puts there, and a breakpoint leaving a panel fewer than 8 is dropped, so
-    a table of any length costs `order` nodes.  Unless g is 0 past a,
-    Gauss-Laguerre of tail_order (flat weights) shifted to a covers [a, inf).
-    A last breakpoint below the smallest normal double (underflowed under
-    scaling) would leave nodes and weights of 0: QuadratureAccuracyError.
+    One Legendre rule on [0, a], a the last breakpoint below top, split at the
+    breakpoints, each panel keeping the nodes the whole rule puts there: of
+    `order` nodes, or of as many as leave every panel 8, up to MAX_ORDER, past
+    which a breakpoint leaving a panel fewer than 8 is dropped.  Unless g is 0
+    past a, Gauss-Laguerre of tail_order (flat weights) shifted to a covers
+    [a, inf).  A last breakpoint below the smallest normal double (underflowed
+    on scaling) would leave nodes and weights of 0: QuadratureAccuracyError.
     """
     if breakpoints and not breakpoints[-1] >= np.finfo(float).tiny:
         raise QuadratureAccuracyError(
             f"the support ends at t = {breakpoints[-1]!r}: its breakpoint underflowed on scaling")
     inside = [t for t in breakpoints if t < top]
     span = inside[-1] if inside else 0.0
+    # breakpoint t sits at node order theta / pi, and round() moves a panel end by half a node
+    theta = [math.acos(1.0 - 2.0 * t / span) for t in inside[:-1]]
+    gap = min(d - c for c, d in zip([0.0] + theta, theta + [math.pi]))
+    order = max(order, MAX_ORDER if gap * MAX_ORDER <= (_PANEL_MIN + 1) * math.pi
+                else math.ceil((_PANEL_MIN + 1) * math.pi / gap))
     cuts = [(0.0, 0)]
-    for t in inside[:-1]:
-        at = round(order * math.acos(1.0 - 2.0 * t / span) / math.pi)
+    for t, th in zip(inside[:-1], theta):
+        at = round(order * th / math.pi)
         if at - cuts[-1][1] >= _PANEL_MIN and order - at >= _PANEL_MIN:
             cuts.append((t, at))
     parts = [(rule.nodes, rule.weights) for rule in (

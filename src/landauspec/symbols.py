@@ -135,6 +135,12 @@ class RadialProfile:
         return ()
 
     @property
+    def vanishes(self):
+        """R = 0 everywhere: amplitude 0, or a Laguerre mix or poly_gauss of zero c_j."""
+        return not self.amplitude or (self.kind in ("laguerre_mix", "poly_gauss")
+                                      and not any(self.coeffs))
+
+    @property
     def laguerre_coeffs(self):
         """The c_j of R(s) = amplitude sum_j c_j (-1)^j L_j(2s) e^(-s), the series of
         the diagonal Wigner kernels: a Laguerre mix; else None."""
@@ -580,7 +586,7 @@ def fourier_radial_profile(profile):
     Closed forms for Gaussian, Laguerre-mix, and disk profiles (the last
     through J_1); otherwise the Hankel transform Rhat(u) =
     (1/2) int_0^inf R(s) J_0(sqrt(u s)) ds on `quadrature.support_rule` of
-    400 nodes: Gauss-Laguerre (R must decay integrably) for a profile
+    400 nodes or more: Gauss-Laguerre (R must decay integrably) for a profile
     without breakpoints, and one Legendre rule split at the breakpoints of a
     table, so its jumps and kinks fall between panels.  J_0 comes from
     specfun.bessel_j in blocks of 32 points so the temporaries stay small.

@@ -229,20 +229,17 @@ def test_toeplitz_negative_amplitude_keeps_signed_values(tmp_path):
     assert all(math.isnan(float(r[2])) for r in rows)
 
 
-@pytest.mark.parametrize("b, code", [(1e-18, 2), (1e-100, 0)])
+@pytest.mark.parametrize("b, code", [(1e-18, 2), (1e-100, 2)])
 def test_toeplitz_laguerre_mix_at_tiny_b(tmp_path, capsys, b, code):
     # zeta(2t/b) sweeps 19 Laguerre steps at u = 4t/b, up to 3e103 on the grid,
     # where 16 steps between rescales would overflow.  At b = 1e-18 the weight
-    # sits at the floor of the log grid; at 1e-100 it is 0 on every node.
+    # sits at the floor of the log grid; at 1e-100 it underflows to 0 on every
+    # node, which wrote nu_k = 0 and exited 0
     cfg = write_config(tmp_path, "c.json", {
         "zeta": {"kind": "laguerre_mix", "coeffs": [1.0] * 20}, "b": b, "count": 5})
     out = tmp_path / "out"
     assert main(["toeplitz", "--config", cfg, "--out", str(out)]) == code
-    if code:
-        assert "accuracy error: moment k = 0" in capsys.readouterr().err
-    else:
-        _, rows = read_csv(out / "toeplitz.csv")
-        assert [float(r[1]) for r in rows] == [0.0] * 5
+    assert "accuracy error: moment k = 0" in capsys.readouterr().err
 
 
 def test_toeplitz_empty_range(tmp_path):
@@ -454,12 +451,14 @@ def test_toeplitz_and_radial_eigs_reject_bad_sizes(tmp_path, capsys, command, ke
     assert f"{key} must be a {what} integer" in capsys.readouterr().err
 
 
+# rules sized from count: the Laguerre tail, the Legendre panels of a
+# breakpoint (count // 2 + 64 and (count + 120) // 2 nodes), the spectrum's tail
 _PAST_MAX_ORDER = [
     ("radial-eigs", {"profile": {"kind": "gaussian", "rate": 1.0}, "count": 30000}, 15400),
-    ("radial-eigs", {"profile": {"kind": "gaussian", "rate": 1.0}, "count": 4,
-                     "order": 20000}, 20000),
-    ("toeplitz", {"zeta": {"kind": "disk_indicator", "cutoff": 1.0}, "b": 1.0, "count": 4,
-                  "order": 20000}, 20000),
+    ("radial-eigs", {"profile": {"kind": "disk_indicator", "cutoff": 1.0}, "count": 20000},
+     10064),
+    ("toeplitz", {"zeta": {"kind": "disk_indicator", "cutoff": 1.0}, "b": 1.0, "count": 20000},
+     10060),
     ("spectrum", {"b": 1.0, "levels": 1, "radial": 30000, "symbol": {"separable": {"terms": [
         {"coeff": 1.0, "A": {"kind": "level_kernel", "q": 0},
          "B": {"kind": "power", "gamma": 3.0}}]}}}, 15400)]
@@ -489,16 +488,34 @@ def test_toeplitz_unresolved_grid_exits_2(tmp_path, capsys):
     ({"kind": "laguerre_mix", "coeffs": [0.1 * (j + 1) for j in range(20)]}, 1e-130),
     ({"kind": "poly_gauss", "coeffs": [1.0, 2.0, 3.0], "rate": 0.5}, 1e-300),
     ({"kind": "laguerre_mix", "coeffs": [1.0, 2.0]}, 5e-324),
-    ({"kind": "constant", "value": 1.7e308, "amplitude": 1e150}, 1.0)])
+    ({"kind": "constant", "value": 1.7e308, "amplitude": 1e150}, 1.0),
+    ({"kind": "poly_gauss", "coeffs": [1.0, 2.0, 3.0], "rate": 0.5}, 1e-40),
+    ({"kind": "poly_gauss", "coeffs": [1.0, 2.0, 3.0], "rate": 0.5}, 1e-100),
+    ({"kind": "laguerre_mix", "coeffs": [1.0, 0.5]}, 1e-40),
+    ({"kind": "laguerre_mix", "coeffs": [1.0, 0.5]}, 1e-100)])
 def test_toeplitz_peak_far_below_the_log_grid_exits_2(tmp_path, capsys, zeta, b):
     # ln |integrand| near -1e18 and beyond: the 36-nat margin must not be lost
     # to rounding at that magnitude (gaussian(1e44) read ln nu_0 = -1.75e18).
     # From the 20-coefficient mix on, R(2t/b) or its amplitude overflows to an
     # infinite or NaN ln |R|: two wrote NaN for every nu_k and exited 0 when
-    # a NaN peak passed the margin check, the others raised a RuntimeWarning
+    # a NaN peak passed the margin check, the others raised a RuntimeWarning.
+    # The last four underflow to R = 0 on every node: they wrote nu_k = 0
     cfg = write_config(tmp_path, "c.json", {"zeta": zeta, "b": b, "count": 4})
     assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "log grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("zeta", [{"kind": "constant", "value": 0.0},
+                                  {"kind": "laguerre_mix", "coeffs": [0.0]},
+                                  {"kind": "poly_gauss", "coeffs": [0.0], "rate": 0.5}])
+@pytest.mark.parametrize("b", [1.0, 1e-40, 1e-100])
+def test_toeplitz_zero_weight_reads_zero(tmp_path, zeta, b):
+    # a weight that is 0 everywhere has no peak to place, at any b
+    cfg = write_config(tmp_path, "c.json", {"zeta": zeta, "b": b, "count": 4})
+    out = tmp_path / "out"
+    assert main(["toeplitz", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "toeplitz.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1:3] for row in rows] == [["0", "nan"]] * 4
 
 
 @pytest.mark.parametrize("b", [1e100, 1e160])
@@ -916,7 +933,7 @@ _ESCAPES = [
                                         "values": [1, 1, 1]}, "zeta: grid"),
     ("toeplitz", _TOEPLITZ, ("zeta",), {"kind": "power", "gamma": True}, "zeta.gamma"),
     ("construct-gaps", _GAPS, ("multiplicities",), [1.7], "multiplicities[0]"),
-    ("toeplitz", _TOEPLITZ, ("order",), "x", "order must be a positive integer"),
+    ("toeplitz", _TOEPLITZ, ("order",), "x", "unknown keys ['order']"),
     ("spectrum", _SPECTRUM, ("order",), "x", "unknown keys ['order']"),
     # columns that overflowed to NaN or infinity with exit 0: weights times the
     # constant, the Fourier dual's infinite rate, the Laguerre series' sum
@@ -924,6 +941,14 @@ _ESCAPES = [
     ("radial-eigs", _RADIAL, ("profile",), {"kind": "gaussian", "rate": 5e-324}, "profile: "),
     ("radial-eigs", _RADIAL, ("profile",), {"kind": "laguerre_mix", "coeffs": [1e308, 1e308]},
      "profile: "),
+    # rules take their sizes from the inputs, so `order` is no longer a key
+    ("radial-eigs", _RADIAL, ("order",), 20000, "unknown keys ['order']"),
+    ("toeplitz", _with(_TOEPLITZ, ("zeta",), {"kind": "disk_indicator", "cutoff": 1.0}),
+     ("order",), 20000, "unknown keys ['order']"),
+    # coeff mu_0(A) mu_k(B) overflows in the level-basis diagonal: it exited 0
+    # writing -inf eigenvalues, or ended in a traceback under the warning filter
+    ("spectrum", _SPECTRUM, _TERM0, {"coeff": 1.7e308, "A": {"kind": "constant", "value": -1e150},
+                                     "B": {"kind": "gaussian", "rate": 1.0}}, "symbol"),
 ]
 
 
@@ -944,13 +969,13 @@ def test_verify_rejects_unknown_fault(capsys):
 
 _VALID = [
     ("radial-eigs", {"profile": {"kind": "gaussian", "rate": 1.0, "amplitude": 2.0},
-                     "count": 4, "order": 40}),
+                     "count": 4}),
     ("radial-eigs", {"profile": {"kind": "tabulated", "grid": [0.0, 1.0, 2.0],
                                  "values": [1.0, 0.5, 0.0]}, "count": 3}),
     ("toeplitz", {"zeta": {"kind": "exp_beta", "gamma": 1.0, "beta": 2.0}, "b": 2.0,
                   "q": 1, "count": 4, "model": {"kind": "exp"}}),
     ("toeplitz", {"zeta": {"kind": "disk_indicator", "cutoff": 1.0}, "b": 2.0, "count": 4,
-                  "order": 24, "model": {"kind": "compact", "capacity": 1.0}}),
+                  "model": {"kind": "compact", "capacity": 1.0}}),
     ("toeplitz", {"zeta": {"kind": "poly_gauss", "coeffs": [1.0, 0.5], "rate": 1.0},
                   "b": 1.0, "count": 3}),
     ("spectrum", {"b": 1.0, "levels": 2, "radial": 3, "sign": "-", "symbol": {"separable": {

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -398,17 +399,130 @@ def test_wide_supports_take_a_laguerre_tail():
 
 
 def test_long_tables_share_one_node_budget():
-    # 20001 nodes of e^(-s/2): breakpoints closer than 8 of the budget's nodes
-    # are dropped, so the panels cost the budget alone
+    # a table sparse enough keeps every breakpoint, the rule growing from its
+    # size until each panel holds at least 8 nodes
+    for n in (21, 101, 501):
+        cuts = list(np.linspace(0.0, 40.0, n)[1:])
+        t, w = qd.support_rule(cuts, 200, 200, 5000.0)
+        assert np.histogram(t, [0.0] + cuts)[0].min() >= 8
+        assert w.sum() == pytest.approx(40.0, rel=1e-13)
+    # 20001 nodes of e^(-s/2) would need 20 MAX_ORDER for that: the rule stops
+    # at MAX_ORDER, and breakpoints closer than 8 of its nodes are dropped
     g = np.linspace(0.0, 80.0, 20001)
     prof = sy.tabulated(g, np.exp(-0.5 * g))
     for budget in (200, 260):
         t, w = qd.support_rule([s / 2.0 for s in prof.breakpoints], budget, budget, 5000.0)
-        assert t.size == w.size == budget
+        assert t.size == w.size == qd.MAX_ORDER
     mu = op.weyl_radial_eigs(prof, 30)
     assert np.abs(mu - gaussian_weyl_exact(0.5, 1.0, 30)).max() < 1e-6
     _, logs = op.toeplitz_radial_eigs(prof, 0, 1.0, 20)
     assert np.abs(logs + (np.arange(20) + 1) * math.log(2.0)).max() < 1e-5
+
+
+# R = e^(-s/2) (1 + 0.3 sin s) tabulated on [0, 20]: linear between the nodes
+# and 0 past the last, a jump of about 6e-5 there
+_TABLE_SIZES = [20, 100, 500]
+
+
+def _table(n):
+    g = np.linspace(0.0, 20.0, n)
+    return g, np.exp(-0.5 * g) * (1.0 + 0.3 * np.sin(g))
+
+
+@functools.lru_cache(maxsize=None)
+def _table_moments(n, c, top, dps):
+    """int R(s) s^j e^(-c s) ds, j < top, for the table of n nodes, exactly at dps digits.
+
+    Linear on each panel, R = alpha + beta x in x = c s, so each panel adds
+    alpha (gamma(j+1, x1) - gamma(j+1, x0)) + beta (gamma(j+2, x1) - gamma(j+2, x0)),
+    over c^(j+1); gamma(j+1, x) runs down from mpmath's value at j = top by
+    gamma(j, x) = (gamma(j+1, x) + x^j e^(-x)) / j, stable in that direction.
+    """
+    grid, values = _table(n)
+    with mp.workdps(dps):
+        c = mp.mpf(c)
+        xs = [c * mp.mpf(float(g)) for g in grid]
+        lower = []
+        for x in xs:
+            gam, term = [mp.gammainc(top + 1, 0, x)], x ** top * mp.exp(-x)
+            for j in range(top, 0, -1):
+                gam.append((gam[-1] + term) / j)
+                term = term / x if x else term
+            lower.append(gam[::-1])
+        betas = [(float(v1) - mp.mpf(float(v0))) / (x1 - x0)
+                 for v0, v1, x0, x1 in zip(values, values[1:], xs, xs[1:])]
+        alphas = [float(v) - beta * x for v, beta, x in zip(values, betas, xs)]
+        diffs = list(zip(*([b - a for a, b in zip(g0, g1)] for g0, g1 in zip(lower, lower[1:]))))
+        return [(mp.fdot(alphas, diffs[j]) + mp.fdot(betas, diffs[j + 1])) / c ** (j + 1)
+                for j in range(top)]
+
+
+def _table_log_compression(n, q, count, dps):
+    """ln nu_k of the table, b = 1: m!/(m+d)! sum_i p_i T_(i+d), p the coefficients of
+    L_m^(d)(t)^2 and T_j = int R(2t) t^j e^(-t) dt = M_j(1/2) / 2^(j+1)."""
+    moments = _table_moments(n, 0.5, count + q + 1, dps)
+    out = []
+    with mp.workdps(dps):
+        for k in range(count):
+            m, d = min(k, q), abs(k - q)
+            lag = [(-1) ** i * mp.binomial(m + d, m - i) / mp.factorial(i) for i in range(m + 1)]
+            sq = [mp.fsum(lag[i] * lag[p - i] for i in range(max(0, p - m), min(p, m) + 1))
+                  for p in range(2 * m + 1)]
+            nu = mp.fsum(c * moments[p + d] / 2 ** (p + d + 1) for p, c in enumerate(sq))
+            out.append(float(mp.log(nu * mp.factorial(m) / mp.factorial(m + d))))
+    return np.array(out)
+
+
+def _table_weyl(n, count, dps):
+    """mu_k = (-1)^k int R(u) L_k(2u) e^(-u) du from the exact moments at c = 1."""
+    moments = _table_moments(n, 1.0, count, dps)
+    with mp.workdps(dps):
+        return np.array([float((-1) ** k * mp.fsum(
+            (-2) ** i * mp.binomial(k, i) / mp.factorial(i) * moments[i] for i in range(k + 1)))
+            for k in range(count)])
+
+
+@pytest.mark.parametrize("n", _TABLE_SIZES)
+def test_tabulated_moments_exact_oracle(n):
+    # every breakpoint keeps its panel: one Legendre rule of fixed size had
+    # dropped those closer than 8 of its nodes, 2.1e-4 off in ln nu at n = 100
+    prof = sy.tabulated(*_table(n))
+    for q in (0, 1):
+        oracle = _table_log_compression(n, q, 60, 40)
+        assert np.abs(oracle - _table_log_compression(n, q, 60, 60)).max() < 1e-14
+        sign, logs = op.toeplitz_radial_eigs(prof, q, 1.0, 60)
+        assert (sign == 1).all() and np.abs(logs - oracle).max() < 1e-12, q
+    # the anti-Wick sequence is the level-0 compression at b = 1
+    mu = op.antiwick_radial_eigs(prof, 60)
+    assert np.abs(mu / np.exp(_table_log_compression(n, 0, 60, 60)) - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", _TABLE_SIZES)
+def test_tabulated_weyl_exact_oracle(n):
+    # the Laguerre sums cancel to 1e-37 of their terms: 80 digits leave 40
+    oracle = _table_weyl(n, 64, 80)
+    scale = np.abs(oracle).max()
+    assert np.abs(oracle - _table_weyl(n, 64, 100)).max() < 1e-16 * scale
+    prof = sy.tabulated(*_table(n))
+    mu = op.weyl_radial_eigs(prof, 64)
+    assert np.abs(mu - oracle).max() < 1e-12 * scale
+    # the Fourier column integrates the table against J_0 on the same panels
+    muf = op.weyl_radial_eigs_fourier(sy.fourier_radial_profile(prof), 64)
+    assert np.abs(muf - mu).max() < 1e-12 * scale
+
+
+def test_tabulated_weyl_panel_quadrature_oracle():
+    # mpmath quadrature on each panel of the 20-node table, a second route to
+    # the exact moments above
+    grid, values = _table(20)
+    ks = [0, 5, 63]
+    mu = op.weyl_radial_eigs(sy.tabulated(grid, values), 64)
+    with mp.workdps(20):
+        oracle = [float((-1) ** k * mp.fsum(mp.quad(
+            lambda u: (v0 + (v1 - v0) * (u - a) / (c - a)) * mp.laguerre(k, 0, 2 * u)
+            * mp.exp(-u), [a, c]) for a, c, v0, v1 in zip(grid, grid[1:], values, values[1:])))
+            for k in ks]
+    assert np.abs(mu[ks] - oracle).max() < 1e-12 * np.abs(mu).max()
 
 
 def test_toeplitz_superexponential_higher_level_mpmath_oracle():

@@ -7,6 +7,8 @@ _function or _Class, or a _method that is not a dunder) must be named in
 src/ outside its definition, with no exceptions: a private helper that only
 a test calls is dead code.  Every module-level constant must be read in src/
 outside its own assignment, so a tuning constant outlives no code path.
+Every parameter of every function must be read in its body, or be listed
+below with the caller that still passes it.
 Test-only routes live in tests/reference_routes.py instead.  The check is by
 name (ast), so a name that some other code also uses counts as referenced.
 """
@@ -31,6 +33,12 @@ ENTRY_POINTS = {
                                         "sandwich jobs",
     "capacity.CompactSet.project": "the projection tests and the benchmark's projection "
                                    "counter; the ascent calls CompactSet._project",
+}
+
+# parameters that src/ accepts without reading, with the caller that passes them
+UNREAD_PARAMETERS = {
+    "operators.birman_schwinger_check.order": "perfbench/worker.py passes it on every "
+                                              "sandwich job",
 }
 
 
@@ -108,3 +116,29 @@ def test_every_module_constant_is_read_in_src():
               for name, node in _constants(tree) if everywhere[name] == _reads(node)[name]]
     # __all__ is read by `from landauspec import *`, not by src/
     assert unread == ["__init__.__all__"]
+
+
+def _functions(node, scope):
+    """(qualified name, node) of every function and lambda below node, nested ones too."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            name = f"{scope}.{getattr(child, 'name', '<lambda>')}"
+            yield name, child
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, f"{scope}.{child.name}"
+                                  if isinstance(child, ast.ClassDef) else scope)
+
+
+def test_every_parameter_is_read_or_listed():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text()), path.stem):
+            args = fn.args
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{name}.{arg.arg}" for arg in (
+                args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg])
+                if arg and arg.arg not in read]
+    assert sorted(unread) == sorted(UNREAD_PARAMETERS)
