@@ -265,7 +265,10 @@ class CompactSet:
         at = e * len(row) + np.arange(len(row))       # flat index of each point's nearest edge
         ry = rel.imag                                 # y - ay
         crosses = (ry < 0) != (by > row.imag)
-        odd = np.logical_xor.reduce(crosses & (row.real < ax + ry * dx / rise), axis=0)
+        # |ry| <= |rise| where an edge is crossed; elsewhere a subnormal rise may
+        # overflow the quotient to inf, which the mask drops
+        with np.errstate(over="ignore"):
+            odd = np.logical_xor.reduce(crosses & (row.real < ax + ry * dx / rise), axis=0)
         near = dist.take(at)
         return p.take(at), odd | (near <= tol), e, t.take(at), near
 

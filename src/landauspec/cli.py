@@ -274,6 +274,16 @@ def _spectrum(cfg):
             {"sign": sign, "levels": levels, "radial": radial})
 
 
+def _prediction(path, model, ks):
+    """model.predict_log(ks); a prediction past the double range is an error of path."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = model.predict_log(ks)
+    if not np.isfinite(pred).all():
+        raise ConfigError(f"{path}: the prediction leaves the double range on k in "
+                          f"[{ks[0]}, {ks[-1]}]")
+    return pred
+
+
 def _toeplitz(cfg):
     zeta, b, q, count = cfg["zeta"], cfg["b"], cfg["q"], cfg["count"]
     model = cfg["model"]
@@ -289,9 +299,12 @@ def _toeplitz(cfg):
     fits = np.full((4, count), np.nan)
     if model is not None and count > 2:
         ks = np.arange(2, count)
-        pred = model.predict_log(ks)
+        pred = _prediction("model", model, ks)
         res = ln_nu[2:] - pred
-        fits[:, 2:] = pred, res, res / ks, res / np.log(ks)
+        with np.errstate(over="ignore"):
+            fits[:, 2:] = pred, res, res / ks, res / np.log(ks)
+        if np.isinf(fits).any():
+            raise ConfigError("model: a residual leaves the double range")
     return ({"toeplitz.csv": (["k", "nu_k", "ln_nu_k", "model_prediction", "residual",
                                "residual_over_k", "residual_over_ln_k"],
                               zip(range(count), nu, ln_nu, *fits))},
@@ -325,8 +338,8 @@ def _asymptotics(cfg):
     else:
         model = _built("asymptotics", asymptotics.compact_model, cfg["b"], cfg["capacity"])
         meta = {"b": model.b, "capacity": model.capacity}
-    return ({"asymptotics.csv": (["k", "prediction_log"],
-                                 zip(ks.tolist(), model.predict_log(ks)))},
+    pred = _prediction("asymptotics", model, ks)
+    return ({"asymptotics.csv": (["k", "prediction_log"], zip(ks.tolist(), pred))},
             {"model": meta}, {})
 
 

@@ -84,6 +84,7 @@ def _open_window(eigs, lo, hi, tol):
 # dense matrices in the Hermite basis
 
 
+_DENSE_MIN_ORDER = 80        # lowest tensor Gauss-Hermite order the doubling starts from
 _DENSE_MAX_ORDER = 1280      # highest tensor Gauss-Hermite order the doubling reaches
 
 
@@ -123,9 +124,7 @@ def _pairing_matrix(v, n, order):
     diagonal's phase once; symbols are real, so only the upper triangle is
     integrated.
     """
-    rule = quadrature.gauss_hermite(order)
-    p = rule.nodes
-    fw = rule.flat_weights
+    p, fw = quadrature.gauss_hermite(order)
     xi = p[None, :]
     M = np.zeros((n, n), dtype=complex)
     rows = max(1, _PAIRING_BLOCK // order)
@@ -159,7 +158,7 @@ def weyl_matrix(v, n):
     if n < 1:
         raise ValueError("need at least one basis function")
     return _settled(lambda order: _pairing_matrix(v, n, order),
-                    max(quadrature.DEFAULT_ORDER_R2, 2 * n + 16), "pairing matrix")
+                    max(_DENSE_MIN_ORDER, 2 * n + 16), "pairing matrix")
 
 
 def hilbert_schmidt_check(v, n):
@@ -171,7 +170,7 @@ def hilbert_schmidt_check(v, n):
     mat = float(np.sum(np.abs(weyl_matrix(v, n)) ** 2))
     sym = _settled(lambda order: quadrature.integrate_r2(
         lambda x, xi: np.abs(v.evaluate(x, xi)) ** 2, order=order),
-        quadrature.DEFAULT_ORDER_R2, "symbol norm")
+        _DENSE_MIN_ORDER, "symbol norm")
     return mat, float(np.real(sym)) / (2.0 * np.pi)
 
 
@@ -294,10 +293,11 @@ def _radial_moments(profile, q, scale, count):
     neighbours fall slowest toward t = 0 and would widen a shared window.
     Windows take |R| never to rise by tens of nats between coarse nodes (38%
     apart in t), as RadialProfile.closed_form kinds do; a custom R, and row
-    q, which falls only like t, run on the whole grid.  A row whose integrand
-    is not 36 nats below its peak at both grid ends (coarse nodes, so windows
-    change nothing there), is NaN there or at its peak, or is 0 on every node
-    (R underflowed; an R that vanishes reads 0) raises QuadratureAccuracyError.
+    q, which falls only like t, run on the whole grid.  An ln |R| that is +inf
+    or NaN on any node, before any sweep, or a row whose integrand is not 36
+    nats below its peak at both grid ends (coarse nodes, so windows change
+    nothing there), is NaN there or at its peak, or is 0 on every node (R
+    underflowed; an R that vanishes reads 0) raises QuadratureAccuracyError.
     """
     if profile.vanishes:                # R = 0: nu_k = 0, with no peak to place
         return np.zeros(count), np.full(count, -np.inf)
@@ -312,8 +312,13 @@ def _radial_moments(profile, q, scale, count):
         ln_t = np.log(t)
         lead = np.log(weights) - t
     with np.errstate(over="ignore", invalid="ignore"):
-        # an R that leaves the double range reads inf or NaN: the margin check refuses it
         log_r, sign_r = profile.log_abs(scale * t)
+    bad = ~(log_r < np.inf)             # R left the double range; -inf (R = 0) is fine
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise quadrature.QuadratureAccuracyError(
+            f"ln |R| is {float(log_r[i])} at t = {t[i]:.6g} on the "
+            f"{'log grid' if on_grid else 'breakpoint rule'}: the weight leaves the double range")
     lead = lead + log_r
     # the planted fault of `verify --inject-fault moment_window` clips the window
     drop = 5.0 if wigner.fault_active("moment_window") else _WINDOW_DROP
@@ -532,6 +537,8 @@ def prescribed_gap_symbol(b, multiplicities, level_scales, index_scales):
     """
     if b <= 0:
         raise ValueError("field strength must be positive")
+    if not math.isfinite(b * (2.0 * len(multiplicities) - 1.0)):
+        raise ValueError(f"the top Landau level b (2 q + 1) overflows at b={b!r}")
     multiplicities = [int(m) for m in multiplicities]
     if any(m < 0 for m in multiplicities):
         raise ValueError("multiplicities must be nonnegative")

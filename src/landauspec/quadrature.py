@@ -1,15 +1,17 @@
-"""Gauss-Hermite / Gauss-Laguerre rules and tensor-product integration.
+"""Gauss-Hermite, Gauss-Laguerre and Gauss-Legendre rules, and tensor-product integration.
 
+Every builder returns one shape: a pair (nodes, weights) of read-only float
+arrays whose weights integrate f(x) dx, for an f that carries its own decay
+(e^(-x^2) or e^(-x) times a polynomial for the Hermite and Laguerre rules).
 Gauss-Laguerre nodes are the zeros of L_n^(alpha), found by Newton's method
 from WKB guesses (the phase of the Langer-corrected Laguerre equation) on a
 ratio form of the three-term recurrence that carries x at full relative
 precision; Gauss-Hermite nodes are square roots of Laguerre nodes with
-alpha = -1/2 (even order) or +1/2 (odd order, plus 0).  Weights are recovered
-through the Christoffel function evaluated with *exponentially weighted*
-orthonormal recurrences: the raw Gauss-Laguerre weights underflow double
-precision near order 180, but w_i * exp(x_i) (the "flat" weights used to
-integrate functions that carry their own decay) stay O(node spacing) at any
-order.  Rules are cached and safe for concurrent readers.
+alpha = -1/2 (even order) or +1/2 (odd order, plus 0).  Weights are the
+Christoffel function of *exponentially weighted* orthonormal recurrences:
+the classical weights, which carry the envelope, underflow double precision
+near order 180, but these stay O(node spacing) at any order and are never
+multiplied by it.  Rules are cached and safe for concurrent readers.
 
 Integrands with a jump or a kink (a disk's or a table's breakpoints) are
 never fed to Gauss-Laguerre: `support_rule` splits one Gauss-Legendre rule
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,27 +45,14 @@ def _check_order(order):
     return order
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """One-dimensional rule with both classical and envelope-free weights.
-
-    weights      integrate f against the rule's weight function
-    flat_weights integrate f(x) dx directly for f carrying its own decay
-                 (flat_weights = weights / weight(x); computed without
-                 forming either factor, so they are finite at any order)
-    """
-
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    flat_weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-        self.flat_weights.setflags(write=False)
+def _frozen(*arrays):
+    """The arrays, read-only: a cached rule is shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
-def _christoffel_flat_weights(fn_iter):
+def _christoffel_weights(fn_iter):
     """1 / sum_j phi_j(x)^2 for the weighted orthonormal family phi_j."""
     total = None
     for val in fn_iter:
@@ -151,33 +139,22 @@ def _laguerre_nodes(n, alpha):
 
 @functools.lru_cache(maxsize=256)
 def gauss_hermite(order):
-    """Rule for the weight exp(-x^2) on R."""
+    """(nodes, weights) on R, exact for exp(-x^2) times a polynomial of degree < 2 order."""
     order = _check_order(order)
     # H_2m(x) ~ L_m^(-1/2)(x^2) and H_2m+1(x) ~ x L_m^(1/2)(x^2)
     half, odd = divmod(order, 2)
     pos = np.sqrt(_laguerre_nodes(half, 0.5 if odd else -0.5))
     nodes = np.concatenate((-pos[::-1], np.zeros(odd), pos))
-    flat = _christoffel_flat_weights(hermite_fn_iter(nodes, order - 1))
-    flat = 0.5 * (flat + flat[::-1])
-    with np.errstate(under="ignore"):
-        weights = flat * np.exp(-nodes * nodes)
-    return QuadratureRule(nodes, weights, flat)
+    weights = _christoffel_weights(hermite_fn_iter(nodes, order - 1))
+    return _frozen(nodes, 0.5 * (weights + weights[::-1]))
 
 
 @functools.lru_cache(maxsize=4096)
-def gauss_laguerre(order, alpha=0.0):
-    """Rule for the weight t^alpha exp(-t) on [0, inf)."""
+def gauss_laguerre(order):
+    """(nodes, weights) on [0, inf), exact for exp(-t) times a polynomial of degree < 2 order."""
     order = _check_order(order)
-    alpha = float(alpha)
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1")
-    nodes = _laguerre_nodes(order, alpha)
-    flat = _christoffel_flat_weights(laguerre_fn_iter(alpha, nodes, order - 1))
-    # raw weights overflow/underflow at large order or alpha; the flat
-    # weights are the reliable representation there
-    with np.errstate(under="ignore", over="ignore"):
-        weights = flat * np.exp(alpha * np.log(nodes) - nodes)
-    return QuadratureRule(nodes, weights, flat)
+    nodes = _laguerre_nodes(order, 0.0)
+    return _frozen(nodes, _christoffel_weights(laguerre_fn_iter(0.0, nodes, order - 1)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -215,15 +192,13 @@ def _legendre_half(n):
     _, _, total, eps = sweep(theta)
     if n % 2:
         eps[-1] = 1.0               # the middle node x = 0
-    weights = 1.0 / total
-    for a in (eps, weights):
-        a.setflags(write=False)
-    return eps, weights
+    return _frozen(eps, 1.0 / total)
 
 
 @functools.lru_cache(maxsize=256)
 def gauss_legendre_panel(order, a, b):
-    """Gauss-Legendre on [a, b], each node placed from its end's eps (`_legendre_half`)."""
+    """(nodes, weights) of Gauss-Legendre on [a, b], each node placed from its end's eps
+    (`_legendre_half`)."""
     order = _check_order(order)
     if not b > a:
         raise ValueError("empty interval")
@@ -231,25 +206,23 @@ def gauss_legendre_panel(order, a, b):
     h = 0.5 * (b - a)
     inner = order // 2              # the right half; an odd order's middle node is eps[-1]
     nodes = np.concatenate((a + h * eps, (b - h * eps[:inner])[::-1]))
-    weights = h * np.concatenate((w, w[:inner][::-1]))
-    return QuadratureRule(nodes, weights, weights.copy())
+    return _frozen(nodes, h * np.concatenate((w, w[:inner][::-1])))
 
 
-DEFAULT_ORDER_R2 = 80
 _PANEL_MIN = 8               # fewest nodes on a panel between breakpoints
 
 
 def support_rule(breakpoints, order, tail_order, top):
-    """(nodes, weights) for int_0^inf g(t) dt, g smooth between increasing
+    """Read-only (nodes, weights) for int_0^inf g(t) dt, g smooth between increasing
     breakpoints t > 0 and 0 past the last (RadialProfile.breakpoints, scaled).
 
     One Legendre rule on [0, a], a the last breakpoint below top, split at the
     breakpoints, each panel keeping the nodes the whole rule puts there: of
     `order` nodes, or of as many as leave every panel 8, up to MAX_ORDER, past
     which a breakpoint leaving a panel fewer than 8 is dropped.  Unless g is 0
-    past a, Gauss-Laguerre of tail_order (flat weights) shifted to a covers
-    [a, inf).  A last breakpoint below the smallest normal double (underflowed
-    on scaling) would leave nodes and weights of 0: QuadratureAccuracyError.
+    past a, Gauss-Laguerre of tail_order shifted to a covers [a, inf).  A last
+    breakpoint below the smallest normal double (underflowed on scaling) would
+    leave nodes and weights of 0: QuadratureAccuracyError.
     """
     if breakpoints and not breakpoints[-1] >= np.finfo(float).tiny:
         raise QuadratureAccuracyError(
@@ -266,24 +239,20 @@ def support_rule(breakpoints, order, tail_order, top):
         at = round(order * th / math.pi)
         if at - cuts[-1][1] >= _PANEL_MIN and order - at >= _PANEL_MIN:
             cuts.append((t, at))
-    parts = [(rule.nodes, rule.weights) for rule in (
-        gauss_legendre_panel(n - m, c, d)
-        for (c, m), (d, n) in zip(cuts, cuts[1:] + [(span, order)]) if d > c)]
+    parts = [gauss_legendre_panel(n - m, c, d)
+             for (c, m), (d, n) in zip(cuts, cuts[1:] + [(span, order)]) if d > c]
     if not breakpoints or breakpoints[-1] >= top:
-        tail = gauss_laguerre(tail_order)
-        parts.append((span + tail.nodes, tail.flat_weights))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+        nodes, weights = gauss_laguerre(tail_order)
+        parts.append((span + nodes, weights))
+    return _frozen(*(np.concatenate(part) for part in zip(*parts)))
 
 
 def integrate_r2(f, order):
     """Tensor Gauss-Hermite estimate of the integral of f over R^2.
 
-    f(x, xi) must accept broadcasting arrays and carry its own decay;
-    the envelope is removed by the flat weights.
+    f(x, xi) must accept broadcasting arrays and carry its own decay.
     """
-    rule = gauss_hermite(order)
-    x = rule.nodes
-    fw = rule.flat_weights
+    x, fw = gauss_hermite(order)
     vals = f(x[:, None], x[None, :])
     return np.einsum("i,j,ij->", fw, fw, vals)
 

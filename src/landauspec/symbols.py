@@ -357,7 +357,7 @@ def _disk_gauss_convolution(profile):
     # arc length of {|z0 - w| <= sqrt(c)} on the circle |w| = sqrt(u); the
     # arccos has sqrt kinks at the tangency radii, smoothed out by the
     # substitution u = lo + (hi - lo) sin^2(phi)
-    phi_rule = quadrature.gauss_legendre_panel(200, 0.0, math.pi / 2.0)
+    phi, phi_weights = quadrature.gauss_legendre_panel(200, 0.0, math.pi / 2.0)
 
     def smoothed(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -370,13 +370,12 @@ def _disk_gauss_convolution(profile):
                 # circles fully inside the disk: arc = 2 pi
                 total += 2.0 * np.pi * -math.expm1(-lo)
             if hi > lo:
-                phi = phi_rule.nodes
                 uu = lo + (hi - lo) * np.sin(phi) ** 2
                 du = (hi - lo) * np.sin(2.0 * phi)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ca = np.clip((s0 + uu - c) / (2.0 * np.sqrt(s0 * uu)), -1.0, 1.0)
                 arc = 2.0 * np.arccos(ca)
-                total += np.dot(phi_rule.weights, arc * np.exp(-uu) * du)
+                total += np.dot(phi_weights, arc * np.exp(-uu) * du)
             out[i] = amp * total / (2.0 * np.pi)
         return out
 

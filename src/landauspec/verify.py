@@ -35,9 +35,7 @@ def _suite_pair_closed_form():
 
 
 def _suite_moyal():
-    rule = quadrature.gauss_hermite(96)
-    p = rule.nodes
-    fw = rule.flat_weights
+    p, fw = quadrature.gauss_hermite(96)
     kernels = {(k, l): wigner.wigner_eval(k, l, p[:, None], p[None, :])
                for k in range(5) for l in range(5)}
     err = 0.0

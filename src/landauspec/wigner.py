@@ -94,9 +94,7 @@ def wigner_numeric(u, v, x, xi):
     120-node Gauss-Hermite rule, which covers |xi| <= 6 comfortably.  Serves
     as the independent oracle for wigner_eval.
     """
-    rule = quadrature.gauss_hermite(120)
-    tau = rule.nodes
-    fw = rule.flat_weights
+    tau, fw = quadrature.gauss_hermite(120)
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     shape = np.broadcast_shapes(x.shape, xi.shape)

@@ -24,9 +24,8 @@ def radial_gauss_convolution(profile):
     spectrally accurate).  The oracle for `symbols.antiwick_to_weyl`.
     """
     n_theta = 512
-    rule = quadrature.gauss_legendre_panel(200, 0.0, 9.0)
-    rho = rule.nodes
-    weights = rule.weights * np.exp(-rho * rho) * rho * (2.0 / n_theta)
+    rho, weights = quadrature.gauss_legendre_panel(200, 0.0, 9.0)
+    weights = weights * np.exp(-rho * rho) * rho * (2.0 / n_theta)
     theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
     cos_t = np.cos(theta)
 
@@ -49,15 +48,15 @@ def radial_gauss_convolution(profile):
 def integrate_halfline(f, order=400, support=None):
     """Estimate the integral of f over [0, inf); f carries its own decay.
 
-    Gauss-Laguerre of `order` with flat weights, or, for an integrand that
-    vanishes past `support`, a Gauss-Legendre panel on [0, support], which
-    keeps the jump off the Laguerre rule.
+    Gauss-Laguerre of `order`, or, for an integrand that vanishes past
+    `support`, a Gauss-Legendre panel on [0, support], which keeps the jump
+    off the Laguerre rule.
     """
     if support is not None:
-        rule = quadrature.gauss_legendre_panel(order, 0.0, float(support))
-        return float(np.dot(rule.weights, f(rule.nodes)))
-    rule = quadrature.gauss_laguerre(order)
-    return float(np.dot(rule.flat_weights, f(rule.nodes)))
+        nodes, weights = quadrature.gauss_legendre_panel(order, 0.0, float(support))
+    else:
+        nodes, weights = quadrature.gauss_laguerre(order)
+    return float(np.dot(weights, f(nodes)))
 
 
 def laguerre(q, nu, xi):

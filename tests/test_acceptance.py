@@ -43,9 +43,7 @@ def test_criterion_01_wigner_closed_form():
 
 def test_criterion_02_moyal_orthogonality():
     t0 = time.time()
-    rule = qd.gauss_hermite(96)
-    p = rule.nodes
-    fw = rule.flat_weights
+    p, fw = qd.gauss_hermite(96)
     kernels = {(k, l): wg.wigner_eval(k, l, p[:, None], p[None, :])
                for k in range(7) for l in range(7)}
     err = 0.0

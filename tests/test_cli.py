@@ -812,6 +812,22 @@ def test_capacity_polygon_without_room_exits_2(tmp_path, vertices, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("union", [False, True])
+def test_capacity_polygon_with_a_subnormal_edge_rise(tmp_path, union):
+    # an edge rising by 5e-324 overflowed the crossing test's quotient for
+    # points level with neither of its ends: a traceback under the warning filter
+    def estimate(y):
+        poly = {"kind": "polygon", "vertices": [[0.0, y], [1.0, 0.0], [0.0, 1.0]]}
+        if union:
+            poly = {"kind": "union", "members": [
+                {"kind": "segment", "a": [-3.0, 0.0], "b": [-2.0, 0.0]}, poly]}
+        cfg = write_config(tmp_path, "c.json", {"set": poly, "j_max": 8, "restarts": 0})
+        assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        return json.loads((tmp_path / "out" / "capacity.json").read_text())["estimate"]
+
+    assert estimate(5e-324) == pytest.approx(estimate(0.0), rel=1e-12)
+
+
 # capacities of the unit-size sets: radius, length / 4, Gamma(1/4)^2 / (4 pi^(3/2)) and
 # sqrt(3) Gamma(1/3)^3 / (8 pi^2) times the side
 _UNIT_CAPACITY = {"disk": 1.0, "segment": 0.25,
@@ -949,6 +965,22 @@ _ESCAPES = [
     # writing -inf eigenvalues, or ended in a traceback under the warning filter
     ("spectrum", _SPECTRUM, _TERM0, {"coeff": 1.7e308, "A": {"kind": "constant", "value": -1e150},
                                      "B": {"kind": "gaussian", "rate": 1.0}}, "symbol"),
+    # ln |R| = +inf on the log grid ended in a traceback under the warning filter
+    # at q = 1 (a NaN from the sweep), where q = 0 already exited 2
+    ("toeplitz", {**_TOEPLITZ, "b": 1e6, "q": 1, "count": 40}, ("zeta",),
+     {"kind": "laguerre_mix", "coeffs": [1.7e308, 1e150, 1e-300], "amplitude": 1e6},
+     "log grid"),
+    # mu = 1.7e308 puts -inf in every prediction_log row, with exit 0
+    ("asymptotics", {"kind": "exp", "beta": 0.5, "gamma": 1.0, "b": 2.0, "k_range": [2, 40]},
+     ("gamma",), 1.7e308, "asymptotics"),
+    # found by the fuzz below once it drew extreme doubles: Toeplitz model
+    # predictions of -inf written with exit 0, and a Landau level that
+    # overflowed in a traceback under the warning filter
+    ("toeplitz", {**_TOEPLITZ, "b": 2.0, "q": 1, "model": {"kind": "exp"}}, ("zeta",),
+     {"kind": "exp_beta", "gamma": 1e300, "beta": 1.7e308}, "model: the prediction"),
+    ("construct-gaps", {**_GAPS, "multiplicities": [2, 0, 1], "level_scales": [0.8, 0.5, 0.3],
+                        "index_scales": [0.5, 0.25]}, ("b",), 1.7e308,
+     "construct-gaps: the top Landau level"),
 ]
 
 
@@ -997,6 +1029,9 @@ _VALID = [
                         "radial": 3}),
 ]
 _ODD_VALUES = [-1, 0, 1, 2.5, "x", True, None, float("nan"), [], {}]
+# a float leaf may also become a double at either end of the range
+_EXTREME_DOUBLES = [sign * x for x in (5e-324, 1e-300, 1e-150, 1e-18, 1e18, 1e150, 1e300, 1.7e308)
+                    for sign in (1.0, -1.0)]
 
 
 def _nodes(cfg, where=()):
@@ -1015,7 +1050,8 @@ def _mutate(cfg, data):
         parent = parent[key]
     key, op = where[-1], data.draw(st.sampled_from(["set", "delete", "extra", "nest"]))
     if op == "set":
-        parent[key] = data.draw(st.sampled_from(_ODD_VALUES))
+        odd = _ODD_VALUES + _EXTREME_DOUBLES if type(parent[key]) is float else _ODD_VALUES
+        parent[key] = data.draw(st.sampled_from(odd))
     elif op == "delete":
         del parent[key]
     elif op == "extra" and isinstance(parent, dict):
@@ -1026,7 +1062,7 @@ def _mutate(cfg, data):
         parent[key] = data.draw(st.sampled_from([[parent[key]], {"kind": parent[key]}]))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=1500, deadline=None)
 @given(data=st.data())
 def test_mutated_configs_exit_0_or_2(tmp_path_factory, data):
     command, payload = data.draw(st.sampled_from(_VALID))

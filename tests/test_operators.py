@@ -86,9 +86,7 @@ def test_weyl_matrix_kernel_integral_oracle():
     n = 4
     T = op.weyl_matrix(F, n)
 
-    rule = qd.gauss_hermite(64)
-    u = rule.nodes
-    fw = rule.flat_weights
+    u, fw = qd.gauss_hermite(64)
     U = u[:, None, None]
     V = u[None, :, None]
     XI = u[None, None, :]
@@ -693,9 +691,7 @@ def test_toeplitz_higher_level_2d_quadrature_oracle():
     b, q = 1.0, 2
     sign, log_nu = op.toeplitz_radial_eigs(zeta, q, b, 33)
     nu = sign * np.exp(log_nu)
-    rule = qd.gauss_hermite(140)
-    p = rule.nodes
-    fw = rule.flat_weights
+    p, fw = qd.gauss_hermite(140)
 
     def density(k):
         # |phi_{k,q}|^2 from the closed Laguerre form

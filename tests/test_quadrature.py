@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -13,23 +14,45 @@ def gauss_hermite_moment(k):
     return math.sqrt(math.pi) * math.prod(range(1, 2 * k, 2)) / 2.0 ** k
 
 
+def _hermite_classical(order):
+    """Nodes and the classical weights of exp(-x^2): the rule's weights times the envelope."""
+    nodes, weights = qd.gauss_hermite(order)
+    return nodes, weights * np.exp(-nodes * nodes)
+
+
 def test_gauss_hermite_order_one():
-    r = qd.gauss_hermite(1)
-    assert r.nodes.tolist() == [0.0]
-    assert r.weights[0] == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+    nodes, weights = _hermite_classical(1)
+    assert nodes.tolist() == [0.0]
+    assert weights[0] == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+
+
+@functools.lru_cache(maxsize=None)
+def _laguerre_rule(order, alpha):
+    """The zeros of L_order^(alpha) and their Christoffel weights for int f dt:
+    the public rule at alpha = 0, `_laguerre_nodes` and the same sweep otherwise."""
+    if alpha == 0.0:
+        return qd.gauss_laguerre(order)
+    nodes = qd._laguerre_nodes(order, alpha)
+    return nodes, qd._christoffel_weights(laguerre_fn_iter(alpha, nodes, order - 1))
+
+
+def _laguerre_classical(order, alpha=0.0):
+    """Nodes and the classical weights of t^alpha exp(-t): the weights times the envelope."""
+    nodes, weights = _laguerre_rule(order, alpha)
+    return nodes, weights * np.exp(alpha * np.log(nodes) - nodes)
 
 
 def test_gauss_hermite_second_moment_order_two():
-    r = qd.gauss_hermite(2)
-    val = float(np.dot(r.weights, r.nodes**2))
+    nodes, weights = _hermite_classical(2)
+    val = float(np.dot(weights, nodes**2))
     assert val == pytest.approx(math.sqrt(math.pi) / 2, abs=1e-14)
 
 
 @pytest.mark.parametrize("order", [4, 16, 64])
 def test_gauss_hermite_polynomial_exactness(order):
-    r = qd.gauss_hermite(order)
+    nodes, weights = _hermite_classical(order)
     for deg in range(0, 2 * order, 3):
-        val = float(np.dot(r.weights, r.nodes ** deg))
+        val = float(np.dot(weights, nodes ** deg))
         if deg % 2:
             assert abs(val) < 1e-12 * gauss_hermite_moment(deg // 2 + 1)
         else:
@@ -37,41 +60,59 @@ def test_gauss_hermite_polynomial_exactness(order):
 
 
 def test_gauss_laguerre_order_one():
-    r = qd.gauss_laguerre(1)
-    assert r.nodes[0] == pytest.approx(1.0, rel=1e-15)
-    assert r.weights[0] == pytest.approx(1.0, rel=1e-14)
+    nodes, weights = _laguerre_classical(1)
+    assert nodes[0] == pytest.approx(1.0, rel=1e-15)
+    assert weights[0] == pytest.approx(1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("order", [4, 16, 64])
 def test_gauss_laguerre_factorial_moments(order):
-    r = qd.gauss_laguerre(order)
+    nodes, weights = _laguerre_classical(order)
     for k in range(0, 2 * order, 5):
-        val = float(np.dot(r.weights, r.nodes ** k))
+        val = float(np.dot(weights, nodes ** k))
         assert val == pytest.approx(math.factorial(k), rel=1e-12)
 
 
 def test_gauss_laguerre_generalized_moments():
-    # int t^(alpha+k) e^-t dt = Gamma(alpha + k + 1)
+    # int t^(alpha+k) e^-t dt = Gamma(alpha + k + 1), on the nodes of L_24^(alpha)
     alpha = 2.5
-    r = qd.gauss_laguerre(24, alpha)
+    nodes, weights = _laguerre_classical(24, alpha)
     for k in range(0, 20, 3):
-        val = float(np.dot(r.weights, r.nodes ** k))
+        val = float(np.dot(weights, nodes ** k))
         assert val == pytest.approx(math.gamma(alpha + k + 1.0), rel=1e-12)
 
 
 def test_gauss_laguerre_flat_weights_high_order():
-    # raw weights underflow by order ~200; flat weights keep working
-    r = qd.gauss_laguerre(1500)
-    assert np.all(np.isfinite(r.flat_weights)) and np.all(r.flat_weights > 0)
-    val = float(np.dot(r.flat_weights, np.exp(-r.nodes)))
+    # the classical weights underflow by order ~200; the rule's weights keep working
+    nodes, weights = qd.gauss_laguerre(1500)
+    assert np.all(np.isfinite(weights)) and np.all(weights > 0)
+    val = float(np.dot(weights, np.exp(-nodes)))
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gauss_hermite_flat_weights_high_order():
-    r = qd.gauss_hermite(2000)
-    assert np.all(np.isfinite(r.flat_weights)) and np.all(r.flat_weights > 0)
-    val = float(np.dot(r.flat_weights, np.exp(-r.nodes**2)))
+    nodes, weights = qd.gauss_hermite(2000)
+    assert np.all(np.isfinite(weights)) and np.all(weights > 0)
+    val = float(np.dot(weights, np.exp(-nodes**2)))
     assert val == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qd.gauss_hermite(9), lambda: qd.gauss_laguerre(9),
+    lambda: qd.gauss_legendre_panel(9, 0.0, 2.0),
+    lambda: qd.support_rule([0.5, 1.0, 2.0], 40, 16, math.inf),
+    lambda: qd.support_rule([], 40, 16, math.inf)],
+    ids=["hermite", "laguerre", "legendre", "support", "support-tail"])
+def test_every_builder_returns_read_only_nodes_and_weights(build):
+    nodes, weights = build()
+    for a in (nodes, weights):
+        assert isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 1
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert nodes.size == weights.size > 0
+    # the refused writes left the cached rules as they were
+    again = build()
+    assert np.array_equal(again[0], nodes) and np.array_equal(again[1], weights)
 
 
 def _laguerre_nodes_by_eigensolver(order, alpha):
@@ -85,19 +126,19 @@ def _laguerre_nodes_by_eigensolver(order, alpha):
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 3.0])
 def test_gauss_laguerre_matches_eigensolver(alpha):
-    # nodes against the Golub-Welsch eigenvalues, flat weights against the
-    # Christoffel sweep at those eigenvalues.  eigh_tridiagonal itself errs by
+    # nodes against the Golub-Welsch eigenvalues, Christoffel weights against
+    # the same sweep at those eigenvalues.  eigh_tridiagonal itself errs by
     # up to 1.1e-13 (1 + x) at order 2900 (alpha = 0.5, measured against
-    # extended-precision Newton), hence 1.5e-13 there.  The flat weights follow
+    # extended-precision Newton), hence 1.5e-13 there.  The weights follow
     # those node errors: up to 1.7e-13 absolute at the smallest nodes and
     # 9e-13 relative at the outermost ones (x ~ 5000)
     for order in (1, 2, 3, 24, 88, 432, 1500, 2900):
-        rule = qd.gauss_laguerre(order, alpha)
+        nodes, weights = _laguerre_rule(order, alpha)
         ref = _laguerre_nodes_by_eigensolver(order, alpha)
         tol = 1.5e-13 if order > 1500 else 1e-13
-        assert np.all(np.abs(rule.nodes - ref) <= tol * (1.0 + ref)), order
-        ref_flat = qd._christoffel_flat_weights(laguerre_fn_iter(alpha, ref, order - 1))
-        assert np.all(np.abs(rule.flat_weights - ref_flat) <= 5e-13 + 2e-12 * ref_flat), order
+        assert np.all(np.abs(nodes - ref) <= tol * (1.0 + ref)), order
+        ref_weights = qd._christoffel_weights(laguerre_fn_iter(alpha, ref, order - 1))
+        assert np.all(np.abs(weights - ref_weights) <= 5e-13 + 2e-12 * ref_weights), order
 
 
 def _mp_laguerre_zero(order, alpha, x):
@@ -118,7 +159,7 @@ def test_gauss_laguerre_nodes_against_mpmath(alpha):
     # the smallest nodes keep full relative precision: eigensolvers (and a
     # ratio recurrence in L_j / L_(j-1)) lose about 1e-13 absolute there
     order = 2900
-    nodes = qd.gauss_laguerre(order, alpha).nodes
+    nodes = _laguerre_rule(order, alpha)[0]
     for i in (0, 1, 2, 1450, order - 1):
         ref = _mp_laguerre_zero(order, alpha, nodes[i])
         assert abs(nodes[i] - ref) <= 1e-15 * (1.0 + ref), i
@@ -127,16 +168,16 @@ def test_gauss_laguerre_nodes_against_mpmath(alpha):
 def test_gauss_laguerre_large_alpha_moments():
     # the WKB guesses carry the alpha^2 / x^2 term, so large alpha converges too
     for alpha in (10.0, 100.0):
-        r = qd.gauss_laguerre(30, alpha)
+        nodes, weights = _laguerre_classical(30, alpha)
         for k in range(0, 40, 7):
-            val = float(np.dot(r.weights, r.nodes ** k))
+            val = float(np.dot(weights, nodes ** k))
             assert val == pytest.approx(math.exp(math.lgamma(alpha + k + 1.0)), rel=1e-12)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 64, 96, 2000])
 def test_gauss_hermite_matches_eigensolver(order):
     from scipy.linalg import eigh_tridiagonal
-    nodes = qd.gauss_hermite(order).nodes
+    nodes = qd.gauss_hermite(order)[0]
     if order == 1:
         ref = np.zeros(1)
     else:
@@ -152,7 +193,7 @@ def test_order_validation():
     with pytest.raises(ValueError):
         qd.gauss_hermite(qd.MAX_ORDER + 1)
     with pytest.raises(ValueError):
-        qd.gauss_laguerre(10, alpha=-1.0)
+        qd.gauss_laguerre(0)
     with pytest.raises(ValueError):
         qd.gauss_legendre_panel(10, 1.0, 1.0)
 
@@ -210,19 +251,19 @@ def _mp_legendre_weight(order, x):
 def test_gauss_legendre_end_weights_against_mpmath(order):
     # a disk's moment panel puts its outermost rows' mass on the end nodes,
     # so the end weights must hold to 1e-12 like the middle ones
-    rule = qd.gauss_legendre_panel(order, -1.0, 1.0)
+    nodes, weights = qd.gauss_legendre_panel(order, -1.0, 1.0)
     for i in (0, 1, order // 2, order - 2, order - 1):
-        ref = _mp_legendre_weight(order, rule.nodes[i])
-        assert rule.weights[i] == pytest.approx(ref, rel=1e-12, abs=0.0), i
+        ref = _mp_legendre_weight(order, nodes[i])
+        assert weights[i] == pytest.approx(ref, rel=1e-12, abs=0.0), i
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 8, 9, 100, 261])
 def test_gauss_legendre_polynomial_exactness(order):
-    rule = qd.gauss_legendre_panel(order, 0.0, 2.0)
-    assert np.all(np.diff(rule.nodes) > 0)
+    nodes, weights = qd.gauss_legendre_panel(order, 0.0, 2.0)
+    assert np.all(np.diff(nodes) > 0)
     for deg in range(0, 2 * order, max(1, order // 4)):
         # int_0^2 t^deg dt
-        val = float(np.dot(rule.weights, rule.nodes ** deg))
+        val = float(np.dot(weights, nodes ** deg))
         assert val == pytest.approx(2.0 ** (deg + 1) / (deg + 1), rel=1e-13), deg
 
 
