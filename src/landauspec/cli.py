@@ -452,6 +452,10 @@ def main(argv=None):
         kind = "accuracy" if isinstance(exc, quadrature.QuadratureAccuracyError) else "config"
         print(f"{kind} error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"config error: {args.command} needs more memory than can be allocated: {exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

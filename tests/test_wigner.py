@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from landauspec import quadrature as qd
+from landauspec import verify
 from landauspec import wigner as wg
 from landauspec.specfun import hermite_fn
 
@@ -27,13 +28,7 @@ def test_diagonal_at_origin():
 
 
 def test_closed_form_vs_numeric_oracle():
-    p = np.linspace(-3, 3, 9)
-    X, XI = np.meshgrid(p, p)
-    for k in range(6):
-        for l in range(6):
-            num = wg.wigner_numeric(hermite_u(k), hermite_u(l), X, XI)
-            err = np.abs(num - wg.wigner_eval(k, l, X, XI)).max()
-            assert err < 1e-9
+    assert verify.pair_closed_form(6, 9) < 1e-9
 
 
 def test_numeric_conjugate_symmetry():
@@ -104,10 +99,7 @@ def test_diag_kernel_past_seed_underflow():
 
 def test_husimi_closed_form():
     assert wg.husimi_diag(0, 0.0, 0.0) == pytest.approx(1 / (2 * math.pi), rel=1e-14)
-    for k in range(6):
-        for (x, xi) in [(0.0, 0.0), (1.2, -0.3), (0.4, 2.0)]:
-            num = wg.husimi_numeric(k, x, xi)
-            assert num == pytest.approx(wg.husimi_diag(k, x, xi), abs=1e-8)
+    assert verify.husimi_closed_form(6, [(0.0, 0.0), (1.2, -0.3), (0.4, 2.0)]) < 1e-8
 
 
 def test_husimi_unit_mass():
@@ -123,10 +115,7 @@ def test_fourier_halving_identity():
     assert rhs == pytest.approx(1 / (2 * math.pi), rel=1e-14)
     lhs, rhs = wg.wigner_fourier_check(1, (0.0, 0.0))
     assert rhs == pytest.approx(0.5 / math.pi, rel=1e-14)  # -1/2 * Psi_1(0) = 1/(2 pi)
-    for k in range(6):
-        for w in [(1.0, 0.0), (2.0, -2.0), (0.5, 3.0)]:
-            lhs, rhs = wg.wigner_fourier_check(k, w)
-            assert abs(lhs - rhs) < 1e-8
+    assert verify.fourier_halving(6, [(1.0, 0.0), (2.0, -2.0), (0.5, 3.0)]) < 1e-8
 
 
 def test_fault_injection_breaks_oracle_agreement():
