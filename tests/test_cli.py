@@ -486,7 +486,8 @@ def test_size_past_any_address_space_exits_2(tmp_path, command, payload):
                          "(int(sys.argv[1]),) * 2); from landauspec.cli import main; "
                          "sys.exit(main(sys.argv[2:]))",
          str(cap), command, "--config", cfg, "--out", str(tmp_path / "out")],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "needs more memory than can be allocated" in proc.stderr
     assert "Traceback" not in proc.stderr

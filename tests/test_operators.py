@@ -842,6 +842,9 @@ def test_gap_counts_recountable():
 
 def test_positivity_weyl():
     assert verify.positivity_weyl(10) == 0.0
+    # the smoothed disk of radius 1.0, next to verify's 1.5
+    assert op.positivity_laguerre_weyl(
+        sy.antiwick_to_weyl(sy.disk_indicator(1.0)), 10).all_nonneg
     rep = op.positivity_laguerre_weyl(sy.gaussian(1.0, amplitude=1 / np.pi), 10)
     assert rep.coefficients[0] == pytest.approx(1 / np.pi, rel=1e-10)
     flipped = op.positivity_laguerre_weyl(
@@ -852,6 +855,8 @@ def test_positivity_weyl():
 def test_positivity_antiwick():
     # anti-Wick of a nonnegative profile is nonnegative, also after smoothing
     assert verify.positivity_antiwick(8) == 0.0
+    # a profile rough at zero
+    assert op.positivity_laguerre_antiwick(sy.exp_beta(0.5, 1.2), 8).all_nonneg
     rep = op.positivity_laguerre_antiwick(sy.custom(lambda s: 1.0 - s), 6)
     # Gamma moments: 1 - 2(k+1)
     expect = 1.0 - 2.0 * (np.arange(6) + 1.0)
