@@ -6,7 +6,8 @@ the symbol against Wigner pair kernels on a tensor Gauss-Hermite rule whose
 order doubles until two successive matrices agree; this dense route is the
 independent check of the sequences below.  Radial symbols need no pairing:
 their operators are diagonal in the Hermite basis and the eigenvalues reduce
-to half-line Laguerre-type integrals.  The Toeplitz and anti-Wick moments
+to half-line Laguerre-type integrals, exact for Laguerre mixes and
+gaussians and by quadrature otherwise.  The Toeplitz and anti-Wick moments
 are one signed sum in log space for every weight, so their logs stay exact
 far below the double underflow threshold.  The perturbed magnetic
 Hamiltonian H_V = H_0 + op(V) of a separable 4-D symbol with radial factors
@@ -191,12 +192,27 @@ def banded_structure_check(v, n):
 def _laguerre_sequence(profile, count, profile_scale, laguerre_scale, sign):
     """sign^k int_0^inf R(profile_scale y) Lcal_k(laguerre_scale y) dy, k < count.
 
-    Lcal_k is the weighted Laguerre function of laguerre_fn_iter (|Lcal_k| <= 1),
-    so one degree sweep serves every k.  `quadrature.support_rule` takes panels
+    Lcal_k is the weighted Laguerre function of laguerre_fn_iter (|Lcal_k| <= 1).
+    A gaussian R = A e^(-a s) needs no quadrature: with beta = a profile_scale /
+    laguerre_scale the integral is (A / laguerre_scale) (beta - 1/2)^k /
+    (beta + 1/2)^(k+1), read as a lead times exp(k ln |ratio|), the log taken
+    in long double, so beta = 1/2 gives exactly 0 from k = 1.  Any other R
+    runs one degree sweep for every k on `quadrature.support_rule`: panels
     of max(200, count // 2 + 64) nodes below laguerre_scale y = 4 count + 40
     (2 count)^(1/3) + 100, where every Lcal_k is below e^-45, and a tail of
     count // 2 + 400.
     """
+    if profile.kind == "gaussian":
+        # in y' = laguerre_scale y: (A / laguerre_scale) int e^(-(beta + 1/2) y') L_k(y') dy'
+        a, half = profile.rate, 0.5 * laguerre_scale / profile_scale
+        lead = (profile.amplitude / profile_scale) / (a + half)
+        ld = np.longdouble
+        with np.errstate(divide="ignore"):  # a = half: ratio 0, ln 0 = -inf
+            ln_ratio = np.log(abs(ld(a) - ld(half)) / (ld(a) + ld(half)))
+        logs = np.zeros(count, dtype=ld)
+        logs[1:] = np.arange(1, count) * ln_ratio    # k = 0 forms no 0 * ln 0
+        signs = (sign * math.copysign(1.0, a - half)) ** np.arange(count)
+        return lead * signs * np.exp(logs).astype(float) + 0.0    # + 0.0: no -0.0 at beta = 1/2
     top = (4.0 * count + 40.0 * (2.0 * count) ** (1.0 / 3.0) + 100.0) / laguerre_scale
     y, weights = quadrature.support_rule(
         [s / profile_scale for s in profile.breakpoints], max(200, count // 2 + 64),
@@ -212,9 +228,11 @@ def weyl_radial_eigs(profile, count):
     """Eigenvalues mu_k, k < count, of the Weyl operator with a radial symbol.
 
     mu_k = ((-1)^k / 2) int_0^inf R(t/2) L_k(t) e^(-t/2) dt, evaluated in the
-    weighted form (-1)^k int R(u) Lcal_k(2u) du.  A Laguerre-mix profile
-    sum_j c_j (-1)^j L_j(2s) e^(-s) needs no quadrature: by
-    orthogonality mu_k = amplitude c_k / 2, and 0 past the last coefficient.
+    weighted form (-1)^k int R(u) Lcal_k(2u) du.  Two kinds need no quadrature.
+    A Laguerre-mix profile sum_j c_j (-1)^j L_j(2s) e^(-s) reads, by
+    orthogonality, mu_k = amplitude c_k / 2, and 0 past the last coefficient.
+    A gaussian A e^(-a s) reads mu_k = A (1 - a)^k / (1 + a)^(k+1)
+    (`_laguerre_sequence`), exactly 0 from k = 1 at a = 1.
     """
     if profile.laguerre_coeffs is not None:
         cs = 0.5 * profile.amplitude * np.array(profile.laguerre_coeffs[:count])
@@ -223,7 +241,10 @@ def weyl_radial_eigs(profile, count):
 
 
 def weyl_radial_eigs_fourier(profile_hat, count):
-    """Same eigenvalues from the Fourier side: mu_k = int Rhat(2t) Lcal_k(t) dt."""
+    """Same eigenvalues from the Fourier side: mu_k = int Rhat(2t) Lcal_k(t) dt.
+
+    The dual of a gaussian is a gaussian, whose integral `_laguerre_sequence`
+    takes in closed form."""
     return _laguerre_sequence(profile_hat, count, 2.0, 1.0, 1.0)
 
 
@@ -273,11 +294,67 @@ def _row_blocks(q, count):
     return blocks
 
 
+def _gaussian_moments(profile, q, scale, count):
+    """(sign, ln |nu_k|) of `_radial_moments` for R = A e^(-a s), in closed form.
+
+    With c = a scale, m = min(k, q) and d = |k - q|, Gradshteyn & Ryzhik
+    7.414.4 gives nu_k = A (1 + c)^-(2m+d+1) S_k, S_k a sum of m + 1 positive
+    terms: sum_i C(m, i) C(m+d+i, i) c^(2i) (1 - c^2)^(m-i) for c <= 1, and by
+    Pfaff's transformation sum_i C(m, i) C(m+d+i, m) (c^2 - 1)^(m-i) for c > 1.
+    ln |nu_k| is their log-sum-exp, summed in long double from a table of
+    ln n!: at q = 1000 it holds to a few units in its last place where long
+    double is the 80-bit format (x86-64), and to about 5e-12 where it is
+    plain double.  A zero power contributes 0, never 0 ln 0.  Rows go in
+    chunks of at most 2^14 terms.  A scale past the double range (2/b at a
+    subnormal b) raises QuadratureAccuracyError, as the log grid does there.
+    """
+    if scale == math.inf:
+        raise quadrature.QuadratureAccuracyError(
+            "the weight's argument scale (2/b) leaves the double range")
+    ld = np.longdouble
+    c = profile.rate * scale
+    # ln (1 + c), and ln y with y = 1 - c^2 or c^2 - 1; a c past the double
+    # range is read from its logs
+    ln_1c = np.log1p(ld(c)) if c < math.inf else np.log(ld(profile.rate)) + np.log(ld(scale))
+    below = c <= 1.0
+    with np.errstate(divide="ignore"):  # c = 1 (y = 0) or c = 0: ln 0 = -inf
+        if below:
+            ln_y, ln_c2 = np.log((1 - ld(c)) * (1 + ld(c))), 2 * np.log(ld(c))
+        else:
+            ln_y = np.log(ld(c) - 1) + ln_1c if c < math.inf else 2 * ln_1c
+    ks = np.arange(count)
+    m_all, d_all = np.minimum(ks, q), np.abs(ks - q)
+    top = int((2 * m_all + d_all).max(initial=0))
+    ln_fact = np.zeros(top + 1, dtype=ld)
+    np.cumsum(np.log(np.arange(1, top + 1, dtype=ld)), out=ln_fact[1:])
+    log_abs = np.empty(count)
+    rows = max(1, _COARSE_SIZE // (min(q, count) + 1))
+    for k0 in range(0, count, rows):
+        m, d = m_all[k0:k0 + rows, None], d_all[k0:k0 + rows, None]
+        i = np.arange(int(m.max()) + 1)
+        live = i <= m
+        i, j = np.where(live, i, 0), np.where(live, m - i, 0)      # j: the power of y
+        # n ln x with 0 where n = 0: the ln x of a zero power is never formed
+        terms = j * np.where(j > 0, ln_y, 0)
+        if below:
+            terms += (ln_fact[m] - 2 * ln_fact[i] - ln_fact[j] + ln_fact[m + d + i]
+                      - ln_fact[m + d] + i * np.where(i > 0, ln_c2, 0))
+        else:
+            terms += ln_fact[m + d + i] - ln_fact[i] - ln_fact[j] - ln_fact[d + i]
+        terms[~live] = -np.inf
+        peak = terms.max(axis=1)
+        total = np.exp(terms - peak[:, None]).sum(axis=1)
+        log_abs[k0:k0 + rows] = peak + np.log(total) - (2 * m[:, 0] + d[:, 0] + 1) * ln_1c
+    amp = profile.amplitude
+    return np.full(count, math.copysign(1.0, amp)), log_abs + math.log(abs(amp))
+
+
 def _radial_moments(profile, q, scale, count):
     """(sign, ln |nu_k|), k < count, of the level-q compression of R(scale t).
 
-    nu_k = int_0^inf R(scale t) ell_m^(d)(t)^2 dt, m = min(k, q), d = |k - q|,
-    every k on one node set: the log grid, or for R with breakpoints
+    nu_k = int_0^inf R(scale t) ell_m^(d)(t)^2 dt, m = min(k, q), d = |k - q|.
+    A gaussian R takes its closed form (`_gaussian_moments`); any other R
+    puts every k on one node set: the log grid, or for R with breakpoints
     `quadrature.support_rule` of max(240, (n + 120) // 2) nodes, n = count + q,
     its panels ending at t = n + 10 sqrt(n) + 100, where every row is 45 nats
     below its peak.  A term is ln |integrand| on a node, from d ln t - t -
@@ -301,6 +378,8 @@ def _radial_moments(profile, q, scale, count):
     """
     if profile.vanishes:                # R = 0: nu_k = 0, with no peak to place
         return np.zeros(count), np.full(count, -np.inf)
+    if profile.kind == "gaussian":
+        return _gaussian_moments(profile, q, scale, count)
     size = count + q                    # row k: t^(k+q) e^(-t) times bounded factors
     on_grid = not profile.breakpoints
     if on_grid:
@@ -399,7 +478,8 @@ def _radial_moments(profile, q, scale, count):
 
 def antiwick_radial_eigs(profile, count):
     """Eigenvalues mu_k = int_0^inf R(2t) t^k e^(-t) / k! dt of the anti-Wick operator
-    with a radial symbol, from `_radial_moments`; below the underflow threshold 0."""
+    with a radial symbol, from `_radial_moments` (a gaussian A e^(-a s) in closed
+    form, A (1 + 2a)^-(k+1)); below the underflow threshold 0."""
     sign, log_abs = _radial_moments(profile, 0, 2.0, count)
     return sign * np.exp(log_abs)
 
@@ -412,8 +492,10 @@ def toeplitz_radial_eigs(zeta, q, b, count):
     nu_k = c; for q = 0 this is the plain Gamma-weight moment
     int R(2t/b) t^k e^(-t) / k! dt.  Returns (sign, log_abs) with nu_k = sign_k exp(log_abs_k),
     as numpy.linalg.slogdet does: ln |nu_k| stays exact far below the
-    underflow threshold, and nu_k = 0 reads (0, -inf).  Every k comes from
-    one node set (`_radial_moments`).
+    underflow threshold, and nu_k = 0 reads (0, -inf).  A gaussian weight
+    takes its closed form, a log-sum-exp of m + 1 positive terms (Gradshteyn &
+    Ryzhik 7.414.4), at any q; any other weight puts every k on one node set
+    (`_radial_moments`).
     """
     if b <= 0:
         raise ValueError("field strength must be positive")

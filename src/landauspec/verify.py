@@ -109,18 +109,20 @@ def laplacian_level_shift(count):
 
 def _suite_toeplitz_closed_form():
     # gaussian weights e^(-a s), mu = 2a/b, s = 1 + mu: at q = 0 nu_k = s^-(k+1);
-    # at q = 1 nu_k = (k s^2 - 2ks + k + 1) s^-(k+2).  Count 60 puts rows past
-    # the first block, where the moment kernel sums over windows.
+    # at q = 1 nu_k = (k s^2 - 2ks + k + 1) s^-(k+2).  The gaussian kind takes
+    # its closed form, and poly_gauss([1]) is the same weight on the moment
+    # kernel; count 60 puts rows past the first block, where the kernel sums
+    # over windows.
     k = np.arange(60)
     err = 0.0
     for a, b in ((0.3, 1.0), (2.0, 1.0)):
         s = 1.0 + 2.0 * a / b
-        zeta = symbols.gaussian(a)
-        _, q0 = operators.toeplitz_radial_eigs(zeta, 0, b, k.size)
-        _, q1 = operators.toeplitz_radial_eigs(zeta, 1, b, k.size)
-        err = max(err, float(np.abs(q0 + (k + 1) * np.log(s)).max()),
-                  float(np.abs(q1 - np.log(k * s * s - 2 * k * s + k + 1)
-                               + (k + 2) * np.log(s)).max()))
+        for zeta in (symbols.gaussian(a), symbols.poly_gauss([1.0], a)):
+            _, q0 = operators.toeplitz_radial_eigs(zeta, 0, b, k.size)
+            _, q1 = operators.toeplitz_radial_eigs(zeta, 1, b, k.size)
+            err = max(err, float(np.abs(q0 + (k + 1) * np.log(s)).max()),
+                      float(np.abs(q1 - np.log(k * s * s - 2 * k * s + k + 1)
+                                   + (k + 2) * np.log(s)).max()))
     return err
 
 

@@ -452,9 +452,11 @@ def test_toeplitz_and_radial_eigs_reject_bad_sizes(tmp_path, capsys, command, ke
 
 
 # rules sized from count: the Laguerre tail, the Legendre panels of a
-# breakpoint (count // 2 + 64 and (count + 120) // 2 nodes), the spectrum's tail
+# breakpoint (count // 2 + 64 and (count + 120) // 2 nodes), the spectrum's tail.
+# poly_gauss([1]) is e^(-s) on the quadrature route: a gaussian takes its closed form
 _PAST_MAX_ORDER = [
-    ("radial-eigs", {"profile": {"kind": "gaussian", "rate": 1.0}, "count": 30000}, 15400),
+    ("radial-eigs", {"profile": {"kind": "poly_gauss", "coeffs": [1.0], "rate": 1.0},
+                     "count": 30000}, 15400),
     ("radial-eigs", {"profile": {"kind": "disk_indicator", "cutoff": 1.0}, "count": 20000},
      10064),
     ("toeplitz", {"zeta": {"kind": "disk_indicator", "cutoff": 1.0}, "b": 1.0, "count": 20000},
@@ -470,6 +472,22 @@ def test_rule_order_past_limit_exits_2(tmp_path, capsys, command, payload, order
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert str(order) in err and "10000" in err and "Traceback" not in err
+
+
+def test_gaussian_radial_eigs_need_no_rule_at_any_count(tmp_path):
+    # the closed forms, at a count whose Gauss-Laguerre tail would pass MAX_ORDER:
+    # mu_w = mu_w_fourier = (1 - a)^k / (1 + a)^(k+1), mu_aw = (1 + 2a)^-(k+1)
+    cfg = write_config(tmp_path, "c.json", {
+        "profile": {"kind": "gaussian", "rate": 0.5}, "count": 30000})
+    assert main(["radial-eigs", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    _, rows = read_csv(tmp_path / "out" / "radial_eigs.csv")
+    got = np.array(rows, dtype=float)
+    k = got[:, 0]
+    assert (k == np.arange(30000)).all()
+    weyl = np.exp(k * math.log(1.0 / 3.0)) * (2.0 / 3.0)
+    assert np.abs(got[:, 1] - weyl).max() < 1e-16
+    assert np.abs(got[:, 3] - weyl).max() < 1e-16
+    assert np.abs(got[:, 2] - 0.5 ** (k + 1)).max() < 1e-16
 
 
 @pytest.mark.parametrize("command,payload", [
@@ -494,18 +512,35 @@ def test_size_past_any_address_space_exits_2(tmp_path, command, payload):
 
 
 def test_toeplitz_unresolved_grid_exits_2(tmp_path, capsys):
-    # the k = 0 integrand of gaussian(1e27) peaks below the log grid
+    # the k = 0 integrand of e^(-1e27 s) (poly_gauss([1]) on the grid) peaks
+    # below the log grid
     cfg = write_config(tmp_path, "c.json", {
-        "zeta": {"kind": "gaussian", "rate": 1e27}, "b": 1.0, "count": 4})
+        "zeta": {"kind": "poly_gauss", "coeffs": [1.0], "rate": 1e27}, "b": 1.0, "count": 4})
     assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "log grid" in capsys.readouterr().err
 
 
+def _toeplitz_ln_nu(tmp_path, zeta, b, count):
+    """Run toeplitz at q = 0; exit 0 and the ln_nu_k column."""
+    cfg = write_config(tmp_path, "c.json", {"zeta": zeta, "b": b, "count": count})
+    assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    header, rows = read_csv(tmp_path / "out" / "toeplitz.csv")
+    return np.array([float(row[header.index("ln_nu_k")]) for row in rows])
+
+
+@pytest.mark.parametrize("rate,b", [(1e27, 1.0), (1e44, 1.0), (1e300, 1.0), (1.0, 1e-300)])
+def test_toeplitz_gaussian_past_the_log_grid_is_exact(tmp_path, rate, b):
+    # the gaussian's closed form needs no grid: ln nu_k = -(k + 1) ln(1 + 2 rate / b)
+    ln_nu = _toeplitz_ln_nu(tmp_path, {"kind": "gaussian", "rate": rate}, b, 4)
+    want = -(np.arange(4) + 1) * math.log1p(2.0 * rate / b)
+    assert ln_nu == pytest.approx(want, rel=1e-15)
+
+
 @pytest.mark.parametrize("zeta,b", [
-    ({"kind": "gaussian", "rate": 1e44}, 1.0),
-    ({"kind": "gaussian", "rate": 1e300}, 1.0),
+    ({"kind": "poly_gauss", "coeffs": [1.0], "rate": 1e44}, 1.0),
+    ({"kind": "poly_gauss", "coeffs": [1.0], "rate": 1e300}, 1.0),
     ({"kind": "power", "gamma": 1e300}, 1.0),
-    ({"kind": "gaussian", "rate": 1.0}, 1e-300),
+    ({"kind": "poly_gauss", "coeffs": [1.0], "rate": 1.0}, 1e-300),
     ({"kind": "laguerre_mix", "coeffs": [0.1 * (j + 1) for j in range(20)]}, 1e-130),
     ({"kind": "poly_gauss", "coeffs": [1.0, 2.0, 3.0], "rate": 0.5}, 1e-300),
     ({"kind": "laguerre_mix", "coeffs": [1.0, 2.0]}, 5e-324),
@@ -513,14 +548,22 @@ def test_toeplitz_unresolved_grid_exits_2(tmp_path, capsys):
     ({"kind": "poly_gauss", "coeffs": [1.0, 2.0, 3.0], "rate": 0.5}, 1e-40),
     ({"kind": "poly_gauss", "coeffs": [1.0, 2.0, 3.0], "rate": 0.5}, 1e-100),
     ({"kind": "laguerre_mix", "coeffs": [1.0, 0.5]}, 1e-40),
-    ({"kind": "laguerre_mix", "coeffs": [1.0, 0.5]}, 1e-100)])
+    ({"kind": "laguerre_mix", "coeffs": [1.0, 0.5]}, 1e-100),
+    ({"kind": "exp_beta", "gamma": 1e44, "beta": 1.0}, 1.0),
+    ({"kind": "exp_beta", "gamma": 1e300, "beta": 1.0}, 1.0),
+    ({"kind": "exp_beta", "gamma": 1.0, "beta": 1.0}, 1e-300)])
 def test_toeplitz_peak_far_below_the_log_grid_exits_2(tmp_path, capsys, zeta, b):
     # ln |integrand| near -1e18 and beyond: the 36-nat margin must not be lost
-    # to rounding at that magnitude (gaussian(1e44) read ln nu_0 = -1.75e18).
+    # to rounding at that magnitude (e^(-1e44 s) read ln nu_0 = -1.75e18 on the
+    # grid).  The gaussian kind takes its closed form
+    # (test_toeplitz_gaussian_past_the_log_grid_is_exact); on the grid, the same
+    # weight as exp_beta with beta = 1 keeps its closed-form ln |R|, and as
+    # poly_gauss([1]) it underflows to R = 0 on every node.
     # From the 20-coefficient mix on, R(2t/b) or its amplitude overflows to an
     # infinite or NaN ln |R|: two wrote NaN for every nu_k and exited 0 when
     # a NaN peak passed the margin check, the others raised a RuntimeWarning.
-    # The last four underflow to R = 0 on every node: they wrote nu_k = 0
+    # The four at b = 1e-40 and 1e-100 underflow to R = 0 on every node: they
+    # wrote nu_k = 0
     cfg = write_config(tmp_path, "c.json", {"zeta": zeta, "b": b, "count": 4})
     assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "log grid" in capsys.readouterr().err

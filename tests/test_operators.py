@@ -170,9 +170,52 @@ def test_banded_structure():
 
 
 def test_weyl_radial_eigs_gaussian_oracle():
-    mu = op.weyl_radial_eigs(sy.gaussian(0.15), 33)
+    # the gaussian takes its closed form; poly_gauss([1]) is the same R on the
+    # quadrature route
     exact = gaussian_weyl_exact(0.15, 1.0, 33)
-    assert np.abs(mu / exact - 1).max() < 1e-9
+    for prof in (sy.gaussian(0.15), sy.poly_gauss([1.0], 0.15)):
+        mu = op.weyl_radial_eigs(prof, 33)
+        assert np.abs(mu / exact - 1).max() < 1e-9, prof.kind
+
+
+_GAUSS_RATES = (1e-6, 1e-3, 1.0, 100.0, 1e3, 1e6)
+
+
+@pytest.mark.parametrize("count", [64, 1000])
+def test_weyl_radial_eigs_gaussian_closed_form_mpmath(count):
+    # mu_k = A (1 - a)^k / (1 + a)^(k+1) at 50 digits, on both Weyl columns:
+    # quadrature read mu_w 0.74 off at a = 1e3 and mu_w_fourier 0 at a = 1e-6
+    for a in _GAUSS_RATES:
+        prof = sy.gaussian(a, amplitude=1.3)
+        with mp.workdps(50):
+            one, rate = mp.mpf(1), mp.mpf(a)
+            exact = np.array([float(1.3 * (one - rate) ** k / (one + rate) ** (k + 1))
+                              for k in range(count)])
+        scale = np.abs(exact).max()
+        for mu in (op.weyl_radial_eigs(prof, count),
+                   op.weyl_radial_eigs_fourier(sy.fourier_radial_profile(prof), count)):
+            assert np.abs(mu - exact).max() <= 1e-12 * scale, a
+
+
+def test_weyl_radial_eigs_gaussian_laplace_integral():
+    # the identity behind the closed form, int e^(-p x) L_k(x) dx = (p - 1)^k / p^(k+1),
+    # against an mpmath quad of mu_k = (-1)^k int R(u) L_k(2u) e^(-u) du
+    ks = [0, 1, 2, 7]
+    for a in (0.3, 4.0):
+        mu = op.weyl_radial_eigs(sy.gaussian(a), 8)
+        with mp.workdps(30):
+            oracle = [float((-1) ** k * mp.quad(
+                lambda u: mp.exp(-a * u) * mp.laguerre(k, 0, 2 * u) * mp.exp(-u), [0, mp.inf]))
+                for k in ks]
+        assert np.abs(mu[ks] - oracle).max() < 1e-14, a
+
+
+def test_weyl_radial_eigs_gaussian_exact_zero():
+    # beta = 1/2 (rate 1, and its Fourier dual of rate 1/4): mu_k = 0 exactly from k = 1
+    for mu in (op.weyl_radial_eigs(sy.gaussian(1.0, amplitude=3.0), 50),
+               op.weyl_radial_eigs_fourier(sy.gaussian(0.25, amplitude=1.5), 50)):
+        assert mu[0] == 1.5 and (mu[1:] == 0).all()
+        assert not np.signbit(mu).any()
 
 
 def test_weyl_radial_eigs_rank_one():
@@ -564,8 +607,9 @@ class _ExpCounter:
 @pytest.mark.parametrize("q,count,most", [(0, 64, 35_000), (1, 15, 20_000)])
 def test_moment_kernel_work(monkeypatch, q, count, most):
     # only row q runs on the whole log grid (3368 nodes here); the block of 16
-    # that held it used to, 68,016 and 50,145 exponentials for these two calls
-    args = (sy.gaussian(0.25), q, 1.0, count)
+    # that held it used to, 68,016 and 50,145 exponentials for these two calls.
+    # poly_gauss([1]) is e^(-s/4) on the grid (a gaussian takes its closed form)
+    args = (sy.poly_gauss([1.0], 0.25), q, 1.0, count)
     op.toeplitz_radial_eigs(*args)          # the grid is built (and cached) outside the count
     counter = _ExpCounter()
     monkeypatch.setattr(op, "np", counter)
@@ -578,15 +622,17 @@ def test_constant_weight_antiwick_reads_its_value():
 
 
 def test_toeplitz_gaussian_closed_forms_under_strong_decay():
+    # the gaussian's closed form, and poly_gauss([1]), the same R on the log grid
     k = np.arange(300)
-    # q = 1, mu = 2a/b = 4: ln(k s^2 - 2ks + k + 1) - (k+2) ln s, s = 1 + mu
-    s = 5.0
-    _, logs = op.toeplitz_radial_eigs(sy.gaussian(2.0), 1, 1.0, 300)
-    expect = np.log(k * s * s - 2 * k * s + k + 1) - (k + 2) * np.log(s)
-    assert np.abs(logs - expect).max() < 1e-11
-    # q = 0, a = 20: -(k+1) ln(1 + 2a/b)
-    _, logs = op.toeplitz_radial_eigs(sy.gaussian(20.0), 0, 1.0, 300)
-    assert np.abs(logs + (k + 1) * math.log(41.0)).max() < 1e-11
+    for make in (sy.gaussian, lambda a: sy.poly_gauss([1.0], a)):
+        # q = 1, mu = 2a/b = 4: ln(k s^2 - 2ks + k + 1) - (k+2) ln s, s = 1 + mu
+        s = 5.0
+        _, logs = op.toeplitz_radial_eigs(make(2.0), 1, 1.0, 300)
+        expect = np.log(k * s * s - 2 * k * s + k + 1) - (k + 2) * np.log(s)
+        assert np.abs(logs - expect).max() < 1e-11
+        # q = 0, a = 20: -(k+1) ln(1 + 2a/b)
+        _, logs = op.toeplitz_radial_eigs(make(20.0), 0, 1.0, 300)
+        assert np.abs(logs + (k + 1) * math.log(41.0)).max() < 1e-11
 
 
 def _full_grid_moments(profile, q, scale, count, in_logs=False):
@@ -618,13 +664,14 @@ def _full_grid_moments(profile, q, scale, count, in_logs=False):
     return out
 
 
-_WINDOW_PROFILES = [sy.gaussian(0.4), sy.power(2.0), sy.exp_beta(1.0, 0.5),
+# poly_gauss([1]) is the gaussian e^(-0.4 s) on the grid: a gaussian takes its closed form
+_WINDOW_PROFILES = [sy.poly_gauss([1.0], 0.4), sy.power(2.0), sy.exp_beta(1.0, 0.5),
                     sy.exp_beta(0.8, 2.0)]
 # signed against the linear sum: a negative amplitude, sign changes, a high
 # degree, and two tables run as custom kinds (a table itself integrates on
 # panels between its nodes), one with a zero stretch and one with a bump
 # narrower than a coarse step
-_LINEAR_PROFILES = [sy.gaussian(0.4, amplitude=-1.5),
+_LINEAR_PROFILES = [sy.poly_gauss([1.0], 0.4, amplitude=-1.5),
                     sy.custom(sy.tabulated([0, 1, 2, 4, 8, 30], [1.0, 0.5, 0.0, 0.0, 0.3, 0.1])),
                     sy.poly_gauss([1.0, -3.0, 0.5, 0.2], 0.4),
                     sy.diag_kernel_profile(40),
@@ -657,14 +704,18 @@ def test_windowed_moments_match_full_grid(q):
 
 
 def test_log_grid_truncation_raises():
-    # the k = 0 integrand peaks at t = 1/(1 + 2a/b) ~ e^-63.5, below the
-    # grid's e^-60
+    # the k = 0 integrand of e^(-a s) (poly_gauss([1]) on the grid) peaks at
+    # t = 1/(1 + 2a/b) ~ e^-63.5, below the grid's e^-60
     with pytest.raises(qd.QuadratureAccuracyError, match="log grid"):
-        op.toeplitz_radial_eigs(sy.gaussian(1e27), 0, 1.0, 10)
+        op.toeplitz_radial_eigs(sy.poly_gauss([1.0], 1e27), 0, 1.0, 10)
     # the k = 0 tail falls like t below its peak: at a = 1e8 (peak e^-19.1)
     # it has 40 nats to fall before e^-60
-    _, logs = op.toeplitz_radial_eigs(sy.gaussian(1e8), 0, 1.0, 10)
+    _, logs = op.toeplitz_radial_eigs(sy.poly_gauss([1.0], 1e8), 0, 1.0, 10)
     assert np.abs(logs + (np.arange(10) + 1) * math.log1p(2e8)).max() < 1e-11
+    # the gaussian's closed form has no grid: exact at either rate
+    for a in (1e27, 1e8):
+        _, logs = op.toeplitz_radial_eigs(sy.gaussian(a), 0, 1.0, 10)
+        assert np.abs(logs + (np.arange(10) + 1) * math.log1p(2 * a)).max() < 1e-11
     # a Legendre panel has no grid ends to check
     assert np.isfinite(op.toeplitz_radial_eigs(sy.disk_indicator(1e-30), 0, 1.0, 10)[1]).all()
 
@@ -720,13 +771,69 @@ def _exact_gaussian_half_moment(k, q):
 
 
 def test_toeplitz_high_level_exact_moments():
-    # at q = 250 the plain L_m^d overflows on the moment grid from k ~ 141
+    # at q = 250 the plain L_m^d overflows on the moment grid from k ~ 141;
+    # poly_gauss([1]) runs the grid, the gaussian its closed form
     q = 250
-    _, ln_nu = op.toeplitz_radial_eigs(sy.gaussian(0.5), q, 1.0, 400)
-    assert np.isfinite(ln_nu).all()
-    for k in (250, 399):
-        assert ln_nu[k] == pytest.approx(math.log(_exact_gaussian_half_moment(k, q)),
-                                         abs=1e-11)
+    for prof in (sy.poly_gauss([1.0], 0.5), sy.gaussian(0.5)):
+        _, ln_nu = op.toeplitz_radial_eigs(prof, q, 1.0, 400)
+        assert np.isfinite(ln_nu).all()
+        for k in (250, 399):
+            assert ln_nu[k] == pytest.approx(math.log(_exact_gaussian_half_moment(k, q)),
+                                             abs=1e-11), prof.kind
+
+
+def _mp_gaussian_log_moment(m, d, c):
+    """ln nu of e^(-c t) against ell_m^(d)(t)^2 by Gradshteyn & Ryzhik 7.414.4: an
+    mpmath 2F1 at 80 digits."""
+    with mp.workdps(80):
+        c = mp.mpf(c)
+        f = mp.hyp2f1(-m, -m, -2 * m - d, (c * c - 1) / (c * c)) if m else mp.mpf(1)
+        return float(mp.log(f) + mp.loggamma(2 * m + d + 1) - mp.loggamma(m + 1)
+                     - mp.loggamma(m + d + 1) + 2 * m * mp.log(c)
+                     - (2 * m + d + 1) * mp.log1p(c))
+
+
+@pytest.mark.parametrize("q", [20, 100, 400, 1000])
+def test_toeplitz_gaussian_closed_form_mpmath(q):
+    # c = 2a/b on both sides of 1; the log grid read ln nu_256 0.185 off at
+    # q = 100, count 400, a = 0.001
+    for count, (a, b) in itertools.product((100, 400, 1000), ((0.001, 1.0), (3.0, 0.5))):
+        c = a * (2.0 / b)
+        sign, ln_nu = op.toeplitz_radial_eigs(sy.gaussian(a, amplitude=0.8), q, b, count)
+        assert (sign == 1).all()
+        for k in sorted({0, count // 4, q - 1, q, q + 1, count - 1} & set(range(count))):
+            want = _mp_gaussian_log_moment(min(k, q), abs(k - q), c) + math.log(0.8)
+            assert abs(ln_nu[k] - want) < 1e-11, (count, a, k)
+
+
+@pytest.mark.parametrize("q", [0, 1, 3, 40])
+def test_toeplitz_gaussian_closed_form_matches_the_log_grid(q):
+    # the closed form against poly_gauss([1]), the same R summed on the log
+    # grid, at either sign of the amplitude and on both sides of c = 1
+    for a, amp, count in itertools.product((0.05, 0.4, 2.0), (1.0, -1.5), (1, 17, 300)):
+        sign, ln_nu = op.toeplitz_radial_eigs(sy.gaussian(a, amplitude=amp), q, 1.0, count)
+        grid_sign, grid_ln_nu = op.toeplitz_radial_eigs(
+            sy.poly_gauss([1.0], a, amplitude=amp), q, 1.0, count)
+        assert (sign == grid_sign).all()
+        assert np.abs(ln_nu - grid_ln_nu).max() < 1e-12, (a, amp, count)
+
+
+def test_toeplitz_gaussian_closed_form_edges():
+    # c = 1 and c = 0 (a zero power of 1 - c^2 or c: no 0 ln 0), and c past the
+    # double range (b tiny), where ln nu_k = ln C(k, 0) - (k+1) ln c at q = 0
+    _, ln_nu = op.toeplitz_radial_eigs(sy.gaussian(0.5), 3, 1.0, 8)
+    want = [_mp_gaussian_log_moment(min(k, 3), abs(k - 3), 1.0) for k in range(8)]
+    assert np.abs(ln_nu - want).max() < 1e-13
+    sign, ln_nu = op.toeplitz_radial_eigs(sy.gaussian(5e-324, amplitude=2.0), 2, 1e-30, 6)
+    assert (sign == 1).all() and np.abs(ln_nu - math.log(2.0)).max() < 1e-15
+    sign, ln_nu = op.toeplitz_radial_eigs(sy.gaussian(1e300), 0, 1e-300, 5)
+    want = -(np.arange(5) + 1) * (math.log(2e300) + math.log(1e300))
+    assert (sign == 1).all() and ln_nu == pytest.approx(want, rel=1e-15)
+    sign, ln_nu = op.toeplitz_radial_eigs(sy.gaussian(1.0), 0, 1.0, 0)
+    assert sign.size == ln_nu.size == 0
+    # 2/b overflows at a subnormal b: no c to read, as on the log grid
+    with pytest.raises(qd.QuadratureAccuracyError, match="double range"):
+        op.toeplitz_radial_eigs(sy.gaussian(5e-324), 3, 5e-324, 4)
 
 
 def test_toeplitz_superexponential_vs_dense_grid_oracle():
