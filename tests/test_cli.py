@@ -520,18 +520,14 @@ def test_toeplitz_unresolved_grid_exits_2(tmp_path, capsys):
     assert "log grid" in capsys.readouterr().err
 
 
-def _toeplitz_ln_nu(tmp_path, zeta, b, count):
-    """Run toeplitz at q = 0; exit 0 and the ln_nu_k column."""
-    cfg = write_config(tmp_path, "c.json", {"zeta": zeta, "b": b, "count": count})
-    assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    header, rows = read_csv(tmp_path / "out" / "toeplitz.csv")
-    return np.array([float(row[header.index("ln_nu_k")]) for row in rows])
-
-
 @pytest.mark.parametrize("rate,b", [(1e27, 1.0), (1e44, 1.0), (1e300, 1.0), (1.0, 1e-300)])
 def test_toeplitz_gaussian_past_the_log_grid_is_exact(tmp_path, rate, b):
     # the gaussian's closed form needs no grid: ln nu_k = -(k + 1) ln(1 + 2 rate / b)
-    ln_nu = _toeplitz_ln_nu(tmp_path, {"kind": "gaussian", "rate": rate}, b, 4)
+    cfg = write_config(tmp_path, "c.json", {"zeta": {"kind": "gaussian", "rate": rate},
+                                            "b": b, "count": 4})
+    assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    header, rows = read_csv(tmp_path / "out" / "toeplitz.csv")
+    ln_nu = np.array([float(row[header.index("ln_nu_k")]) for row in rows])
     want = -(np.arange(4) + 1) * math.log1p(2.0 * rate / b)
     assert ln_nu == pytest.approx(want, rel=1e-15)
 
