@@ -146,6 +146,16 @@ def radial_diagonal(n):
     return _band_leak(symbols.gaussian(0.4), n)
 
 
+def weyl_fourier_agreement(count):
+    """Largest |mu_w - mu_w_fourier| over the largest |mu_w|, k < count, for
+    power(3): the Weyl column on `quadrature.support_rule` against the
+    Fourier column through the Hankel step, two quadratures of one sequence."""
+    prof = symbols.power(3.0)
+    mu = operators.weyl_radial_eigs(prof, count)
+    muf = operators.weyl_radial_eigs_fourier(symbols.fourier_radial_profile(prof), count)
+    return float(np.abs(mu - muf).max() / np.abs(mu).max())
+
+
 def positivity_weyl(count):
     """0 when, on the first count Laguerre coefficients, e^-s / pi reads
     nonnegative and a negated mode-1 kernel reads negative first at index 1; else 1."""
@@ -190,6 +200,8 @@ SUITES = [
     ("toeplitz-closed-form", _suite_toeplitz_closed_form, 1e-11),
     ("banded-structure", partial(banded_structure, 12), 1e-9),
     ("radial-diagonal", partial(radial_diagonal, 16), 1e-9),
+    # reads 7.6e-14 at count 64; past count ~400 the two quadratures part (ROADMAP item 2)
+    ("weyl-fourier-agreement", partial(weyl_fourier_agreement, 64), 1e-11),
     ("positivity-weyl", partial(positivity_weyl, 12), 0.5),
     ("positivity-antiwick", partial(positivity_antiwick, 12), 0.5),
     ("capacity-triangle", _suite_capacity_small, 1e-7),

@@ -86,6 +86,11 @@ def test_criterion_06_radial_diagonalization():
         ok &= four < 1e-8
         details.append(f"offdiag {ratio:.1e}, diag rel {rel:.1e}, fourier {four:.1e}")
 
+    # both closed forms skip the Hankel step; power(3) runs it, and the Weyl rule
+    hankel = verify.weyl_fourier_agreement(200)
+    ok &= hankel < 1e-11
+    details.append(f"power(3) weyl-fourier {hankel:.1e}")
+
     a = 0.1
     aw = op.antiwick_radial_eigs(sy.gaussian(a), 65)
     wconv = op.weyl_radial_eigs(sy.antiwick_to_weyl(sy.gaussian(a)), 65)

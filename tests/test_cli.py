@@ -154,6 +154,27 @@ def test_reused_parser_leaks_no_flags_between_runs(tmp_path, monkeypatch):
     assert _tree(here) == _tree(fresh)
 
 
+def test_radial_eigs_warm_and_cold_write_the_same_bytes(tmp_path, monkeypatch):
+    # the Hankel step keeps its Bessel matrix per process: the first run in a
+    # process streams it, the second fills and reads the kept matrix, and
+    # both must write what a fresh process writes
+    from landauspec import symbols
+    cache = symbols._BesselCache(symbols._BESSEL_CACHE_BYTES)
+    monkeypatch.setattr(symbols, "_BESSEL_CACHE", cache)
+    cfg = write_config(tmp_path, "k1.json", {
+        "profile": {"kind": "exp_beta", "gamma": 1.0, "beta": 0.5}, "count": 64})
+    for run in ("warm1", "warm2"):
+        assert main(["radial-eigs", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+    assert (cache.misses, len(cache.matrices)) == (2, 1)
+    src = str(Path(landauspec.__file__).resolve().parents[1])
+    subprocess.run([*_PYTHON, "-m", "landauspec.cli", "radial-eigs", "--config", cfg,
+                    "--out", str(tmp_path / "cold")], check=True,
+                   env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+    written = {(tmp_path / run / "radial_eigs.csv").read_bytes()
+               for run in ("warm1", "warm2", "cold")}
+    assert len(written) == 1
+
+
 def test_spectrum_zero_symbol(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "b": 1.5, "levels": 3, "radial": 4, "sign": "+",

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import landauspec
+from landauspec import operators as op
 from landauspec import quadrature as qd
 from landauspec import symbols as sy
 from landauspec import verify
@@ -347,6 +353,86 @@ def test_fourier_profile_hankel_blocks_match_pointwise_sum():
     assert got.shape == (7, 10)
     ref = [0.5 * np.dot(base, bessel_j(0, np.sqrt(u0 * nodes))) for u0 in u.ravel()]
     assert np.abs(got.ravel() - ref).max() < 1e-14
+
+
+@pytest.fixture
+def bessel_cache(monkeypatch):
+    """An empty Hankel-step cache at the module's bound, in place of the process's."""
+    cache = sy._BesselCache(sy._BESSEL_CACHE_BYTES)
+    monkeypatch.setattr(sy, "_BESSEL_CACHE", cache)
+    return cache
+
+
+def _radial_columns(prof, count):
+    """The three radial-eigs columns, Fourier last."""
+    return (op.weyl_radial_eigs(prof, count), op.antiwick_radial_eigs(prof, count),
+            op.weyl_radial_eigs_fourier(sy.fourier_radial_profile(prof), count))
+
+
+def _breakpoint_free_profiles():
+    """Two profiles whose Hankel steps both run on the 400 Gauss-Laguerre nodes."""
+    return sy.exp_beta(1.0, 0.5), sy.power(3.0)
+
+
+def test_bessel_cache_shares_one_matrix_across_profiles_bit_for_bit(bessel_cache):
+    # at count 64 both Fourier columns evaluate at the same 432 points: one key
+    runs = [_radial_columns(p, 64) for p in _breakpoint_free_profiles() * 2]
+    # a first miss streams, the second keeps the matrix, the rest hit
+    assert (bessel_cache.misses, bessel_cache.hits, len(bessel_cache.matrices)) == (2, 2, 1)
+    assert bessel_cache.nbytes == 432 * 400 * 8
+    code = ("from test_symbols import _breakpoint_free_profiles, _radial_columns\n"
+            "for p in _breakpoint_free_profiles():\n"
+            "    print(*(c.tobytes().hex() for c in _radial_columns(p, 64)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(landauspec.__file__).resolve().parents[1]), str(Path(__file__).parent)]))
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert [c.tobytes().hex() for run in runs for c in run] == fresh * 2
+    J = next(iter(bessel_cache.matrices.values()))
+    with pytest.raises(ValueError, match="read-only"):
+        J[0, 0] = 0.0
+
+
+def test_bessel_cache_keys_tables_by_their_nodes(bessel_cache):
+    grids = (np.linspace(0.0, 10.0, 11), np.linspace(0.0, 10.0, 21),
+             np.linspace(0.0, 12.0, 11))
+    fourier = [sy.fourier_radial_profile(sy.tabulated(g, np.exp(-g))) for g in grids]
+    u = np.linspace(0.0, 30.0, 50)
+    streamed = [f(u) for f in fourier]
+    kept = [f(u) for f in fourier]
+    # three node sets, three matrices: a shared one would change the second pass
+    assert (bessel_cache.hits, len(bessel_cache.matrices)) == (0, 3)
+    assert [v.tobytes() for v in kept] == [v.tobytes() for v in streamed]
+    # other values on the first grid: the same nodes, so its matrix
+    from landauspec.specfun import bessel_j
+    table = sy.tabulated(grids[0], np.cos(grids[0]))
+    other = sy.fourier_radial_profile(table)(u)
+    assert (bessel_cache.hits, len(bessel_cache.matrices)) == (1, 3)
+    nodes, weights = qd.support_rule(table.breakpoints, 400, 400, math.inf)
+    ref = [0.5 * np.dot(weights * table(nodes), bessel_j(0, np.sqrt(u0 * nodes))) for u0 in u]
+    assert np.abs(other - ref).max() < 1e-14
+
+
+def test_bessel_cache_stays_within_its_bound(bessel_cache):
+    from landauspec.specfun import bessel_j
+    prof = sy.power(3.0)
+    fp = sy.fourier_radial_profile(prof)
+    nodes, weights = qd.gauss_laguerre(400)
+    base = weights * prof(nodes)
+    # 1e5 points make a 320 MB matrix: streamed in blocks, never kept
+    u = np.linspace(0.0, 40.0, 100_000)
+    got = fp(u)
+    ref = [0.5 * np.dot(base, bessel_j(0, np.sqrt(u0 * nodes))) for u0 in u[::997]]
+    assert np.abs(got[::997] - ref).max() < 1e-14
+    assert (bessel_cache.misses, bessel_cache.nbytes, len(bessel_cache.matrices)) == (1, 0, 0)
+    # eight 1.4 MB matrices against 8 MiB: the six most recent stay
+    point_sets = [np.linspace(0.0, 40.0 + i, 432) for i in range(8)]
+    for pts in point_sets:
+        fp(pts), fp(pts)
+    assert bessel_cache.nbytes == sum(J.nbytes for J in bessel_cache.matrices.values())
+    assert bessel_cache.nbytes <= sy._BESSEL_CACHE_BYTES
+    assert list(bessel_cache.matrices) == [(pts.tobytes(), nodes.tobytes())
+                                           for pts in point_sets[2:]]
 
 
 def test_level_crossing_bisection_raises_without_a_finite_bracket():
