@@ -16,13 +16,13 @@ Symbols are immutable after construction; every transform returns a new one.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import quadrature
+from . import quadrature, wigner
 from .specfun import bessel_j, laguerre_fn_iter
 
 
@@ -532,14 +532,17 @@ def phase_space_volume(prof, lam, sign=+1):
             return math.inf if eff > lam else 0.0
         if eff <= lam:
             return 0.0
-        if k == "gaussian":
-            s_star = math.log(eff / lam) / prof.rate
-        elif k == "power":
-            s_star = (eff / lam) ** (2.0 / prof.gamma) - 1.0
-        elif k == "exp_beta":
-            s_star = (math.log(eff / lam) / prof.gamma) ** (1.0 / prof.beta)
-        else:  # disk_indicator
-            s_star = prof.cutoff
+        try:
+            if k == "gaussian":
+                s_star = math.log(eff / lam) / prof.rate
+            elif k == "power":
+                s_star = (eff / lam) ** (2.0 / prof.gamma) - 1.0
+            elif k == "exp_beta":
+                s_star = (math.log(eff / lam) / prof.gamma) ** (1.0 / prof.beta)
+            else:  # disk_indicator
+                s_star = prof.cutoff
+        except OverflowError:   # float ** past the double range reads inf, as a tiny rate does
+            return math.inf
         return 0.5 * s_star
     s_max = 1.0
     while np.max(np.abs(np.atleast_1d(prof(np.linspace(0.8 * s_max, s_max, 8))))) > lam:
@@ -577,75 +580,27 @@ def condition_C_estimate(volume, lam_range):
 # radial Fourier transforms (unitary normalization)
 
 
-_HANKEL_BLOCK = 32              # points per block of J_0 values: bessel_j's temporaries stay small
-_BESSEL_CACHE_BYTES = 8 << 20   # most bytes of J_0 matrices one process keeps
-_BESSEL_SEEN_MAX = 1024         # most once-missed keys remembered, as hashes
+_HANKEL_BLOCK = 32              # points per J_0 block and per product: the gemv bits depend on it
+_BESSEL_KEEP_BYTES = 8 << 20    # largest J_0 matrix a process keeps; larger ones are streamed
 
 
-class _BesselCache:
-    """The Hankel step's matrices J_0(sqrt(u_i s_j)), kept by the bytes of the
-    points u and the nodes s.  A matrix never depends on the profile, so every
-    profile on the same nodes shares it.  Kept matrices are read-only and are
-    filled from the same blocks of _HANKEL_BLOCK points as a fresh one, so a
-    hit reads the same bits; past `bound` bytes in all, the least recently
-    used go.
-
-    A matrix is kept from the second miss of its key on: a first miss streams
-    the blocks as before and remembers the key's hash.  Filling a kept matrix
-    touches fresh pages, about 1 ms per 1.4 MB on a 2-core x86-64 VM, a tenth
-    of the miss, which a one-off call such as a cold CLI job would pay for
-    nothing.  A matrix larger than `bound` is streamed on every call."""
-
-    def __init__(self, bound):
-        self.bound = bound
-        self.matrices = OrderedDict()
-        self.seen = set()
-        self.nbytes = self.hits = self.misses = 0
-
-    def apply(self, u, s, s_key, v):
-        """J_0(sqrt(u_i s_j)) @ v for the 1-D points u, one product per block of
-        _HANKEL_BLOCK points; s_key is s.tobytes(), made once per profile."""
-        key = (u.tobytes(), s_key)
-        out = np.empty_like(u)
-        starts = range(0, u.size, _HANKEL_BLOCK)
-        J = self.matrices.get(key)
-        if J is not None:
-            self.hits += 1
-            self.matrices.move_to_end(key)
-        else:
-            self.misses += 1
-            if u.size * s.size * s.itemsize > self.bound or self._first_miss(key):
-                for i in starts:
-                    # block lives until the next is formed, as it always has: freeing
-                    # it first made a 200-point table's call fault in 3000 more pages
-                    block = np.sqrt(u[i:i + _HANKEL_BLOCK, None] * s)
-                    out[i:i + _HANKEL_BLOCK] = bessel_j(0, block) @ v
-                return out
-            J = np.empty((u.size, s.size))    # one matrix: fresh blocks would each fault in pages
-            for i in starts:
-                J[i:i + _HANKEL_BLOCK] = bessel_j(0, np.sqrt(u[i:i + _HANKEL_BLOCK, None] * s))
-            J.setflags(write=False)
-            self.matrices[key] = J
-            self.nbytes += J.nbytes
-            while self.nbytes > self.bound:
-                self.nbytes -= self.matrices.popitem(last=False)[1].nbytes
-        for i in starts:
-            out[i:i + _HANKEL_BLOCK] = J[i:i + _HANKEL_BLOCK] @ v
-        return out
-
-    def _first_miss(self, key):
-        """Whether key has not missed before (a hash collision only keeps a
-        matrix one call early); remembers it."""
-        h = hash(key)
-        if h in self.seen:
-            return False
-        if len(self.seen) >= _BESSEL_SEEN_MAX:
-            self.seen.clear()
-        self.seen.add(h)
-        return True
+def _bessel_blocks(u, s):
+    """(i, J_0(sqrt(u s_j)) for the _HANKEL_BLOCK points from u[i]), in order."""
+    for i in range(0, u.size, _HANKEL_BLOCK):
+        yield i, bessel_j(0, np.sqrt(u[i:i + _HANKEL_BLOCK, None] * s))
 
 
-_BESSEL_CACHE = _BesselCache(_BESSEL_CACHE_BYTES)
+@functools.lru_cache(maxsize=1)
+def _bessel_matrix(u_key, s_key):
+    """The read-only matrix J_0(sqrt(u_i s_j)) of the points and nodes whose bytes
+    are u_key and s_key, filled from _bessel_blocks, so its rows are the bits a
+    streamed call computes."""
+    u, s = np.frombuffer(u_key), np.frombuffer(s_key)
+    J = np.empty((u.size, s.size))    # one matrix: fresh blocks would each fault in pages
+    for i, block in _bessel_blocks(u, s):
+        J[i:i + _HANKEL_BLOCK] = block
+    J.setflags(write=False)
+    return J
 
 
 def fourier_radial_profile(profile):
@@ -657,11 +612,12 @@ def fourier_radial_profile(profile):
     400 nodes or more: Gauss-Laguerre (R must decay integrably) for a profile
     without breakpoints, and one Legendre rule split at the breakpoints of a
     table, so its jumps and kinks fall between panels.  The matrix
-    J_0(sqrt(u_i s_j)) of the points u and the nodes s is filled from
-    specfun.bessel_j in blocks of 32 points and, from its second use, kept
-    for the process, keyed on u and s and never on R, up to
-    _BESSEL_CACHE_BYTES in all (_BesselCache): a warm call reads the bits a
-    cold one computes, as one product per block.
+    J_0(sqrt(u_i s_j)) of the points u and the nodes s comes from
+    specfun.bessel_j in blocks of 32 points.  The process keeps one such
+    matrix of at most _BESSEL_KEEP_BYTES from its first use (_bessel_matrix),
+    keyed on u and s and never on R; a larger one is streamed.  Either way
+    each block takes one product with the weighted R values, so a warm call
+    writes the bits a cold one does.
     """
     k = profile.kind
     amp = profile.amplitude
@@ -693,9 +649,22 @@ def fourier_radial_profile(profile):
     s_nodes, weights = quadrature.support_rule(profile.breakpoints, 400, 400, math.inf)
     s_key = s_nodes.tobytes()
     half_weighted = 0.5 * weights * np.atleast_1d(profile(s_nodes))
+    if wigner.fault_active("hankel_step"):
+        # the planted fault of `verify --inject-fault hankel_step` drops the 1/2 of the
+        # unitary normalization; it never reaches J_0, so no bad matrix is kept
+        half_weighted = 2.0 * half_weighted
 
     def fhat(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        return _BESSEL_CACHE.apply(u.ravel(), s_nodes, s_key, half_weighted).reshape(u.shape)
+        flat = u.ravel()
+        if flat.size * s_nodes.size * 8 <= _BESSEL_KEEP_BYTES:
+            J = _bessel_matrix(flat.tobytes(), s_key)
+            blocks = ((i, J[i:i + _HANKEL_BLOCK]) for i in range(0, flat.size, _HANKEL_BLOCK))
+        else:
+            blocks = _bessel_blocks(flat, s_nodes)
+        out = np.empty_like(flat)
+        for i, block in blocks:
+            out[i:i + _HANKEL_BLOCK] = block @ half_weighted
+        return out.reshape(u.shape)
 
     return custom(fhat)

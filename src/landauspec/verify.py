@@ -7,7 +7,7 @@ the sizes the CLI `verify` command runs, and the acceptance gate and the
 unit tests call the same functions at their own sizes.  The CLI names each
 suite whose identity breaks; the suites are sensitive enough to catch the
 planted faults of wigner.inject_fault: a sign error in the pair-kernel
-phase, and moment windows clipped to 5 nats.
+phase, moment windows clipped to 5 nats, and Hankel weights that lose their 1/2.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from . import quadrature
 from .specfun import laguerre_fn_iter
 
 # fault hooks for the verification suite's mutation check
-FAULTS = frozenset({"pair_phase_sign", "moment_window"})
+FAULTS = frozenset({"pair_phase_sign", "moment_window", "hankel_step"})
 _ACTIVE_FAULTS: set = set()
 
 

@@ -18,6 +18,7 @@ import landauspec
 from landauspec import capacity, cli, operators, verify
 from landauspec.cli import main
 from test_asymptotics import taylor_oracle
+from test_symbols import _cache_counts, bessel_cache  # noqa: F401  (bessel_cache: a fixture)
 
 
 # the interpreter for CLI subprocesses, under the suite's filter from pyproject.toml
@@ -154,18 +155,15 @@ def test_reused_parser_leaks_no_flags_between_runs(tmp_path, monkeypatch):
     assert _tree(here) == _tree(fresh)
 
 
-def test_radial_eigs_warm_and_cold_write_the_same_bytes(tmp_path, monkeypatch):
+def test_radial_eigs_warm_and_cold_write_the_same_bytes(tmp_path, bessel_cache):
     # the Hankel step keeps its Bessel matrix per process: the first run in a
-    # process streams it, the second fills and reads the kept matrix, and
-    # both must write what a fresh process writes
-    from landauspec import symbols
-    cache = symbols._BesselCache(symbols._BESSEL_CACHE_BYTES)
-    monkeypatch.setattr(symbols, "_BESSEL_CACHE", cache)
+    # process fills it, the second reads it, and both must write what a fresh
+    # process writes
     cfg = write_config(tmp_path, "k1.json", {
         "profile": {"kind": "exp_beta", "gamma": 1.0, "beta": 0.5}, "count": 64})
     for run in ("warm1", "warm2"):
         assert main(["radial-eigs", "--config", cfg, "--out", str(tmp_path / run)]) == 0
-    assert (cache.misses, len(cache.matrices)) == (2, 1)
+    assert _cache_counts(bessel_cache) == (1, 1, 1)
     src = str(Path(landauspec.__file__).resolve().parents[1])
     subprocess.run([*_PYTHON, "-m", "landauspec.cli", "radial-eigs", "--config", cfg,
                     "--out", str(tmp_path / "cold")], check=True,
@@ -812,7 +810,8 @@ def test_verify_command(tmp_path, capsys):
     # each planted fault turns exactly the suites of its own layer red: the
     # clipped moment window reaches the Laplacian shift's low rows as well
     for fault, suites in (("pair_phase_sign", ["wigner-closed-form"]),
-                          ("moment_window", ["laplacian-level-shift", "toeplitz-closed-form"])):
+                          ("moment_window", ["laplacian-level-shift", "toeplitz-closed-form"]),
+                          ("hankel_step", ["weyl-fourier-agreement"])):
         assert [r["suite"] for r in verify.run_suites(fault=fault) if not r["passed"]] == suites
 
 

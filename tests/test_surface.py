@@ -8,7 +8,9 @@ src/ outside its definition, with no exceptions: a private helper that only
 a test calls is dead code.  Every module-level constant must be read in src/
 outside its own assignment, so a tuning constant outlives no code path.
 Every parameter of every function must be read in its body, or be listed
-below with the caller that still passes it.
+below with the caller that still passes it.  Process state stays bounded:
+every functools.lru_cache states a finite maxsize, and functools.cache wraps
+only functions without parameters.
 Test-only routes live in tests/reference_routes.py instead.  The check is by
 name (ast), so a name that some other code also uses counts as referenced.
 """
@@ -142,3 +144,33 @@ def test_every_parameter_is_read_or_listed():
                 args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg])
                 if arg and arg.arg not in read]
     assert sorted(unread) == sorted(UNREAD_PARAMETERS)
+
+
+def _called_name(node):
+    """The name a decorator or call refers to: lru_cache for functools.lru_cache(...)."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _finite_maxsize(call):
+    """Whether an lru_cache(...) call states maxsize as a positive integer literal."""
+    args = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+    return any(isinstance(a, ast.Constant) and type(a.value) is int and a.value > 0
+               for a in args)
+
+
+def test_every_cache_is_bounded():
+    unbounded = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and _called_name(node) == "lru_cache":
+                if not _finite_maxsize(node):
+                    unbounded.append(f"{path.stem}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.FunctionDef):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                for deco in node.decorator_list:
+                    bare_lru = _called_name(deco) == "lru_cache" and not isinstance(deco, ast.Call)
+                    if bare_lru or (_called_name(deco) == "cache" and any(params)):
+                        unbounded.append(f"{path.stem}.{node.name} @{ast.unparse(deco)}")
+    assert unbounded == []

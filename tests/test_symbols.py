@@ -272,6 +272,10 @@ def test_phase_space_volume_closed_forms():
     assert sy.phase_space_volume(disk, 2.5) == 0.0
     g = sy.gaussian(0.5)
     assert sy.phase_space_volume(g, 0.1) == pytest.approx(math.log(10) / 1.0, rel=1e-12)
+    # a float ** past the double range reads inf, as a subnormal rate does
+    assert sy.phase_space_volume(sy.gaussian(5e-324), 0.5) == math.inf
+    assert sy.phase_space_volume(sy.power(1e-3), 0.5) == math.inf
+    assert sy.phase_space_volume(sy.exp_beta(1.0, 1e-3, amplitude=1e3), 1.0) == math.inf
 
 
 def test_phase_space_volume_counting_prediction():
@@ -356,11 +360,16 @@ def test_fourier_profile_hankel_blocks_match_pointwise_sum():
 
 
 @pytest.fixture
-def bessel_cache(monkeypatch):
-    """An empty Hankel-step cache at the module's bound, in place of the process's."""
-    cache = sy._BesselCache(sy._BESSEL_CACHE_BYTES)
-    monkeypatch.setattr(sy, "_BESSEL_CACHE", cache)
-    return cache
+def bessel_cache():
+    """The Hankel step's one kept matrix, emptied before and after the test."""
+    sy._bessel_matrix.cache_clear()
+    yield sy._bessel_matrix
+    sy._bessel_matrix.cache_clear()
+
+
+def _cache_counts(cache):
+    info = cache.cache_info()
+    return info.hits, info.misses, info.currsize
 
 
 def _radial_columns(prof, count):
@@ -374,43 +383,51 @@ def _breakpoint_free_profiles():
     return sy.exp_beta(1.0, 0.5), sy.power(3.0)
 
 
-def test_bessel_cache_shares_one_matrix_across_profiles_bit_for_bit(bessel_cache):
-    # at count 64 both Fourier columns evaluate at the same 432 points: one key
-    runs = [_radial_columns(p, 64) for p in _breakpoint_free_profiles() * 2]
-    # a first miss streams, the second keeps the matrix, the rest hit
-    assert (bessel_cache.misses, bessel_cache.hits, len(bessel_cache.matrices)) == (2, 2, 1)
-    assert bessel_cache.nbytes == 432 * 400 * 8
+def _fresh_process_columns():
+    """Hex bytes of the columns of _breakpoint_free_profiles at count 64, computed in
+    a fresh process: K1's three, then power(3)'s."""
     code = ("from test_symbols import _breakpoint_free_profiles, _radial_columns\n"
             "for p in _breakpoint_free_profiles():\n"
             "    print(*(c.tobytes().hex() for c in _radial_columns(p, 64)))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(landauspec.__file__).resolve().parents[1]), str(Path(__file__).parent)]))
-    fresh = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                           capture_output=True, text=True).stdout.split()
-    assert [c.tobytes().hex() for run in runs for c in run] == fresh * 2
-    J = next(iter(bessel_cache.matrices.values()))
-    with pytest.raises(ValueError, match="read-only"):
-        J[0, 0] = 0.0
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_bessel_cache_shares_one_matrix_across_profiles_bit_for_bit(bessel_cache):
+    # at count 64 both Fourier columns evaluate at the same 432 points: one key
+    k1, power3 = _breakpoint_free_profiles()
+    runs = [_radial_columns(k1, 64)]
+    # the first call keeps the matrix, the next ones hit it
+    assert _cache_counts(bessel_cache) == (0, 1, 1)
+    runs += [_radial_columns(p, 64) for p in (power3, k1, power3)]
+    assert _cache_counts(bessel_cache) == (3, 1, 1)
+    assert [c.tobytes().hex() for run in runs for c in run] == _fresh_process_columns() * 2
 
 
 def test_bessel_cache_keys_tables_by_their_nodes(bessel_cache):
+    from landauspec.specfun import bessel_j
     grids = (np.linspace(0.0, 10.0, 11), np.linspace(0.0, 10.0, 21),
              np.linspace(0.0, 12.0, 11))
-    fourier = [sy.fourier_radial_profile(sy.tabulated(g, np.exp(-g))) for g in grids]
+    tables = [sy.tabulated(g, np.exp(-g)) for g in grids]
+    fourier = [sy.fourier_radial_profile(t) for t in tables]
     u = np.linspace(0.0, 30.0, 50)
-    streamed = [f(u) for f in fourier]
-    kept = [f(u) for f in fourier]
-    # three node sets, three matrices: a shared one would change the second pass
-    assert (bessel_cache.hits, len(bessel_cache.matrices)) == (0, 3)
-    assert [v.tobytes() for v in kept] == [v.tobytes() for v in streamed]
-    # other values on the first grid: the same nodes, so its matrix
-    from landauspec.specfun import bessel_j
-    table = sy.tabulated(grids[0], np.cos(grids[0]))
-    other = sy.fourier_radial_profile(table)(u)
-    assert (bessel_cache.hits, len(bessel_cache.matrices)) == (1, 3)
-    nodes, weights = qd.support_rule(table.breakpoints, 400, 400, math.inf)
-    ref = [0.5 * np.dot(weights * table(nodes), bessel_j(0, np.sqrt(u0 * nodes))) for u0 in u]
-    assert np.abs(other - ref).max() < 1e-14
+    first = [f(u) for f in fourier]
+    again = [f(u) for f in fourier]
+    # three node sets and one entry: every call misses, where a key without the
+    # nodes would hit and hand each table another table's matrix
+    assert _cache_counts(bessel_cache) == (0, 6, 1)
+    assert [v.tobytes() for v in again] == [v.tobytes() for v in first]
+    # other values on the last grid: the same nodes, so its matrix
+    tables.append(sy.tabulated(grids[2], np.cos(grids[2])))
+    first.append(sy.fourier_radial_profile(tables[-1])(u))
+    assert _cache_counts(bessel_cache) == (1, 6, 1)
+    for table, got in zip(tables, first):
+        nodes, weights = qd.support_rule(table.breakpoints, 400, 400, math.inf)
+        ref = [0.5 * np.dot(weights * table(nodes), bessel_j(0, np.sqrt(u0 * nodes)))
+               for u0 in u]
+        assert np.abs(got - ref).max() < 1e-14
 
 
 def test_bessel_cache_stays_within_its_bound(bessel_cache):
@@ -424,15 +441,45 @@ def test_bessel_cache_stays_within_its_bound(bessel_cache):
     got = fp(u)
     ref = [0.5 * np.dot(base, bessel_j(0, np.sqrt(u0 * nodes))) for u0 in u[::997]]
     assert np.abs(got[::997] - ref).max() < 1e-14
-    assert (bessel_cache.misses, bessel_cache.nbytes, len(bessel_cache.matrices)) == (1, 0, 0)
-    # eight 1.4 MB matrices against 8 MiB: the six most recent stay
-    point_sets = [np.linspace(0.0, 40.0 + i, 432) for i in range(8)]
-    for pts in point_sets:
-        fp(pts), fp(pts)
-    assert bessel_cache.nbytes == sum(J.nbytes for J in bessel_cache.matrices.values())
-    assert bessel_cache.nbytes <= sy._BESSEL_CACHE_BYTES
-    assert list(bessel_cache.matrices) == [(pts.tobytes(), nodes.tobytes())
-                                           for pts in point_sets[2:]]
+    assert _cache_counts(bessel_cache) == (0, 0, 0)
+    # 2621 points x 400 nodes is the largest matrix within 8 MiB: kept, read-only;
+    # one point more is streamed and leaves it in place
+    assert 2621 * 400 * 8 <= sy._BESSEL_KEEP_BYTES < 2622 * 400 * 8
+    pts = np.linspace(0.0, 40.0, 2621)
+    fp(pts), fp(np.linspace(0.0, 40.0, 2622))
+    J = bessel_cache(pts.tobytes(), nodes.tobytes())
+    assert _cache_counts(bessel_cache) == (1, 1, 1)
+    assert J.shape == (2621, 400)
+    with pytest.raises(ValueError, match="read-only"):
+        J[0, 0] = 0.0
+
+
+def test_kept_and_streamed_bessel_matrices_give_the_same_bytes(bessel_cache, monkeypatch):
+    # a 60-point table has 835 Hankel nodes: at 700 points a 4.7 MB matrix, kept.
+    # Its products run in the streamed path's 32-point blocks; one product with
+    # the whole matrix changes the last bits here
+    grid = np.linspace(0.0, 10.0, 60)
+    fp = sy.fourier_radial_profile(sy.tabulated(grid, np.exp(-grid) * (1.0 + np.sin(grid))))
+    u = np.linspace(0.0, 60.0, 700)
+    kept = fp(u)
+    assert _cache_counts(bessel_cache) == (0, 1, 1)
+    monkeypatch.setattr(sy, "_BESSEL_KEEP_BYTES", 0)
+    streamed = fp(u)
+    assert _cache_counts(bessel_cache) == (0, 1, 1)
+    assert kept.tobytes() == streamed.tobytes()
+
+
+def test_hankel_step_fault_leaves_no_bad_matrix_kept(bessel_cache):
+    # the faulted suite runs at K1's key (432 points x 400 nodes) and keeps that
+    # matrix; the fault corrupts only the weights, so K1's column after it reads
+    # what a fresh process reads
+    results = verify.run_suites("weyl-fourier-agreement", fault="hankel_step")
+    assert [r["passed"] for r in results] == [False]
+    assert _cache_counts(bessel_cache) == (0, 1, 1)
+    k1 = _breakpoint_free_profiles()[0]
+    column = op.weyl_radial_eigs_fourier(sy.fourier_radial_profile(k1), 64)
+    assert _cache_counts(bessel_cache) == (1, 1, 1)
+    assert column.tobytes().hex() == _fresh_process_columns()[2]
 
 
 def test_level_crossing_bisection_raises_without_a_finite_bracket():
